@@ -14,7 +14,6 @@ def main() -> int:
     parser.add_argument("--configs", default=CONFIG_DIR,
                         help="directory of experiment JSON files")
     parser.add_argument("--out", default=None, help="output root override")
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     names = sorted(f for f in os.listdir(args.configs) if f.endswith(".json"))
@@ -25,7 +24,7 @@ def main() -> int:
     for fname in names:
         path = os.path.join(args.configs, fname)
         print(f"== {fname} ==")
-        argv = ["all", "--config", path, "--threads", str(args.threads)]
+        argv = ["all", "--config", path]
         if args.out:
             argv += ["--out", os.path.join(args.out, os.path.splitext(fname)[0])]
         code = cli_main(argv)

@@ -21,11 +21,11 @@ from .floyd import (FloydFunction, TransitionParams, coned_off_distance,
 from .greens import GreenTable, green_matrix, kesten_alpha, restricted_green, tail_bound
 from .groups import (Coset, FactorSpec, FreeProductGroup, GroupElement,
                      coset_distance, coset_lattice_part, project_to_coset)
-from .induced import FiberIndex, induce_first_return, moment_growth, verify_same_green
+from .induced import FiberIndex, induce_first_return, verify_same_green
 from .lattice import BoxGreen, ChainGreen, LatticeChain, absorption_distribution
 from .measures import StepMeasure
 from .perron import (AssumptionReport, BoundaryPointU, PerronData,
-                     check_assumptions, f_matrix, level_set_point,
+                     check_assumptions, level_set_point,
                      limit_kernel_ratio, minimize_lambda, perron, tilted_matrix)
 
 __all__ = [
@@ -38,10 +38,10 @@ __all__ = [
     "SequenceSpec", "StateCapError", "StepMeasure", "TransitionParams",
     "absorption_distribution", "ancona_ratio", "ball_elements",
     "check_assumptions", "classify", "coned_off_distance", "coset_distance",
-    "coset_lattice_part", "f_matrix", "floyd_distance", "green_matrix",
+    "coset_lattice_part", "floyd_distance", "green_matrix",
     "gromov_product_coned", "induce_first_return", "kesten_alpha",
     "level_set_point", "limit_kernel_ratio", "load_config",
-    "martin_convergence", "minimize_lambda", "moment_growth", "perron",
+    "martin_convergence", "minimize_lambda", "perron",
     "project_to_coset", "representative_invariance", "restricted_green",
     "separation_experiment", "tail_bound", "tilted_matrix",
     "transition_points", "verify_same_green", "word_geodesic",

@@ -1,7 +1,7 @@
 """Word-metric ball enumeration and sparse walk matrices on the ball."""
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp

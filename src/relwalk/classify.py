@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -300,7 +300,6 @@ def martin_convergence(engine: FreeProductEngine,
     exponential e^(u.(z_x - z_x')); max_ratio_deviation reports the
     final row's worst relative deviation, ratio_rows every row's.
     """
-    base = engine.group.identity
     ns = list(range(len(elements))) if ns is None else list(ns)
     rows = []
     for n, g in zip(ns, elements):
@@ -322,17 +321,17 @@ def martin_convergence(engine: FreeProductEngine,
                   if coset.contains(x)}
         pts = [x for x in test_points if x in tracks]
         worst_last = 0.0
-        for n, g in zip(ns, elements):
-            kx = {x: engine.martin_kernel(x, g) for x in pts}
+        for row in rows:
+            kx = dict(zip(test_points, row.kernels))
             for i, xi in enumerate(pts):
                 for xj in pts[i + 1:]:
                     pred = limit_kernel_ratio(u, tracks[xi], tracks[xj])
                     got = kx[xi] / kx[xj]
                     dev = abs(got - pred) / pred
-                    if n == ns[-1]:
+                    if row.n == ns[-1]:
                         worst_last = max(worst_last, dev)
                     report.ratio_rows.append(
-                        {"n": n, "x": engine.group.format(xi),
+                        {"n": row.n, "x": engine.group.format(xi),
                          "x_other": engine.group.format(xj),
                          "ratio": got, "predicted": pred, "rel_dev": dev})
         report.max_ratio_deviation = worst_last

@@ -12,7 +12,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -26,9 +25,10 @@ from .errors import (AssumptionError, BoundedSequenceError, ConfigError,
 from .excursions import FreeProductEngine
 from .floyd import (FloydFunction, TransitionParams, floyd_distance,
                     transition_points, word_geodesic)
-from .induced import FiberIndex, induce_first_return, moment_growth, verify_same_green
+from .induced import FiberIndex, induce_first_return, verify_same_green
 from .lattice import ChainGreen, LatticeChain
-from .perron import check_assumptions, level_set_point, minimize_lambda, perron
+from .perron import (check_assumptions, direction_grid, level_set_point,
+                     minimize_lambda, perron)
 from .reports import svg_heatmap, svg_line_plot, write_csv, write_json
 
 
@@ -42,10 +42,9 @@ class _ToleranceFailure(Exception):
 class RunContext:
     """Shared lazily built objects for one config run."""
 
-    def __init__(self, cfg: ExperimentConfig, out_dir: str, threads: int):
+    def __init__(self, cfg: ExperimentConfig, out_dir: str):
         self.cfg = cfg
         self.out = out_dir
-        self.threads = threads
         self._engine: FreeProductEngine | None = None
         self._chains: dict[tuple[int, int], LatticeChain] = {}
 
@@ -189,15 +188,15 @@ def stage_induce(ctx: RunContext) -> dict:
             for j1, j2, dz, w in chain.entries:
                 rows.append((fac, eta, j1, j2, " ".join(map(str, dz)), w))
             dev = verify_same_green(chain, engine, fibers)
-            moments = moment_growth(engine, fac, [eta])
             report[f"f{fac}_eta{eta}"] = {
                 "factor": fac, "eta": eta,
                 "fiber_count": chain.fiber_count,
                 "entry_count": len(chain.entries),
                 "row_mass_max": max(chain.row_masses()),
                 "same_green_dev": dev,
-                "moment_reach": "bounded-support" if math.isinf(moments[eta])
-                                else moments[eta]}
+                # Induced chains have finitely many kernel entries, so every
+                # exponential moment converges.
+                "moment_reach": "bounded-support"}
     files = [write_csv(ctx.path("induce.csv"),
                        ["factor", "eta", "j_from", "j_to", "dz", "weight"], rows),
              write_json(ctx.path("induce.json"), report)]
@@ -272,13 +271,6 @@ def stage_lambda_surface(ctx: RunContext) -> dict:
     return _ok(files)
 
 
-def _theta_grid(rank: int, count: int) -> list[tuple[float, ...]]:
-    if rank == 1:
-        return [(1.0,), (-1.0,)][:max(1, count)]
-    return [(math.cos(2 * math.pi * i / count), math.sin(2 * math.pi * i / count))
-            for i in range(count)]
-
-
 def stage_boundary_map(ctx: RunContext) -> dict:
     """Direction-to-tilt table on the unit level set, with injectivity check."""
     cfg = ctx.cfg
@@ -289,10 +281,9 @@ def stage_boundary_map(ctx: RunContext) -> dict:
     report = {}
     files = []
     for label, chain in chains:
-        thetas = _theta_grid(chain.rank, cfg.theta_grid)
         points = []
         mn = minimize_lambda(chain)
-        for th in thetas:
+        for th in direction_grid(chain.rank, cfg.theta_grid):
             bp = level_set_point(chain, th, minimum=mn)
             points.append(bp)
             rows.append((label,
@@ -617,23 +608,13 @@ def _run_stage(ctx: RunContext, name: str) -> tuple[int, dict]:
 
 
 def _run_all(ctx: RunContext) -> int:
-    names = [n for n in STAGES]
     if not ctx.cfg.is_synthetic:
         ctx.engine()
         ctx.chains()
-    results: dict[str, tuple[int, dict]] = {}
-    if ctx.threads > 1:
-        with ThreadPoolExecutor(max_workers=ctx.threads) as pool:
-            futures = {name: pool.submit(_run_stage, ctx, name) for name in names}
-            for name in names:
-                results[name] = futures[name].result()
-    else:
-        for name in names:
-            results[name] = _run_stage(ctx, name)
     code = 0
     manifest = {}
-    for name in names:
-        stage_code, summary = results[name]
+    for name in STAGES:
+        stage_code, summary = _run_stage(ctx, name)
         code = max(code, stage_code)
         manifest[name] = summary
         print(f"{name}: {summary['status']}"
@@ -651,7 +632,6 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="experiment JSON file")
         p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--state-cap", type=int, default=None)
     try:
         args = parser.parse_args(argv)
@@ -668,7 +648,7 @@ def main(argv=None) -> int:
             cfg.state_cap = args.state_cap
         out_dir = args.out or os.environ.get("RELWALK_OUT") or cfg.output_dir
         os.makedirs(out_dir, exist_ok=True)
-        ctx = RunContext(cfg, out_dir, max(1, args.threads))
+        ctx = RunContext(cfg, out_dir)
         if args.command == "all":
             return _run_all(ctx)
         code, summary = _run_stage(ctx, args.command)

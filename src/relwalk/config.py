@@ -6,13 +6,16 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .balls import DEFAULT_STATE_CAP
 from .classify import SequenceSpec
 from .errors import ConfigError, ParseError
 from .groups import FactorSpec, FreeProductGroup
 from .lattice import LatticeChain
 from .measures import StepMeasure
 
-DEFAULT_STATE_CAP = 2_000_000
+# The lattice windows, separation defaults and direction grids of the
+# stages cover Z^1 and Z^2 only.
+MAX_LATTICE_RANK = 2
 
 DEFAULT_TOLERANCES = {
     "same_green": 1e-6,
@@ -107,7 +110,8 @@ def _parse_chain(obj: dict) -> LatticeChain:
     rank = obj.get("rank")
     fibers = obj.get("fibers", 1)
     entries_raw = obj.get("entries")
-    _require(isinstance(rank, int) and rank >= 1, "chain.rank must be an integer >= 1")
+    _require(isinstance(rank, int) and 1 <= rank <= MAX_LATTICE_RANK,
+             f"chain.rank must be an integer in 1..{MAX_LATTICE_RANK}")
     _require(isinstance(fibers, int) and fibers >= 1, "chain.fibers must be an integer >= 1")
     _require(isinstance(entries_raw, list) and entries_raw, "chain.entries must be a nonempty list")
     entries = []
@@ -189,6 +193,9 @@ def load_config(path: str) -> ExperimentConfig:
         for i in parabolic:
             _require(group.factors[i].rank >= 1,
                      f"parabolic factor {i} has no lattice directions")
+            _require(group.factors[i].rank <= MAX_LATTICE_RANK,
+                     f"parabolic factor {i} has rank {group.factors[i].rank}; "
+                     f"the stages support rank <= {MAX_LATTICE_RANK}")
     else:
         _require(not parabolic, "synthetic chain configs take no parabolic list")
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .balls import ball_elements
-from .groups import Coset, FreeProductGroup, GroupElement, coset_distance
+from .groups import Coset, GroupElement, coset_distance
 
 
 @dataclass(frozen=True)
@@ -145,16 +145,6 @@ def transition_points(path: Sequence[GroupElement], params: TransitionParams,
     return out
 
 
-def floyd_transition_check(f: FloydFunction,
-                           samples: Iterable[tuple[GroupElement, GroupElement, GroupElement]],
-                           radius: int) -> float:
-    """Min over samples (x, z, y) of the Floyd distance from basepoint y."""
-    best = float("inf")
-    for (x, z, y) in samples:
-        best = min(best, floyd_distance(f, y, x, z, radius))
-    return best
-
-
 def coned_off_distance(x: GroupElement, z: GroupElement,
                        parabolic: Iterable[int]) -> int:
     """Graph distance after collapsing each parabolic coset through a cone.
@@ -171,33 +161,6 @@ def coned_off_distance(x: GroupElement, z: GroupElement,
         length = group.factors[fac].syllable_length(zvec, j)
         total += min(length, 2) if fac in parabolic else length
     return total
-
-
-def relative_reparametrize(path: Sequence[GroupElement],
-                           parabolic: Iterable[int]) -> list[GroupElement]:
-    """Drop interior points of maximal subpaths inside one parabolic coset."""
-    parabolic = tuple(parabolic)
-    n = len(path)
-    if n <= 2 or not parabolic:
-        return list(path)
-    keep = [True] * n
-    i = 0
-    while i < n - 1:
-        extended = False
-        for fac in parabolic:
-            c = Coset.of(path[i], fac)
-            j = i
-            while j + 1 < n and c.contains(path[j + 1]):
-                j += 1
-            if j > i + 1:
-                for m in range(i + 1, j):
-                    keep[m] = False
-                i = j
-                extended = True
-                break
-        if not extended:
-            i += 1
-    return [p for p, k in zip(path, keep) if k]
 
 
 def gromov_product_coned(x: GroupElement, z: GroupElement, base: GroupElement,

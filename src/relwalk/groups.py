@@ -292,13 +292,6 @@ class FreeProductGroup:
         return "*".join(parts)
 
 
-def normalize(group: FreeProductGroup, letters: Iterable[str] | str) -> GroupElement:
-    """Normal form of a word given as a string or a list of generator letters."""
-    if isinstance(letters, str):
-        return group.word(letters)
-    return group.word(" ".join(letters))
-
-
 @dataclass(frozen=True)
 class Coset:
     """Left coset g*P of one free factor P, keyed by its canonical representative.

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .balls import ball_elements
 from .errors import AssumptionError
 from .excursions import FreeProductEngine
@@ -196,37 +194,3 @@ def verify_same_green(chain: LatticeChain, engine: FreeProductEngine,
             worst = max(worst, abs(got - ref))
     return worst
 
-
-def moment_growth(engine: FreeProductEngine, factor: int, eta_list,
-                  cap: float = math.inf, margin: float = 0.05) -> dict[int, float]:
-    """Exponential-moment reach M(eta) of the induced chains.
-
-    Every chain produced here has finitely many kernel entries, so all
-    exponential moments converge and M(eta) is the configured cap.  A
-    fitted decay rate is only meaningful for chains with an extended
-    z-support; with fewer than four occupied shells the fit is refused.
-    """
-    table: dict[int, float] = {}
-    for eta in eta_list:
-        chain = induce_first_return(engine, factor, int(eta))
-        shells = sorted({sum(abs(c) for c in dz) for (_, _, dz, _) in chain.entries})
-        if len(shells) <= 3:
-            table[int(eta)] = cap
-            continue
-        peaks = {}
-        for (_, _, dz, w) in chain.entries:
-            s = sum(abs(c) for c in dz)
-            if s > 0:
-                peaks[s] = max(peaks.get(s, 0.0), w)
-        if len(peaks) < 4:
-            raise ValueError("insufficient support range to fit a decay rate")
-        xs = np.array(sorted(peaks))
-        ys = np.log(np.array([peaks[s] for s in sorted(peaks)]))
-        slope = float(np.polyfit(xs, ys, 1)[0])
-        table[int(eta)] = min(cap, max(0.0, -slope - margin))
-    etas = sorted(table)
-    for a, b in zip(etas, etas[1:]):
-        if table[b] < table[a] - 1e-12:
-            raise AssumptionError(
-                f"moment reach decreased from eta={a} to eta={b}")
-    return table

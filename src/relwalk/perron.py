@@ -42,9 +42,6 @@ def tilted_matrix(chain: LatticeChain, u) -> np.ndarray:
     return out
 
 
-f_matrix = tilted_matrix
-
-
 def tilted_matrix_gradient(chain: LatticeChain, u, axis: int) -> np.ndarray:
     """Entrywise derivative of tilted_matrix in u[axis]."""
     v = _tilt_vector(chain, u)
@@ -200,9 +197,14 @@ def minimize_lambda(chain: LatticeChain, start=None, grad_tol: float = 1e-10,
         f"{float(np.linalg.norm(np.asarray(data.gradient))):.3e}")
 
 
-def _direction_grid(rank: int, count: int = 64) -> list[np.ndarray]:
+def direction_grid(rank: int, count: int = 64) -> list[np.ndarray]:
+    """Unit probe directions in Z^rank.
+
+    Rank 1 gives the first count of +1, -1; rank 2 gives count evenly
+    spaced angles; higher ranks give the signed axes and diagonals.
+    """
     if rank == 1:
-        return [np.array([1.0]), np.array([-1.0])]
+        return [np.array([1.0]), np.array([-1.0])][:count]
     if rank == 2:
         return [np.array([math.cos(2 * math.pi * i / count),
                           math.sin(2 * math.pi * i / count)])
@@ -256,7 +258,7 @@ def check_assumptions(chain: LatticeChain, escape_cap: float = 20.0,
         msgs.append(f"lambda minimum {mn.value:.6f} is not below 1")
     radii: list[float] = []
     compact = True
-    for d in _direction_grid(chain.rank, grid):
+    for d in direction_grid(chain.rank, grid):
         t = 0.5
         escaped = False
         while t <= escape_cap:

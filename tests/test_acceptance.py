@@ -152,7 +152,7 @@ def test_a07_direction_to_tilt_round_trip(z2_chain_eta2):
 
 
 def test_a08_relative_green_decay(z2_cfg, z2_engine, f2_engine, f2_cfg, tmp_path):
-    ctx = RunContext(z2_cfg, str(tmp_path), threads=1)
+    ctx = RunContext(z2_cfg, str(tmp_path))
     ctx._engine = z2_engine
     pairs = _sample_ancona_pairs(ctx, 20)
     profiles = []

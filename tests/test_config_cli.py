@@ -64,6 +64,13 @@ def test_config_validation_failures(tmp_path):
         {"group": base_group, "radius": 5, "eta_list": [2]},
         {"group": base_group, "sequences": [
             {"name": "bad", "templates": ["q^n"], "start": 1, "stop": 3}]},
+        {"group": {"factors": [{"rank": 3, "lattice_names": ["a", "b", "c"]},
+                               {"rank": 1, "lattice_names": ["t"]}]},
+         "parabolic": [0]},
+        {"chain": {"rank": 3, "fibers": 1, "entries": [
+            [0, 0, [1, 0, 0], 0.1], [0, 0, [-1, 0, 0], 0.1],
+            [0, 0, [0, 1, 0], 0.1], [0, 0, [0, -1, 0], 0.1],
+            [0, 0, [0, 0, 1], 0.1], [0, 0, [0, 0, -1], 0.1]]}},
     ]
     for payload in cases:
         with pytest.raises(ConfigError):
@@ -120,6 +127,21 @@ def test_invalid_config_and_usage_exit_codes(tmp_path):
     assert unknown.returncode == 1
     helped = run_cli("--help")
     assert helped.returncode == 0
+
+
+def test_induce_on_long_lattice_steps_exits_cleanly(tmp_path):
+    steps = ["a", "a^-1", "a^2", "a^-2", "a^3", "a^-3", "t", "t^-1"]
+    cfg = {"name": "long_steps",
+           "group": {"factors": [{"rank": 1, "lattice_names": ["a"]},
+                                 {"rank": 1, "lattice_names": ["t"]}]},
+           "measure": {"kind": "weights", "weights": [[w, "1/8"] for w in steps],
+                       "lazy": False},
+           "parabolic": [0], "radius": 12, "eta_list": [0]}
+    p = tmp_path / "long_steps.json"
+    p.write_text(json.dumps(cfg))
+    r = run_cli("induce", "--config", str(p), "--out", str(tmp_path / "i"))
+    assert r.returncode == 0, r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_state_cap_violation_exits_one(tmp_path):

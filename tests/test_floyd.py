@@ -5,8 +5,7 @@ import pytest
 
 from relwalk import (FloydFunction, TransitionParams, floyd_distance,
                      gromov_product_coned, transition_points, word_geodesic)
-from relwalk.floyd import (coned_off_distance, floyd_transition_check,
-                           relative_reparametrize)
+from relwalk.floyd import coned_off_distance
 
 
 def test_scaling_function_total_and_validation():
@@ -98,21 +97,3 @@ def test_gromov_products_grow_along_a_conical_ray(z2_cfg):
     for n, x in enumerate(seq, start=1):
         for m, z in enumerate(seq, start=1):
             assert gromov_product_coned(x, z, e, [0]) == 2.0 * min(n, m)
-
-
-def test_reparametrization_drops_deep_coset_interiors(z2_cfg):
-    g = z2_cfg.group
-    path = word_geodesic(g.identity, g.word("a^10*t"))
-    out = relative_reparametrize(path, [0])
-    assert len(out) == 3
-    assert out[0] == g.identity and out[-1] == g.word("a^10*t")
-    full = relative_reparametrize(path, [])
-    assert full == list(path)
-
-
-def test_transition_check_reports_a_positive_floor(z2_cfg):
-    g = z2_cfg.group
-    samples = [(g.word("a^-2"), g.word("a^2"), g.identity),
-               (g.word("t^-1"), g.word("b*t"), g.identity)]
-    floor = floyd_transition_check(FloydFunction(0.5), samples, radius=5)
-    assert floor > 0.0

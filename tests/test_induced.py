@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from relwalk import (FiberIndex, induce_first_return, minimize_lambda,
-                     moment_growth, verify_same_green)
+                     verify_same_green)
 from relwalk.perron import level_set_point
 
 
@@ -65,11 +65,6 @@ def test_minima_differ_between_widths_but_stay_below_one(z2_chain_eta0, z2_chain
     assert abs(m0.value - 0.867228590794) < 1e-9
     assert abs(m2.value - 0.8869412512011429) < 1e-9
     assert m0.value < 1.0 and m2.value < 1.0
-
-
-def test_moment_growth_reports_the_cap_for_finite_support(z2_engine):
-    table = moment_growth(z2_engine, factor=0, eta_list=[0, 1], cap=50.0)
-    assert table == {0: 50.0, 1: 50.0}
 
 
 def test_induced_chain_is_symmetric_under_z_negation(z2_chain_eta0):
