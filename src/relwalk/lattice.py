@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ConfigError
+from .errors import ConfigError, ConvergenceError
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,17 @@ class LatticeChain:
             (j1, j2, dz, w) for (j1, j2, dz), w in sorted(acc.items()) if w != 0.0
         )
         return LatticeChain(rank, fiber_count, merged, tuple(fiber_labels), provenance)
+
+    @cached_property
+    def entry_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only entry arrays: flat fiber index j1*N + j2, displacements, weights."""
+        n = self.fiber_count
+        flat = np.array([j1 * n + j2 for j1, j2, _, _ in self.entries], dtype=np.intp)
+        dz = np.array([dz for _, _, dz, _ in self.entries], dtype=float).reshape(-1, self.rank)
+        w = np.array([w for _, _, _, w in self.entries], dtype=float)
+        for arr in (flat, dz, w):
+            arr.flags.writeable = False
+        return flat, dz, w
 
     # -- structure queries -------------------------------------------------
 
@@ -155,7 +167,9 @@ class BoxGreen:
     def _state_id(self, z_abs: tuple[int, ...], j: int) -> int:
         rel = tuple(a - c for a, c in zip(z_abs, self.center))
         if any(abs(c) > self.half_width for c in rel):
-            raise ValueError("point outside box")
+            raise ConvergenceError(
+                f"point {z_abs} lies outside the box of half-width {self.half_width} "
+                f"around {self.center}")
         return self._site_id(rel) * self.chain.fiber_count + j
 
     def row(self, j_source: int) -> np.ndarray:

@@ -12,14 +12,16 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .errors import AssumptionError, ConvergenceError
 from .lattice import LatticeChain
 
 _EXP_CAP = 700.0  # exp overflow guard on tilted entries
-_POWER_TOL = 1e-12
-_POWER_ROUNDS = 200_000
-_DENSE_EIG_MAX = 64  # fiber count up to which a full eigendecomposition wins
+_DENSE_EIG_MAX = 64  # read only by the benchmark harness, to label spans by fiber count
+_DESCENT_GRAD_TOL, _DESCENT_ROUNDS = 1e-10, 20_000  # minimize_lambda stopping rule
+_ESCAPE_CAP, _ESCAPE_GRID, _ESCAPE_LEVEL = 20.0, 64, 2.0  # check_assumptions escape test
+_LEVEL_LAMBDA_TOL, _LEVEL_ANGLE_TOL = 1e-10, 1e-8  # level_set_point: |lambda-1|, |normal-theta|
 
 
 def _tilt_vector(chain: LatticeChain, u) -> np.ndarray:
@@ -29,29 +31,28 @@ def _tilt_vector(chain: LatticeChain, u) -> np.ndarray:
     return v
 
 
+def _tilted_weights(chain: LatticeChain, v: np.ndarray) -> np.ndarray:
+    """Per-entry tilted weights p((0,j1)->(z,j2)) exp(v.z)."""
+    _, dz, w = chain.entry_arrays
+    a = dz @ v
+    over = np.flatnonzero(a > _EXP_CAP)
+    if over.size:
+        raise OverflowError(
+            f"tilt {tuple(v)} overflows on displacement {chain.entries[over[0]][2]}")
+    return w * np.exp(a)
+
+
+def _fiber_sum(chain: LatticeChain, weights: np.ndarray) -> np.ndarray:
+    """N x N matrix summing per-entry weights onto their fiber pairs."""
+    n = chain.fiber_count
+    flat = chain.entry_arrays[0]
+    return np.bincount(flat, weights=weights, minlength=n * n).reshape(n, n)
+
+
 def tilted_matrix(chain: LatticeChain, u) -> np.ndarray:
     """F(u)[j1, j2] = sum_z p((0,j1)->(z,j2)) exp(u.z)."""
     v = _tilt_vector(chain, u)
-    n = chain.fiber_count
-    out = np.zeros((n, n))
-    for j1, j2, dz, w in chain.entries:
-        a = float(np.dot(v, dz))
-        if a > _EXP_CAP:
-            raise OverflowError(f"tilt {tuple(v)} overflows on displacement {dz}")
-        out[j1, j2] += w * math.exp(a)
-    return out
-
-
-def tilted_matrix_gradient(chain: LatticeChain, u, axis: int) -> np.ndarray:
-    """Entrywise derivative of tilted_matrix in u[axis]."""
-    v = _tilt_vector(chain, u)
-    n = chain.fiber_count
-    out = np.zeros((n, n))
-    for j1, j2, dz, w in chain.entries:
-        if dz[axis] == 0:
-            continue
-        out[j1, j2] += w * dz[axis] * math.exp(float(np.dot(v, dz)))
-    return out
+    return _fiber_sum(chain, _tilted_weights(chain, v))
 
 
 @dataclass
@@ -66,66 +67,33 @@ class PerronData:
     residual: float
 
 
-def _dense_perron(F: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, float]:
-    """Perron root and eigenvectors from a full eigendecomposition.
-
-    For a primitive nonnegative matrix the Perron root strictly dominates
-    every other eigenvalue in modulus, so the eigenvalue of largest real
-    part is the root and its eigenvector is real up to rounding.
-    """
-    vals, vecs = np.linalg.eig(F)
-    idx = int(np.argmax(vals.real))
-    lam = float(vals[idx].real)
-    right = vecs[:, idx].real
-    if right.sum() < 0:
-        right = -right
-    right = right / right.sum()
-    lvals, lvecs = np.linalg.eig(F.T)
-    lidx = int(np.argmax(lvals.real))
-    left = lvecs[:, lidx].real
-    if left.sum() < 0:
-        left = -left
-    left = left / left.sum()
-    res = float(np.max(np.abs(F @ right - lam * right)))
-    return lam, right, left, res
-
-
 def perron(chain: LatticeChain, u) -> PerronData:
     """Perron root, eigenvectors, and grad lambda at tilt u.
 
-    Small fiber counts go through a dense eigendecomposition; larger ones
-    use power iteration on F(u) + I (the shift keeps the iteration
-    primitive without moving eigenvectors; the root is shifted back).
-    The gradient uses the eigenvalue perturbation identity
-    d lambda/d u_i = w^T (dF/du_i) v / (w^T v).
+    One eigendecomposition of F(u) gives both eigenvectors: for a
+    primitive nonnegative matrix the Perron root strictly dominates every
+    other eigenvalue in modulus, so the eigenvalue of largest real part is
+    the root and its eigenvectors are real up to rounding; scaling them to
+    unit sum also makes them positive.  The gradient uses the eigenvalue
+    perturbation identity d lambda/d u_i = w^T (dF/du_i) v / (w^T v).
     """
     v = _tilt_vector(chain, u)
-    F = tilted_matrix(chain, v)
-    n = F.shape[0]
-    if n <= _DENSE_EIG_MAX:
-        lam, right, left, res = _dense_perron(F)
-    else:
-        shifted = F + np.eye(n)
-        right = np.full(n, 1.0 / n)
-        left = np.full(n, 1.0 / n)
-        lam = 0.0
-        for _ in range(_POWER_ROUNDS):
-            right = shifted @ right
-            right /= right.sum()
-            left = shifted.T @ left
-            left /= left.sum()
-            lam = float(right @ (F @ right)) / float(right @ right)
-            res = float(np.max(np.abs(F @ right - lam * right)))
-            if res < _POWER_TOL * max(1.0, abs(lam)):
-                break
-        else:
-            raise ConvergenceError(
-                f"power iteration did not reach residual {_POWER_TOL} at u={tuple(v)}")
+    tilted = _tilted_weights(chain, v)
+    F = _fiber_sum(chain, tilted)
+    vals, lvecs, rvecs = scipy.linalg.eig(F, left=True)
+    idx = int(np.argmax(vals.real))
+    lam = float(vals[idx].real)
+    right = rvecs[:, idx].real
+    right = right / right.sum()
+    left = lvecs[:, idx].real
+    left = left / left.sum()
+    res = float(np.max(np.abs(F @ right - lam * right)))
     if right[0] > 0:
         right = right / right[0]
     denom = float(left @ right)
+    dz = chain.entry_arrays[1]
     grad = tuple(
-        float(left @ (tilted_matrix_gradient(chain, v, ax) @ right)) / denom
+        float(left @ (_fiber_sum(chain, tilted * dz[:, ax]) @ right)) / denom
         for ax in range(chain.rank)
     )
     return PerronData(u=tuple(v), value=lam, right=right, left=left,
@@ -136,23 +104,22 @@ def perron_value(chain: LatticeChain, u) -> float:
     return perron(chain, u).value
 
 
-def minimize_lambda(chain: LatticeChain, start=None, grad_tol: float = 1e-10,
-                    max_rounds: int = 20_000) -> PerronData:
+def minimize_lambda(chain: LatticeChain) -> PerronData:
     """Global minimum of lambda over tilts u.
 
     lambda is smooth and convex in u, so gradient descent with Armijo
     backtracking from the origin homes in on the unique minimum; once the
     gradient is small the function-value test loses resolution, so a
     Newton phase on grad lambda = 0 (finite-difference Hessian of the
-    analytic gradient) finishes to grad_tol.
+    analytic gradient) finishes to the gradient tolerance.
     """
-    u = np.zeros(chain.rank) if start is None else _tilt_vector(chain, start)
+    u = np.zeros(chain.rank)
     data = perron(chain, u)
     step = 1.0
-    for _ in range(max_rounds):
+    for _ in range(_DESCENT_ROUNDS):
         g = np.asarray(data.gradient)
         gnorm = float(np.linalg.norm(g))
-        if gnorm < max(1e-6, grad_tol):
+        if gnorm < 1e-6:  # the Newton phase below takes over
             break
         while True:
             cand = u - step * g
@@ -172,10 +139,10 @@ def minimize_lambda(chain: LatticeChain, start=None, grad_tol: float = 1e-10,
         data = trial
         step = min(step * 2.0, 1.0e6)
     else:
-        raise ConvergenceError(f"lambda descent did not converge in {max_rounds} rounds")
+        raise ConvergenceError(f"lambda descent did not converge in {_DESCENT_ROUNDS} rounds")
     for _ in range(80):
         g = np.asarray(data.gradient)
-        if float(np.linalg.norm(g)) < grad_tol:
+        if float(np.linalg.norm(g)) < _DESCENT_GRAD_TOL:
             return data
         h = 1e-6
         H = np.zeros((chain.rank, chain.rank))
@@ -197,28 +164,23 @@ def minimize_lambda(chain: LatticeChain, start=None, grad_tol: float = 1e-10,
         f"{float(np.linalg.norm(np.asarray(data.gradient))):.3e}")
 
 
+def _check_rank(rank: int) -> None:
+    if rank not in (1, 2):
+        raise ValueError(f"level sets are solved for lattice ranks 1 and 2, not {rank}")
+
+
 def direction_grid(rank: int, count: int = 64) -> list[np.ndarray]:
     """Unit probe directions in Z^rank.
 
     Rank 1 gives the first count of +1, -1; rank 2 gives count evenly
-    spaced angles; higher ranks give the signed axes and diagonals.
+    spaced angles.  Higher ranks are not supported.
     """
+    _check_rank(rank)
     if rank == 1:
         return [np.array([1.0]), np.array([-1.0])][:count]
-    if rank == 2:
-        return [np.array([math.cos(2 * math.pi * i / count),
-                          math.sin(2 * math.pi * i / count)])
-                for i in range(count)]
-    dirs = []
-    for ax in range(rank):
-        for sgn in (1.0, -1.0):
-            d = np.zeros(rank)
-            d[ax] = sgn
-            dirs.append(d)
-    for signs in range(1 << rank):
-        d = np.array([1.0 if signs & (1 << ax) else -1.0 for ax in range(rank)])
-        dirs.append(d / np.linalg.norm(d))
-    return dirs
+    return [np.array([math.cos(2 * math.pi * i / count),
+                      math.sin(2 * math.pi * i / count)])
+            for i in range(count)]
 
 
 @dataclass
@@ -239,12 +201,19 @@ class AssumptionReport:
                 and self.lambda_min < 1.0 and self.level_set_compact)
 
 
-def check_assumptions(chain: LatticeChain, escape_cap: float = 20.0,
-                      grid: int = 64, escape_level: float = 2.0) -> AssumptionReport:
+def _escapes(chain: LatticeChain, u: np.ndarray) -> bool:
+    try:
+        return perron_value(chain, u) >= _ESCAPE_LEVEL
+    except OverflowError:
+        return True
+
+
+def check_assumptions(chain: LatticeChain) -> AssumptionReport:
     """Verify sub-Markov mass, irreducibility, and radial escape of lambda.
 
-    Radial escape (lambda exceeding escape_level within |u| <= escape_cap in
-    every direction) certifies that the lambda = 1 level set is compact.
+    Radial escape (lambda exceeding _ESCAPE_LEVEL within |u| <= _ESCAPE_CAP
+    along every grid direction) certifies that the lambda = 1 level set is
+    compact.
     """
     msgs: list[str] = []
     sub = chain.is_strictly_submarkov
@@ -258,24 +227,15 @@ def check_assumptions(chain: LatticeChain, escape_cap: float = 20.0,
         msgs.append(f"lambda minimum {mn.value:.6f} is not below 1")
     radii: list[float] = []
     compact = True
-    for d in direction_grid(chain.rank, grid):
+    for d in direction_grid(chain.rank, _ESCAPE_GRID):
         t = 0.5
-        escaped = False
-        while t <= escape_cap:
-            try:
-                if perron_value(chain, t * d) >= escape_level:
-                    escaped = True
-                    break
-            except OverflowError:
-                escaped = True
-                break
+        while t <= _ESCAPE_CAP and not _escapes(chain, t * d):
             t *= 2.0
-        if not escaped:
+        if t > _ESCAPE_CAP:
             compact = False
-            msgs.append(f"lambda stayed below {escape_level} along direction {tuple(d)}")
-            radii.append(math.inf)
-        else:
-            radii.append(t)
+            msgs.append(f"lambda stayed below {_ESCAPE_LEVEL} along direction {tuple(d)}")
+            t = math.inf
+        radii.append(t)
     return AssumptionReport(submarkov=sub, strongly_irreducible=irr,
                             lambda_min=mn.value, u_min=mn.u,
                             escape_radii=radii, level_set_compact=compact,
@@ -291,21 +251,6 @@ class BoundaryPointU:
     lambda_residual: float
     angular_error: float
     gradient: tuple[float, ...]
-
-
-def _orthonormal_complement(theta: np.ndarray) -> np.ndarray:
-    """Rows span theta's orthogonal complement."""
-    k = theta.size
-    basis = np.eye(k)
-    cols = [theta]
-    for b in basis:
-        w = b - sum((b @ c) * c for c in cols)
-        nw = np.linalg.norm(w)
-        if nw > 1e-12:
-            cols.append(w / nw)
-    if len(cols) == 1:
-        return np.zeros((0, k))
-    return np.array(cols[1:])
 
 
 def _ray_cross(chain: LatticeChain, u_min: np.ndarray, d: np.ndarray) -> float:
@@ -344,14 +289,13 @@ def _ray_cross(chain: LatticeChain, u_min: np.ndarray, d: np.ndarray) -> float:
 
 
 def _normal_angle_point_2d(chain: LatticeChain, u_min: np.ndarray,
-                           th: np.ndarray) -> np.ndarray | None:
+                           th: np.ndarray) -> np.ndarray:
     """Rank-2 level-set point whose outward normal is th, by angle bisection.
 
     On a strictly convex compact level curve the outward normal rotates
     monotonically with the ray angle from an interior point, and the
     crossing normal stays within a quarter turn of the ray, so the normal
-    angle defect brackets over [target - pi/2, target + pi/2].  Returns
-    None when the bracket fails so the caller can fall back to the walk.
+    angle defect brackets over [target - pi/2, target + pi/2].
     """
     target = math.atan2(th[1], th[0])
 
@@ -367,12 +311,12 @@ def _normal_angle_point_2d(chain: LatticeChain, u_min: np.ndarray,
     flo, ulo = defect(lo)
     fhi, uhi = defect(hi)
     if flo > 0 or fhi < 0:
-        return None
+        raise ConvergenceError(
+            f"normal-angle defect does not change sign around direction {tuple(th)}")
     if abs(flo) < 1e-12:
         return ulo
     if abs(fhi) < 1e-12:
         return uhi
-    u = ulo
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         fmid, u = defect(mid)
@@ -386,22 +330,18 @@ def _normal_angle_point_2d(chain: LatticeChain, u_min: np.ndarray,
 
 
 def level_set_point(chain: LatticeChain, theta,
-                    lambda_tol: float = 1e-10, angle_tol: float = 1e-8,
-                    max_rounds: int = 500,
                     minimum: PerronData | None = None) -> BoundaryPointU:
     """Solve lambda(u) = 1 with grad lambda parallel to theta.
 
     Supporting-point search on the convex level set: rank 1 crosses the
-    level directly, rank 2 bisects on the normal angle, higher ranks walk
-    the set in the tangent direction increasing theta.u (each step
-    re-projected by a radial crossing from the lambda minimizer).  All
-    paths finish with Newton on the square system
-    [lambda - 1; tangential gradient defect].  Passing the precomputed
+    level along theta from the lambda minimizer, rank 2 bisects on the
+    normal angle; higher ranks are not supported.  Passing the precomputed
     lambda minimum skips redoing that solve on repeated calls.
     """
     th = np.asarray(theta, dtype=float).reshape(-1)
     if th.size != chain.rank:
         raise ValueError(f"direction has dimension {th.size}, chain rank is {chain.rank}")
+    _check_rank(chain.rank)
     nth = float(np.linalg.norm(th))
     if abs(nth - 1.0) > 1e-8:
         raise ValueError(f"direction must be a unit vector, got norm {nth}")
@@ -411,74 +351,19 @@ def level_set_point(chain: LatticeChain, theta,
         raise AssumptionError(
             f"lambda minimum {mn.value:.6f} is not below 1; no level set to parametrize")
     u_min = np.asarray(mn.u)
-    u: np.ndarray | None = None
-    if chain.rank == 2:
+    if chain.rank == 1:
+        u = u_min + _ray_cross(chain, u_min, th) * th
+    else:
         u = _normal_angle_point_2d(chain, u_min, th)
-    bisected = u is not None
-    if u is None:
-        t = _ray_cross(chain, u_min, th)
-        u = u_min + t * th
-    comp = _orthonormal_complement(th)
-
-    def residual(vec: np.ndarray) -> tuple[np.ndarray, PerronData]:
-        data = perron(chain, vec)
-        g = np.asarray(data.gradient)
-        gn = g / np.linalg.norm(g)
-        parts = [data.value - 1.0]
-        parts.extend(comp @ (gn - th))
-        return np.array(parts), data
-
-    # Tangential walk: robust global phase when the bisection did not run.
-    if chain.rank > 1 and not bisected:
-        for _ in range(max_rounds):
-            data = perron(chain, u)
-            g = np.asarray(data.gradient)
-            gn = g / np.linalg.norm(g)
-            tangent = th - (th @ gn) * gn
-            tnorm = float(np.linalg.norm(tangent))
-            if tnorm < 1e-6:
-                break
-            step = min(0.5, tnorm)
-            cand_dir = u + step * tangent - u_min
-            cand_dir /= np.linalg.norm(cand_dir)
-            t = _ray_cross(chain, u_min, cand_dir)
-            u = u_min + t * cand_dir
-
-    # Newton polish with finite-difference Jacobian of the residual.
-    res, data = residual(u)
-    for _ in range(60):
-        if abs(res[0]) < lambda_tol and np.linalg.norm(res[1:]) < angle_tol:
-            break
-        h = 1e-7
-        J = np.zeros((chain.rank, chain.rank))
-        for ax in range(chain.rank):
-            dv = np.zeros(chain.rank)
-            dv[ax] = h
-            rp, _ = residual(u + dv)
-            J[:, ax] = (rp - res) / h
-        try:
-            delta = np.linalg.solve(J, -res)
-        except np.linalg.LinAlgError:
-            raise ConvergenceError("singular Newton system on the level set")
-        scale = 1.0
-        for _ in range(40):
-            cand = u + scale * delta
-            cres, cdata = residual(cand)
-            if np.linalg.norm(cres) < np.linalg.norm(res):
-                u, res, data = cand, cres, cdata
-                break
-            scale *= 0.5
-        else:
-            break
-    if abs(res[0]) > lambda_tol or np.linalg.norm(res[1:]) > angle_tol:
-        raise ConvergenceError(
-            f"level-set solve stalled: |lambda-1|={abs(res[0]):.3e}, "
-            f"angle defect={np.linalg.norm(res[1:]):.3e}")
+    data = perron(chain, u)
     g = np.asarray(data.gradient)
+    lam_res = abs(data.value - 1.0)
     ang = float(np.linalg.norm(g / np.linalg.norm(g) - th))
-    return BoundaryPointU(u=tuple(u), theta=tuple(th),
-                          lambda_residual=abs(res[0]), angular_error=ang,
-                          gradient=data.gradient)
+    if lam_res > _LEVEL_LAMBDA_TOL or ang > _LEVEL_ANGLE_TOL:
+        raise ConvergenceError(
+            f"level-set solve stalled: |lambda-1|={lam_res:.3e}, angle defect={ang:.3e}")
+    return BoundaryPointU(u=tuple(u), theta=tuple(th), lambda_residual=lam_res,
+                          angular_error=ang, gradient=data.gradient)
 
 
 def limit_kernel_ratio(u, z, z_other) -> float:

@@ -144,6 +144,22 @@ def test_induce_on_long_lattice_steps_exits_cleanly(tmp_path):
     assert "Traceback" not in r.stderr
 
 
+def test_out_of_box_green_lookup_exits_with_diagnostic(tmp_path):
+    with open(config_path("z2_free_z.json")) as fh:
+        cfg = json.load(fh)
+    cfg.update(radius=4, eta_list=[0], sequences=[
+        {"name": "diag", "templates": ["a^n*b^n"], "start": 1, "stop": 10}])
+    p = tmp_path / "small_box.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "m"
+    r = run_cli("martin-seq", "--config", str(p), "--out", str(out))
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    with open(out / "martin_seq_diagnostic.json") as fh:
+        diag = json.load(fh)
+    assert "outside the box" in diag["reason"]
+
+
 def test_state_cap_violation_exits_one(tmp_path):
     r = run_cli("green", "--config", config_path("f2.json"),
                 "--out", str(tmp_path / "s"), "--state-cap", "10")

@@ -7,7 +7,7 @@ import pytest
 from relwalk import (LatticeChain, check_assumptions, level_set_point,
                      limit_kernel_ratio, minimize_lambda, perron,
                      tilted_matrix)
-from relwalk.perron import perron_value
+from relwalk.perron import direction_grid, perron_value
 
 
 def killed_z(q: float = 0.2) -> LatticeChain:
@@ -18,10 +18,16 @@ def drifted_z(p: float = 0.3, q: float = 0.1) -> LatticeChain:
     return LatticeChain.build(1, 1, [(0, 0, (1,), p), (0, 0, (-1,), q)])
 
 
+def fibered_z(q: float = 0.2, n: int = 100) -> LatticeChain:
+    """Steps +-1 of weight q/n between every pair of n fibers: lambda = 2q cosh u."""
+    return LatticeChain.build(1, n, [(j1, j2, (s,), q / n) for j1 in range(n)
+                                     for j2 in range(n) for s in (1, -1)])
+
+
 def test_tilted_value_matches_cosh_formula():
-    c = killed_z(0.2)
-    for u in np.linspace(-2.0, 2.0, 9):
-        assert abs(perron_value(c, (u,)) - 0.4 * math.cosh(u)) < 1e-12
+    for c in (killed_z(0.2), fibered_z(0.2)):
+        for u in np.linspace(-2.0, 2.0, 9):
+            assert abs(perron_value(c, (u,)) - 0.4 * math.cosh(u)) < 1e-12
 
 
 def test_minimum_and_gradient_of_symmetric_walk():
@@ -29,9 +35,10 @@ def test_minimum_and_gradient_of_symmetric_walk():
     mn = minimize_lambda(c)
     assert abs(mn.value - 0.4) < 1e-12
     assert abs(mn.u[0]) < 1e-6
-    d = perron(c, (0.7,))
-    assert abs(d.gradient[0] - 0.4 * math.sinh(0.7)) < 1e-10
-    assert d.residual < 1e-10
+    for chain in (c, fibered_z(0.2)):
+        d = perron(chain, (0.7,))
+        assert abs(d.gradient[0] - 0.4 * math.sinh(0.7)) < 1e-10
+        assert d.residual < 1e-10
 
 
 def test_level_set_points_of_symmetric_walk():
@@ -87,6 +94,13 @@ def test_level_set_rejects_bad_directions(f2a_chain):
         level_set_point(f2a_chain, (0.0,))
     with pytest.raises(ValueError):
         level_set_point(f2a_chain, (1.0, 0.0))
+    cube = LatticeChain.build(3, 1, [(0, 0, dz, 0.1) for dz in
+                                     ((1, 0, 0), (-1, 0, 0), (0, 1, 0),
+                                      (0, -1, 0), (0, 0, 1), (0, 0, -1))])
+    with pytest.raises(ValueError):
+        level_set_point(cube, (1.0, 0.0, 0.0))
+    with pytest.raises(ValueError):
+        direction_grid(3, 8)
 
 
 def test_assumption_report_for_induced_rank_two_chain(z2_chain_eta2):
@@ -123,9 +137,14 @@ def test_limit_kernel_ratio_formula():
     assert limit_kernel_ratio((0.5, -0.5), (1, 1), (0, 0)) == pytest.approx(1.0)
 
 
-def test_tilted_matrix_entries_are_weighted_exponentials():
+def test_tilted_matrix_entries_are_weighted_exponentials(z2_chain_eta2):
     c = LatticeChain.build(1, 2, [(0, 1, (2,), 0.3), (1, 0, (-1,), 0.2)])
     F = tilted_matrix(c, (0.5,))
     assert F[0, 1] == pytest.approx(0.3 * math.exp(1.0))
     assert F[1, 0] == pytest.approx(0.2 * math.exp(-0.5))
     assert F[0, 0] == 0.0
+    u = np.array([0.3, -0.2])
+    ref = np.zeros((z2_chain_eta2.fiber_count,) * 2)
+    for j1, j2, dz, w in z2_chain_eta2.entries:
+        ref[j1, j2] += w * math.exp(float(u @ dz))
+    assert np.allclose(tilted_matrix(z2_chain_eta2, u), ref, rtol=1e-14, atol=0.0)
