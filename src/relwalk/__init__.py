@@ -6,7 +6,7 @@ chains on parabolic neighborhoods, analyzes the tilted Perron surface
 whose unit level set parametrizes directional boundary points, and
 classifies escaping sequences through Floyd and coned-off geometry.
 """
-from .balls import BallIndex, ball_elements
+from .balls import ball_elements
 from .classify import (Classification, SequenceSpec, ancona_ratio, classify,
                        martin_convergence, representative_invariance,
                        separation_experiment)
@@ -18,7 +18,6 @@ from .excursions import FreeProductEngine
 from .floyd import (FloydFunction, TransitionParams, coned_off_distance,
                     floyd_distance, gromov_product_coned, transition_points,
                     word_geodesic)
-from .greens import GreenTable, green_matrix, kesten_alpha, restricted_green, tail_bound
 from .groups import (Coset, FactorSpec, FreeProductGroup, GroupElement,
                      coset_distance, coset_lattice_part, project_to_coset)
 from .induced import FiberIndex, induce_first_return, verify_same_green
@@ -29,20 +28,19 @@ from .perron import (AssumptionReport, BoundaryPointU, PerronData,
                      limit_kernel_ratio, minimize_lambda, perron, tilted_matrix)
 
 __all__ = [
-    "AssumptionError", "AssumptionReport", "BallIndex", "BoundaryPointU",
+    "AssumptionError", "AssumptionReport", "BoundaryPointU",
     "BoundedSequenceError", "BoxGreen", "ChainGreen", "Classification",
     "ConfigError", "ConvergenceError", "Coset", "ExperimentConfig",
     "FactorSpec", "FiberIndex", "FloydFunction", "FreeProductEngine",
-    "FreeProductGroup", "GreenTable", "GroupElement", "InvalidMeasureError",
-    "LatticeChain", "ParseError", "PerronData", "RelwalkError",
-    "SequenceSpec", "StateCapError", "StepMeasure", "TransitionParams",
+    "FreeProductGroup", "GroupElement", "InvalidMeasureError", "LatticeChain",
+    "ParseError", "PerronData", "RelwalkError", "SequenceSpec",
+    "StateCapError", "StepMeasure", "TransitionParams",
     "absorption_distribution", "ancona_ratio", "ball_elements",
     "check_assumptions", "classify", "coned_off_distance", "coset_distance",
-    "coset_lattice_part", "floyd_distance", "green_matrix",
-    "gromov_product_coned", "induce_first_return", "kesten_alpha",
-    "level_set_point", "limit_kernel_ratio", "load_config",
-    "martin_convergence", "minimize_lambda", "perron",
-    "project_to_coset", "representative_invariance", "restricted_green",
-    "separation_experiment", "tail_bound", "tilted_matrix",
-    "transition_points", "verify_same_green", "word_geodesic",
+    "coset_lattice_part", "floyd_distance", "gromov_product_coned",
+    "induce_first_return", "level_set_point", "limit_kernel_ratio",
+    "load_config", "martin_convergence", "minimize_lambda", "perron",
+    "project_to_coset", "representative_invariance", "separation_experiment",
+    "tilted_matrix", "transition_points", "verify_same_green",
+    "word_geodesic",
 ]

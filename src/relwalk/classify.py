@@ -22,6 +22,9 @@ CONICAL = "Conical"
 PARABOLIC = "Parabolic"
 UNRESOLVED = "Unresolved"
 
+_CONED_THRESHOLD, _DIRECTION_TOL, _MIN_NORM = 3.0, 0.05, 3.0  # classify trend tests
+_GRID_COUNT, _GRID_WIDTH, _GROWTH_EPS = 9, 0.1, 0.05  # separation_experiment grid and floor
+
 _EXP_RE = re.compile(r"^(?P<a>[+-]?\d*)n(?P<b>[+-]\d+)?$")
 
 
@@ -168,16 +171,13 @@ def _candidate_cosets(group: FreeProductGroup, elements: Sequence[GroupElement],
 def classify(group: FreeProductGroup,
              seq: SequenceSpec | Sequence[GroupElement],
              parabolic: Sequence[int], *,
-             coned_threshold: float = 3.0,
-             direction_tol: float = 0.05,
-             min_norm: float = 3.0,
              rep_offset: GroupElement | None = None) -> Classification:
     """Label a sequence Conical, Parabolic(coset, direction), or Unresolved.
 
     Parabolic: some parabolic coset's projections have lattice parts with
-    norms escaping and directions settling within direction_tol over the
+    norms escaping and directions settling within _DIRECTION_TOL over the
     last half of the range.  Conical: coned-off Gromov products of
-    consecutive terms exceed coned_threshold and do not decrease over the
+    consecutive terms exceed _CONED_THRESHOLD and do not decrease over the
     last half.  A sequence with no word-length growth raises
     BoundedSequenceError instead of receiving a label.
     """
@@ -197,7 +197,7 @@ def classify(group: FreeProductGroup,
         track = _lattice_track(coset, elements, rep_offset)
         norms = [math.sqrt(sum(c * c for c in z)) for z in track]
         tail_norms = norms[half:]
-        if tail_norms[-1] < min_norm:
+        if tail_norms[-1] < _MIN_NORM:
             continue
         if any(b < a - 1e-9 for a, b in zip(tail_norms, tail_norms[1:])):
             continue
@@ -211,7 +211,7 @@ def classify(group: FreeProductGroup,
         evidence.setdefault("parabolic_candidates", []).append(
             {"coset": group.format(coset.rep) if coset.rep.syllable_count else "e",
              "factor": coset.factor, "norms": norms, "direction_gap": gap})
-        if gap < direction_tol:
+        if gap < _DIRECTION_TOL:
             theta = tuple(float(c) for c in dirs[-1])
             evidence["projection_norms"] = norms
             evidence["direction"] = theta
@@ -225,7 +225,7 @@ def classify(group: FreeProductGroup,
     evidence["coned_lengths"] = coned
     tail = products[max(0, half - 1):]
     growing = all(b >= a - 1e-9 for a, b in zip(tail, tail[1:]))
-    if growing and min(tail) > coned_threshold and coned[-1] > coned[half - 1]:
+    if growing and min(tail) > _CONED_THRESHOLD and coned[-1] > coned[half - 1]:
         return Classification(tag=CONICAL, evidence=evidence)
     return Classification(tag=UNRESOLVED, evidence=evidence)
 
@@ -233,15 +233,15 @@ def classify(group: FreeProductGroup,
 def representative_invariance(group: FreeProductGroup,
                               seq: SequenceSpec | Sequence[GroupElement],
                               parabolic: Sequence[int],
-                              offset: GroupElement, **kwargs) -> dict:
+                              offset: GroupElement) -> dict:
     """Classify under the canonical and an offset representative set.
 
     The offset replaces each representative rep by rep*offset; lattice
     charts shift by a constant, so tags agree and parabolic directions
     coincide in the limit.
     """
-    base = classify(group, seq, parabolic, **kwargs)
-    shifted = classify(group, seq, parabolic, rep_offset=offset, **kwargs)
+    base = classify(group, seq, parabolic)
+    shifted = classify(group, seq, parabolic, rep_offset=offset)
     gap = 0.0
     if base.direction is not None and shifted.direction is not None:
         gap = float(np.linalg.norm(np.array(base.direction) - np.array(shifted.direction)))
@@ -354,10 +354,7 @@ class SeparationReport:
 
 
 def separation_experiment(chain: LatticeChain, theta0, theta1,
-                          ns: Sequence[int] | None = None,
-                          grid_count: int = 9,
-                          grid_width: float = 0.1,
-                          eps: float = 0.05) -> SeparationReport:
+                          ns: Sequence[int] | None = None) -> SeparationReport:
     """Witness that distinct boundary directions separate at infinity.
 
     Along lattice points z_n realizing theta1's supporting ray, the limit
@@ -379,7 +376,7 @@ def separation_experiment(chain: LatticeChain, theta0, theta1,
     else:
         base_angle = math.atan2(t1[1], t1[0])
         grid = [(math.cos(base_angle + d), math.sin(base_angle + d))
-                for d in np.linspace(-grid_width, grid_width, grid_count)]
+                for d in np.linspace(-_GRID_WIDTH, _GRID_WIDTH, _GRID_COUNT)]
     grid_points = [level_set_point(chain, th, minimum=mn) for th in grid]
     scaled = t1 / float(np.max(np.abs(t1)))
     primitive = np.round(scaled)
@@ -402,7 +399,7 @@ def separation_experiment(chain: LatticeChain, theta0, theta1,
     growth_ok = all(b >= a * (1 - 1e-12) for a, b in zip(grid_min, grid_min[1:])) \
         and grid_min[-1] > max(1.0, grid_min[0])
     floor_ok = all(
-        g >= math.exp((1 - eps) * float(np.asarray(b1.u) @ np.asarray(zn)) - 1e-9)
+        g >= math.exp((1 - _GROWTH_EPS) * float(np.asarray(b1.u) @ np.asarray(zn)) - 1e-9)
         for g, zn in zip(grid_min, zs))
     certified = decay_ok and growth_ok and floor_ok
     return SeparationReport(

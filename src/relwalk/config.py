@@ -19,7 +19,6 @@ MAX_LATTICE_RANK = 2
 
 DEFAULT_TOLERANCES = {
     "same_green": 1e-6,
-    "lambda_residual": 1e-10,
     "angular": 1e-8,
     "epsilon": 1,
     "window": 4,

@@ -32,12 +32,13 @@ from .groups import FreeProductGroup, GroupElement, Syllable
 from .lattice import ChainGreen, LatticeChain
 from .measures import StepMeasure
 
+_FIXED_POINT_TOL, _FIXED_POINT_ROUNDS = 1e-14, 500  # return-mass iteration stopping rule
+
 
 class FreeProductEngine:
     """Green's function calculator for single-syllable step measures."""
 
-    def __init__(self, group: FreeProductGroup, mu: StepMeasure, radius: int = 20,
-                 tol: float = 1e-14, max_rounds: int = 500):
+    def __init__(self, group: FreeProductGroup, mu: StepMeasure, radius: int = 20):
         if not mu.has_syllable_support:
             raise InvalidMeasureError(
                 "cut-vertex elimination needs a step measure supported on "
@@ -46,7 +47,6 @@ class FreeProductEngine:
         self.group = group
         self.mu = mu
         self.radius = int(radius)
-        self.tol = tol
         self._steps: list[list[tuple[tuple[int, ...], int, float]]] = [
             [] for _ in group.factors
         ]
@@ -58,7 +58,7 @@ class FreeProductEngine:
         self._identity_mass = mu.identity_mass
         self.rounds_used = 0
         self.return_mass: list[float] = [0.0] * len(group.factors)
-        self._fixed_point(max_rounds)
+        self._fixed_point()
         self._chains = [self._build_factor_chain(i) for i in range(len(group.factors))]
         self._greens = [ChainGreen(c, self.radius) for c in self._chains]
         self._gee_per_factor = [
@@ -86,7 +86,7 @@ class FreeProductEngine:
             spec.rank, spec.finite_order, entries, provenance=f"factor[{i}]"
         )
 
-    def _fixed_point(self, max_rounds: int):
+    def _fixed_point(self):
         """Iterate the per-factor return masses to their least fixed point.
 
         r_i is the probability-weighted chance that a step into factor i
@@ -96,7 +96,7 @@ class FreeProductEngine:
         """
         m = len(self.group.factors)
         r = [0.0] * m
-        for round_no in range(1, max_rounds + 1):
+        for round_no in range(1, _FIXED_POINT_ROUNDS + 1):
             new_r = []
             for i in range(m):
                 if not self._steps[i]:
@@ -113,12 +113,12 @@ class FreeProductEngine:
                 new_r.append(total)
             delta = max(abs(a - b) for a, b in zip(r, new_r))
             r = new_r
-            if delta < self.tol:
+            if delta < _FIXED_POINT_TOL:
                 self.rounds_used = round_no
                 break
         else:
             raise ConvergenceError(
-                f"return-mass fixed point did not settle in {max_rounds} rounds"
+                f"return-mass fixed point did not settle in {_FIXED_POINT_ROUNDS} rounds"
             )
         self.return_mass = r
         for i in range(m):
@@ -132,9 +132,6 @@ class FreeProductEngine:
     def factor_chain(self, i: int) -> LatticeChain:
         """The killed factor chain nu_i (steps inside factor i plus loop mass)."""
         return self._chains[i]
-
-    def factor_green(self, i: int) -> ChainGreen:
-        return self._greens[i]
 
     def identity_spread(self) -> float:
         """Max disagreement of G(e,e) computed through different factors."""
@@ -171,14 +168,9 @@ class FreeProductEngine:
         """G(x, y), exact via the prefix product through cut vertices."""
         return self.green_from_identity(x.inverse() * y)
 
-    def hitting_probability(self, x: GroupElement, y: GroupElement) -> float:
-        """F(x, y) = G(x, y)/G(y, y)."""
-        return self.green(x, y) / self.green_identity_value
-
-    def martin_kernel(self, x: GroupElement, y: GroupElement,
-                      base: GroupElement | None = None) -> float:
-        base = base if base is not None else self.group.identity
-        return self.green(x, y) / self.green(base, y)
+    def martin_kernel(self, x: GroupElement, y: GroupElement) -> float:
+        """K(x, y) = G(x, y)/G(e, y)."""
+        return self.green(x, y) / self.green(self.group.identity, y)
 
     # -- taboo (path-restricted) Green's functions ------------------------
 

@@ -10,7 +10,6 @@ where the excursion started.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .balls import ball_elements
@@ -18,6 +17,10 @@ from .errors import AssumptionError
 from .excursions import FreeProductEngine
 from .groups import FreeProductGroup, GroupElement
 from .lattice import ChainGreen, LatticeChain, absorption_distribution
+
+# Lattice points (padded with zeros or cut to the chain rank) at which
+# verify_same_green compares the two Green's functions in every fiber.
+_SAME_GREEN_PROBES = ((0,), (1,), (2, 1), (-1, 2), (3, 3))
 
 
 @dataclass(frozen=True)
@@ -88,9 +91,7 @@ class FiberIndex:
             return None
 
 
-def induce_first_return(engine: FreeProductEngine, factor: int, eta: int,
-                        fibers: FiberIndex | None = None,
-                        alpha: float | None = None) -> LatticeChain:
+def induce_first_return(engine: FreeProductEngine, factor: int, eta: int) -> LatticeChain:
     """First-return chain of the walk on the eta-neighborhood of factor's P.
 
     Each kernel entry sums all excursion paths exactly (up to the engine's
@@ -109,8 +110,7 @@ def induce_first_return(engine: FreeProductEngine, factor: int, eta: int,
         raise ValueError(f"eta {eta} too large for engine radius {engine.radius}; "
                          "need eta <= radius/3")
     spec = group.factors[factor]
-    if fibers is None:
-        fibers = FiberIndex.build(group, factor, eta)
+    fibers = FiberIndex.build(group, factor, eta)
     index = {(w.syllables, f): i for i, (w, f) in enumerate(fibers.fibers)}
     zero = (0,) * spec.rank
     memo: dict[tuple, dict] = {}
@@ -152,15 +152,10 @@ def induce_first_return(engine: FreeProductEngine, factor: int, eta: int,
                 else:
                     target = prefix
                 entries.append((k, index[(target.syllables, f)], zero, tail * prob))
-    if alpha is None:
-        bound_note = f"box_radius={engine.radius}"
-    else:
-        tail_est = math.exp(-alpha * engine.radius) / (1.0 - math.exp(-alpha))
-        bound_note = f"truncation_bound={tail_est:.6e}"
     chain = LatticeChain.build(
         rank=spec.rank, fiber_count=len(fibers), entries=entries,
         fiber_labels=fibers.labels,
-        provenance=f"induced(factor={factor}, eta={eta}, {bound_note})")
+        provenance=f"induced(factor={factor}, eta={eta}, box_radius={engine.radius})")
     if not chain.is_strictly_submarkov:
         raise AssumptionError(
             "induced chain is not strictly sub-Markov; no mass escapes the "
@@ -169,8 +164,7 @@ def induce_first_return(engine: FreeProductEngine, factor: int, eta: int,
 
 
 def verify_same_green(chain: LatticeChain, engine: FreeProductEngine,
-                      fibers: FiberIndex, radius: int | None = None,
-                      z_probes=((0,), (1,), (2, 1), (-1, 2), (3, 3))) -> float:
+                      fibers: FiberIndex) -> float:
     """Max |G_chain - G_walk| over probe states; the two must agree.
 
     The induced chain observes the walk at its visits to the neighborhood,
@@ -179,12 +173,12 @@ def verify_same_green(chain: LatticeChain, engine: FreeProductEngine,
     """
     rank = chain.rank
     probes = []
-    for z in z_probes:
+    for z in _SAME_GREEN_PROBES:
         zt = tuple(int(c) for c in z)
         if len(zt) < rank:
             zt = zt + (0,) * (rank - len(zt))
         probes.append(zt[:rank])
-    cg = ChainGreen(chain, radius=radius if radius is not None else engine.radius)
+    cg = ChainGreen(chain, radius=engine.radius)
     worst = 0.0
     for zt in probes:
         for k in range(len(fibers)):

@@ -66,9 +66,6 @@ class LatticeChain:
 
     # -- structure queries -------------------------------------------------
 
-    def row_mass(self, j: int) -> float:
-        return sum(w for j1, _, _, w in self.entries if j1 == j)
-
     def row_masses(self) -> list[float]:
         out = [0.0] * self.fiber_count
         for j1, _, _, w in self.entries:
@@ -79,9 +76,6 @@ class LatticeChain:
     def is_strictly_submarkov(self) -> bool:
         return any(m < 1 - 1e-12 for m in self.row_masses())
 
-    def z_support(self) -> list[tuple[int, ...]]:
-        return sorted({dz for _, _, dz, _ in self.entries})
-
     def max_step(self) -> int:
         return max((max(abs(c) for c in dz) if dz else 0 for _, _, dz, _ in self.entries), default=0)
 
@@ -91,20 +85,20 @@ class LatticeChain:
             rows[j1].append((j2, dz, w))
         return rows
 
-    def is_strongly_irreducible(self, max_power: int | None = None) -> bool:
+    def is_strongly_irreducible(self) -> bool:
         """True when some power of the fiber support pattern is positive.
 
         The z displacement is collapsed onto the fiber adjacency, which is
         the right notion for the tilted matrix family: a positive power of
-        the adjacency makes every tilt primitive.  The power cap defaults
-        to the Wielandt bound n^2 - 2n + 2.
+        the adjacency makes every tilt primitive.  The power cap is the
+        Wielandt bound n^2 - 2n + 2.
         """
         n = self.fiber_count
         adj = np.zeros((n, n), dtype=np.int64)
         for j1, j2, _, w in self.entries:
             if w > 0:
                 adj[j1, j2] = 1
-        cap = max_power or max(n * n - 2 * n + 2, 1)
+        cap = max(n * n - 2 * n + 2, 1)
         power = adj.copy()
         for _ in range(cap):
             if power.min() > 0:
@@ -217,12 +211,6 @@ class ChainGreen:
 
     def green_at_origin(self, j_from: int, j_to: int) -> float:
         return self._origin.value(j_from, (0,) * self.chain.rank, j_to)
-
-    def first_passage(self, j_from: int, z: Sequence[int], j_to: int) -> float:
-        """F((0,j_from) -> (z,j_to)) = G(...)/G((z,j_to),(z,j_to))."""
-        g = self.green(j_from, z, j_to)
-        gd = self.green_at_origin(j_to, j_to)
-        return g / gd
 
 
 def absorption_distribution(chain: LatticeChain, start_z: Sequence[int],

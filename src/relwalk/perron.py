@@ -253,23 +253,30 @@ class BoundaryPointU:
     gradient: tuple[float, ...]
 
 
-def _ray_cross(chain: LatticeChain, u_min: np.ndarray, d: np.ndarray) -> float:
-    """Scale t with lambda(u_min + t d) = 1, by doubling then guarded Newton.
+def _ray_cross(chain: LatticeChain, u_min: np.ndarray,
+               d: np.ndarray) -> tuple[np.ndarray, PerronData]:
+    """Point u_min + t d with lambda = 1, by doubling then guarded Newton.
 
     Along a ray from the minimizer, lambda is convex and increasing past
     the crossing, so Newton started at the outer bracket end decreases
     monotonically to the root; a bisection step catches any iterate the
-    guard rejects.
+    guard rejects.  Returns the point with its Perron data; each tilt on
+    the way is evaluated once.
     """
+    def at(t: float) -> tuple[np.ndarray, PerronData]:
+        u = u_min + t * d
+        return u, perron(chain, u)
+
     lo, hi = 0.0, 1.0
-    while perron_value(chain, u_min + hi * d) < 1.0:
+    u, data = at(hi)
+    while data.value < 1.0:
         lo = hi
         hi *= 2.0
         if hi > 1e6:
             raise ConvergenceError("no level-set crossing found along search ray")
+        u, data = at(hi)
     t = hi
     for _ in range(200):
-        data = perron(chain, u_min + t * d)
         f = data.value - 1.0
         if abs(f) < 1e-14:
             break
@@ -281,15 +288,16 @@ def _ray_cross(chain: LatticeChain, u_min: np.ndarray, d: np.ndarray) -> float:
         cand = t - f / df if df > 0 else lo
         if not (lo < cand < hi):
             cand = 0.5 * (lo + hi)
-        if abs(cand - t) < 1e-16 * max(1.0, t):
-            t = cand
-            break
+        settled = abs(cand - t) < 1e-16 * max(1.0, t)
         t = cand
-    return t
+        u, data = at(t)
+        if settled:
+            break
+    return u, data
 
 
 def _normal_angle_point_2d(chain: LatticeChain, u_min: np.ndarray,
-                           th: np.ndarray) -> np.ndarray:
+                           th: np.ndarray) -> tuple[np.ndarray, PerronData]:
     """Rank-2 level-set point whose outward normal is th, by angle bisection.
 
     On a strictly convex compact level curve the outward normal rotates
@@ -299,34 +307,32 @@ def _normal_angle_point_2d(chain: LatticeChain, u_min: np.ndarray,
     """
     target = math.atan2(th[1], th[0])
 
-    def defect(phi: float) -> tuple[float, np.ndarray]:
-        d = np.array([math.cos(phi), math.sin(phi)])
-        t = _ray_cross(chain, u_min, d)
-        u = u_min + t * d
-        g = np.asarray(perron(chain, u).gradient)
-        return math.remainder(math.atan2(g[1], g[0]) - target, math.tau), u
+    def defect(phi: float) -> tuple[float, tuple[np.ndarray, PerronData]]:
+        point = _ray_cross(chain, u_min, np.array([math.cos(phi), math.sin(phi)]))
+        g = point[1].gradient
+        return math.remainder(math.atan2(g[1], g[0]) - target, math.tau), point
 
     lo = target - 0.5 * math.pi + 1e-9
     hi = target + 0.5 * math.pi - 1e-9
-    flo, ulo = defect(lo)
-    fhi, uhi = defect(hi)
+    flo, point_lo = defect(lo)
+    fhi, point_hi = defect(hi)
     if flo > 0 or fhi < 0:
         raise ConvergenceError(
             f"normal-angle defect does not change sign around direction {tuple(th)}")
     if abs(flo) < 1e-12:
-        return ulo
+        return point_lo
     if abs(fhi) < 1e-12:
-        return uhi
+        return point_hi
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        fmid, u = defect(mid)
+        fmid, point = defect(mid)
         if abs(fmid) < 1e-12 or hi - lo < 1e-12:
             break
         if fmid < 0:
             lo = mid
         else:
             hi = mid
-    return u
+    return point
 
 
 def level_set_point(chain: LatticeChain, theta,
@@ -352,10 +358,9 @@ def level_set_point(chain: LatticeChain, theta,
             f"lambda minimum {mn.value:.6f} is not below 1; no level set to parametrize")
     u_min = np.asarray(mn.u)
     if chain.rank == 1:
-        u = u_min + _ray_cross(chain, u_min, th) * th
+        u, data = _ray_cross(chain, u_min, th)
     else:
-        u = _normal_angle_point_2d(chain, u_min, th)
-    data = perron(chain, u)
+        u, data = _normal_angle_point_2d(chain, u_min, th)
     g = np.asarray(data.gradient)
     lam_res = abs(data.value - 1.0)
     ang = float(np.linalg.norm(g / np.linalg.norm(g) - th))

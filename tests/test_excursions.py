@@ -3,9 +3,8 @@ import math
 
 import pytest
 
-from relwalk import FreeProductEngine, StepMeasure
+from relwalk import FreeProductEngine, StepMeasure, ball_elements
 from relwalk.errors import InvalidMeasureError
-from relwalk.greens import lazy
 
 
 def test_free_group_green_closed_forms(f2_engine, f2_cfg):
@@ -27,7 +26,8 @@ def test_free_group_kernel_and_hitting_closed_forms(f2_engine, f2_cfg):
         assert abs(eng.martin_kernel(g.word("a"), yn) - 3.0) < 1e-12
         assert abs(eng.martin_kernel(g.word("a^2"), yn) - 9.0) < 1e-12
         assert abs(eng.martin_kernel(g.word("b"), yn) - 1.0 / 3.0) < 1e-12
-    assert abs(eng.hitting_probability(g.identity, g.word("a")) - 1.0 / 3.0) < 1e-12
+    hitting = eng.green(g.identity, g.word("a")) / eng.green_identity_value
+    assert abs(hitting - 1.0 / 3.0) < 1e-12
 
 
 def test_identity_spread_is_tiny(f2_engine, z2_engine):
@@ -57,7 +57,7 @@ def test_lazy_engine_doubles_green_and_keeps_kernels(f2_cfg):
     g = f2_cfg.group
     mu = StepMeasure.uniform(g)
     eng = FreeProductEngine(g, mu, radius=20)
-    leng = FreeProductEngine(g, lazy(mu), radius=20)
+    leng = FreeProductEngine(g, mu.lazy(), radius=20)
     for word in ("e", "a", "a*b^-1", "b^3"):
         x = g.word(word)
         assert abs(leng.green_from_identity(x) - 2.0 * eng.green_from_identity(x)) < 1e-11
@@ -103,3 +103,15 @@ def test_passage_factors_multiply_along_syllables(z2_engine, z2_cfg):
     for fac, z, j in w.syllables:
         prod *= eng.forward_passage(fac, z, j)
     assert abs(prod - eng.green_from_identity(w)) < 1e-15
+
+
+def test_engine_satisfies_the_resolvent_identity(f2_engine, z2_engine):
+    """G(x, y) = delta(x, y) + sum_s mu(s) G(xs, y): G inverts I - P."""
+    for eng in (f2_engine, z2_engine):
+        worst = 0.0
+        for y in ball_elements(eng.group, 2):
+            for x in ball_elements(eng.group, 3):
+                rhs = (1.0 if x == y else 0.0) + sum(
+                    w * eng.green(x * s, y) for s, w in eng.mu.items())
+                worst = max(worst, abs(eng.green(x, y) - rhs))
+        assert worst < 1e-12

@@ -16,8 +16,8 @@ def test_build_merges_duplicate_entries():
     c = LatticeChain.build(1, 1, [(0, 0, (1,), 0.1), (0, 0, (1,), 0.1),
                                   (0, 0, (-1,), 0.2)])
     assert len(c.entries) == 2
-    assert c.row_mass(0) == pytest.approx(0.4)
-    assert c.z_support() == [(-1,), (1,)]
+    assert c.row_masses() == [pytest.approx(0.4)]
+    assert sorted({dz for _, _, dz, _ in c.entries}) == [(-1,), (1,)]
     assert c.max_step() == 1
 
 
@@ -34,7 +34,7 @@ def test_submarkov_flag_and_lazy_transform():
     c = killed_z()
     assert c.is_strictly_submarkov
     lz = c.lazy()
-    assert lz.row_mass(0) == pytest.approx(0.5 + 0.5 * 0.4)
+    assert lz.row_masses() == [pytest.approx(0.5 + 0.5 * 0.4)]
     assert (0, 0, (0,), 0.5) in lz.entries
 
 
@@ -55,7 +55,7 @@ def test_box_green_matches_killed_walk_closed_form():
     r = (1.0 - math.sqrt(1.0 - 4.0 * q * q)) / (2.0 * q)
     for n in (1, 2, 5, -3):
         assert abs(cg.green(0, (n,), 0) - g00 * r ** abs(n)) < 1e-10
-        assert abs(cg.first_passage(0, (n,), 0) - r ** abs(n)) < 1e-10
+        assert abs(cg.green(0, (n,), 0) / g00 - r ** abs(n)) < 1e-10
 
 
 def test_absorption_distribution_matches_first_passage():
@@ -67,7 +67,8 @@ def test_absorption_distribution_matches_first_passage():
     r = 2.0 - math.sqrt(3.0)
     assert abs(total - r ** 3) < 1e-9
     cg = ChainGreen(chain, radius=50)
-    assert abs(total - cg.first_passage(0, (-3,), 0)) < 1e-9
+    first_passage = cg.green(0, (-3,), 0) / cg.green_at_origin(0, 0)
+    assert abs(total - first_passage) < 1e-9
 
 
 def test_absorption_start_inside_set_rejected():
