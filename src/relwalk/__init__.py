@@ -25,7 +25,7 @@ from .lattice import BoxGreen, ChainGreen, LatticeChain, absorption_distribution
 from .measures import StepMeasure
 from .perron import (AssumptionReport, BoundaryPointU, PerronData,
                      check_assumptions, level_set_point,
-                     limit_kernel_ratio, minimize_lambda, perron, tilted_matrix)
+                     limit_kernel_ratio, minimize_lambda, perron)
 
 __all__ = [
     "AssumptionError", "AssumptionReport", "BoundaryPointU",
@@ -41,6 +41,6 @@ __all__ = [
     "induce_first_return", "level_set_point", "limit_kernel_ratio",
     "load_config", "martin_convergence", "minimize_lambda", "perron",
     "project_to_coset", "representative_invariance", "separation_experiment",
-    "tilted_matrix", "transition_points", "verify_same_green",
+    "transition_points", "verify_same_green",
     "word_geodesic",
 ]

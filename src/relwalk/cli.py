@@ -31,6 +31,16 @@ from .perron import (check_assumptions, direction_grid, level_set_point,
                      minimize_lambda, perron)
 from .reports import svg_heatmap, svg_line_plot, write_csv, write_json
 
+_SAME_GREEN_TOL = 1e-6  # induce: induced-chain Green against the walk Green
+_ANGULAR_TOL = 1e-8  # boundary-map: level-set normal against the direction
+_TRANSITIONS = TransitionParams(epsilon=1, window=4)  # floyd and ancona
+_FLOYD_RADIUS = 6  # floyd: word length up to which Floyd distances are computed
+_ANCONA_RMAX, _ANCONA_MONOTONE_SLACK = 4, 1e-9  # ancona: forbidden radii 0..RMAX
+_MARTIN_TEST_RADIUS = 2  # martin-seq: radius of the kernel test points
+_LAMBDA_HALFWIDTH = 2.5  # lambda-surface: grid half-width around u_min
+_SEPARATION_THETAS = {1: ((-1.0,), (1.0,)),
+                      2: ((-1.0, 0.0), (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)))}
+
 
 class _ToleranceFailure(Exception):
     def __init__(self, stage: str, payload: dict):
@@ -71,10 +81,6 @@ class RunContext:
                 for fac in self.cfg.parabolic for eta in self.cfg.eta_list]
 
 
-def _skip(note: str) -> dict:
-    return {"status": "skipped", "note": note, "files": []}
-
-
 def _ok(files: list[str], **extra) -> dict:
     out = {"status": "ok", "files": sorted(os.path.basename(f) for f in files)}
     out.update(extra)
@@ -86,7 +92,7 @@ def _ok(files: list[str], **extra) -> dict:
 def stage_green(ctx: RunContext) -> dict:
     """Green's function tables and Martin kernels near the identity."""
     cfg = ctx.cfg
-    table_radius = int(cfg.tolerances["green_table_radius"])
+    table_radius = cfg.tolerances["green_table_radius"]
     if cfg.is_synthetic:
         chain = cfg.chain
         cg = ChainGreen(chain, radius=cfg.radius)
@@ -134,25 +140,18 @@ def _lattice_window(rank: int, radius: int) -> list[tuple[int, ...]]:
 def stage_floyd(ctx: RunContext) -> dict:
     """Floyd lengths and transition annotations along sequence geodesics."""
     cfg = ctx.cfg
-    if cfg.is_synthetic:
-        return _skip("synthetic chain config has no group geometry")
-    if not cfg.sequences:
-        return _skip("no sequences configured")
     group = cfg.group
     e = group.identity
     f = FloydFunction(cfg.floyd_ratio)
-    params = TransitionParams(epsilon=int(cfg.tolerances["epsilon"]),
-                              window=int(cfg.tolerances["window"]))
-    floyd_radius = int(cfg.tolerances["floyd_radius"])
     rows = []
     summary = {}
     for seq in cfg.sequences:
         target = seq.element(group, seq.stop)
         path = word_geodesic(e, target)
-        transitions = set(transition_points(path, params, cfg.parabolic))
+        transitions = set(transition_points(path, _TRANSITIONS, cfg.parabolic))
         for i, p in enumerate(path):
-            reach = p.word_length <= floyd_radius
-            dist = floyd_distance(f, e, e, p, floyd_radius) if reach else ""
+            reach = p.word_length <= _FLOYD_RADIUS
+            dist = floyd_distance(f, e, e, p, _FLOYD_RADIUS) if reach else ""
             rows.append((seq.name, i, group.format(p), p.word_length,
                          1 if i in transitions else 0, dist))
         summary[seq.name] = {
@@ -164,8 +163,8 @@ def stage_floyd(ctx: RunContext) -> dict:
                        rows),
              write_json(ctx.path("floyd.json"), {
                  "floyd_ratio": cfg.floyd_ratio,
-                 "epsilon": params.epsilon,
-                 "window": params.window,
+                 "epsilon": _TRANSITIONS.epsilon,
+                 "window": _TRANSITIONS.window,
                  "diameter_bound": 2.0 * f.total,
                  "sequences": summary})]
     return _ok(files)
@@ -174,10 +173,6 @@ def stage_floyd(ctx: RunContext) -> dict:
 def stage_induce(ctx: RunContext) -> dict:
     """First-return chain dumps plus the same-Green consistency check."""
     cfg = ctx.cfg
-    if cfg.is_synthetic:
-        return _skip("config supplies the chain directly")
-    if not cfg.parabolic:
-        return _skip("no parabolic factors designated")
     engine = ctx.engine()
     rows = []
     report = {}
@@ -201,27 +196,22 @@ def stage_induce(ctx: RunContext) -> dict:
                        ["factor", "eta", "j_from", "j_to", "dz", "weight"], rows),
              write_json(ctx.path("induce.json"), report)]
     worst = max(v["same_green_dev"] for v in report.values())
-    if worst >= cfg.tolerances["same_green"]:
+    if worst >= _SAME_GREEN_TOL:
         raise _ToleranceFailure("induce", {
             "reason": "induced chain Green deviates from the walk Green",
             "max_deviation": worst,
-            "tolerance": cfg.tolerances["same_green"],
+            "tolerance": _SAME_GREEN_TOL,
             "detail": report})
     return _ok(files, max_same_green_dev=worst)
 
 
 def stage_lambda_surface(ctx: RunContext) -> dict:
     """Perron value grids and structural assumption reports per chain."""
-    cfg = ctx.cfg
-    chains = ctx.chains()
-    if not chains:
-        return _skip("no chains available (no parabolic factors)")
-    points = int(cfg.tolerances["lambda_grid_points"])
-    halfwidth = float(cfg.tolerances["lambda_grid_halfwidth"])
+    points = ctx.cfg.tolerances["lambda_grid_points"]
     rows = []
     report = {}
     files = []
-    for label, chain in chains:
+    for label, chain in ctx.chains():
         assume = check_assumptions(chain)
         entry = {
             "strictly_submarkov": assume.submarkov,
@@ -232,8 +222,8 @@ def stage_lambda_surface(ctx: RunContext) -> dict:
             "messages": list(assume.messages),
             "ok": assume.ok}
         if chain.rank == 1:
-            us = np.linspace(assume.u_min[0] - halfwidth,
-                             assume.u_min[0] + halfwidth, points)
+            us = np.linspace(assume.u_min[0] - _LAMBDA_HALFWIDTH,
+                             assume.u_min[0] + _LAMBDA_HALFWIDTH, points)
             vals = [perron(chain, (float(u),)).value for u in us]
             for u, v in zip(us, vals):
                 rows.append((label, "%.12g" % u, "", v))
@@ -248,10 +238,10 @@ def stage_lambda_surface(ctx: RunContext) -> dict:
                 entry["u_plus"] = up.u[0]
                 entry["u_minus"] = un.u[0]
         elif chain.rank == 2:
-            us0 = np.linspace(assume.u_min[0] - halfwidth,
-                              assume.u_min[0] + halfwidth, points)
-            us1 = np.linspace(assume.u_min[1] - halfwidth,
-                              assume.u_min[1] + halfwidth, points)
+            us0 = np.linspace(assume.u_min[0] - _LAMBDA_HALFWIDTH,
+                              assume.u_min[0] + _LAMBDA_HALFWIDTH, points)
+            us1 = np.linspace(assume.u_min[1] - _LAMBDA_HALFWIDTH,
+                              assume.u_min[1] + _LAMBDA_HALFWIDTH, points)
             grid = [[perron(chain, (float(a), float(b))).value for a in us0]
                     for b in us1]
             for ib, b in enumerate(us1):
@@ -273,17 +263,13 @@ def stage_lambda_surface(ctx: RunContext) -> dict:
 
 def stage_boundary_map(ctx: RunContext) -> dict:
     """Direction-to-tilt table on the unit level set, with injectivity check."""
-    cfg = ctx.cfg
-    chains = ctx.chains()
-    if not chains:
-        return _skip("no chains available (no parabolic factors)")
     rows = []
     report = {}
     files = []
-    for label, chain in chains:
+    for label, chain in ctx.chains():
         points = []
         mn = minimize_lambda(chain)
-        for th in direction_grid(chain.rank, cfg.theta_grid):
+        for th in direction_grid(chain.rank, ctx.cfg.theta_grid):
             bp = level_set_point(chain, th, minimum=mn)
             points.append(bp)
             rows.append((label,
@@ -311,11 +297,11 @@ def stage_boundary_map(ctx: RunContext) -> dict:
     files.append(write_json(ctx.path("boundary_map.json"), report))
     worst = max(v["max_angular_error"] for v in report.values())
     not_injective = [k for k, v in report.items() if not v["injective"]]
-    if worst >= cfg.tolerances["angular"] or not_injective:
+    if worst >= _ANGULAR_TOL or not_injective:
         raise _ToleranceFailure("boundary-map", {
             "reason": "sphere map round-trip out of tolerance",
             "max_angular_error": worst,
-            "tolerance": cfg.tolerances["angular"],
+            "tolerance": _ANGULAR_TOL,
             "non_injective": not_injective,
             "detail": report})
     return _ok(files, max_angular_error=worst)
@@ -324,10 +310,6 @@ def stage_boundary_map(ctx: RunContext) -> dict:
 def stage_classify(ctx: RunContext) -> dict:
     """Boundary labels for every configured sequence."""
     cfg = ctx.cfg
-    if cfg.is_synthetic:
-        return _skip("synthetic chain config has no group sequences")
-    if not cfg.sequences:
-        return _skip("no sequences configured")
     group = cfg.group
     rows = []
     report = {}
@@ -375,23 +357,15 @@ def _sample_ancona_pairs(ctx: RunContext, count: int):
     cfg = ctx.cfg
     group = cfg.group
     rng = np.random.default_rng(cfg.seed)
-    junctions = [i for i in range(len(group.factors)) if i not in cfg.parabolic]
-    if not junctions:
-        return None
-    jfac = junctions[0]
+    para = cfg.parabolic
+    jfac = next(i for i in range(len(group.factors)) if i not in para)
     jspec = group.factors[jfac]
-    params = TransitionParams(epsilon=int(cfg.tolerances["epsilon"]),
-                              window=int(cfg.tolerances["window"]))
-    para = [i for i in cfg.parabolic] or [i for i in range(len(group.factors))
-                                          if i != jfac]
     pairs = []
     attempts = 0
     while len(pairs) < count and attempts < 40 * count:
         attempts += 1
         stub_fac = para[int(rng.integers(0, len(para)))]
         stub_spec = group.factors[stub_fac]
-        if stub_spec.rank == 0:
-            continue
         axis = int(rng.integers(0, stub_spec.rank))
         sign = 1 if rng.integers(0, 2) else -1
         depth = int(rng.integers(1, 3))
@@ -408,8 +382,6 @@ def _sample_ancona_pairs(ctx: RunContext, count: int):
         def tail():
             fac = para[int(rng.integers(0, len(para)))]
             spec = group.factors[fac]
-            if spec.rank == 0:
-                return group.syllable(fac, (), 1), 1
             z = tuple(int(rng.integers(-2, 3)) for _ in range(spec.rank))
             if not any(z):
                 z = (1,) + z[1:]
@@ -432,7 +404,7 @@ def _sample_ancona_pairs(ctx: RunContext, count: int):
         mid = x.word_length
         if path[mid] != group.identity:
             continue
-        if mid not in transition_points(path, params, cfg.parabolic):
+        if mid not in transition_points(path, _TRANSITIONS, para):
             continue
         pairs.append((x, z))
     if len(pairs) < count:
@@ -443,34 +415,24 @@ def _sample_ancona_pairs(ctx: RunContext, count: int):
 
 def stage_ancona(ctx: RunContext) -> dict:
     """Relative Green ratio profiles rho_R around transition midpoints."""
-    cfg = ctx.cfg
-    if cfg.is_synthetic:
-        return _skip("synthetic chain config has no group walk")
-    if not cfg.parabolic:
-        return _skip("no parabolic factors designated")
     engine = ctx.engine()
-    group = cfg.group
-    count = int(cfg.tolerances["ancona_samples"])
-    rmax = int(cfg.tolerances["ancona_radius_max"])
-    slack = float(cfg.tolerances["ancona_monotone_slack"])
-    pairs = _sample_ancona_pairs(ctx, count)
-    if pairs is None:
-        return _skip("every factor is parabolic; no transition junctions")
+    group = ctx.cfg.group
+    pairs = _sample_ancona_pairs(ctx, ctx.cfg.tolerances["ancona_samples"])
     rows = []
     profiles = []
     for i, (x, z) in enumerate(pairs):
-        prof = [ancona_ratio(engine, x, z, group.identity, r) for r in range(rmax + 1)]
+        prof = [ancona_ratio(engine, x, z, group.identity, r) for r in range(_ANCONA_RMAX + 1)]
         profiles.append(prof)
         for r, rho in enumerate(prof):
             rows.append((i, group.format(x), group.format(z), r, rho))
-    mean = [float(np.mean([p[r] for p in profiles])) for r in range(rmax + 1)]
+    mean = [float(np.mean([p[r] for p in profiles])) for r in range(_ANCONA_RMAX + 1)]
     bad_monotone = [i for i, p in enumerate(profiles)
-                    if any(b > a + slack for a, b in zip(p, p[1:]))]
+                    if any(b > a + _ANCONA_MONOTONE_SLACK for a, b in zip(p, p[1:]))]
     bad_drop = [i for i, p in enumerate(profiles)
                 if p[0] > 0 and not p[-1] < p[0]]
     report = {
         "samples": len(profiles),
-        "radius_max": rmax,
+        "radius_max": _ANCONA_RMAX,
         "mean_profile": mean,
         "non_monotone_samples": bad_monotone,
         "no_strict_drop_samples": bad_drop,
@@ -479,7 +441,7 @@ def stage_ancona(ctx: RunContext) -> dict:
                        ["sample", "x", "z", "radius", "rho"], rows),
              write_json(ctx.path("ancona.json"), report),
              svg_line_plot(ctx.path("ancona.svg"),
-                           [("mean rho_R", list(range(rmax + 1)), mean)],
+                           [("mean rho_R", list(range(_ANCONA_RMAX + 1)), mean)],
                            "Relative Green ratio vs forbidden radius",
                            "R", "rho", hline=1.0)]
     if bad_monotone or bad_drop:
@@ -494,13 +456,8 @@ def stage_ancona(ctx: RunContext) -> dict:
 def stage_martin_seq(ctx: RunContext) -> dict:
     """Martin kernel tables along sequences with Cauchy and limit checks."""
     cfg = ctx.cfg
-    if cfg.is_synthetic:
-        return _skip("synthetic chain config has no group walk")
-    if not cfg.sequences:
-        return _skip("no sequences configured")
     engine = ctx.engine()
     group = cfg.group
-    test_radius = int(cfg.tolerances["martin_test_radius"])
     rows = []
     report = {}
     for seq in cfg.sequences:
@@ -519,9 +476,9 @@ def stage_martin_seq(ctx: RunContext) -> dict:
             boundary = level_set_point(chain, cls.direction)
             test_points = [coset.member(zc) for zc in
                            _lattice_window(group.factors[coset.factor].rank,
-                                           test_radius)]
+                                           _MARTIN_TEST_RADIUS)]
         else:
-            test_points = ball_elements(group, min(2, test_radius), cfg.state_cap)[:9]
+            test_points = ball_elements(group, _MARTIN_TEST_RADIUS, cfg.state_cap)[:9]
         rep = martin_convergence(engine, elements, test_points, ns=ns,
                                  boundary=boundary, coset=coset)
         for row in rep.rows:
@@ -541,21 +498,8 @@ def stage_martin_seq(ctx: RunContext) -> dict:
 
 def stage_separate(ctx: RunContext) -> dict:
     """Two-direction separation experiment on the first available chain."""
-    cfg = ctx.cfg
-    chains = ctx.chains()
-    if not chains:
-        return _skip("no chains available (no parabolic factors)")
-    label, chain = chains[0]
-    sep_cfg = cfg.raw.get("separation", {})
-    if chain.rank == 1:
-        theta0 = tuple(sep_cfg.get("theta0", (-1.0,)))
-        theta1 = tuple(sep_cfg.get("theta1", (1.0,)))
-    else:
-        s = 1.0 / math.sqrt(2.0)
-        theta0 = tuple(sep_cfg.get("theta0", (-1.0, 0.0)))
-        theta1 = tuple(sep_cfg.get("theta1", (s, s)))
-    ns = list(sep_cfg.get("ns", range(1, 13)))
-    rep = separation_experiment(chain, theta0, theta1, ns=ns)
+    label, chain = ctx.chains()[0]
+    rep = separation_experiment(chain, *_SEPARATION_THETAS[chain.rank])
     rows = [(label, n, d, g) for n, d, g in zip(rep.ns, rep.decay, rep.grid_min)]
     files = [write_csv(ctx.path("separate.csv"),
                        ["chain", "n", "kernel_theta0", "grid_min_kernel"], rows),
@@ -579,20 +523,37 @@ def stage_separate(ctx: RunContext) -> dict:
     return _ok(files, certified=rep.certified)
 
 
-STAGES = {
-    "green": stage_green,
-    "floyd": stage_floyd,
-    "induce": stage_induce,
-    "lambda-surface": stage_lambda_surface,
-    "boundary-map": stage_boundary_map,
-    "classify": stage_classify,
-    "ancona": stage_ancona,
-    "martin-seq": stage_martin_seq,
-    "separate": stage_separate,
+# What a stage needs from the config, as (test, note when it fails).
+_WALK = (lambda cfg: not cfg.is_synthetic, "synthetic chain config has no group walk")
+_SEQUENCES = (lambda cfg: bool(cfg.sequences), "no sequences configured")
+_CHAINS = (lambda cfg: cfg.is_synthetic or bool(cfg.parabolic and cfg.eta_list),
+           "no chains: no parabolic factors or empty eta_list")
+_JUNCTION = (lambda cfg: 0 < len(cfg.parabolic) < len(cfg.group.factors),
+             "needs both a parabolic and a non-parabolic factor")
+
+# Stage name -> (stage, needs), in the order ``relwalk all`` runs them; a
+# stage whose needs are not all met is skipped with the first failing note.
+_STAGE_TABLE = {
+    "green": (stage_green, ()),
+    "floyd": (stage_floyd, (_WALK, _SEQUENCES)),
+    "induce": (stage_induce, (_WALK, _CHAINS)),
+    "lambda-surface": (stage_lambda_surface, (_CHAINS,)),
+    "boundary-map": (stage_boundary_map, (_CHAINS,)),
+    "classify": (stage_classify, (_WALK, _SEQUENCES)),
+    "ancona": (stage_ancona, (_WALK, _JUNCTION)),
+    "martin-seq": (stage_martin_seq, (_WALK, _SEQUENCES)),
+    "separate": (stage_separate, (_CHAINS,)),
 }
+# Stages are called through STAGES, so a wrapper put on an entry (as
+# perfbench/child.py does) sees every call.
+STAGES = {name: stage for name, (stage, _) in _STAGE_TABLE.items()}
 
 
 def _run_stage(ctx: RunContext, name: str) -> tuple[int, dict]:
+    _, needs = _STAGE_TABLE[name]
+    for met, note in needs:
+        if not met(ctx.cfg):
+            return 0, {"status": "skipped", "note": note, "files": []}
     try:
         return 0, STAGES[name](ctx)
     except _ToleranceFailure as exc:

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .balls import DEFAULT_STATE_CAP
@@ -17,20 +17,17 @@ from .measures import StepMeasure
 # stages cover Z^1 and Z^2 only.
 MAX_LATTICE_RANK = 2
 
+# Positive integer settings a config may override under "tolerances".
 DEFAULT_TOLERANCES = {
-    "same_green": 1e-6,
-    "angular": 1e-8,
-    "epsilon": 1,
-    "window": 4,
-    "floyd_radius": 6,
-    "ancona_samples": 20,
-    "ancona_radius_max": 4,
-    "ancona_monotone_slack": 1e-9,
-    "martin_test_radius": 2,
     "green_table_radius": 5,
+    "ancona_samples": 20,
     "lambda_grid_points": 41,
-    "lambda_grid_halfwidth": 2.5,
 }
+
+_CONFIG_KEYS = frozenset({
+    "name", "group", "measure", "chain", "parabolic", "radius", "floyd_ratio",
+    "eta_list", "theta_grid", "state_cap", "seed", "sequences", "tolerances",
+    "output_dir"})
 
 
 @dataclass
@@ -56,7 +53,6 @@ class ExperimentConfig:
     sequences: tuple[SequenceSpec, ...]
     tolerances: dict
     output_dir: str
-    raw: dict = field(repr=False, default_factory=dict)
 
     @property
     def is_synthetic(self) -> bool:
@@ -132,10 +128,8 @@ def _parse_sequences(items, group: FreeProductGroup | None) -> tuple[SequenceSpe
     for i, obj in enumerate(items):
         _require(isinstance(obj, dict), f"sequence {i} must be an object")
         templates = obj.get("templates")
-        if templates is None and "template" in obj:
-            templates = [obj["template"]]
         _require(isinstance(templates, list) and templates,
-                 f"sequence {i}: need template or templates")
+                 f"sequence {i}: templates must be a nonempty list")
         spec = SequenceSpec(
             name=str(obj.get("name", f"seq{i}")),
             templates=tuple(str(t) for t in templates),
@@ -159,29 +153,27 @@ def load_config(path: str) -> ExperimentConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}")
     _require(isinstance(raw, dict), "config root must be a JSON object")
+    unknown = sorted(set(raw) - _CONFIG_KEYS)
+    _require(not unknown, f"unknown config keys {unknown}")
 
     name = str(raw.get("name", os.path.splitext(os.path.basename(path))[0]))
     has_group = "group" in raw
     has_chain = "chain" in raw
     _require(has_group != has_chain, "config needs exactly one of 'group' or 'chain'")
 
-    group = None
-    measure = None
-    chain = None
-    if has_group:
-        gobj = raw["group"]
-        _require(isinstance(gobj, dict) and isinstance(gobj.get("factors"), list),
-                 "group.factors must be a list")
-        try:
+    group = measure = chain = None
+    try:
+        if has_group:
+            gobj = raw["group"]
+            _require(isinstance(gobj, dict) and isinstance(gobj.get("factors"), list),
+                     "group.factors must be a list")
             factors = [_parse_factor(f, i) for i, f in enumerate(gobj["factors"])]
             group = FreeProductGroup(factors)
             measure = _parse_measure(raw.get("measure", {}), group)
-        except (ConfigError, ParseError):
-            raise
-        except (TypeError, ValueError, KeyError) as exc:
-            raise ConfigError(f"bad group or measure: {exc}")
-    else:
-        chain = _parse_chain(raw["chain"])
+        else:
+            chain = _parse_chain(raw["chain"])
+    except (TypeError, ValueError, KeyError) as exc:
+        raise ConfigError(f"bad group, measure or chain: {exc}")
 
     parabolic = raw.get("parabolic", [])
     _require(isinstance(parabolic, list) and all(isinstance(i, int) for i in parabolic),
@@ -189,7 +181,6 @@ def load_config(path: str) -> ExperimentConfig:
     if group is not None:
         for i in parabolic:
             _require(0 <= i < len(group.factors), f"parabolic factor {i} does not exist")
-        for i in parabolic:
             _require(group.factors[i].rank >= 1,
                      f"parabolic factor {i} has no lattice directions")
             _require(group.factors[i].rank <= MAX_LATTICE_RANK,
@@ -200,8 +191,9 @@ def load_config(path: str) -> ExperimentConfig:
 
     radius = raw.get("radius", 10)
     _require(isinstance(radius, int) and radius >= 1, "radius must be an integer >= 1")
-    floyd_ratio = float(raw.get("floyd_ratio", 0.5))
-    _require(0.0 < floyd_ratio < 1.0, "floyd_ratio must lie in (0,1)")
+    floyd_ratio = raw.get("floyd_ratio", 0.5)
+    _require(isinstance(floyd_ratio, (int, float)) and 0.0 < floyd_ratio < 1.0,
+             "floyd_ratio must lie in (0,1)")
     eta_list = raw.get("eta_list", [0])
     _require(isinstance(eta_list, list) and all(isinstance(h, int) and h >= 0 for h in eta_list),
              "eta_list must be a list of integers >= 0")
@@ -216,18 +208,22 @@ def load_config(path: str) -> ExperimentConfig:
 
     try:
         sequences = _parse_sequences(raw.get("sequences", []), group)
-    except ParseError as exc:
-        raise ConfigError(f"bad sequence template: {exc}")
+    except (ParseError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad sequence: {exc}")
 
     tolerances = dict(DEFAULT_TOLERANCES)
     extra = raw.get("tolerances", {})
     _require(isinstance(extra, dict), "tolerances must be an object")
+    for key, value in extra.items():
+        _require(key in DEFAULT_TOLERANCES, f"unknown tolerances key {key!r}")
+        _require(isinstance(value, int) and not isinstance(value, bool) and value >= 1,
+                 f"tolerances.{key} must be an integer >= 1")
     tolerances.update(extra)
 
     output_dir = str(raw.get("output_dir", os.path.join("out", name)))
     return ExperimentConfig(
         name=name, group=group, measure=measure, chain=chain,
-        parabolic=tuple(parabolic), floyd_ratio=floyd_ratio, radius=radius,
+        parabolic=tuple(parabolic), floyd_ratio=float(floyd_ratio), radius=radius,
         eta_list=tuple(eta_list), theta_grid=theta_grid, state_cap=state_cap,
         seed=seed, sequences=sequences, tolerances=tolerances,
-        output_dir=output_dir, raw=raw)
+        output_dir=output_dir)

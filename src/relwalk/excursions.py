@@ -174,33 +174,25 @@ class FreeProductEngine:
 
     # -- taboo (path-restricted) Green's functions ------------------------
 
-    def taboo_context(self, avoid: Iterable[GroupElement]) -> "TabooContext":
-        """Reusable solver for Green's functions avoiding a finite set.
-
-        Contexts are cached up to left translation, since only the pairwise
-        displacements inside the avoid set enter the linear algebra.
-        """
-        elems = sorted(set(avoid), key=lambda g: g.sort_key())
-        if not elems:
-            raise ValueError("avoid set is empty")
-        base = elems[0].inverse()
-        shape = tuple((base * w).syllables for w in elems)
-        if shape not in self._taboo_cache:
-            self._taboo_cache[shape] = TabooContext(self, [base * w for w in elems])
-        ctx = self._taboo_cache[shape]
-        return ctx.translated(elems[0])
-
     def taboo_green(self, x: GroupElement, y: GroupElement,
                     avoid: Iterable[GroupElement]) -> float:
         """Sum of path weights x -> y whose interior avoids the given set.
 
         Endpoints are exempt: a path may start or end inside the set, only
-        the strictly intermediate positions are forbidden.
+        the strictly intermediate positions are forbidden.  Solvers are
+        cached up to left translation, since only the pairwise displacements
+        inside the avoid set enter the linear algebra: the set is moved so
+        that its first element is e, and x and y move with it.
         """
-        elems = [w for w in set(avoid)]
+        elems = sorted(set(avoid), key=lambda g: g.sort_key())
         if not elems:
             return self.green(x, y)
-        return self.taboo_context(elems).value(x, y)
+        back = elems[0].inverse()
+        local = [back * w for w in elems]
+        shape = tuple(w.syllables for w in local)
+        if shape not in self._taboo_cache:
+            self._taboo_cache[shape] = TabooContext(self, local)
+        return self._taboo_cache[shape].value(back * x, back * y)
 
 
 class TabooContext:
@@ -225,40 +217,18 @@ class TabooContext:
         for i, w in enumerate(elems):
             for j, w2 in enumerate(elems):
                 m[i, j] = engine.green(w, w2)
-        self._m = m
         self._minv = np.linalg.inv(m)
-        self._offset = engine.group.identity
-
-    def translated(self, shift: GroupElement) -> "TabooContext":
-        """Same context acting on the left-translated set shift * elems."""
-        if shift.is_identity and self._offset.is_identity:
-            return self
-        out = object.__new__(TabooContext)
-        out.engine = self.engine
-        out.elems = self.elems
-        out.index = self.index
-        out._m = self._m
-        out._minv = self._minv
-        out._offset = shift
-        return out
-
-    def _local(self, g: GroupElement) -> GroupElement:
-        return self._offset.inverse() * g
 
     def _killed(self, x: GroupElement, y: GroupElement) -> float:
-        """G_A(x, y) for x, y strictly outside the translated set."""
+        """G_A(x, y) for x, y strictly outside the set."""
         eng = self.engine
-        xl, yl = self._local(x), self._local(y)
-        gx = np.array([eng.green(xl, w) for w in self.elems])
-        hy = np.array([eng.green(w, yl) for w in self.elems])
-        return eng.green(xl, yl) - float(gx @ self._minv @ hy)
-
-    def contains(self, g: GroupElement) -> bool:
-        return self._local(g) in self.index
+        gx = np.array([eng.green(x, w) for w in self.elems])
+        hy = np.array([eng.green(w, y) for w in self.elems])
+        return eng.green(x, y) - float(gx @ self._minv @ hy)
 
     def value(self, x: GroupElement, y: GroupElement) -> float:
         eng = self.engine
-        if not self.contains(x) and not self.contains(y):
+        if x not in self.index and y not in self.index:
             return self._killed(x, y)
         mu = eng.mu
         total = 1.0 if x == y else 0.0
@@ -266,12 +236,12 @@ class TabooContext:
         outer = []
         for s, ws in mu.items():
             xs = x * s
-            if not self.contains(xs):
+            if xs not in self.index:
                 outer.append((xs, ws))
         inner = []
         for t, wt in mu.items():
             yt = y * t.inverse()
-            if not self.contains(yt):
+            if yt not in self.index:
                 inner.append((yt, wt))
         for xs, ws in outer:
             for yt, wt in inner:

@@ -76,9 +76,6 @@ class LatticeChain:
     def is_strictly_submarkov(self) -> bool:
         return any(m < 1 - 1e-12 for m in self.row_masses())
 
-    def max_step(self) -> int:
-        return max((max(abs(c) for c in dz) if dz else 0 for _, _, dz, _ in self.entries), default=0)
-
     def by_source(self) -> list[list[tuple[int, tuple[int, ...], float]]]:
         rows: list[list[tuple[int, tuple[int, ...], float]]] = [[] for _ in range(self.fiber_count)]
         for j1, j2, dz, w in self.entries:
@@ -105,14 +102,6 @@ class LatticeChain:
                 return True
             power = np.minimum(power @ adj, 1)
         return bool(power.min() > 0)
-
-    def lazy(self) -> "LatticeChain":
-        entries = [(j1, j2, dz, 0.5 * w) for j1, j2, dz, w in self.entries]
-        for j in range(self.fiber_count):
-            entries.append((j, j, (0,) * self.rank, 0.5))
-        return LatticeChain.build(
-            self.rank, self.fiber_count, entries, self.fiber_labels, self.provenance + "+lazy"
-        )
 
 
 class BoxGreen:

@@ -92,28 +92,3 @@ class StepMeasure:
         exact cut-vertex elimination of the Green's function relies on.
         """
         return all(g.syllable_count <= 1 for g in self.support)
-
-    def generates(self, depth: int = 6, cap: int = 20000) -> bool:
-        """Semigroup generation check by bounded saturation.
-
-        Verifies every standard generator is a product of at most `depth`
-        support elements; sufficient at desk scale for the finitely many
-        groups handled here.
-        """
-        seen = {self.group.identity}
-        frontier = [self.group.identity]
-        targets = {g for _, g in self.group.generators()}
-        for _ in range(depth):
-            nxt = []
-            for x in frontier:
-                for s in self.support:
-                    y = x * s
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-                        if len(seen) > cap:
-                            return targets <= seen
-            frontier = nxt
-            if targets <= seen:
-                return True
-        return targets <= seen

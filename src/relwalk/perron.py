@@ -49,12 +49,6 @@ def _fiber_sum(chain: LatticeChain, weights: np.ndarray) -> np.ndarray:
     return np.bincount(flat, weights=weights, minlength=n * n).reshape(n, n)
 
 
-def tilted_matrix(chain: LatticeChain, u) -> np.ndarray:
-    """F(u)[j1, j2] = sum_z p((0,j1)->(z,j2)) exp(u.z)."""
-    v = _tilt_vector(chain, u)
-    return _fiber_sum(chain, _tilted_weights(chain, v))
-
-
 @dataclass
 class PerronData:
     """Perron root of F(u) with positive eigenvectors and gradient."""

@@ -9,10 +9,18 @@ import pytest
 from relwalk import FreeProductEngine, induce_first_return, load_config
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+SRC_DIR = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 
 def config_path(name: str) -> str:
     return os.path.join(CONFIG_DIR, name)
+
+
+def cli_env(**extra) -> dict:
+    """Environment for ``python -m relwalk`` children: fixed hash seed, src importable."""
+    env = dict(os.environ, PYTHONHASHSEED="0", **extra)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC_DIR, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def extrapolated_ratio_deviation(ratio_rows):

@@ -26,7 +26,7 @@ from relwalk.groups import Coset
 from relwalk.lattice import ChainGreen
 from relwalk.perron import limit_kernel_ratio, perron_value
 
-from conftest import config_path, extrapolated_ratio_deviation
+from conftest import cli_env, config_path, extrapolated_ratio_deviation
 
 
 def report(tag: str, ok: bool, detail: str) -> None:
@@ -252,12 +252,10 @@ def test_a12_byte_identical_reruns(tmp_path):
     blobs = []
     for tag in ("one", "two"):
         out = tmp_path / tag
-        env = dict(os.environ)
-        env["PYTHONHASHSEED"] = "0"
         r = subprocess.run(
             [sys.executable, "-m", "relwalk", "all",
              "--config", config_path("z2_free_z.json"), "--out", str(out)],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=cli_env(),
             cwd=os.path.dirname(os.path.abspath(__file__)) + "/..")
         assert r.returncode == 0, r.stderr + r.stdout
         table = {}

@@ -11,16 +11,12 @@ import pytest
 from relwalk import load_config
 from relwalk.errors import ConfigError
 
-from conftest import CONFIG_DIR, config_path
+from conftest import CONFIG_DIR, cli_env, config_path
 
 
 def run_cli(*argv, env_extra=None):
-    env = dict(os.environ)
-    env["PYTHONHASHSEED"] = "0"
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "relwalk", *argv],
-                          capture_output=True, text=True, env=env,
+                          capture_output=True, text=True, env=cli_env(**(env_extra or {})),
                           cwd=os.path.dirname(CONFIG_DIR))
 
 
@@ -71,6 +67,18 @@ def test_config_validation_failures(tmp_path):
             [0, 0, [1, 0, 0], 0.1], [0, 0, [-1, 0, 0], 0.1],
             [0, 0, [0, 1, 0], 0.1], [0, 0, [0, -1, 0], 0.1],
             [0, 0, [0, 0, 1], 0.1], [0, 0, [0, 0, -1], 0.1]]}},
+        {"group": base_group, "eta_lsit": [0]},
+        {"group": base_group, "parabolic": [0], "separation": {"theta0": [-1.0, 0.0]}},
+        {"group": base_group, "sequences": [{"name": "s", "template": "a^n"}]},
+        {"group": base_group, "floyd_ratio": "half"},
+        {"group": base_group, "sequences": [{"templates": ["a^n"], "start": "one"}]},
+        {"chain": {"rank": 1, "entries": [["zero", 0, [1], 0.2]]}},
+        {"group": base_group, "tolerances": {"ancona_sample": 100}},
+        {"group": base_group, "tolerances": {"same_green": 1e-3}},
+        {"group": base_group, "tolerances": {"lambda_grid_points": "ten"}},
+        {"group": base_group, "tolerances": {"lambda_grid_points": 10.5}},
+        {"group": base_group, "tolerances": {"ancona_samples": 0}},
+        {"group": base_group, "tolerances": {"green_table_radius": True}},
     ]
     for payload in cases:
         with pytest.raises(ConfigError):
@@ -121,6 +129,14 @@ def test_invalid_config_and_usage_exit_codes(tmp_path):
     broken.write_text("{]")
     bad = run_cli("green", "--config", str(broken))
     assert bad.returncode == 1
+    with open(config_path("lattice_1d.json")) as fh:
+        cfg = json.load(fh)
+    cfg["tolerances"] = {"lambda_grid_points": "ten"}
+    ten = tmp_path / "ten.json"
+    ten.write_text(json.dumps(cfg))
+    bad_value = run_cli("lambda-surface", "--config", str(ten), "--out", str(tmp_path / "t"))
+    assert bad_value.returncode == 1
+    assert "Traceback" not in bad_value.stderr
     usage = run_cli("green")
     assert usage.returncode == 1
     unknown = run_cli("not-a-command", "--config", "x")
@@ -210,3 +226,33 @@ def test_synthetic_run_all_is_deterministic(tmp_path):
     assert outs[0].keys() == outs[1].keys()
     for name in outs[0]:
         assert outs[0][name] == outs[1][name]
+
+
+def _shipped(base: str, **changes) -> dict:
+    with open(config_path(f"{base}.json")) as fh:
+        cfg = json.load(fh)
+    cfg.pop("output_dir")
+    cfg.update(changes)
+    return cfg
+
+
+ALL_STAGES = ("green", "floyd", "induce", "lambda-surface", "boundary-map",
+              "classify", "ancona", "martin-seq", "separate")
+CHAIN_STAGES = {"induce", "lambda-surface", "boundary-map", "separate"}
+
+
+@pytest.mark.parametrize("cfg, skipped", [
+    (_shipped("lattice_1d"), {"floyd", "induce", "classify", "ancona", "martin-seq"}),
+    (_shipped("f2"), CHAIN_STAGES | {"ancona"}),
+    (_shipped("f2", name="f2_all_parabolic", parabolic=[0, 1]), {"ancona"}),
+    (_shipped("f2_over_a", name="f2_over_a_no_eta", eta_list=[]), CHAIN_STAGES),
+], ids=["lattice_1d", "f2", "f2_all_parabolic", "f2_over_a_empty_eta_list"])
+def test_run_all_runs_exactly_the_stages_a_config_supports(tmp_path, cfg, skipped):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    r = run_cli("all", "--config", str(p), "--out", str(tmp_path / "o"))
+    assert r.returncode == 0, r.stderr
+    assert "Traceback" not in r.stderr
+    with open(tmp_path / "o" / "run.json") as fh:
+        statuses = {name: e["status"] for name, e in json.load(fh)["stages"].items()}
+    assert statuses == {s: "skipped" if s in skipped else "ok" for s in ALL_STAGES}

@@ -58,9 +58,3 @@ def test_support_is_sorted_and_syllable_flag_tracks_shape(z2_cfg):
     nu = StepMeasure.from_weights(g, [("a*t", "0.5"), ("t^-1*a^-1", "0.5")])
     assert not nu.has_syllable_support
 
-
-def test_generation_check_detects_missing_factors(f2_cfg):
-    g = f2_cfg.group
-    assert StepMeasure.uniform(g).generates()
-    only_a = StepMeasure.from_weights(g, [("a", "0.5"), ("a^-1", "0.5")])
-    assert not only_a.generates()

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from relwalk import (LatticeChain, check_assumptions, level_set_point,
-                     limit_kernel_ratio, minimize_lambda, perron,
-                     tilted_matrix)
+                     limit_kernel_ratio, minimize_lambda, perron)
 from relwalk.perron import direction_grid, perron_value
 
 
@@ -138,13 +137,17 @@ def test_limit_kernel_ratio_formula():
 
 
 def test_tilted_matrix_entries_are_weighted_exponentials(z2_chain_eta2):
+    # perron(c, u) is the Perron pair of F(u)[j1, j2] = sum_z p((0,j1)->(z,j2)) e^(u.z),
+    # built here entry by entry.
     c = LatticeChain.build(1, 2, [(0, 1, (2,), 0.3), (1, 0, (-1,), 0.2)])
-    F = tilted_matrix(c, (0.5,))
-    assert F[0, 1] == pytest.approx(0.3 * math.exp(1.0))
-    assert F[1, 0] == pytest.approx(0.2 * math.exp(-0.5))
-    assert F[0, 0] == 0.0
+    data = perron(c, (0.5,))
+    assert data.value == pytest.approx(math.sqrt(0.3 * math.exp(1.0) * 0.2 * math.exp(-0.5)))
+    assert data.right[1] / data.right[0] == pytest.approx(0.2 * math.exp(-0.5) / data.value)
     u = np.array([0.3, -0.2])
     ref = np.zeros((z2_chain_eta2.fiber_count,) * 2)
     for j1, j2, dz, w in z2_chain_eta2.entries:
         ref[j1, j2] += w * math.exp(float(u @ dz))
-    assert np.allclose(tilted_matrix(z2_chain_eta2, u), ref, rtol=1e-14, atol=0.0)
+    data = perron(z2_chain_eta2, u)
+    assert data.value == pytest.approx(max(np.linalg.eigvals(ref).real), rel=1e-13)
+    assert np.allclose(ref @ data.right, data.value * data.right, rtol=1e-12, atol=1e-15)
+    assert np.allclose(data.left @ ref, data.value * data.left, rtol=1e-12, atol=1e-15)
