@@ -489,6 +489,8 @@ def stage_martin_seq(ctx: RunContext) -> dict:
         if rep.max_ratio_deviation is not None:
             entry["max_ratio_deviation"] = rep.max_ratio_deviation
             entry["boundary_u"] = list(boundary.u)
+        elif cls.tag == "Parabolic":
+            entry["note"] = "no limit check: eta_list is empty"
         report[seq.name] = entry
     files = [write_csv(ctx.path("martin_seq.csv"),
                        ["sequence", "n", "x", "martin_kernel"], rows),

@@ -28,6 +28,11 @@ _CONFIG_KEYS = frozenset({
     "name", "group", "measure", "chain", "parabolic", "radius", "floyd_ratio",
     "eta_list", "theta_grid", "state_cap", "seed", "sequences", "tolerances",
     "output_dir"})
+_GROUP_KEYS = frozenset({"factors"})
+_FACTOR_KEYS = frozenset({"rank", "table", "lattice_names", "finite_names"})
+_MEASURE_KEYS = frozenset({"kind", "weights", "lazy"})
+_CHAIN_KEYS = frozenset({"rank", "fibers", "entries", "labels"})
+_SEQUENCE_KEYS = frozenset({"name", "templates", "start", "stop", "mode"})
 
 
 @dataclass
@@ -64,8 +69,15 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _check_object(obj, allowed: frozenset, where: str) -> None:
+    """Require a JSON object whose keys all lie in allowed."""
+    _require(isinstance(obj, dict), f"{where} must be an object")
+    unknown = sorted(set(obj) - allowed)
+    _require(not unknown, f"unknown {where} keys {unknown}")
+
+
 def _parse_factor(obj: dict, i: int) -> FactorSpec:
-    _require(isinstance(obj, dict), f"factor {i} must be an object")
+    _check_object(obj, _FACTOR_KEYS, f"factor {i}")
     rank = obj.get("rank", 0)
     _require(isinstance(rank, int) and rank >= 0, f"factor {i}: rank must be an integer >= 0")
     table = obj.get("table", [[0]])
@@ -80,7 +92,7 @@ def _parse_factor(obj: dict, i: int) -> FactorSpec:
 
 
 def _parse_measure(obj: dict, group: FreeProductGroup) -> StepMeasure:
-    _require(isinstance(obj, dict), "measure must be an object")
+    _check_object(obj, _MEASURE_KEYS, "measure")
     kind = obj.get("kind", "uniform")
     if kind == "uniform":
         mu = StepMeasure.uniform(group)
@@ -101,7 +113,7 @@ def _parse_measure(obj: dict, group: FreeProductGroup) -> StepMeasure:
 
 
 def _parse_chain(obj: dict) -> LatticeChain:
-    _require(isinstance(obj, dict), "chain must be an object")
+    _check_object(obj, _CHAIN_KEYS, "chain")
     rank = obj.get("rank")
     fibers = obj.get("fibers", 1)
     entries_raw = obj.get("entries")
@@ -126,7 +138,7 @@ def _parse_chain(obj: dict) -> LatticeChain:
 def _parse_sequences(items, group: FreeProductGroup | None) -> tuple[SequenceSpec, ...]:
     out = []
     for i, obj in enumerate(items):
-        _require(isinstance(obj, dict), f"sequence {i} must be an object")
+        _check_object(obj, _SEQUENCE_KEYS, f"sequence {i}")
         templates = obj.get("templates")
         _require(isinstance(templates, list) and templates,
                  f"sequence {i}: templates must be a nonempty list")
@@ -152,9 +164,7 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}")
-    _require(isinstance(raw, dict), "config root must be a JSON object")
-    unknown = sorted(set(raw) - _CONFIG_KEYS)
-    _require(not unknown, f"unknown config keys {unknown}")
+    _check_object(raw, _CONFIG_KEYS, "config")
 
     name = str(raw.get("name", os.path.splitext(os.path.basename(path))[0]))
     has_group = "group" in raw
@@ -165,8 +175,8 @@ def load_config(path: str) -> ExperimentConfig:
     try:
         if has_group:
             gobj = raw["group"]
-            _require(isinstance(gobj, dict) and isinstance(gobj.get("factors"), list),
-                     "group.factors must be a list")
+            _check_object(gobj, _GROUP_KEYS, "group")
+            _require(isinstance(gobj.get("factors"), list), "group.factors must be a list")
             factors = [_parse_factor(f, i) for i, f in enumerate(gobj["factors"])]
             group = FreeProductGroup(factors)
             measure = _parse_measure(raw.get("measure", {}), group)

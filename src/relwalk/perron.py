@@ -5,6 +5,10 @@ matrix with entries sum_z p((0,j1) -> (z,j2)) e^(u.z).  Its Perron root
 lambda(u) is smooth, log-convex, and for strictly sub-Markov strongly
 irreducible chains the level set {lambda = 1} is a compact convex
 hypersurface whose outward normals parametrize directions of escape.
+
+Each perron() call is one dense eigensolve; lambda_hessian takes the
+Hessian from its eigenpair, and both geometric problems are solved by
+Newton on it.
 """
 from __future__ import annotations
 
@@ -19,8 +23,10 @@ from .lattice import LatticeChain
 
 _EXP_CAP = 700.0  # exp overflow guard on tilted entries
 _DENSE_EIG_MAX = 64  # read only by the benchmark harness, to label spans by fiber count
-_DESCENT_GRAD_TOL, _DESCENT_ROUNDS = 1e-10, 20_000  # minimize_lambda stopping rule
+_MIN_GRAD_TOL, _MIN_ROUNDS = 1e-10, 100  # minimize_lambda: last-step gradient, round cap
 _ESCAPE_CAP, _ESCAPE_GRID, _ESCAPE_LEVEL = 20.0, 64, 2.0  # check_assumptions escape test
+_LEVEL_STOP_LAMBDA, _LEVEL_STOP_ANGLE = 1e-14, 1e-13  # level_set_point: Newton stop
+_LEVEL_ROUNDS, _LEVEL_MIN_STRIDE = 8, 1e-6  # level_set_point: Newton cap, smallest normal stride
 _LEVEL_LAMBDA_TOL, _LEVEL_ANGLE_TOL = 1e-10, 1e-8  # level_set_point: |lambda-1|, |normal-theta|
 
 
@@ -94,68 +100,66 @@ def perron(chain: LatticeChain, u) -> PerronData:
                       gradient=grad, residual=res)
 
 
-def perron_value(chain: LatticeChain, u) -> float:
-    return perron(chain, u).value
+def lambda_hessian(chain: LatticeChain, data: PerronData) -> np.ndarray:
+    """Hessian of lambda at data.u from its Perron pair, with no second eigensolve.
+
+    Second-order perturbation of a simple eigenvalue:
+    H_ij = l^T (F_ij + F_i S F_j + F_j S F_i) r / (l^T r), where F_i and
+    F_ij are the derivatives of F(u), P = r l^T / (l^T r) the Perron
+    projector and S = (lambda I - F + P)^-1 - P the reduced resolvent.
+    """
+    tilted = _tilted_weights(chain, np.asarray(data.u))
+    flat, dz, _ = chain.entry_arrays
+    left, right = data.left, data.right
+    denom = float(left @ right)
+    proj = np.outer(right, left) / denom
+    F_i = [_fiber_sum(chain, tilted * dz[:, ax]) for ax in range(chain.rank)]
+    F_r = np.column_stack([f @ right for f in F_i])
+    shifted = data.value * np.eye(chain.fiber_count) - _fiber_sum(chain, tilted) + proj
+    S_F_r = np.linalg.solve(shifted, F_r) - proj @ F_r
+    cross = np.array([left @ f for f in F_i]) @ S_F_r
+    pair_weights = tilted * np.outer(left, right).ravel()[flat]
+    direct = dz.T @ (dz * pair_weights[:, None])
+    return (direct + cross + cross.T) / denom
 
 
 def minimize_lambda(chain: LatticeChain) -> PerronData:
     """Global minimum of lambda over tilts u.
 
-    lambda is smooth and convex in u, so gradient descent with Armijo
-    backtracking from the origin homes in on the unique minimum; once the
-    gradient is small the function-value test loses resolution, so a
-    Newton phase on grad lambda = 0 (finite-difference Hessian of the
-    analytic gradient) finishes to the gradient tolerance.
+    lambda is smooth and convex in u, so damped Newton on grad lambda = 0
+    from the origin homes in on the unique minimum.  Steps halve, also on
+    overflow, until the Armijo decrease of |grad lambda| holds (near the
+    minimum lambda moves by less than its rounding; its gradient does
+    not).  Once the gradient is below the tolerance, one last full step.
     """
     u = np.zeros(chain.rank)
     data = perron(chain, u)
-    step = 1.0
-    for _ in range(_DESCENT_ROUNDS):
+    for _ in range(_MIN_ROUNDS):
         g = np.asarray(data.gradient)
         gnorm = float(np.linalg.norm(g))
-        if gnorm < 1e-6:  # the Newton phase below takes over
-            break
-        while True:
-            cand = u - step * g
-            try:
-                trial = perron(chain, cand)
-            except OverflowError:
-                step *= 0.5
-                continue
-            if trial.value <= data.value - 0.25 * step * gnorm * gnorm:
-                break
-            step *= 0.5
-            if step < 1e-18:
-                break
-        if step < 1e-18:
-            break
-        u = cand
-        data = trial
-        step = min(step * 2.0, 1.0e6)
-    else:
-        raise ConvergenceError(f"lambda descent did not converge in {_DESCENT_ROUNDS} rounds")
-    for _ in range(80):
-        g = np.asarray(data.gradient)
-        if float(np.linalg.norm(g)) < _DESCENT_GRAD_TOL:
-            return data
-        h = 1e-6
-        H = np.zeros((chain.rank, chain.rank))
-        for ax in range(chain.rank):
-            dv = np.zeros(chain.rank)
-            dv[ax] = h
-            gp = np.asarray(perron(chain, u + dv).gradient)
-            gm = np.asarray(perron(chain, u - dv).gradient)
-            H[:, ax] = (gp - gm) / (2 * h)
-        H = 0.5 * (H + H.T)
         try:
-            delta = np.linalg.solve(H, -g)
+            step = np.linalg.solve(lambda_hessian(chain, data), -g)
         except np.linalg.LinAlgError:
-            raise ConvergenceError("singular Hessian while polishing the lambda minimum")
-        u = u + delta
-        data = perron(chain, u)
-    raise ConvergenceError(
-        f"lambda minimum polish stalled with gradient norm "
-        f"{float(np.linalg.norm(np.asarray(data.gradient))):.3e}")
+            if gnorm < _MIN_GRAD_TOL:  # lambda is flat along a direction the steps do not span
+                return data
+            raise ConvergenceError("singular Hessian while minimizing lambda")
+        if gnorm < _MIN_GRAD_TOL:
+            return perron(chain, u + step) if step.any() else data
+        t = 1.0
+        while True:
+            try:
+                trial = perron(chain, u + t * step)
+                if float(np.linalg.norm(trial.gradient)) <= (1.0 - 1e-4 * t) * gnorm:
+                    break
+            except OverflowError:
+                pass
+            t *= 0.5
+            if t < 1e-12:
+                raise ConvergenceError(
+                    f"lambda minimization stalled with gradient norm {gnorm:.3e}")
+        u = u + t * step
+        data = trial
+    raise ConvergenceError(f"lambda minimization did not converge in {_MIN_ROUNDS} rounds")
 
 
 def _check_rank(rank: int) -> None:
@@ -197,7 +201,7 @@ class AssumptionReport:
 
 def _escapes(chain: LatticeChain, u: np.ndarray) -> bool:
     try:
-        return perron_value(chain, u) >= _ESCAPE_LEVEL
+        return perron(chain, u).value >= _ESCAPE_LEVEL
     except OverflowError:
         return True
 
@@ -249,39 +253,29 @@ class BoundaryPointU:
 
 def _ray_cross(chain: LatticeChain, u_min: np.ndarray,
                d: np.ndarray) -> tuple[np.ndarray, PerronData]:
-    """Point u_min + t d with lambda = 1, by doubling then guarded Newton.
+    """Point u_min + t d with lambda = 1, by doubling then Newton.
 
-    Along a ray from the minimizer, lambda is convex and increasing past
-    the crossing, so Newton started at the outer bracket end decreases
-    monotonically to the root; a bisection step catches any iterate the
-    guard rejects.  Returns the point with its Perron data; each tilt on
-    the way is evaluated once.
+    Along a ray from the minimizer lambda is convex and increasing, so
+    Newton started beyond the crossing decreases monotonically to it.
+    Returns the point with its Perron data; each tilt on the way is
+    evaluated once.
     """
     def at(t: float) -> tuple[np.ndarray, PerronData]:
         u = u_min + t * d
         return u, perron(chain, u)
 
-    lo, hi = 0.0, 1.0
-    u, data = at(hi)
+    t = 1.0
+    u, data = at(t)
     while data.value < 1.0:
-        lo = hi
-        hi *= 2.0
-        if hi > 1e6:
+        t *= 2.0
+        if t > 1e6:
             raise ConvergenceError("no level-set crossing found along search ray")
-        u, data = at(hi)
-    t = hi
+        u, data = at(t)
     for _ in range(200):
         f = data.value - 1.0
         if abs(f) < 1e-14:
             break
-        if f < 0:
-            lo = t
-        else:
-            hi = t
-        df = float(np.asarray(data.gradient) @ d)
-        cand = t - f / df if df > 0 else lo
-        if not (lo < cand < hi):
-            cand = 0.5 * (lo + hi)
+        cand = t - f / float(np.asarray(data.gradient) @ d)
         settled = abs(cand - t) < 1e-16 * max(1.0, t)
         t = cand
         u, data = at(t)
@@ -290,53 +284,52 @@ def _ray_cross(chain: LatticeChain, u_min: np.ndarray,
     return u, data
 
 
-def _normal_angle_point_2d(chain: LatticeChain, u_min: np.ndarray,
-                           th: np.ndarray) -> tuple[np.ndarray, PerronData]:
-    """Rank-2 level-set point whose outward normal is th, by angle bisection.
+def _bordered_newton(chain: LatticeChain, u: np.ndarray, data: PerronData, s: float,
+                     th: np.ndarray) -> tuple[np.ndarray, PerronData, float] | None:
+    """Newton on grad lambda(u) = s th, lambda(u) = 1 in (u, s), or None.
 
-    On a strictly convex compact level curve the outward normal rotates
-    monotonically with the ray angle from an interior point, and the
-    crossing normal stays within a quarter turn of the ray, so the normal
-    angle defect brackets over [target - pi/2, target + pi/2].
+    The Jacobian is [[H, -th], [grad lambda^T, 0]].  Within the acceptance
+    tolerances, a step that fails to halve the last one also stops: the
+    iterates then move by evaluation noise, which on nearly reducible or
+    sharply curved level sets lies above the Newton stop.
     """
-    target = math.atan2(th[1], th[0])
-
-    def defect(phi: float) -> tuple[float, tuple[np.ndarray, PerronData]]:
-        point = _ray_cross(chain, u_min, np.array([math.cos(phi), math.sin(phi)]))
-        g = point[1].gradient
-        return math.remainder(math.atan2(g[1], g[0]) - target, math.tau), point
-
-    lo = target - 0.5 * math.pi + 1e-9
-    hi = target + 0.5 * math.pi - 1e-9
-    flo, point_lo = defect(lo)
-    fhi, point_hi = defect(hi)
-    if flo > 0 or fhi < 0:
-        raise ConvergenceError(
-            f"normal-angle defect does not change sign around direction {tuple(th)}")
-    if abs(flo) < 1e-12:
-        return point_lo
-    if abs(fhi) < 1e-12:
-        return point_hi
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        fmid, point = defect(mid)
-        if abs(fmid) < 1e-12 or hi - lo < 1e-12:
-            break
-        if fmid < 0:
-            lo = mid
-        else:
-            hi = mid
-    return point
+    last = math.inf
+    for _ in range(_LEVEL_ROUNDS):
+        g = np.asarray(data.gradient)
+        lam_res = abs(data.value - 1.0)
+        ang = float(np.linalg.norm(g / np.linalg.norm(g) - th))
+        if lam_res < _LEVEL_STOP_LAMBDA and ang < _LEVEL_STOP_ANGLE:
+            return u, data, s
+        try:
+            jac = np.block([[lambda_hessian(chain, data), -th[:, None]], [g, 0.0]])
+            step = np.linalg.solve(jac, np.append(s * th - g, 1.0 - data.value))
+        except np.linalg.LinAlgError:
+            return None
+        size = float(np.linalg.norm(step[:-1]))
+        if size > 0.5 * last and lam_res <= _LEVEL_LAMBDA_TOL and ang <= _LEVEL_ANGLE_TOL:
+            return u, data, s
+        last = size
+        try:  # a step may leave the tilts where F(u) and its derivatives are finite
+            with np.errstate(over="raise", invalid="raise"):
+                data = perron(chain, u + step[:-1])
+        except (ArithmeticError, ValueError):
+            return None
+        u = u + step[:-1]
+        s += float(step[-1])
+    return None
 
 
 def level_set_point(chain: LatticeChain, theta,
                     minimum: PerronData | None = None) -> BoundaryPointU:
     """Solve lambda(u) = 1 with grad lambda parallel to theta.
 
-    Supporting-point search on the convex level set: rank 1 crosses the
-    level along theta from the lambda minimizer, rank 2 bisects on the
-    normal angle; higher ranks are not supported.  Passing the precomputed
-    lambda minimum skips redoing that solve on repeated calls.
+    One path for ranks 1 and 2: cross the level along theta from the
+    lambda minimizer, then run bordered Newton from the crossing, whose
+    normal lies within a quarter turn of theta (in rank 1 it is theta).
+    Where Newton fails, the requested normal moves from the crossing's
+    normal to theta in strides that halve on failure, each point seeding
+    the next.  Passing the precomputed lambda minimum skips redoing that
+    solve on repeated calls.
     """
     th = np.asarray(theta, dtype=float).reshape(-1)
     if th.size != chain.rank:
@@ -350,11 +343,17 @@ def level_set_point(chain: LatticeChain, theta,
     if mn.value >= 1.0:
         raise AssumptionError(
             f"lambda minimum {mn.value:.6f} is not below 1; no level set to parametrize")
-    u_min = np.asarray(mn.u)
-    if chain.rank == 1:
-        u, data = _ray_cross(chain, u_min, th)
-    else:
-        u, data = _normal_angle_point_2d(chain, u_min, th)
+    u, data = _ray_cross(chain, np.asarray(mn.u), th)
+    s = float(np.linalg.norm(data.gradient))
+    start = np.asarray(data.gradient) / s
+    reached, stride = 0.0, 1.0
+    while reached < 1.0 and stride >= _LEVEL_MIN_STRIDE:
+        tau = min(reached + stride, 1.0)
+        target = (1.0 - tau) * start + tau * th
+        found = _bordered_newton(chain, u, data, s, target / np.linalg.norm(target))
+        if found is not None:
+            (u, data, s), reached = found, tau
+        stride *= 0.5 if found is None else 2.0
     g = np.asarray(data.gradient)
     lam_res = abs(data.value - 1.0)
     ang = float(np.linalg.norm(g / np.linalg.norm(g) - th))

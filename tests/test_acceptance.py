@@ -24,7 +24,7 @@ from relwalk import (FiberIndex, FreeProductEngine, LatticeChain,
 from relwalk.cli import RunContext, _sample_ancona_pairs
 from relwalk.groups import Coset
 from relwalk.lattice import ChainGreen
-from relwalk.perron import limit_kernel_ratio, perron_value
+from relwalk.perron import limit_kernel_ratio
 
 from conftest import cli_env, config_path, extrapolated_ratio_deviation
 
@@ -81,7 +81,7 @@ def test_a03_killed_walk_closed_forms():
     dev_g = abs(g00 - 1.0 / math.sqrt(1.0 - 4.0 * q * q))
     ustar = level_set_point(chain, (1.0,)).u[0]
     dev_u = abs(ustar - math.acosh(1.0 / (2.0 * q)))
-    dev_lam = max(abs(perron_value(chain, (float(u),)) - 2.0 * q * math.cosh(u))
+    dev_lam = max(abs(perron(chain, (float(u),)).value - 2.0 * q * math.cosh(u))
                   for u in np.linspace(-2.5, 2.5, 101))
     ok = dev_g < 1e-8 and dev_u < 1e-8 and dev_lam < 1e-12
     report("A03 killed-walk-closed-forms", ok,
@@ -128,8 +128,8 @@ def test_a06_gradient_against_finite_differences(z2_cfg):
             grad = np.asarray(data.gradient)
             fd = np.zeros(2)
             for axis, (du1, du2) in enumerate([(h, 0.0), (0.0, h)]):
-                up = perron_value(chain, (u1 + du1, u2 + du2))
-                dn = perron_value(chain, (u1 - du1, u2 - du2))
+                up = perron(chain, (u1 + du1, u2 + du2)).value
+                dn = perron(chain, (u1 - du1, u2 - du2)).value
                 fd[axis] = (up - dn) / (2.0 * h)
             rel = float(np.linalg.norm(grad - fd) / np.linalg.norm(grad))
             worst = max(worst, rel)

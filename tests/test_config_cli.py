@@ -79,6 +79,13 @@ def test_config_validation_failures(tmp_path):
         {"group": base_group, "tolerances": {"lambda_grid_points": 10.5}},
         {"group": base_group, "tolerances": {"ancona_samples": 0}},
         {"group": base_group, "tolerances": {"green_table_radius": True}},
+        {"group": dict(base_group, factor_count=2)},
+        {"group": {"factors": [{"rank": 1, "lattice_names": ["a"], "lattice": ["a"]},
+                               {"rank": 1, "lattice_names": ["b"]}]}},
+        {"group": base_group, "measure": {"kind": "uniform", "lasy": True}},
+        {"chain": {"rank": 1, "fibers": 1, "fiber": 2,
+                   "entries": [[0, 0, [1], 0.2], [0, 0, [-1], 0.2]]}},
+        {"group": base_group, "sequences": [{"templates": ["a^n"], "stat": 1}]},
     ]
     for payload in cases:
         with pytest.raises(ConfigError):
@@ -226,6 +233,22 @@ def test_synthetic_run_all_is_deterministic(tmp_path):
     assert outs[0].keys() == outs[1].keys()
     for name in outs[0]:
         assert outs[0][name] == outs[1][name]
+
+
+def test_martin_seq_says_when_it_skips_the_limit_check(tmp_path):
+    with open(config_path("f2_over_a.json")) as fh:
+        cfg = json.load(fh)
+    cfg.update(eta_list=[])
+    p = tmp_path / "no_eta.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "m"
+    r = run_cli("martin-seq", "--config", str(p), "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    with open(out / "martin_seq.json") as fh:
+        entry = json.load(fh)["a_ray"]
+    assert entry["tag"] == "Parabolic"
+    assert "max_ratio_deviation" not in entry
+    assert entry["note"] == "no limit check: eta_list is empty"
 
 
 def _shipped(base: str, **changes) -> dict:

@@ -1,12 +1,13 @@
 """Tilted Perron roots, lambda minimization, and level-set inversion."""
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from relwalk import (LatticeChain, check_assumptions, level_set_point,
                      limit_kernel_ratio, minimize_lambda, perron)
-from relwalk.perron import direction_grid, perron_value
+from relwalk.perron import direction_grid, lambda_hessian
 
 
 def killed_z(q: float = 0.2) -> LatticeChain:
@@ -26,7 +27,7 @@ def fibered_z(q: float = 0.2, n: int = 100) -> LatticeChain:
 def test_tilted_value_matches_cosh_formula():
     for c in (killed_z(0.2), fibered_z(0.2)):
         for u in np.linspace(-2.0, 2.0, 9):
-            assert abs(perron_value(c, (u,)) - 0.4 * math.cosh(u)) < 1e-12
+            assert abs(perron(c, (u,)).value - 0.4 * math.cosh(u)) < 1e-12
 
 
 def test_minimum_and_gradient_of_symmetric_walk():
@@ -74,9 +75,9 @@ def test_lambda_is_log_convex_along_lines(f2a_chain):
         u0 = rng.uniform(-1.0, 1.0, size=1)
         u1 = rng.uniform(-1.0, 1.0, size=1)
         mid = 0.5 * (u0 + u1)
-        lo = math.sqrt(perron_value(f2a_chain, tuple(u0)) *
-                       perron_value(f2a_chain, tuple(u1)))
-        assert perron_value(f2a_chain, tuple(mid)) <= lo + 1e-12
+        lo = math.sqrt(perron(f2a_chain, tuple(u0)).value *
+                       perron(f2a_chain, tuple(u1)).value)
+        assert perron(f2a_chain, tuple(mid)).value <= lo + 1e-12
 
 
 def test_free_group_induced_chain_minimum_and_levels(f2a_chain):
@@ -120,7 +121,21 @@ def test_rank_two_level_points_have_requested_normals(z2_chain_eta2):
         n = g / np.linalg.norm(g)
         assert bp.angular_error < 1e-8
         assert abs(n[0] - th[0]) < 1e-7 and abs(n[1] - th[1]) < 1e-7
-        assert abs(perron_value(z2_chain_eta2, bp.u) - 1.0) < 1e-9
+        assert abs(perron(z2_chain_eta2, bp.u).value - 1.0) < 1e-9
+
+
+def test_level_points_at_sharp_corners_of_a_nearly_reducible_chain():
+    # Two fibers drifting along different axes, coupled with weight 1e-5:
+    # the level set has sharply curved corners, where Newton from the ray
+    # crossing alone does not converge.
+    c = LatticeChain.build(2, 2, [
+        (0, 0, (1, 0), 0.3), (0, 0, (-1, 0), 0.1), (0, 0, (0, 1), 0.02), (0, 0, (0, -1), 0.02),
+        (1, 1, (0, 1), 0.3), (1, 1, (0, -1), 0.1), (1, 1, (1, 0), 0.02), (1, 1, (-1, 0), 0.02),
+        (0, 1, (0, 0), 1e-5), (1, 0, (0, 0), 1e-5)])
+    mn = minimize_lambda(c)
+    for th in direction_grid(2, 16):
+        bp = level_set_point(c, th, minimum=mn)
+        assert bp.angular_error < 1e-8 and bp.lambda_residual < 1e-10
 
 
 def test_precomputed_minimum_changes_nothing(z2_chain_eta0):
@@ -129,6 +144,49 @@ def test_precomputed_minimum_changes_nothing(z2_chain_eta0):
     a = level_set_point(z2_chain_eta0, th)
     b = level_set_point(z2_chain_eta0, th, minimum=mn)
     assert np.allclose(a.u, b.u, atol=1e-12)
+
+
+def test_hessian_matches_closed_forms():
+    for c in (killed_z(0.2), fibered_z(0.2)):
+        for u in (-1.5, 0.0, 0.8):
+            H = lambda_hessian(c, perron(c, (u,)))
+            assert abs(H[0, 0] - 0.4 * math.cosh(u)) < 1e-10
+    c = drifted_z(0.3, 0.1)
+    for u in (-1.0, 0.2, 1.3):
+        data = perron(c, (u,))
+        assert abs(lambda_hessian(c, data)[0, 0] - data.value) < 1e-10
+
+
+def test_hessian_matches_differences_of_the_gradient(z2_chain_eta2):
+    h = 1e-5
+    for u in ((0.0, 0.0), (0.4, -0.3), (-0.6, 0.5)):
+        H = lambda_hessian(z2_chain_eta2, perron(z2_chain_eta2, u))
+        fd = np.zeros((2, 2))
+        for ax in range(2):
+            du = np.zeros(2)
+            du[ax] = h
+            up = np.asarray(perron(z2_chain_eta2, np.add(u, du)).gradient)
+            dn = np.asarray(perron(z2_chain_eta2, np.subtract(u, du)).gradient)
+            fd[:, ax] = (up - dn) / (2 * h)
+        assert np.linalg.norm(H - fd) < 1e-7 * np.linalg.norm(fd)
+
+
+def test_level_set_grid_evaluation_count(z2_chain_eta0, monkeypatch):
+    # The package binds the name perron to the function, so the module is
+    # reached through sys.modules to count the evaluations its solvers make.
+    module = sys.modules["relwalk.perron"]
+    inner = module.perron
+    calls = [0]
+
+    def counted(chain, u):
+        calls[0] += 1
+        return inner(chain, u)
+
+    monkeypatch.setattr(module, "perron", counted)
+    mn = minimize_lambda(z2_chain_eta0)
+    for th in direction_grid(2, 64):
+        level_set_point(z2_chain_eta0, th, minimum=mn)
+    assert calls[0] < 2000
 
 
 def test_limit_kernel_ratio_formula():

@@ -8,7 +8,7 @@ from relwalk import (FloydFunction, FreeProductEngine, TransitionParams,
                      floyd_distance, induce_first_return, load_config,
                      transition_points, word_geodesic)
 from relwalk.groups import Coset, coset_distance, project_to_coset
-from relwalk.perron import perron, perron_value
+from relwalk.perron import perron
 
 from conftest import config_path
 
@@ -134,9 +134,9 @@ def test_perron_value_is_log_convex_along_segments(a0, a1, b0, b1):
     u0 = np.array([a0, a1])
     u1 = np.array([b0, b1])
     mid = 0.5 * (u0 + u1)
-    bound = math.sqrt(perron_value(Z2_CHAIN, tuple(u0)) *
-                      perron_value(Z2_CHAIN, tuple(u1)))
-    assert perron_value(Z2_CHAIN, tuple(mid)) <= bound * (1 + 1e-12)
+    bound = math.sqrt(perron(Z2_CHAIN, tuple(u0)).value *
+                      perron(Z2_CHAIN, tuple(u1)).value)
+    assert perron(Z2_CHAIN, tuple(mid)).value <= bound * (1 + 1e-12)
 
 
 @COMMON
@@ -150,8 +150,8 @@ def test_perron_residual_and_gradient_match_finite_differences(u0, u1):
         dn = [u0, u1]
         up[axis] += h
         dn[axis] -= h
-        fd = (perron_value(Z2_CHAIN, tuple(up)) -
-              perron_value(Z2_CHAIN, tuple(dn))) / (2 * h)
+        fd = (perron(Z2_CHAIN, tuple(up)).value -
+              perron(Z2_CHAIN, tuple(dn)).value) / (2 * h)
         assert abs(data.gradient[axis] - fd) < 1e-5 * max(1.0, abs(fd))
 
 
