@@ -1,15 +1,21 @@
 """Word-metric ball enumeration."""
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import StateCapError
 from .groups import FreeProductGroup, GroupElement
 
 DEFAULT_STATE_CAP = 2_000_000
 
 
+@lru_cache(maxsize=16)
 def ball_elements(group: FreeProductGroup, radius: int,
-                  state_cap: int = DEFAULT_STATE_CAP) -> list[GroupElement]:
-    """All elements of word length <= radius, ordered by (length, normal form)."""
+                  state_cap: int = DEFAULT_STATE_CAP) -> tuple[GroupElement, ...]:
+    """All elements of word length <= radius, ordered by (length, normal form).
+
+    Memoized per (group, radius, state_cap), hence an immutable tuple.
+    """
     gens = [g for _, g in group.generators()]
     seen = {group.identity}
     out = [group.identity]
@@ -30,5 +36,5 @@ def ball_elements(group: FreeProductGroup, radius: int,
         nxt.sort(key=lambda g: g.sort_key())
         out.extend(nxt)
         frontier = nxt
-    return out
+    return tuple(out)
 

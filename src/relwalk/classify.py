@@ -9,11 +9,12 @@ from typing import Sequence
 import numpy as np
 
 from .balls import ball_elements
-from .errors import BoundedSequenceError, ParseError
+from .errors import BoundedSequenceError, ConvergenceError, ParseError
 from .excursions import FreeProductEngine
 from .groups import (Coset, FreeProductGroup, GroupElement, coset_lattice_part,
                      project_to_coset)
-from .floyd import coned_off_distance, gromov_product_coned
+from .floyd import (TransitionParams, coned_off_distance, gromov_product_coned,
+                    transition_points, word_geodesic)
 from .lattice import LatticeChain
 from .perron import (BoundaryPointU, level_set_point, limit_kernel_ratio,
                      minimize_lambda)
@@ -268,6 +269,75 @@ def ancona_ratio(engine: FreeProductEngine, x: GroupElement, z: GroupElement,
     if ratio < 1e-12:
         return 0.0
     return min(1.0, ratio)
+
+
+def sample_ancona_pairs(group: FreeProductGroup, parabolic: Sequence[int], seed: int,
+                        count: int, transitions: TransitionParams
+                        ) -> list[tuple[GroupElement, GroupElement]]:
+    """Seeded (x, z) pairs whose geodesic has a transition midpoint at e.
+
+    Each half-word reads lattice tail, junction block, short lattice stub,
+    and the two stubs share an axis and sign, so the geodesic from x to z
+    crosses e inside a lattice segment one step away from junctions on
+    both sides.  The midpoint is then a transition point, yet detours
+    around it inside the lattice plane survive whenever the parabolic
+    factor has rank at least two.
+    """
+    rng = np.random.default_rng(seed)
+    para = tuple(parabolic)
+    jfac = next(i for i in range(len(group.factors)) if i not in para)
+    jspec = group.factors[jfac]
+    pairs = []
+    attempts = 0
+    while len(pairs) < count and attempts < 40 * count:
+        attempts += 1
+        stub_fac = para[int(rng.integers(0, len(para)))]
+        stub_spec = group.factors[stub_fac]
+        axis = int(rng.integers(0, stub_spec.rank))
+        sign = 1 if rng.integers(0, 2) else -1
+        depth = int(rng.integers(1, 3))
+        stub_z = tuple(sign * depth if d == axis else 0
+                       for d in range(stub_spec.rank))
+        stub = group.syllable(stub_fac, stub_z, 0)
+
+        def junction_block():
+            jexp = int(rng.integers(1, 3)) * (1 if rng.integers(0, 2) else -1)
+            if jspec.rank:
+                return group.syllable(jfac, (jexp,) + (0,) * (jspec.rank - 1), 0)
+            return group.syllable(jfac, (), 1 + int(rng.integers(0, len(jspec.table) - 1)))
+
+        def tail():
+            fac = para[int(rng.integers(0, len(para)))]
+            spec = group.factors[fac]
+            z = tuple(int(rng.integers(-2, 3)) for _ in range(spec.rank))
+            if not any(z):
+                z = (1,) + z[1:]
+            return group.syllable(fac, z, 0), sum(abs(c) for c in z)
+
+        t1, len1 = tail()
+        t2, len2 = tail()
+        if len1 != len2:
+            continue
+        j1, j2 = junction_block(), junction_block()
+        if j1.word_length != j2.word_length:
+            continue
+        w1 = t1 * j1 * stub
+        w2 = stub * j2 * t2
+        x = w1.inverse()
+        z = w2
+        if x == z or (x.inverse() * z).word_length != x.word_length + z.word_length:
+            continue
+        path = word_geodesic(x, z)
+        mid = x.word_length
+        if path[mid] != group.identity:
+            continue
+        if mid not in transition_points(path, transitions, para):
+            continue
+        pairs.append((x, z))
+    if len(pairs) < count:
+        raise ConvergenceError(f"found only {len(pairs)} transition pairs "
+                               f"in {attempts} attempts")
+    return pairs
 
 
 @dataclass

@@ -33,6 +33,7 @@ from .lattice import ChainGreen, LatticeChain
 from .measures import StepMeasure
 
 _FIXED_POINT_TOL, _FIXED_POINT_ROUNDS = 1e-14, 500  # return-mass iteration stopping rule
+_BLOCK_CHUNK = 1 << 15  # green_matrix entries per row chunk, to bound its temporaries
 
 
 class FreeProductEngine:
@@ -68,6 +69,11 @@ class FreeProductEngine:
         self._fwd_cache: dict[Syllable, float] = {}
         self._bwd_cache: dict[Syllable, float] = {}
         self._taboo_cache: dict[tuple, "TabooContext"] = {}
+        # Syllable ids for batched blocks; id 0 pads short words.
+        self._syllable_id: dict[Syllable, int] = {}
+        self._id_syllable: list[Syllable | None] = [None]
+        self._id_inverse: list[Syllable | None] = [None]
+        self._id_factor: list[int] = [-1]
 
     # -- factor chains and the return fixed point -------------------------
 
@@ -160,13 +166,98 @@ class FreeProductEngine:
 
     def green_from_identity(self, g: GroupElement) -> float:
         val = self.green_identity_value
-        for fac, z, j in g.syllables:
-            val *= self.forward_passage(fac, z, j)
+        cache = self._fwd_cache
+        for syl in g.syllables:
+            passage = cache.get(syl)
+            val *= self.forward_passage(*syl) if passage is None else passage
         return val
 
     def green(self, x: GroupElement, y: GroupElement) -> float:
         """G(x, y), exact via the prefix product through cut vertices."""
         return self.green_from_identity(x.inverse() * y)
+
+    def syllable_ids(self, elems: Sequence[GroupElement]) -> np.ndarray:
+        """Padded syllable-id table of an element list, one row per element.
+
+        Ids are positive and shared by every table of this engine; each row
+        ends in at least one 0, so a row can be read at any common-prefix
+        depth with another.
+        """
+        width = 1 + max((g.syllable_count for g in elems), default=0)
+        table = np.zeros((len(elems), width), dtype=np.int32)
+        for i, g in enumerate(elems):
+            for k, syl in enumerate(g.syllables):
+                sid = self._syllable_id.get(syl)
+                if sid is None:
+                    sid = self._syllable_id[syl] = len(self._id_syllable)
+                    self._id_syllable.append(syl)
+                    self._id_inverse.append(self.group.inverse_syllable(syl))
+                    self._id_factor.append(syl[0])
+                table[i, k] = sid
+        return table
+
+    def _passages(self, ids: np.ndarray, inverse: bool) -> np.ndarray:
+        """Lookup array over syllable ids: F(e -> s) (or F(e -> s^-1)) at ids, 1 elsewhere."""
+        out = np.ones(len(self._id_syllable))
+        syllables = self._id_inverse if inverse else self._id_syllable
+        for sid in np.unique(ids):
+            out[sid] = self.forward_passage(*syllables[sid])
+        return out
+
+    def green_matrix(self, xs: Sequence[GroupElement] | np.ndarray,
+                     ys: Sequence[GroupElement] | np.ndarray) -> np.ndarray:
+        """The block G(x_i, y_j), equal bit for bit to green(x_i, y_j).
+
+        xs and ys are element lists or their syllable_ids tables.  With d
+        the common syllable-prefix depth of x and y, the normal form of
+        x^-1 y is x_m^-1 ... x_{d+2}^-1 (x_{d+1}^-1 y_{d+1}) y_{d+2} ... y_n,
+        where the middle syllables merge when they lie in one factor and
+        stay two syllables otherwise.  Each entry multiplies its passages
+        in that order, as green_from_identity does, without forming x^-1 y.
+        """
+        X = xs if isinstance(xs, np.ndarray) else self.syllable_ids(xs)
+        Y = ys if isinstance(ys, np.ndarray) else self.syllable_ids(ys)
+        out = np.empty((len(X), len(Y)))
+        step = max(1, _BLOCK_CHUNK // max(1, len(Y)))
+        for lo in range(0, len(X), step):
+            self._green_rows(out[lo:lo + step], X[lo:lo + step], Y)
+        return out
+
+    def _green_rows(self, val: np.ndarray, X: np.ndarray, Y: np.ndarray):
+        """Fill val with the green_matrix block of two syllable-id tables."""
+        width = min(X.shape[1], Y.shape[1])
+        depth = np.zeros(val.shape, dtype=np.min_scalar_type(width))
+        alive = np.ones(val.shape, dtype=bool)
+        for k in range(width - 1):
+            alive &= X[:, k, None] == Y[None, :, k]
+            alive &= (X[:, k] > 0)[:, None]
+            if not alive.any():
+                break
+            depth += alive
+        xd = X[np.arange(len(X))[:, None], depth]
+        yd = Y[np.arange(len(Y))[None, :], depth]
+        factor = np.array(self._id_factor, dtype=np.int16)
+        merged = (xd > 0) & (yd > 0) & (factor[xd] == factor[yd])
+        codes = xd[merged].astype(np.int64) * len(factor) + yd[merged]
+        # Both tails start at the divergence, or just after it when the
+        # middle syllables merge into one.
+        first = depth + merged
+        val.fill(self.green_identity_value)
+        for k in reversed(range(X.shape[1] - 1)):
+            use = (first <= k) & (X[:, k] > 0)[:, None]
+            back = self._passages(X[use.any(axis=1), k], inverse=True)
+            np.multiply(val, back[X[:, k]][:, None], out=val, where=use)
+        if len(codes):
+            pairs, where = np.unique(codes, return_inverse=True)
+            middle = np.array([
+                self.forward_passage(*self.group.merge_syllables(
+                    self._id_inverse[c // len(factor)], self._id_syllable[c % len(factor)]))
+                for c in pairs.tolist()])
+            val[merged] *= middle[where]
+        for k in range(Y.shape[1] - 1):
+            use = (first <= k) & (Y[:, k] > 0)[None, :]
+            fwd = self._passages(Y[use.any(axis=0), k], inverse=False)
+            np.multiply(val, fwd[Y[:, k]][None, :], out=val, where=use)
 
     def martin_kernel(self, x: GroupElement, y: GroupElement) -> float:
         """K(x, y) = G(x, y)/G(e, y)."""
@@ -212,24 +303,25 @@ class TabooContext:
         self.engine = engine
         self.elems = elems
         self.index = {w: i for i, w in enumerate(elems)}
-        n = len(elems)
-        m = np.empty((n, n))
-        for i, w in enumerate(elems):
-            for j, w2 in enumerate(elems):
-                m[i, j] = engine.green(w, w2)
-        self._minv = np.linalg.inv(m)
+        self._ids = engine.syllable_ids(elems)
+        self._minv = np.linalg.inv(engine.green_matrix(self._ids, self._ids))
 
-    def _killed(self, x: GroupElement, y: GroupElement) -> float:
-        """G_A(x, y) for x, y strictly outside the set."""
+    def _killed(self, xs: list[GroupElement], ys: list[GroupElement]) -> np.ndarray:
+        """G_A(x, y) for x in xs and y in ys, all strictly outside the set."""
         eng = self.engine
-        gx = np.array([eng.green(x, w) for w in self.elems])
-        hy = np.array([eng.green(w, y) for w in self.elems])
-        return eng.green(x, y) - float(gx @ self._minv @ hy)
+        gx = eng.green_matrix(xs, self._ids)
+        hy = np.ascontiguousarray(eng.green_matrix(self._ids, ys).T)
+        out = eng.green_matrix(xs, ys)
+        for a in range(len(xs)):
+            row = gx[a] @ self._minv
+            for b in range(len(ys)):
+                out[a, b] -= float(row @ hy[b])
+        return out
 
     def value(self, x: GroupElement, y: GroupElement) -> float:
         eng = self.engine
         if x not in self.index and y not in self.index:
-            return self._killed(x, y)
+            return float(self._killed([x], [y])[0, 0])
         mu = eng.mu
         total = 1.0 if x == y else 0.0
         total += mu(x.inverse() * y)
@@ -243,7 +335,8 @@ class TabooContext:
             yt = y * t.inverse()
             if yt not in self.index:
                 inner.append((yt, wt))
-        for xs, ws in outer:
-            for yt, wt in inner:
-                total += ws * self._killed(xs, yt) * wt
+        killed = self._killed([xs for xs, _ in outer], [yt for yt, _ in inner])
+        for a, (_, ws) in enumerate(outer):
+            for b, (_, wt) in enumerate(inner):
+                total += ws * float(killed[a, b]) * wt
         return total

@@ -12,6 +12,7 @@ syllable of lattice part z and finite index j costs ||z||_1 + [j != 0].
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -105,13 +106,14 @@ class FactorSpec:
 class GroupElement:
     """Normal-form word in a free product; immutable and hashable."""
 
-    __slots__ = ("group", "syllables", "_length", "_hash")
+    __slots__ = ("group", "syllables", "_length", "_hash", "_inverse")
 
     def __init__(self, group: "FreeProductGroup", syllables: tuple[Syllable, ...]):
         self.group = group
         self.syllables = syllables
         self._length = -1
-        self._hash = hash(syllables)
+        self._hash: int | None = None
+        self._inverse: GroupElement | None = None
 
     @property
     def is_identity(self) -> bool:
@@ -136,11 +138,10 @@ class GroupElement:
         return self.group._from_concat(self.syllables, other.syllables)
 
     def inverse(self) -> "GroupElement":
-        inv = []
-        for fac, z, j in reversed(self.syllables):
-            spec = self.group.factors[fac]
-            inv.append((fac, tuple(-c for c in z), spec.finite_inv(j)))
-        return GroupElement(self.group, tuple(inv))
+        if self._inverse is None:
+            self._inverse = GroupElement(self.group, tuple(
+                self.group.inverse_syllable(s) for s in reversed(self.syllables)))
+        return self._inverse
 
     def __pow__(self, n: int) -> "GroupElement":
         if n < 0:
@@ -172,6 +173,8 @@ class GroupElement:
         )
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(self.syllables)
         return self._hash
 
     def __repr__(self) -> str:
@@ -235,21 +238,32 @@ class FreeProductGroup:
                 gens.append((name + "^-1", ginv))
         return gens
 
+    def inverse_syllable(self, syl: Syllable) -> Syllable:
+        fac, z, j = syl
+        return (fac, tuple(-c for c in z), self.factors[fac].finite_inv(j))
+
+    def merge_syllables(self, left: Syllable, right: Syllable) -> Syllable | None:
+        """Product of two syllables of one factor, or None when it is trivial."""
+        fac, z1, j1 = left
+        z = tuple(map(operator.add, z1, right[1]))
+        j = self.factors[fac].table[j1][right[2]]
+        return (fac, z, j) if j != 0 or any(z) else None
+
     def _from_concat(self, left: tuple[Syllable, ...], right: tuple[Syllable, ...]) -> GroupElement:
-        out = list(left)
-        for syl in right:
-            if out and out[-1][0] == syl[0]:
-                fac = syl[0]
-                spec = self.factors[fac]
-                _, z1, j1 = out.pop()
-                _, z2, j2 = syl
-                z = tuple(a + b for a, b in zip(z1, z2))
-                j = spec.finite_mul(j1, j2)
-                if j != 0 or any(z):
-                    out.append((fac, z, j))
-            else:
-                out.append(syl)
-        return GroupElement(self, tuple(out))
+        """Normal form of left*right for two normal forms.
+
+        Syllables can only cancel or merge at the junction: once a pair
+        merges into a nontrivial syllable, its neighbours on both sides
+        lie in other factors.
+        """
+        i, k = len(left), 0
+        while i and k < len(right) and left[i - 1][0] == right[k][0]:
+            merged = self.merge_syllables(left[i - 1], right[k])
+            if merged is not None:
+                return GroupElement(self, left[:i - 1] + (merged,) + right[k + 1:])
+            i -= 1
+            k += 1
+        return GroupElement(self, left[:i] + right[k:])
 
     # -- parsing and printing -------------------------------------------
 

@@ -21,7 +21,8 @@ from relwalk import (FiberIndex, FreeProductEngine, LatticeChain,
                      level_set_point, martin_convergence, minimize_lambda,
                      perron, representative_invariance, separation_experiment,
                      verify_same_green)
-from relwalk.cli import RunContext, _sample_ancona_pairs
+from relwalk.classify import sample_ancona_pairs
+from relwalk.cli import _TRANSITIONS
 from relwalk.groups import Coset
 from relwalk.lattice import ChainGreen
 from relwalk.perron import limit_kernel_ratio
@@ -158,10 +159,8 @@ def test_a07_direction_to_tilt_round_trip(z2_chain_eta2):
            f"worst angular err={worst_angle:.3g}, min pairwise u gap={min_gap:.3g}")
 
 
-def test_a08_relative_green_decay(z2_cfg, z2_engine, f2_engine, f2_cfg, tmp_path):
-    ctx = RunContext(z2_cfg, str(tmp_path))
-    ctx._engine = z2_engine
-    pairs = _sample_ancona_pairs(ctx, 20)
+def test_a08_relative_green_decay(z2_cfg, z2_engine, f2_engine, f2_cfg):
+    pairs = sample_ancona_pairs(z2_cfg.group, z2_cfg.parabolic, z2_cfg.seed, 20, _TRANSITIONS)
     profiles = []
     for x, z in pairs:
         profiles.append([ancona_ratio(z2_engine, x, z, z2_cfg.group.identity, r)

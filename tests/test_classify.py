@@ -4,8 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from relwalk import (SequenceSpec, ancona_ratio, classify, martin_convergence,
-                     representative_invariance, separation_experiment)
+from relwalk import (FreeProductEngine, SequenceSpec, ancona_ratio, classify,
+                     martin_convergence, representative_invariance,
+                     separation_experiment)
+from relwalk.classify import sample_ancona_pairs
+from relwalk.cli import _TRANSITIONS
 from relwalk.errors import BoundedSequenceError, ParseError
 from relwalk.perron import BoundaryPointU, level_set_point, minimize_lambda
 from relwalk.groups import Coset
@@ -104,6 +107,25 @@ def test_ancona_ratio_conventions_and_tree_values(f2_engine, f2_cfg):
     off_axis = ancona_ratio(eng, g.identity, g.word("a"), g.word("b"), radius=0)
     assert abs(off_axis - 8.0 / 9.0) < 1e-10
     assert ancona_ratio(eng, x, z, g.identity, radius=2) == 0.0
+
+
+def test_ancona_ratio_evaluation_count(z2_cfg, monkeypatch):
+    # The radius-4 taboo block has 609^2 entries; it is assembled in numpy,
+    # not by one scalar green call per entry. A fresh engine has no block cached.
+    eng = FreeProductEngine(z2_cfg.group, z2_cfg.measure, radius=z2_cfg.radius)
+    (x, z), = sample_ancona_pairs(z2_cfg.group, z2_cfg.parabolic, z2_cfg.seed, 1,
+                                  _TRANSITIONS)
+    inner = FreeProductEngine.green
+    calls = [0]
+
+    def counted(self, a, b):
+        calls[0] += 1
+        return inner(self, a, b)
+
+    monkeypatch.setattr(FreeProductEngine, "green", counted)
+    rho = ancona_ratio(eng, x, z, z2_cfg.group.identity, radius=4)
+    assert 0.0 <= rho <= 1.0
+    assert calls[0] < 2000
 
 
 def test_martin_convergence_along_a_free_factor_ray(f2_engine, f2_cfg):

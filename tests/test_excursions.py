@@ -1,10 +1,29 @@
 """Exact free-product Green's functions via cut-vertex elimination."""
 import math
+import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from relwalk import FreeProductEngine, StepMeasure, ball_elements
 from relwalk.errors import InvalidMeasureError
+from relwalk.groups import FactorSpec, FreeProductGroup
+
+
+@pytest.fixture(scope="module")
+def z2_asymmetric_engine(z2_cfg):
+    """The (Z^2)*Z walk with seeded unequal generator weights, made lazy."""
+    rng = random.Random(5)
+    names = ("a", "a^-1", "b", "b^-1", "t", "t^-1")
+    raw = [rng.randint(90, 110) for _ in names]
+    weights = [(n, Fraction(w, sum(raw))) for n, w in zip(names, raw)]
+    mu = StepMeasure.from_weights(z2_cfg.group, weights).lazy()
+    return FreeProductEngine(z2_cfg.group, mu, radius=z2_cfg.radius)
+
+
+def _scalar_block(engine, xs, ys):
+    return np.array([[engine.green(x, y) for y in ys] for x in xs])
 
 
 def test_free_group_green_closed_forms(f2_engine, f2_cfg):
@@ -115,3 +134,58 @@ def test_engine_satisfies_the_resolvent_identity(f2_engine, z2_engine):
                     w * eng.green(x * s, y) for s, w in eng.mu.items())
                 worst = max(worst, abs(eng.green(x, y) - rhs))
         assert worst < 1e-12
+
+
+def test_green_matrix_is_bit_equal_to_green(z2_engine, z2_asymmetric_engine, f2_engine):
+    # A ball holds the identity, every prefix of its elements and, on the
+    # diagonal, the pairs x == y.
+    for eng, radius in ((z2_engine, 4), (z2_asymmetric_engine, 4), (f2_engine, 4)):
+        ball = ball_elements(eng.group, radius)
+        assert np.array_equal(eng.green_matrix(ball, ball), _scalar_block(eng, ball, ball))
+
+
+def test_green_matrix_merges_finite_syllables_bit_for_bit():
+    # (Z x Z/2) * Z/3: middle syllables of x^-1 y merge through the finite table.
+    line_c2 = FactorSpec(rank=1, table=((0, 1), (1, 0)), lattice_names=("a",),
+                         finite_names=("s",))
+    c3 = FactorSpec(rank=0, table=((0, 1, 2), (1, 2, 0), (2, 0, 1)),
+                    lattice_names=(), finite_names=("r", "r2"))
+    g = FreeProductGroup([line_c2, c3])
+    eng = FreeProductEngine(g, StepMeasure.uniform(g).lazy(), radius=10)
+    ball = ball_elements(g, 4)
+    pairs = {(x.syllables[0][1:], y.syllables[0][1:]) for x in ball for y in ball
+             if x.syllables and y.syllables and x.syllables[0][0] == y.syllables[0][0]}
+    assert any(jx != jy and jx and jy for (_, jx), (_, jy) in pairs)
+    assert np.array_equal(eng.green_matrix(ball, ball), _scalar_block(eng, ball, ball))
+    sub = ball[::7]
+    assert np.array_equal(eng.green_matrix(sub, ball), _scalar_block(eng, sub, ball))
+    assert eng.green_matrix([], ball).shape == (0, len(ball))
+
+
+@pytest.mark.parametrize("engine_name", ["z2_engine", "z2_asymmetric_engine", "f2_engine"])
+def test_taboo_green_satisfies_the_first_step_identity(engine_name, request):
+    """For x outside A: G_A(x, y) = d(x, y) + sum_{xs not in A} mu(s) G_A(xs, y)
+    + sum_{xs in A} mu(s) d(xs, y), with y inside and outside A.
+
+    Errors are relative to G(x, y), which bounds G_A(x, y): where A holds a
+    cut vertex between x and y, G_A vanishes up to rounding.
+    """
+    eng = request.getfixturevalue(engine_name)
+    avoid = ball_elements(eng.group, 2)
+    inside = set(avoid)
+    starts = [x for x in ball_elements(eng.group, 3) if x not in inside][::10]
+    targets = ball_elements(eng.group, 3)[::8]
+    assert any(y in inside for y in targets) and any(y not in inside for y in targets)
+    worst = 0.0
+    for x in starts:
+        for y in targets:
+            rhs = 1.0 if x == y else 0.0
+            for s, w in eng.mu.items():
+                xs = x * s
+                if xs in inside:
+                    rhs += w * (1.0 if xs == y else 0.0)
+                else:
+                    rhs += w * eng.taboo_green(xs, y, avoid)
+            lhs = eng.taboo_green(x, y, avoid)
+            worst = max(worst, abs(lhs - rhs) / eng.green(x, y))
+    assert worst < 1e-12
