@@ -113,11 +113,13 @@ def stage_green(ctx: RunContext) -> dict:
     e = group.identity
     eff_radius = min(table_radius, cfg.radius)
     ball = ball_elements(group, eff_radius, cfg.state_cap)
-    rows = [(group.format(x), x.word_length, engine.green(e, x)) for x in ball]
+    table = engine.green_matrix([e], ball)[0].tolist()
+    rows = [(group.format(x), x.word_length, g) for x, g in zip(ball, table)]
     sphere = [x for x in ball if x.word_length == eff_radius]
     inner = ball_elements(group, 2, cfg.state_cap)
-    krows = [(group.format(y), group.format(x), engine.martin_kernel(x, y))
-             for y in sphere for x in inner]
+    kernel = (engine.green_matrix(inner, sphere) / engine.green_matrix([e], sphere)).T.tolist()
+    krows = [(group.format(y), group.format(x), k)
+             for y, column in zip(sphere, kernel) for x, k in zip(inner, column)]
     files = [write_csv(ctx.path("green.csv"), ["x", "word_length", "green"], rows),
              write_csv(ctx.path("martin.csv"), ["y", "x", "martin_kernel"], krows),
              write_json(ctx.path("green.json"), {

@@ -5,8 +5,9 @@ parabolic subgroup P = Z^k x F yields a Z^k-invariant sub-Markov chain on
 Z^k x {fibers}.  The excursions between visits are summed exactly through
 the cut-vertex structure of the free product: an excursion re-enters the
 neighborhood through the block where it left, so its weight factors into
-per-syllable passage probabilities and one absorption solve in the factor
-where the excursion started.
+per-syllable passage probabilities and one first-hit law in the factor
+where the excursion started, read off a box Green row of that factor's
+chain stopped on the states of re-entry.
 """
 from __future__ import annotations
 
@@ -59,13 +60,6 @@ class FiberIndex:
                        else word)
         return tuple(out)
 
-    def position(self, w: GroupElement, f: int) -> int:
-        key = (w.syllables, f)
-        for i, (wi, fi) in enumerate(self.fibers):
-            if (wi.syllables, fi) == key:
-                return i
-        raise KeyError(f"no fiber for ({w!r}, {f})")
-
     def state(self, z, fiber: int) -> GroupElement:
         """Group element of lattice point z in the given fiber."""
         w, f = self.fibers[fiber]
@@ -74,21 +68,6 @@ class FiberIndex:
         if any(zt) or f != 0:
             base = self.group.syllable(self.factor, zt, f)
         return base * w
-
-    def locate(self, g: GroupElement) -> tuple[tuple[int, ...], int] | None:
-        """Inverse of state(); None when g is outside the neighborhood."""
-        spec = self.group.factors[self.factor]
-        sylls = g.syllables
-        if sylls and sylls[0][0] == self.factor:
-            _, z, f = sylls[0]
-            rest = self.group.element(sylls[1:])
-        else:
-            z, f = (0,) * spec.rank, 0
-            rest = g
-        try:
-            return tuple(z), self.position(rest, f)
-        except KeyError:
-            return None
 
 
 def induce_first_return(engine: FreeProductEngine, factor: int, eta: int) -> LatticeChain:
@@ -113,45 +92,56 @@ def induce_first_return(engine: FreeProductEngine, factor: int, eta: int) -> Lat
     fibers = FiberIndex.build(group, factor, eta)
     index = {(w.syllables, f): i for i, (w, f) in enumerate(fibers.fibers)}
     zero = (0,) * spec.rank
-    memo: dict[tuple, dict] = {}
 
-    def first_hit(j_star: int, syl, depth: int) -> dict:
-        key = (j_star, syl[1], syl[2], depth)
-        if key not in memo:
-            memo[key] = absorption_distribution(
-                engine.factor_chain(j_star), syl[1], syl[2], depth, engine.radius)
-        return memo[key]
+    def kernel_entries(first_hit) -> list:
+        """Kernel entries in a fixed order; first_hit(v0, depth) gives an exit's law."""
+        entries = []
+        for k, (w, f) in enumerate(fibers.fibers):
+            for s, wt in engine.mu.items():
+                if s.syllable_count == 0:
+                    entries.append((k, k, zero, wt))
+                    continue
+                sf, sz, sj = s.syllables[0]
+                if w.syllable_count == 0 and sf == factor:
+                    entries.append((k, index[((), spec.finite_mul(f, sj))], tuple(sz), wt))
+                    continue
+                h = w * s
+                if h.word_length <= eta:
+                    entries.append((k, index[(h.syllables, f)], zero, wt))
+                    continue
+                sylls = h.syllables
+                depths = [0]
+                for (ff, zz, jj) in sylls:
+                    depths.append(depths[-1] + group.factors[ff].syllable_length(zz, jj))
+                lstar = max(l for l in range(len(sylls)) if depths[l] <= eta)
+                tail = wt
+                for (ff, zz, jj) in sylls[lstar + 1:]:
+                    tail *= engine.backward_passage(ff, zz, jj)
+                v0 = sylls[lstar]
+                prefix = group.element(sylls[:lstar])
+                for (zv, jv), prob in sorted(first_hit(v0, eta - depths[lstar]).items()):
+                    if any(zv) or jv != 0:
+                        target = prefix * group.syllable(v0[0], zv, jv)
+                    else:
+                        target = prefix
+                    entries.append((k, index[(target.syllables, f)], zero, tail * prob))
+        return entries
 
-    entries = []
-    for k, (w, f) in enumerate(fibers.fibers):
-        for s, wt in engine.mu.items():
-            if s.syllable_count == 0:
-                entries.append((k, k, zero, wt))
-                continue
-            sf, sz, sj = s.syllables[0]
-            if w.syllable_count == 0 and sf == factor:
-                entries.append((k, index[((), spec.finite_mul(f, sj))], tuple(sz), wt))
-                continue
-            h = w * s
-            if h.word_length <= eta:
-                entries.append((k, index[(h.syllables, f)], zero, wt))
-                continue
-            sylls = h.syllables
-            depths = [0]
-            for (ff, zz, jj) in sylls:
-                depths.append(depths[-1] + group.factors[ff].syllable_length(zz, jj))
-            lstar = max(l for l in range(len(sylls)) if depths[l] <= eta)
-            tail = wt
-            for (ff, zz, jj) in sylls[lstar + 1:]:
-                tail *= engine.backward_passage(ff, zz, jj)
-            v0 = sylls[lstar]
-            prefix = group.element(sylls[:lstar])
-            for (zv, jv), prob in sorted(first_hit(v0[0], v0, eta - depths[lstar]).items()):
-                if any(zv) or jv != 0:
-                    target = prefix * group.syllable(v0[0], zv, jv)
-                else:
-                    target = prefix
-                entries.append((k, index[(target.syllables, f)], zero, tail * prob))
+    # A first pass lists the first-hit laws the kernel needs.  They are
+    # solved in box order (factor, depth, start offset), so one stopped box
+    # is alive at a time and each box is factored once.
+    laws: dict[tuple, dict] = {}
+    kernel_entries(lambda v0, depth: laws.setdefault((v0, depth), {}))
+
+    def box_order(key):
+        (j_star, z, _), depth = key
+        return j_star, depth, max(map(abs, z)), key
+
+    boxes: dict = {}
+    for v0, depth in sorted(laws, key=box_order):
+        laws[v0, depth] = absorption_distribution(
+            engine.factor_chain(v0[0]), v0[1], v0[2], depth, engine.radius, boxes=boxes)
+    entries = kernel_entries(lambda v0, depth: laws[v0, depth])
     chain = LatticeChain.build(
         rank=spec.rank, fiber_count=len(fibers), entries=entries,
         fiber_labels=fibers.labels,

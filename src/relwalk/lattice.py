@@ -6,7 +6,9 @@ Green's functions are computed by direct sparse factorization on a box
 [-h, h]^k (shifted by an optional center) with absorption outside, which
 is exactly the walk killed at the first exit from the box.  Truncation
 therefore only ever underestimates, and the error decays geometrically
-in the distance from the query points to the boundary.
+in the distance from the query points to the boundary.  First-hit laws
+on a neighborhood of the origin come from the same solver, on a box
+whose states in that neighborhood take no steps.
 """
 from __future__ import annotations
 
@@ -107,12 +109,19 @@ class LatticeChain:
 class BoxGreen:
     """Green's function of a chain on a finite box with outside absorption.
 
-    Rows G((c + 0, j1) -> (z, j2)) are available for every fiber j1 with
-    the source pinned at the box center c; arbitrary sources follow from
+    Rows G((z_source, j1) -> (z, j2)) are solved from any source state in
+    the box (the center c by default); arbitrary pairs follow from
     translation invariance as long as both points fit in one box.
+
+    With a stop depth d, the states (z, j) with |z|_1 + [j != 0] <= d (z
+    absolute) take no steps.  A stopped state is then visited at most once,
+    so the row from a source outside that set, read at a stopped state, is
+    the probability that the walk first enters the set there; states it
+    cannot enter first stay structurally zero.
     """
 
-    def __init__(self, chain: LatticeChain, half_width: int, center: Sequence[int] | None = None):
+    def __init__(self, chain: LatticeChain, half_width: int, center: Sequence[int] | None = None,
+                 stop_depth: int | None = None):
         self.chain = chain
         self.half_width = int(half_width)
         self.center = tuple(int(c) for c in (center or (0,) * chain.rank))
@@ -124,12 +133,18 @@ class BoxGreen:
         coords = range(-self.half_width, self.half_width + 1)
         self._num_sites = side**k
         num_states = self._num_sites * n
+        self.stopped: dict[tuple[tuple[int, ...], int], int] = {}
         rows, cols, vals = [], [], []
         by_source = chain.by_source()
         offsets = [list(coords) for _ in range(k)]
         for site_id, z in enumerate(itertools.product(*offsets)):
             for j1 in range(n):
                 sid = site_id * n + j1
+                if stop_depth is not None:
+                    z_abs = tuple(a + c for a, c in zip(z, self.center))
+                    if sum(map(abs, z_abs)) + (j1 != 0) <= stop_depth:
+                        self.stopped[(z_abs, j1)] = sid
+                        continue
                 for j2, dz, w in by_source[j1]:
                     z2 = tuple(a + b for a, b in zip(z, dz))
                     if all(abs(c) <= self.half_width for c in z2):
@@ -139,7 +154,7 @@ class BoxGreen:
         q = sp.csr_matrix((vals, (rows, cols)), shape=(num_states, num_states))
         a = sp.identity(num_states, format="csr") - q
         self._lu = spla.splu(a.T.tocsc())
-        self._rows: dict[int, np.ndarray] = {}
+        self._rows: dict[tuple[tuple[int, ...], int], np.ndarray] = {}
 
     def _site_id(self, z: tuple[int, ...]) -> int:
         sid = 0
@@ -155,13 +170,14 @@ class BoxGreen:
                 f"around {self.center}")
         return self._site_id(rel) * self.chain.fiber_count + j
 
-    def row(self, j_source: int) -> np.ndarray:
-        """Green row from the state (center, j_source)."""
-        if j_source not in self._rows:
+    def row(self, j_source: int, z_source: Sequence[int] | None = None) -> np.ndarray:
+        """Green row from the state (z_source, j_source), z_source absolute (default: center)."""
+        key = (self.center if z_source is None else tuple(int(c) for c in z_source), j_source)
+        if key not in self._rows:
             e = np.zeros(self._num_sites * self.chain.fiber_count)
-            e[self._state_id(self.center, j_source)] = 1.0
-            self._rows[j_source] = self._lu.solve(e)
-        return self._rows[j_source]
+            e[self._state_id(*key)] = 1.0
+            self._rows[key] = self._lu.solve(e)
+        return self._rows[key]
 
     def value(self, j_source: int, z_target: Sequence[int], j_target: int) -> float:
         """G((center, j_source) -> (z_target, j_target)), z_target absolute."""
@@ -203,64 +219,27 @@ class ChainGreen:
 
 
 def absorption_distribution(chain: LatticeChain, start_z: Sequence[int],
-                            start_j: int, max_len: int,
-                            radius: int) -> dict[tuple[tuple[int, ...], int], float]:
+                            start_j: int, max_len: int, radius: int, *,
+                            boxes: dict | None = None) -> dict[tuple[tuple[int, ...], int], float]:
     """First-hit distribution on A = {(z,j): |z|_1 + [j != 0] <= max_len}.
 
     The chain starts at (start_z, start_j) outside A and runs until it
     first enters A or dies; mass escaping a box of half-width radius (plus
     the start offset) is treated as dead, consistent with the box Green
-    truncation used elsewhere.
+    truncation used elsewhere.  The law is the Green row from the start in
+    a box stopped on A, read at A.  A dict passed as boxes keeps the box of
+    the last call, so consecutive calls that need the same (chain,
+    half-width, max_len) box share one factorization.
     """
     start = tuple(int(c) for c in start_z)
-    if sum(abs(c) for c in start) + (1 if start_j != 0 else 0) <= max_len:
+    if sum(map(abs, start)) + (start_j != 0) <= max_len:
         raise ValueError("start state already lies in the absorbing set")
-    k = chain.rank
-    half = radius + max(max(abs(c) for c in start), max_len)
-    axes = range(-half, half + 1)
-    n_f = chain.fiber_count
-    states: list[tuple[tuple[int, ...], int]] = []
-    idx: dict[tuple[tuple[int, ...], int], int] = {}
-    for z in itertools.product(axes, repeat=k):
-        for j in range(n_f):
-            idx[(z, j)] = len(states)
-            states.append((z, j))
-
-    def absorbed(z: tuple[int, ...], j: int) -> bool:
-        return sum(abs(c) for c in z) + (1 if j != 0 else 0) <= max_len
-
-    interior: list[int] = []
-    targets: list[int] = []
-    for i, (z, j) in enumerate(states):
-        (targets if absorbed(z, j) else interior).append(i)
-    int_pos = {s: p for p, s in enumerate(interior)}
-    tgt_pos = {s: p for p, s in enumerate(targets)}
-    by_src: dict[int, list[tuple[int, tuple[int, ...], float]]] = {}
-    for (j1, j2, dz, w) in chain.entries:
-        by_src.setdefault(j1, []).append((j2, dz, w))
-    rows_q, cols_q, vals_q = [], [], []
-    rows_r, cols_r, vals_r = [], [], []
-    for p, i in enumerate(interior):
-        z, j = states[i]
-        for (j2, dz, w) in by_src.get(j, []):
-            z2 = tuple(a + b for a, b in zip(z, dz))
-            tgt = idx.get((z2, j2))
-            if tgt is None:
-                continue
-            if tgt in int_pos:
-                rows_q.append(p)
-                cols_q.append(int_pos[tgt])
-                vals_q.append(w)
-            else:
-                rows_r.append(p)
-                cols_r.append(tgt_pos[tgt])
-                vals_r.append(w)
-    n_i = len(interior)
-    Q = sp.csr_matrix((vals_q, (rows_q, cols_q)), shape=(n_i, n_i))
-    R = sp.csr_matrix((vals_r, (rows_r, cols_r)), shape=(n_i, len(targets)))
-    A = sp.identity(n_i, format="csc") - Q.T.tocsc()
-    e = np.zeros(n_i)
-    e[int_pos[idx[(start, start_j)]]] = 1.0
-    x = spla.splu(A).solve(e)
-    h = R.T @ x
-    return {states[t]: float(h[p]) for p, t in enumerate(targets) if h[p] > 0.0}
+    half = radius + max(*map(abs, start), max_len)
+    boxes = {} if boxes is None else boxes
+    key = (chain, half, max_len)
+    if key not in boxes:
+        boxes.clear()  # one box alive at a time
+        boxes[key] = BoxGreen(chain, half, stop_depth=max_len)
+    box = boxes[key]
+    row = box.row(start_j, start)
+    return {s: float(row[i]) for s, i in box.stopped.items() if row[i] > 0.0}

@@ -20,11 +20,18 @@ def test_fiber_enumeration_small_neighborhoods(f2_cfg, z2_cfg):
 
 
 def test_fiber_round_trip_through_group_elements(z2_cfg):
-    fibers = FiberIndex.build(z2_cfg.group, factor=0, eta=2)
-    for k in range(len(fibers)):
+    group = z2_cfg.group
+    fibers = FiberIndex.build(group, factor=0, eta=2)
+    assert fibers.state((0, 0), 0) == group.identity
+    states = {fibers.state(z, k) for z in ((0, 0), (2, -1)) for k in range(len(fibers))}
+    assert len(states) == 2 * len(fibers)
+    for k, (w, f) in enumerate(fibers.fibers):
         g = fibers.state((2, -1), k)
-        assert fibers.locate(g) == ((2, -1), k)
-    assert fibers.locate(z2_cfg.group.word("t^3")) is None
+        assert g == group.syllable(0, (2, -1), f) * w
+        assert g.syllables[1:] == w.syllables
+        assert w.word_length <= 2 and (w.is_identity or w.syllables[0][0] != 0)
+    t_fiber = [k for k, (w, _) in enumerate(fibers.fibers) if w == group.word("t")]
+    assert fibers.state((2, -1), t_fiber[0]) == group.word("a^2*b^-1*t")
 
 
 def test_free_group_induced_chain_is_the_birth_death_oracle(f2a_chain):

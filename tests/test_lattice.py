@@ -67,15 +67,43 @@ def test_box_green_matches_killed_walk_closed_form():
 
 def test_absorption_distribution_matches_first_passage():
     chain = lazy(killed_z(0.25))
-    dist = absorption_distribution(chain, (3,), 0, max_len=0, radius=40)
-    total = sum(dist.values())
-    assert 0.0 < total <= 1.0 + 1e-12
-    assert set(dist) == {((0,), 0)}
     r = 2.0 - math.sqrt(3.0)
-    assert abs(total - r ** 3) < 1e-9
     cg = ChainGreen(chain, radius=50)
-    first_passage = cg.green(0, (-3,), 0) / cg.green_at_origin(0, 0)
-    assert abs(total - first_passage) < 1e-9
+    for max_len in (0, 1):
+        dist = absorption_distribution(chain, (3,), 0, max_len=max_len, radius=40)
+        total = sum(dist.values())
+        assert 0.0 < total <= 1.0 + 1e-12
+        assert set(dist) == {((max_len,), 0)}
+        assert abs(total - r ** (3 - max_len)) < 1e-9
+        first_passage = cg.green(0, (max_len - 3,), 0) / cg.green_at_origin(0, 0)
+        assert abs(total - first_passage) < 1e-9
+
+
+def two_fiber_plane() -> LatticeChain:
+    """Rank-2 chain on two fibers with drift and fiber switches, row masses 0.9 and 0.85."""
+    return LatticeChain.build(2, 2, [
+        (0, 0, (1, 0), 0.25), (0, 0, (-1, 0), 0.15), (0, 0, (0, 1), 0.2),
+        (0, 0, (0, -1), 0.2), (0, 1, (0, 0), 0.1),
+        (1, 1, (1, 1), 0.3), (1, 1, (-1, 0), 0.25), (1, 0, (0, -1), 0.3)])
+
+
+def test_first_hit_law_decomposes_the_green_function():
+    """G(x, a) = sum_b h(x, b) G(b, a) for every a in A, A holding a j != 0 state."""
+    chain = two_fiber_plane()
+    cg = ChainGreen(chain, radius=40)
+    depth = 1
+    members = [((z1, z2), j) for z1 in range(-1, 2) for z2 in range(-1, 2) for j in (0, 1)
+               if abs(z1) + abs(z2) + j <= depth]
+    assert ((0, 0), 1) in members
+    for x in (((3, 1), 0), ((-2, 2), 1), ((0, -3), 1)):
+        h = absorption_distribution(chain, x[0], x[1], max_len=depth, radius=30)
+        assert set(h) <= set(members)
+        assert 0.0 < sum(h.values()) < 1.0
+        for za, ja in members:
+            direct = cg.green(x[1], tuple(a - b for a, b in zip(za, x[0])), ja)
+            through = sum(p * cg.green(jb, tuple(a - b for a, b in zip(za, zb)), ja)
+                          for (zb, jb), p in h.items())
+            assert abs(through - direct) < 1e-9 * direct
 
 
 def test_absorption_start_inside_set_rejected():
