@@ -8,11 +8,11 @@ is exactly the walk killed at the first exit from the box.  Truncation
 therefore only ever underestimates, and the error decays geometrically
 in the distance from the query points to the boundary.  First-hit laws
 on a neighborhood of the origin come from the same solver, on a box
-whose states in that neighborhood take no steps.
+whose states in that neighborhood take no steps.  The box matrix is
+assembled in numpy, one vectorized pass per kernel entry.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -60,7 +60,8 @@ class LatticeChain:
         """Read-only entry arrays: flat fiber index j1*N + j2, displacements, weights."""
         n = self.fiber_count
         flat = np.array([j1 * n + j2 for j1, j2, _, _ in self.entries], dtype=np.intp)
-        dz = np.array([dz for _, _, dz, _ in self.entries], dtype=float).reshape(-1, self.rank)
+        dz = np.array([dz for _, _, dz, _ in self.entries],
+                      dtype=float).reshape(len(self.entries), self.rank)
         w = np.array([w for _, _, _, w in self.entries], dtype=float)
         for arr in (flat, dz, w):
             arr.flags.writeable = False
@@ -77,12 +78,6 @@ class LatticeChain:
     @property
     def is_strictly_submarkov(self) -> bool:
         return any(m < 1 - 1e-12 for m in self.row_masses())
-
-    def by_source(self) -> list[list[tuple[int, tuple[int, ...], float]]]:
-        rows: list[list[tuple[int, tuple[int, ...], float]]] = [[] for _ in range(self.fiber_count)]
-        for j1, j2, dz, w in self.entries:
-            rows[j1].append((j2, dz, w))
-        return rows
 
     def is_strongly_irreducible(self) -> bool:
         """True when some power of the fiber support pattern is positive.
@@ -127,31 +122,35 @@ class BoxGreen:
         self.center = tuple(int(c) for c in (center or (0,) * chain.rank))
         if len(self.center) != chain.rank:
             raise ConfigError("box center has wrong dimension")
-        k, n = chain.rank, chain.fiber_count
-        side = 2 * self.half_width + 1
+        k, n, h = chain.rank, chain.fiber_count, self.half_width
+        side = 2 * h + 1
         self._side = side
-        coords = range(-self.half_width, self.half_width + 1)
         self._num_sites = side**k
         num_states = self._num_sites * n
+        # Sites in row-major order (first coordinate slowest), so that row
+        # i of grid is the site whose _site_id is i.
+        grid = np.indices((side,) * k).reshape(k, self._num_sites).T - h
+        moves = np.ones((self._num_sites, n), dtype=bool)
         self.stopped: dict[tuple[tuple[int, ...], int], int] = {}
-        rows, cols, vals = [], [], []
-        by_source = chain.by_source()
-        offsets = [list(coords) for _ in range(k)]
-        for site_id, z in enumerate(itertools.product(*offsets)):
-            for j1 in range(n):
-                sid = site_id * n + j1
-                if stop_depth is not None:
-                    z_abs = tuple(a + c for a, c in zip(z, self.center))
-                    if sum(map(abs, z_abs)) + (j1 != 0) <= stop_depth:
-                        self.stopped[(z_abs, j1)] = sid
-                        continue
-                for j2, dz, w in by_source[j1]:
-                    z2 = tuple(a + b for a, b in zip(z, dz))
-                    if all(abs(c) <= self.half_width for c in z2):
-                        rows.append(sid)
-                        cols.append(self._site_id(z2) * n + j2)
-                        vals.append(w)
-        q = sp.csr_matrix((vals, (rows, cols)), shape=(num_states, num_states))
+        if stop_depth is not None:
+            z_abs = grid + np.array(self.center, dtype=grid.dtype)
+            depth = np.abs(z_abs).sum(axis=1)[:, None] + (np.arange(n) != 0)
+            moves = depth > stop_depth
+            for sid in np.flatnonzero(~moves).tolist():
+                self.stopped[(tuple(z_abs[sid // n].tolist()), sid % n)] = sid
+        # One pass per kernel entry: every moving source state whose target
+        # stays in the box.  A shift by dz moves a site index by dz . strides.
+        flat, dz, w = chain.entry_arrays
+        strides = side ** np.arange(k - 1, -1, -1)
+        rows, cols, vals = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0)]
+        for f, shift, weight in zip(flat.tolist(), dz.astype(np.intp), w.tolist()):
+            j1, j2 = divmod(f, n)
+            sites = np.flatnonzero(moves[:, j1] & (np.abs(grid + shift) <= h).all(axis=1))
+            rows.append(sites * n + j1)
+            cols.append((sites + int(shift @ strides)) * n + j2)
+            vals.append(np.full(sites.size, weight))
+        q = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                          shape=(num_states, num_states))
         a = sp.identity(num_states, format="csr") - q
         self._lu = spla.splu(a.T.tocsc())
         self._rows: dict[tuple[tuple[int, ...], int], np.ndarray] = {}

@@ -1,11 +1,15 @@
 """Killed lattice chains and their box Green's functions."""
+import itertools
 import math
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from relwalk import LatticeChain
 from relwalk.errors import ConfigError
-from relwalk.lattice import ChainGreen, absorption_distribution
+from relwalk import lattice
+from relwalk.lattice import BoxGreen, ChainGreen, absorption_distribution
 
 
 def killed_z(q: float = 0.2) -> LatticeChain:
@@ -115,3 +119,72 @@ def test_chain_green_translation_consistency():
     cg = ChainGreen(killed_z(0.2), radius=50)
     direct = cg.green(0, (4,), 0)
     assert abs(direct - cg.green(0, (-4,), 0)) < 1e-12
+
+
+def test_entry_arrays_of_a_rank_zero_chain():
+    c = LatticeChain.build(0, 2, [(0, 1, (), 0.5), (1, 0, (), 0.25)])
+    flat, dz, w = c.entry_arrays
+    assert flat.tolist() == [1, 2]
+    assert dz.shape == (2, 0)
+    assert w.tolist() == [0.5, 0.25]
+
+
+def reference_box(chain, half_width, center, stop_depth):
+    """State-by-state assembly of BoxGreen's matrix: its CSC form and stop set."""
+    k, n = chain.rank, chain.fiber_count
+    side = 2 * half_width + 1
+    by_source = [[] for _ in range(n)]
+    for j1, j2, dz, w in chain.entries:
+        by_source[j1].append((j2, dz, w))
+
+    def site_id(z):
+        sid = 0
+        for c in z:
+            sid = sid * side + (c + half_width)
+        return sid
+
+    num_states = side**k * n
+    stopped, rows, cols, vals = {}, [], [], []
+    coords = range(-half_width, half_width + 1)
+    for site, z in enumerate(itertools.product(*[coords] * k)):
+        for j1 in range(n):
+            sid = site * n + j1
+            if stop_depth is not None:
+                z_abs = tuple(a + c for a, c in zip(z, center))
+                if sum(map(abs, z_abs)) + (j1 != 0) <= stop_depth:
+                    stopped[(z_abs, j1)] = sid
+                    continue
+            for j2, dz, w in by_source[j1]:
+                z2 = tuple(a + b for a, b in zip(z, dz))
+                if all(abs(c) <= half_width for c in z2):
+                    rows.append(sid)
+                    cols.append(site_id(z2) * n + j2)
+                    vals.append(w)
+    q = sp.csr_matrix((vals, (rows, cols)), shape=(num_states, num_states))
+    return (sp.identity(num_states, format="csr") - q).T.tocsc(), stopped
+
+
+@pytest.mark.parametrize("chain, half_width, center, stop_depth", [
+    (LatticeChain.build(0, 3, [(0, 1, (), 0.5), (1, 2, (), 0.25), (2, 0, (), 0.2)]), 3, None, None),
+    (LatticeChain.build(0, 2, [(0, 1, (), 0.5), (1, 0, (), 0.25)]), 0, None, 0),
+    (killed_z(0.2), 5, None, None),
+    (LatticeChain.build(1, 2, [(0, 0, (2,), 0.2), (0, 1, (-1,), 0.3), (1, 0, (0,), 0.4),
+                               (1, 1, (-3,), 0.1)]), 6, (4,), 2),
+    (two_fiber_plane(), 4, None, None),
+    (two_fiber_plane(), 5, (-2, 3), 1),
+    (two_fiber_plane(), 3, (1, 0), 0),
+])
+def test_box_assembly_matches_the_state_by_state_loop(monkeypatch, chain, half_width, center,
+                                                     stop_depth):
+    factored = []
+    splu = lattice.spla.splu
+    monkeypatch.setattr(lattice.spla, "splu", lambda a: factored.append(a) or splu(a))
+    box = BoxGreen(chain, half_width, center, stop_depth=stop_depth)
+    ref, stopped = reference_box(chain, half_width, box.center, stop_depth)
+    (got,) = factored
+    assert got.format == "csc" and got.shape == ref.shape
+    assert np.array_equal(got.indptr, ref.indptr)
+    assert np.array_equal(got.indices, ref.indices)
+    assert np.array_equal(got.data, ref.data)
+    assert list(box.stopped.items()) == list(stopped.items())
+    assert ref.nnz > ref.shape[0]  # some step stays in the box

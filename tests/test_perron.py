@@ -109,7 +109,6 @@ def test_assumption_report_for_induced_rank_two_chain(z2_chain_eta2):
     assert rep.submarkov and rep.strongly_irreducible
     assert abs(rep.lambda_min - 0.8869412512011429) < 1e-9
     assert rep.level_set_compact
-    assert all(r < math.inf for r in rep.escape_radii)
 
 
 def test_rank_two_level_points_have_requested_normals(z2_chain_eta2):
@@ -187,6 +186,74 @@ def test_level_set_grid_evaluation_count(z2_chain_eta0, monkeypatch):
     for th in direction_grid(2, 64):
         level_set_point(z2_chain_eta0, th, minimum=mn)
     assert calls[0] < 2000
+
+
+def test_escape_test_makes_one_solve_per_direction(z2_chain_eta2, monkeypatch):
+    module = sys.modules["relwalk.perron"]
+    inner = module.perron
+    calls = [0]
+
+    def counted(chain, u):
+        calls[0] += 1
+        return inner(chain, u)
+
+    monkeypatch.setattr(module, "perron", counted)
+    minimize_lambda(z2_chain_eta2)
+    minimize_calls, calls[0] = calls[0], 0
+    assert check_assumptions(z2_chain_eta2).level_set_compact
+    assert calls[0] <= minimize_calls + 64
+
+
+def random_plane_chain(rng, degenerate: bool, heavy: bool) -> LatticeChain:
+    """Seeded rank-2 chain on 1-3 fibers; every fiber steps to the next.
+
+    degenerate puts every displacement on one line through the origin;
+    heavy scales the row masses above 1.
+    """
+    n = int(rng.integers(1, 4))
+    line = (int(rng.integers(1, 3)), int(rng.integers(-2, 3)))
+
+    def shift():
+        if degenerate:
+            m = int(rng.integers(-2, 3))
+            return (m * line[0], m * line[1])
+        return tuple(int(c) for c in rng.integers(-2, 3, size=2))
+
+    entries = [(j, (j + 1) % n, shift(), float(rng.uniform(0.01, 0.3))) for j in range(n)]
+    entries += [(int(rng.integers(n)), int(rng.integers(n)), shift(),
+                 float(rng.uniform(0.001, 0.3))) for _ in range(int(rng.integers(2, 7)))]
+    mass = max(sum(w for j1, _, _, w in entries if j1 == j) for j in range(n))
+    scale = float(rng.uniform(1.2, 3.0) if heavy else rng.uniform(0.1, 1.0)) / mass
+    return LatticeChain.build(2, n, [(j1, j2, dz, w * scale) for j1, j2, dz, w in entries])
+
+
+def test_escape_test_matches_the_upward_probe_loop(monkeypatch):
+    """Per-direction escapes equal an upward walk over t = 0.5, 1, ..., 16."""
+    module = sys.modules["relwalk.perron"]
+    # The escape test does not use the minimizer, whose Hessian is singular
+    # on a degenerate displacement span; a stub keeps the report going.
+    monkeypatch.setattr(module, "minimize_lambda", lambda c: perron(c, (0.0, 0.0)))
+    rng = np.random.default_rng(20171130)
+    counts = [0, 0]
+    for i in range(36):
+        chain = random_plane_chain(rng, degenerate=i % 3 == 1, heavy=i % 3 == 2)
+        expected = []
+        for d in direction_grid(2, 64):
+            t = 0.5
+            while t <= 20.0:
+                try:
+                    if perron(chain, t * d).value >= 2.0:
+                        break
+                except OverflowError:
+                    break
+                t *= 2.0
+            if t > 20.0:
+                expected.append(f"lambda stayed below 2.0 along direction {tuple(d)}")
+            counts[t > 20.0] += 1
+        rep = check_assumptions(chain)
+        assert [m for m in rep.messages if m.startswith("lambda stayed")] == expected
+        assert rep.level_set_compact == (not expected)
+    assert min(counts) > 100  # both outcomes are well represented
 
 
 def test_limit_kernel_ratio_formula():
