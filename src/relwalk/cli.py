@@ -34,7 +34,7 @@ from .reports import svg_heatmap, svg_line_plot, write_csv, write_json
 _SAME_GREEN_TOL = 1e-6  # induce: induced-chain Green against the walk Green
 _ANGULAR_TOL = 1e-8  # boundary-map: level-set normal against the direction
 _TRANSITIONS = TransitionParams(epsilon=1, window=4)  # floyd and ancona
-_FLOYD_RADIUS = 6  # floyd: word length up to which Floyd distances are computed
+_FLOYD_RADIUS = 6  # floyd: longer path points get a blank floyd.csv cell
 _ANCONA_RMAX, _ANCONA_MONOTONE_SLACK = 4, 1e-9  # ancona: forbidden radii 0..RMAX
 _MARTIN_TEST_RADIUS = 2  # martin-seq: radius of the kernel test points
 _LAMBDA_HALFWIDTH = 2.5  # lambda-surface: grid half-width around u_min
@@ -153,7 +153,7 @@ def stage_floyd(ctx: RunContext) -> dict:
         transitions = set(transition_points(path, _TRANSITIONS, cfg.parabolic))
         for i, p in enumerate(path):
             reach = p.word_length <= _FLOYD_RADIUS
-            dist = floyd_distance(f, e, e, p, _FLOYD_RADIUS) if reach else ""
+            dist = floyd_distance(f, p) if reach else ""
             rows.append((seq.name, i, group.format(p), p.word_length,
                          1 if i in transitions else 0, dist))
         summary[seq.name] = {

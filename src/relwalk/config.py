@@ -69,6 +69,11 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: not a bool, a float or a numeric string."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_object(obj, allowed: frozenset, where: str) -> None:
     """Require a JSON object whose keys all lie in allowed."""
     _require(isinstance(obj, dict), f"{where} must be an object")
@@ -79,14 +84,15 @@ def _check_object(obj, allowed: frozenset, where: str) -> None:
 def _parse_factor(obj: dict, i: int) -> FactorSpec:
     _check_object(obj, _FACTOR_KEYS, f"factor {i}")
     rank = obj.get("rank", 0)
-    _require(isinstance(rank, int) and rank >= 0, f"factor {i}: rank must be an integer >= 0")
+    _require(_is_int(rank) and rank >= 0, f"factor {i}: rank must be an integer >= 0")
     table = obj.get("table", [[0]])
-    _require(isinstance(table, list) and all(isinstance(r, list) for r in table),
-             f"factor {i}: table must be a list of rows")
+    _require(isinstance(table, list)
+             and all(isinstance(r, list) and all(map(_is_int, r)) for r in table),
+             f"factor {i}: table must be a list of integer rows")
     lattice_names = obj.get("lattice_names", [])
     finite_names = obj.get("finite_names", [])
     return FactorSpec(rank=rank,
-                      table=tuple(tuple(int(c) for c in row) for row in table),
+                      table=tuple(tuple(row) for row in table),
                       lattice_names=tuple(str(s) for s in lattice_names),
                       finite_names=tuple(str(s) for s in finite_names))
 
@@ -117,20 +123,22 @@ def _parse_chain(obj: dict) -> LatticeChain:
     rank = obj.get("rank")
     fibers = obj.get("fibers", 1)
     entries_raw = obj.get("entries")
-    _require(isinstance(rank, int) and 1 <= rank <= MAX_LATTICE_RANK,
+    _require(_is_int(rank) and 1 <= rank <= MAX_LATTICE_RANK,
              f"chain.rank must be an integer in 1..{MAX_LATTICE_RANK}")
-    _require(isinstance(fibers, int) and fibers >= 1, "chain.fibers must be an integer >= 1")
+    _require(_is_int(fibers) and fibers >= 1, "chain.fibers must be an integer >= 1")
     _require(isinstance(entries_raw, list) and entries_raw, "chain.entries must be a nonempty list")
     entries = []
     for row in entries_raw:
         _require(isinstance(row, list) and len(row) == 4,
                  "each chain entry is [j1, j2, [dz...], weight]")
         j1, j2, dz, w = row
+        _require(_is_int(j1) and _is_int(j2) and isinstance(dz, list) and all(map(_is_int, dz)),
+                 "chain entry fibers and displacements must be integers")
         try:
             weight = float(Fraction(str(w)))
         except (ValueError, ZeroDivisionError):
             raise ConfigError(f"bad chain weight {w!r}")
-        entries.append((int(j1), int(j2), tuple(int(c) for c in dz), weight))
+        entries.append((j1, j2, tuple(dz), weight))
     labels = tuple(str(s) for s in obj.get("labels", []))
     return LatticeChain.build(rank, fibers, entries, labels, provenance="config")
 
@@ -142,11 +150,13 @@ def _parse_sequences(items, group: FreeProductGroup | None) -> tuple[SequenceSpe
         templates = obj.get("templates")
         _require(isinstance(templates, list) and templates,
                  f"sequence {i}: templates must be a nonempty list")
+        start, stop = obj.get("start", 1), obj.get("stop", 12)
+        _require(_is_int(start) and _is_int(stop), f"sequence {i}: start and stop must be integers")
         spec = SequenceSpec(
             name=str(obj.get("name", f"seq{i}")),
             templates=tuple(str(t) for t in templates),
-            start=int(obj.get("start", 1)),
-            stop=int(obj.get("stop", 12)),
+            start=start,
+            stop=stop,
             mode=str(obj.get("mode", "alternate" if len(templates) > 1 else "single")))
         if group is not None:
             spec.element(group, spec.start)
@@ -186,7 +196,7 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"bad group, measure or chain: {exc}")
 
     parabolic = raw.get("parabolic", [])
-    _require(isinstance(parabolic, list) and all(isinstance(i, int) for i in parabolic),
+    _require(isinstance(parabolic, list) and all(map(_is_int, parabolic)),
              "parabolic must be a list of factor indices")
     if group is not None:
         for i in parabolic:
@@ -200,21 +210,21 @@ def load_config(path: str) -> ExperimentConfig:
         _require(not parabolic, "synthetic chain configs take no parabolic list")
 
     radius = raw.get("radius", 10)
-    _require(isinstance(radius, int) and radius >= 1, "radius must be an integer >= 1")
+    _require(_is_int(radius) and radius >= 1, "radius must be an integer >= 1")
     floyd_ratio = raw.get("floyd_ratio", 0.5)
     _require(isinstance(floyd_ratio, (int, float)) and 0.0 < floyd_ratio < 1.0,
              "floyd_ratio must lie in (0,1)")
     eta_list = raw.get("eta_list", [0])
-    _require(isinstance(eta_list, list) and all(isinstance(h, int) and h >= 0 for h in eta_list),
+    _require(isinstance(eta_list, list) and all(_is_int(h) and h >= 0 for h in eta_list),
              "eta_list must be a list of integers >= 0")
     for h in eta_list:
         _require(3 * h <= radius, f"eta {h} needs radius >= {3 * h}")
     theta_grid = raw.get("theta_grid", 16)
-    _require(isinstance(theta_grid, int) and theta_grid >= 1, "theta_grid must be an integer >= 1")
+    _require(_is_int(theta_grid) and theta_grid >= 1, "theta_grid must be an integer >= 1")
     state_cap = raw.get("state_cap", DEFAULT_STATE_CAP)
-    _require(isinstance(state_cap, int) and state_cap >= 1, "state_cap must be a positive integer")
+    _require(_is_int(state_cap) and state_cap >= 1, "state_cap must be a positive integer")
     seed = raw.get("seed", 0)
-    _require(isinstance(seed, int), "seed must be an integer")
+    _require(_is_int(seed), "seed must be an integer")
 
     try:
         sequences = _parse_sequences(raw.get("sequences", []), group)
@@ -226,7 +236,7 @@ def load_config(path: str) -> ExperimentConfig:
     _require(isinstance(extra, dict), "tolerances must be an object")
     for key, value in extra.items():
         _require(key in DEFAULT_TOLERANCES, f"unknown tolerances key {key!r}")
-        _require(isinstance(value, int) and not isinstance(value, bool) and value >= 1,
+        _require(_is_int(value) and value >= 1,
                  f"tolerances.{key} must be an integer >= 1")
     tolerances.update(extra)
 

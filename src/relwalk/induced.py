@@ -135,7 +135,7 @@ def induce_first_return(engine: FreeProductEngine, factor: int, eta: int) -> Lat
 
     def box_order(key):
         (j_star, z, _), depth = key
-        return j_star, depth, max(map(abs, z)), key
+        return j_star, depth, max(map(abs, z), default=0), key
 
     boxes: dict = {}
     for v0, depth in sorted(laws, key=box_order):

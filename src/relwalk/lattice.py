@@ -233,7 +233,7 @@ def absorption_distribution(chain: LatticeChain, start_z: Sequence[int],
     start = tuple(int(c) for c in start_z)
     if sum(map(abs, start)) + (start_j != 0) <= max_len:
         raise ValueError("start state already lies in the absorbing set")
-    half = radius + max(*map(abs, start), max_len)
+    half = radius + max([max_len, *map(abs, start)])
     boxes = {} if boxes is None else boxes
     key = (chain, half, max_len)
     if key not in boxes:

@@ -74,17 +74,6 @@ class StepMeasure:
         return self._entries.get(self.group.identity, 0.0)
 
     @property
-    def is_probability(self) -> bool:
-        return abs(self.total_mass - 1.0) < 1e-9
-
-    @property
-    def is_symmetric(self) -> bool:
-        return all(
-            abs(w - self._entries.get(g.inverse(), 0.0)) < 1e-12
-            for g, w in self._entries.items()
-        )
-
-    @property
     def has_syllable_support(self) -> bool:
         """True when every support element is the identity or one syllable.
 

@@ -39,7 +39,7 @@ def test_config_defaults_applied(tmp_path):
     assert cfg.floyd_ratio == 0.5
     assert cfg.eta_list == (0,)
     assert cfg.name == "min"
-    assert cfg.measure is not None and cfg.measure.is_probability
+    assert cfg.measure is not None and abs(cfg.measure.total_mass - 1.0) < 1e-15
 
 
 def make_bad(tmp_path, payload):
@@ -86,6 +86,31 @@ def test_config_validation_failures(tmp_path):
         {"chain": {"rank": 1, "fibers": 1, "fiber": 2,
                    "entries": [[0, 0, [1], 0.2], [0, 0, [-1], 0.2]]}},
         {"group": base_group, "sequences": [{"templates": ["a^n"], "stat": 1}]},
+        {"group": base_group, "parabolic": [False]},
+        {"group": base_group, "radius": True},
+        {"chain": {"rank": 1, "entries": [[0, 0, [1], 0.2]]}, "radius": True},
+        {"group": {"factors": [{"rank": True, "lattice_names": ["a"]},
+                               {"rank": 1, "lattice_names": ["b"]}]}},
+        {"chain": {"rank": True, "entries": [[0, 0, [1], 0.2]]}},
+        {"chain": {"rank": 1, "fibers": True, "entries": [[0, 0, [1], 0.2]]}},
+        {"group": base_group, "eta_list": [False]},
+        {"group": base_group, "theta_grid": True},
+        {"group": base_group, "state_cap": True},
+        {"group": base_group, "seed": False},
+        {"group": base_group, "sequences": [{"templates": ["a^n"], "start": "3"}]},
+        {"group": base_group, "sequences": [{"templates": ["a^n"], "stop": 2.7}]},
+        {"group": base_group, "sequences": [{"templates": ["a^n"], "start": True}]},
+        {"chain": {"rank": 1, "entries": [["0", 0, [1], 0.2]]}},
+        {"chain": {"rank": 1, "entries": [[0, 0.0, [1], 0.2]]}},
+        {"chain": {"rank": 1, "entries": [[0, 0, [2.7], 0.2]]}},
+        {"chain": {"rank": 1, "entries": [[0, 0, ["1"], 0.2]]}},
+        {"chain": {"rank": 1, "entries": [[0, 0, [True], 0.2]]}},
+        {"group": {"factors": [{"rank": 1, "lattice_names": ["a"]},
+                               {"table": [[0, "1"], [1, 0]], "finite_names": ["t"]}]}},
+        {"group": {"factors": [{"rank": 1, "lattice_names": ["a"]},
+                               {"table": [[0, 1.0], [1, 0]], "finite_names": ["t"]}]}},
+        {"group": {"factors": [{"rank": 1, "lattice_names": ["a"]},
+                               {"table": [[0, True], [True, 0]], "finite_names": ["t"]}]}},
     ]
     for payload in cases:
         with pytest.raises(ConfigError):

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from relwalk import (FiberIndex, induce_first_return, minimize_lambda,
+from relwalk import (FactorSpec, FiberIndex, FreeProductEngine, FreeProductGroup,
+                     StepMeasure, induce_first_return, minimize_lambda,
                      verify_same_green)
 from relwalk.perron import level_set_point
 
@@ -79,3 +80,16 @@ def test_induced_chain_is_symmetric_under_z_negation(z2_chain_eta0):
     for dz, w in probs.items():
         neg = tuple(-c for c in dz)
         assert abs(w - probs[neg]) < 1e-12
+
+
+@pytest.mark.parametrize("eta", [0, 1, 2])
+def test_excursions_through_a_finite_factor(eta):
+    # Z^2 * Z/3: excursions leave the parabolic Z^2 through the rank-0 factor.
+    group = FreeProductGroup([
+        FactorSpec(2, ((0,),), ("a", "b"), ()),
+        FactorSpec(0, ((0, 1, 2), (1, 2, 0), (2, 0, 1)), (), ("t", "u"))])
+    engine = FreeProductEngine(group, StepMeasure.uniform(group).lazy(), radius=6)
+    chain = induce_first_return(engine, factor=0, eta=eta)
+    fibers = FiberIndex.build(group, factor=0, eta=eta)
+    assert chain.fiber_count == len(fibers)
+    assert verify_same_green(chain, engine, fibers) < 1e-6

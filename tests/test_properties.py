@@ -1,4 +1,7 @@
 """Randomized structural invariants checked with hypothesis."""
+import functools
+import heapq
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from relwalk import (FloydFunction, FreeProductEngine, TransitionParams,
                      floyd_distance, induce_first_return, load_config,
                      transition_points, word_geodesic)
-from relwalk.groups import Coset, coset_distance, project_to_coset
+from relwalk.groups import (Coset, FactorSpec, FreeProductGroup, coset_distance,
+                            project_to_coset)
 from relwalk.perron import perron
 
 from conftest import config_path
@@ -102,25 +106,50 @@ def test_geodesics_realize_the_word_metric(tx, ty):
         assert (p.inverse() * q).word_length == 1
 
 
+# Groups for the Floyd check, each with the radius of its reference ball:
+# the free group, the shipped Z^2 * Z and (Z x Z/2) * Z/3 * Z^2.
+FLOYD_GROUPS = (
+    (F2_CFG.group, 6),
+    (Z2_CFG.group, 5),
+    (FreeProductGroup([
+        FactorSpec(1, ((0, 1), (1, 0)), ("a",), ("s",)),
+        FactorSpec(0, ((0, 1, 2), (1, 2, 0), (2, 0, 1)), (), ("t", "u")),
+        FactorSpec(2, ((0,),), ("b", "c"), ())]), 4),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def ball_floyd_distances(group, radius, ratio):
+    """Reference: Dijkstra from e over the radius ball, edge {g, h} weighing f(min(|g|, |h|))."""
+    f = FloydFunction(ratio)
+    gens = [s for _, s in group.generators()]
+    dist = {group.identity: 0.0}
+    order = itertools.count()
+    heap = [(0.0, next(order), group.identity)]
+    while heap:
+        d, _, g = heapq.heappop(heap)
+        if d > dist[g]:
+            continue
+        for s in gens:
+            h = g * s
+            if h.word_length > radius:
+                continue
+            nd = d + f(min(g.word_length, h.word_length))
+            if nd < dist.get(h, math.inf) - 1e-18:
+                dist[h] = nd
+                heapq.heappush(heap, (nd, next(order), h))
+    return dist
+
+
 @COMMON
-@given(st.lists(st.tuples(st.integers(0, 2), st.integers(-2, 2)),
-                min_size=0, max_size=3),
-       st.lists(st.tuples(st.integers(0, 2), st.integers(-2, 2)),
-                min_size=0, max_size=3),
-       st.lists(st.tuples(st.integers(0, 2), st.integers(-2, 2)),
-                min_size=0, max_size=3))
-def test_floyd_distance_is_a_metric_on_small_balls(tx, ty, tz):
-    g = F2_CFG.group
-    f = FloydFunction(0.5)
-    x, y, z = (build_word(g, t) for t in (tx, ty, tz))
-    radius = 7
-    dxy = floyd_distance(f, g.identity, x, y, radius)
-    dyx = floyd_distance(f, g.identity, y, x, radius)
-    assert abs(dxy - dyx) < 1e-12
-    assert (dxy == 0.0) == (x == y)
-    dxz = floyd_distance(f, g.identity, x, z, radius)
-    dzy = floyd_distance(f, g.identity, z, y, radius)
-    assert dxy <= dxz + dzy + 1e-12
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(-3, 3)), min_size=0, max_size=4))
+def test_floyd_distance_matches_a_ball_dijkstra(tokens):
+    for group, radius in FLOYD_GROUPS:
+        z = build_word(group, tokens)
+        z = word_geodesic(group.identity, z)[min(z.word_length, radius)]
+        for ratio in (0.1, 0.5, 0.9):
+            expected = ball_floyd_distances(group, radius, ratio)[z]
+            assert floyd_distance(FloydFunction(ratio), z) == expected
 
 
 Z2_ENGINE = FreeProductEngine(Z2_CFG.group, Z2_CFG.measure, radius=12)
