@@ -7,7 +7,7 @@ whose unit level set parametrizes directional boundary points, and
 classifies escaping sequences through Floyd and coned-off geometry.
 """
 from .balls import ball_elements
-from .classify import (Classification, SequenceSpec, ancona_ratio, classify,
+from .classify import (Classification, SequenceSpec, ancona_ratio,
                        martin_convergence, representative_invariance,
                        separation_experiment)
 from .config import ExperimentConfig, load_config
@@ -19,13 +19,13 @@ from .floyd import (FloydFunction, TransitionParams, coned_off_distance,
                     floyd_distance, gromov_product_coned, transition_points,
                     word_geodesic)
 from .groups import (Coset, FactorSpec, FreeProductGroup, GroupElement,
-                     coset_distance, coset_lattice_part, project_to_coset)
+                     coset_lattice_part, project_to_coset)
 from .induced import FiberIndex, induce_first_return, verify_same_green
 from .lattice import BoxGreen, ChainGreen, LatticeChain, absorption_distribution
 from .measures import StepMeasure
 from .perron import (AssumptionReport, BoundaryPointU, PerronData,
                      check_assumptions, level_set_point,
-                     limit_kernel_ratio, minimize_lambda, perron)
+                     limit_kernel_ratio, minimize_lambda)
 
 __all__ = [
     "AssumptionError", "AssumptionReport", "BoundaryPointU",
@@ -36,11 +36,10 @@ __all__ = [
     "ParseError", "PerronData", "RelwalkError", "SequenceSpec",
     "StateCapError", "StepMeasure", "TransitionParams",
     "absorption_distribution", "ancona_ratio", "ball_elements",
-    "check_assumptions", "classify", "coned_off_distance", "coset_distance",
-    "coset_lattice_part", "floyd_distance", "gromov_product_coned",
-    "induce_first_return", "level_set_point", "limit_kernel_ratio",
-    "load_config", "martin_convergence", "minimize_lambda", "perron",
-    "project_to_coset", "representative_invariance", "separation_experiment",
-    "transition_points", "verify_same_green",
-    "word_geodesic",
+    "check_assumptions", "coned_off_distance", "coset_lattice_part",
+    "floyd_distance", "gromov_product_coned", "induce_first_return",
+    "level_set_point", "limit_kernel_ratio", "load_config",
+    "martin_convergence", "minimize_lambda", "project_to_coset",
+    "representative_invariance", "separation_experiment",
+    "transition_points", "verify_same_green", "word_geodesic",
 ]

@@ -149,8 +149,7 @@ def _lattice_track(coset: Coset, elements: Sequence[GroupElement],
         shift = z
     out = []
     for g in elements:
-        _, pi = project_to_coset(g, coset)
-        z = coset_lattice_part(coset, pi)
+        z = coset_lattice_part(coset, project_to_coset(g, coset))
         out.append(tuple(a - b for a, b in zip(z, shift)))
     return out
 
@@ -209,13 +208,9 @@ def classify(group: FreeProductGroup,
         if not dirs:
             continue
         gap = max(float(np.linalg.norm(d - dirs[-1])) for d in dirs)
-        evidence.setdefault("parabolic_candidates", []).append(
-            {"coset": group.format(coset.rep) if coset.rep.syllable_count else "e",
-             "factor": coset.factor, "norms": norms, "direction_gap": gap})
         if gap < _DIRECTION_TOL:
             theta = tuple(float(c) for c in dirs[-1])
             evidence["projection_norms"] = norms
-            evidence["direction"] = theta
             return Classification(tag=PARABOLIC, coset=coset, direction=theta,
                                   evidence=evidence)
 
@@ -223,7 +218,6 @@ def classify(group: FreeProductGroup,
                 for a, b in zip(elements, elements[1:])]
     coned = [coned_off_distance(group.identity, g, parabolic) for g in elements]
     evidence["coned_gromov_products"] = products
-    evidence["coned_lengths"] = coned
     tail = products[max(0, half - 1):]
     growing = all(b >= a - 1e-9 for a, b in zip(tail, tail[1:]))
     if growing and min(tail) > _CONED_THRESHOLD and coned[-1] > coned[half - 1]:

@@ -506,9 +506,6 @@ def _run_stage(ctx: RunContext, name: str) -> tuple[int, dict]:
 
 
 def _run_all(ctx: RunContext) -> int:
-    if not ctx.cfg.is_synthetic:
-        ctx.engine()
-        ctx.chains()
     code = 0
     manifest = {}
     for name in STAGES:

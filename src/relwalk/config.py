@@ -139,8 +139,9 @@ def _parse_chain(obj: dict) -> LatticeChain:
         except (ValueError, ZeroDivisionError):
             raise ConfigError(f"bad chain weight {w!r}")
         entries.append((j1, j2, tuple(dz), weight))
-    labels = tuple(str(s) for s in obj.get("labels", []))
-    return LatticeChain.build(rank, fibers, entries, labels, provenance="config")
+    # Fiber labels are accepted for the reader of a config; nothing uses them.
+    _require(isinstance(obj.get("labels", []), list), "chain.labels must be a list")
+    return LatticeChain.build(rank, fibers, entries)
 
 
 def _parse_sequences(items, group: FreeProductGroup | None) -> tuple[SequenceSpec, ...]:

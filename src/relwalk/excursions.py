@@ -67,7 +67,6 @@ class FreeProductEngine:
         ]
         self.green_identity_value = self._gee_per_factor[0]
         self._fwd_cache: dict[Syllable, float] = {}
-        self._bwd_cache: dict[Syllable, float] = {}
         self._taboo_cache: dict[tuple, "TabooContext"] = {}
         # Syllable ids for batched blocks; id 0 pads short words.
         self._syllable_id: dict[Syllable, int] = {}
@@ -88,9 +87,7 @@ class FreeProductEngine:
                 entries.append((j1, spec.finite_mul(j1, j), z, w))
             if loop > 0:
                 entries.append((j1, j1, zero, loop))
-        return LatticeChain.build(
-            spec.rank, spec.finite_order, entries, provenance=f"factor[{i}]"
-        )
+        return LatticeChain.build(spec.rank, spec.finite_order, entries)
 
     def _fixed_point(self):
         """Iterate the per-factor return masses to their least fixed point.
@@ -153,16 +150,6 @@ class FreeProductEngine:
             cg = self._greens[fac]
             self._fwd_cache[key] = cg.green(0, z, j) / self._gee_per_factor[fac]
         return self._fwd_cache[key]
-
-    def backward_passage(self, fac: int, z: tuple[int, ...], j: int) -> float:
-        """F(s -> e) for the syllable s = (fac, z, j)."""
-        key = (fac, z, j)
-        if key not in self._bwd_cache:
-            spec = self.group.factors[fac]
-            cg = self._greens[fac]
-            val = cg.green(0, tuple(-c for c in z), spec.finite_inv(j))
-            self._bwd_cache[key] = val / self._gee_per_factor[fac]
-        return self._bwd_cache[key]
 
     def green_from_identity(self, g: GroupElement) -> float:
         val = self.green_identity_value

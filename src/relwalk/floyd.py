@@ -1,7 +1,9 @@
 """Floyd distances, word geodesics, transition points, and the coned-off graph.
 
 Floyd distances are taken from the identity, where they are a closed form
-in the word length (see floyd_distance); no graph search is needed.
+in the word length (see floyd_distance), and transition points of a word
+geodesic are read off the syllables of its normal form (see
+transition_points); no graph search or ball enumeration is needed.
 """
 from __future__ import annotations
 
@@ -9,8 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .balls import ball_elements
-from .groups import Coset, GroupElement, coset_distance
+from .groups import GroupElement
 
 
 @dataclass(frozen=True)
@@ -84,39 +85,42 @@ def word_geodesic(x: GroupElement, z: GroupElement) -> list[GroupElement]:
     return path
 
 
-def _candidate_cosets(path: Sequence[GroupElement], epsilon: int,
-                      parabolic: Iterable[int]) -> list[Coset]:
-    group = path[0].group
-    shifts = ball_elements(group, epsilon)
-    seen = {}
-    for p in path:
-        for h in shifts:
-            q = p * h
-            for fac in parabolic:
-                c = Coset.of(q, fac)
-                seen.setdefault(c.sort_key(), c)
-    return [seen[k] for k in sorted(seen)]
-
-
 def transition_points(path: Sequence[GroupElement], params: TransitionParams,
                       parabolic: Iterable[int]) -> list[int]:
     """Indices whose surrounding window sits in no coset's epsilon-hull.
 
     A point is deep when some parabolic coset's epsilon-neighborhood
     contains the whole window around it (the window is truncated at the
-    path's ends); all other points are transition points.
+    path's ends); all other points are transition points.  The path must
+    be a word geodesic, and the answer is read off the normal form of
+    path[0]^-1 path[-1]: the Cayley graph is tree-graded over the factor
+    cosets, so the geodesic runs through the coset of its t-th syllable
+    exactly on the indices [a_t, b_t] that syllable spans, and is
+    max(0, a_t - i, i - b_t) away from it at index i.  Every other coset
+    meets the path in at most one point, onto which the whole path
+    projects, so its epsilon-neighborhood holds at most 2*epsilon + 1
+    consecutive path points; conversely, such a short window lies within
+    epsilon of the parabolic coset through its middle point.
     """
-    parabolic = tuple(parabolic)
-    n = len(path)
+    parabolic = set(parabolic)
+    n = len(path) - 1
+    w = path[0].inverse() * path[-1]
+    if w.word_length != n:
+        raise ValueError("transition points need a word geodesic path")
     if not parabolic:
-        return list(range(n))
-    cosets = _candidate_cosets(path, params.epsilon, parabolic)
-    dists = [[coset_distance(p, c) for p in path] for c in cosets]
+        return list(range(n + 1))
+    eps, width = params.epsilon, params.window
+    hulls = []
+    a = 0
+    for fac, z, j in w.syllables:
+        b = a + w.group.factors[fac].syllable_length(z, j)
+        if fac in parabolic:
+            hulls.append((a - eps, b + eps))
+        a = b
     out = []
-    for i in range(n):
-        lo = max(0, i - params.window)
-        hi = min(n, i + params.window + 1)
-        deep = any(max(row[lo:hi]) <= params.epsilon for row in dists)
+    for i in range(n + 1):
+        lo, hi = max(0, i - width), min(n, i + width)
+        deep = hi - lo <= 2 * eps or any(s <= lo and hi <= t for s, t in hulls)
         if not deep:
             out.append(i)
     return out

@@ -338,29 +338,20 @@ class Coset:
         return f"Coset({self.group.format(self.rep)}*F{self.factor})"
 
 
-def project_to_coset(g: GroupElement, c: Coset) -> tuple[set[GroupElement], GroupElement]:
+def project_to_coset(g: GroupElement, c: Coset) -> GroupElement:
     """Closest-point projection of g onto the coset, exact via normal forms.
 
     Writing y = rep^-1 * g, the distance from g to any coset member
     rep*p is l(p^-1) + |y| unless p cancels the leading syllable of y,
     so the projection is rep itself except when y starts with a syllable
     of the coset's factor, in which case that syllable is absorbed.  The
-    projection set is a singleton here; it is returned as a set because
-    coarser models can have ties.
+    projection is unique.
     """
     y = c.rep.inverse() * g
     if y.syllables and y.syllables[0][0] == c.factor:
         fac, z, j = y.syllables[0]
-        pi = c.rep * g.group.syllable(fac, z, j)
-    else:
-        pi = c.rep
-    return {pi}, pi
-
-
-def coset_distance(g: GroupElement, c: Coset) -> int:
-    """Word distance from g to the coset."""
-    _, pi = project_to_coset(g, c)
-    return (pi.inverse() * g).word_length
+        return c.rep * g.group.syllable(fac, z, j)
+    return c.rep
 
 
 def coset_lattice_part(c: Coset, member: GroupElement) -> tuple[int, ...]:

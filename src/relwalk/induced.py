@@ -51,15 +51,6 @@ class FiberIndex:
     def __len__(self) -> int:
         return len(self.fibers)
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        out = []
-        for (w, f) in self.fibers:
-            word = self.group.format(w) if w.syllable_count else "e"
-            out.append(f"{word}|{f}" if len(self.group.factors[self.factor].table) > 1
-                       else word)
-        return tuple(out)
-
     def state(self, z, fiber: int) -> GroupElement:
         """Group element of lattice point z in the given fiber."""
         w, f = self.fibers[fiber]
@@ -115,8 +106,9 @@ def induce_first_return(engine: FreeProductEngine, factor: int, eta: int) -> Lat
                     depths.append(depths[-1] + group.factors[ff].syllable_length(zz, jj))
                 lstar = max(l for l in range(len(sylls)) if depths[l] <= eta)
                 tail = wt
-                for (ff, zz, jj) in sylls[lstar + 1:]:
-                    tail *= engine.backward_passage(ff, zz, jj)
+                for syl in sylls[lstar + 1:]:
+                    # F(s -> e) = F(e -> s^-1)
+                    tail *= engine.forward_passage(*group.inverse_syllable(syl))
                 v0 = sylls[lstar]
                 prefix = group.element(sylls[:lstar])
                 for (zv, jv), prob in sorted(first_hit(v0, eta - depths[lstar]).items()):
@@ -142,10 +134,7 @@ def induce_first_return(engine: FreeProductEngine, factor: int, eta: int) -> Lat
         laws[v0, depth] = absorption_distribution(
             engine.factor_chain(v0[0]), v0[1], v0[2], depth, engine.radius, boxes=boxes)
     entries = kernel_entries(lambda v0, depth: laws[v0, depth])
-    chain = LatticeChain.build(
-        rank=spec.rank, fiber_count=len(fibers), entries=entries,
-        fiber_labels=fibers.labels,
-        provenance=f"induced(factor={factor}, eta={eta}, box_radius={engine.radius})")
+    chain = LatticeChain.build(rank=spec.rank, fiber_count=len(fibers), entries=entries)
     if not chain.is_strictly_submarkov:
         raise AssumptionError(
             "induced chain is not strictly sub-Markov; no mass escapes the "

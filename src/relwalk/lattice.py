@@ -31,8 +31,6 @@ class LatticeChain:
     rank: int
     fiber_count: int
     entries: tuple[tuple[int, int, tuple[int, ...], float], ...]
-    fiber_labels: tuple[str, ...] = ()
-    provenance: str = "synthetic"
 
     def __post_init__(self):
         for j1, j2, dz, w in self.entries:
@@ -44,7 +42,7 @@ class LatticeChain:
                 raise ConfigError("negative kernel weight")
 
     @staticmethod
-    def build(rank, fiber_count, entries, fiber_labels=(), provenance="synthetic"):
+    def build(rank, fiber_count, entries):
         """Normalize entry order and merge duplicates before freezing."""
         acc: dict[tuple[int, int, tuple[int, ...]], float] = {}
         for j1, j2, dz, w in entries:
@@ -53,7 +51,7 @@ class LatticeChain:
         merged = tuple(
             (j1, j2, dz, w) for (j1, j2, dz), w in sorted(acc.items()) if w != 0.0
         )
-        return LatticeChain(rank, fiber_count, merged, tuple(fiber_labels), provenance)
+        return LatticeChain(rank, fiber_count, merged)
 
     @cached_property
     def entry_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -178,16 +176,6 @@ class BoxGreen:
             self._rows[key] = self._lu.solve(e)
         return self._rows[key]
 
-    def value(self, j_source: int, z_target: Sequence[int], j_target: int) -> float:
-        """G((center, j_source) -> (z_target, j_target)), z_target absolute."""
-        return float(self.row(j_source)[self._state_id(tuple(int(c) for c in z_target), j_target)])
-
-    def green(self, z_from, j_from, z_to, j_to) -> float:
-        """Arbitrary pair via translation: shift the source onto the center."""
-        shift = tuple(c - a for c, a in zip(self.center, z_from))
-        z2 = tuple(b + s for b, s in zip(z_to, shift))
-        return self.value(j_from, z2, j_to)
-
 
 class ChainGreen:
     """Memoized Green evaluations for one chain at a fixed truncation radius."""
@@ -208,13 +196,18 @@ class ChainGreen:
         return self._boxes[center]
 
     def green(self, j_from: int, z: Sequence[int], j_to: int) -> float:
-        """G((0, j_from) -> (z, j_to)) with both points kept deep in the box."""
+        """G((0, j_from) -> (z, j_to)), read off the row from the box center.
+
+        By translation invariance this is the row from (center, j_from)
+        read at z shifted by the center.
+        """
         zt = tuple(int(c) for c in z)
         box = self._box_for(zt)
-        return box.green((0,) * self.chain.rank, j_from, zt, j_to)
+        target = tuple(a + c for a, c in zip(zt, box.center))
+        return float(box.row(j_from)[box._state_id(target, j_to)])
 
     def green_at_origin(self, j_from: int, j_to: int) -> float:
-        return self._origin.value(j_from, (0,) * self.chain.rank, j_to)
+        return self.green(j_from, (0,) * self.chain.rank, j_to)
 
 
 def absorption_distribution(chain: LatticeChain, start_z: Sequence[int],

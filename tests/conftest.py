@@ -6,7 +6,8 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from relwalk import FreeProductEngine, induce_first_return, load_config
+from relwalk import (FreeProductEngine, induce_first_return, load_config,
+                     project_to_coset)
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 SRC_DIR = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
@@ -21,6 +22,11 @@ def cli_env(**extra) -> dict:
     env = dict(os.environ, PYTHONHASHSEED="0", **extra)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC_DIR, env.get("PYTHONPATH")) if p)
     return env
+
+
+def coset_distance(g, coset) -> int:
+    """Word distance from g to the coset, through its closest-point projection."""
+    return (project_to_coset(g, coset).inverse() * g).word_length
 
 
 def extrapolated_ratio_deviation(ratio_rows):

@@ -17,15 +17,15 @@ import pytest
 
 from relwalk import (FiberIndex, FreeProductEngine, LatticeChain,
                      SequenceSpec, ancona_ratio, ball_elements,
-                     classify, induce_first_return,
+                     induce_first_return,
                      level_set_point, martin_convergence, minimize_lambda,
-                     perron, representative_invariance, separation_experiment,
+                     representative_invariance, separation_experiment,
                      verify_same_green)
-from relwalk.classify import sample_ancona_pairs
+from relwalk.classify import classify, sample_ancona_pairs
 from relwalk.cli import _TRANSITIONS
 from relwalk.groups import Coset
 from relwalk.lattice import ChainGreen
-from relwalk.perron import limit_kernel_ratio
+from relwalk.perron import limit_kernel_ratio, perron
 
 from conftest import cli_env, config_path, extrapolated_ratio_deviation
 

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from relwalk import (FreeProductEngine, SequenceSpec, ancona_ratio, classify,
+from relwalk import (FreeProductEngine, SequenceSpec, ancona_ratio,
                      martin_convergence, representative_invariance,
                      separation_experiment)
-from relwalk.classify import sample_ancona_pairs
+from relwalk.classify import classify, sample_ancona_pairs
 from relwalk.cli import _TRANSITIONS
 from relwalk.errors import BoundedSequenceError, ParseError
 from relwalk.perron import BoundaryPointU, level_set_point, minimize_lambda

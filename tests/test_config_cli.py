@@ -105,6 +105,8 @@ def test_config_validation_failures(tmp_path):
         {"chain": {"rank": 1, "entries": [[0, 0, [2.7], 0.2]]}},
         {"chain": {"rank": 1, "entries": [[0, 0, ["1"], 0.2]]}},
         {"chain": {"rank": 1, "entries": [[0, 0, [True], 0.2]]}},
+        {"chain": {"rank": 1, "entries": [[0, 0, [1], 0.2]], "labels": 5}},
+        {"chain": {"rank": 1, "entries": [[0, 0, [1], 0.2]], "labels": "0"}},
         {"group": {"factors": [{"rank": 1, "lattice_names": ["a"]},
                                {"table": [[0, "1"], [1, 0]], "finite_names": ["t"]}]}},
         {"group": {"factors": [{"rank": 1, "lattice_names": ["a"]},
@@ -304,3 +306,27 @@ def test_run_all_runs_exactly_the_stages_a_config_supports(tmp_path, cfg, skippe
     with open(tmp_path / "o" / "run.json") as fh:
         statuses = {name: e["status"] for name, e in json.load(fh)["stages"].items()}
     assert statuses == {s: "skipped" if s in skipped else "ok" for s in ALL_STAGES}
+
+
+def test_run_all_reports_a_failed_induction_stage_by_stage(tmp_path):
+    """A chain that cannot be induced fails the stages that need it, each with
+    a diagnostic, and every other stage still runs."""
+    cfg = {"name": "z2_only",
+           "group": {"factors": [{"rank": 2, "lattice_names": ["a", "b"]}]},
+           "measure": {"kind": "uniform", "lazy": True},
+           "parabolic": [0], "radius": 6, "eta_list": [0],
+           "sequences": [{"name": "diag", "templates": ["a^n*b^n"], "start": 1, "stop": 8}]}
+    p = tmp_path / "z2_only.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    r = run_cli("all", "--config", str(p), "--out", str(out))
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    with open(out / "run.json") as fh:
+        statuses = {name: e["status"] for name, e in json.load(fh)["stages"].items()}
+    failed = {"induce", "lambda-surface", "boundary-map", "martin-seq", "separate"}
+    assert statuses == {s: "numerical-failure" if s in failed
+                        else "skipped" if s == "ancona" else "ok" for s in ALL_STAGES}
+    for stage in failed:
+        with open(out / f"{stage.replace('-', '_')}_diagnostic.json") as fh:
+            assert "sub-Markov" in json.load(fh)["reason"]

@@ -6,6 +6,7 @@ import pytest
 from relwalk import (FloydFunction, TransitionParams, floyd_distance,
                      gromov_product_coned, transition_points, word_geodesic)
 from relwalk.floyd import coned_off_distance
+from relwalk.groups import GroupElement
 
 
 def test_scaling_function_total_and_validation():
@@ -62,6 +63,34 @@ def test_no_parabolics_means_everything_is_a_transition(f2_cfg):
     path = word_geodesic(g.identity, g.word("a^3*b"))
     pts = transition_points(path, TransitionParams(epsilon=1, window=2), parabolic=[])
     assert pts == list(range(len(path)))
+
+
+def test_transition_points_form_one_group_product(z2_cfg, monkeypatch):
+    """The syllables of path[0]^-1 path[-1] are the whole answer: no coset search."""
+    g = z2_cfg.group
+    path = word_geodesic(g.word("t"), g.word("a^40*t^-10*b^30*t*a^-25"))
+    assert len(path) > 100
+    calls = [0]
+    inner = GroupElement.__mul__
+
+    def counted(self, other):
+        calls[0] += 1
+        return inner(self, other)
+
+    monkeypatch.setattr(GroupElement, "__mul__", counted)
+    pts = transition_points(path, TransitionParams(epsilon=1, window=4), parabolic=[0])
+    assert calls[0] == 1
+    # Syllables t^-1 a^40 t^-10 b^30 t a^-25 span [0,1], [1,41], [41,51], [51,81],
+    # [81,82], [82,107]; a window of 4 fits an a/b hull widened by 1 except here.
+    assert pts == list(range(39, 54)) + list(range(79, 85))
+
+
+def test_transition_points_reject_a_path_that_is_not_a_geodesic(z2_cfg):
+    g = z2_cfg.group
+    path = [g.identity, g.word("a"), g.identity]
+    for parabolic in ([0], []):
+        with pytest.raises(ValueError):
+            transition_points(path, TransitionParams(epsilon=1, window=2), parabolic)
 
 
 def test_coned_off_distance_collapses_parabolic_runs(z2_cfg):

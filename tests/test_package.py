@@ -1,5 +1,7 @@
 """The package namespace and the names the benchmark tracer wraps."""
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -13,6 +15,17 @@ REPO = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 def test_every_export_resolves():
     missing = [name for name in relwalk.__all__ if not hasattr(relwalk, name)]
     assert missing == []
+
+
+def test_submodule_names_resolve_to_their_modules():
+    """No export shadows a submodule: relwalk.perron is the module, not a function."""
+    names = [m.name for m in pkgutil.iter_modules(relwalk.__path__)
+             if not m.name.startswith("_")]
+    assert "perron" in names and "classify" in names
+    modules = {name: importlib.import_module(f"relwalk.{name}") for name in names}
+    shadowed = [name for name, module in modules.items()
+                if getattr(relwalk, name) is not module]
+    assert shadowed == []
 
 
 def test_tracer_wraps_every_layer_name(tmp_path):

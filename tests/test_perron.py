@@ -1,13 +1,13 @@
 """Tilted Perron roots, lambda minimization, and level-set inversion."""
 import math
-import sys
 
 import numpy as np
 import pytest
 
+import relwalk.perron as perron_module
 from relwalk import (LatticeChain, check_assumptions, level_set_point,
-                     limit_kernel_ratio, minimize_lambda, perron)
-from relwalk.perron import direction_grid, lambda_hessian
+                     limit_kernel_ratio, minimize_lambda)
+from relwalk.perron import direction_grid, lambda_hessian, perron
 
 
 def killed_z(q: float = 0.2) -> LatticeChain:
@@ -171,17 +171,15 @@ def test_hessian_matches_differences_of_the_gradient(z2_chain_eta2):
 
 
 def test_level_set_grid_evaluation_count(z2_chain_eta0, monkeypatch):
-    # The package binds the name perron to the function, so the module is
-    # reached through sys.modules to count the evaluations its solvers make.
-    module = sys.modules["relwalk.perron"]
-    inner = module.perron
+    # The module's own name is patched to count the evaluations its solvers make.
+    inner = perron_module.perron
     calls = [0]
 
     def counted(chain, u):
         calls[0] += 1
         return inner(chain, u)
 
-    monkeypatch.setattr(module, "perron", counted)
+    monkeypatch.setattr(perron_module, "perron", counted)
     mn = minimize_lambda(z2_chain_eta0)
     for th in direction_grid(2, 64):
         level_set_point(z2_chain_eta0, th, minimum=mn)
@@ -189,15 +187,14 @@ def test_level_set_grid_evaluation_count(z2_chain_eta0, monkeypatch):
 
 
 def test_escape_test_makes_one_solve_per_direction(z2_chain_eta2, monkeypatch):
-    module = sys.modules["relwalk.perron"]
-    inner = module.perron
+    inner = perron_module.perron
     calls = [0]
 
     def counted(chain, u):
         calls[0] += 1
         return inner(chain, u)
 
-    monkeypatch.setattr(module, "perron", counted)
+    monkeypatch.setattr(perron_module, "perron", counted)
     minimize_lambda(z2_chain_eta2)
     minimize_calls, calls[0] = calls[0], 0
     assert check_assumptions(z2_chain_eta2).level_set_compact
@@ -229,10 +226,9 @@ def random_plane_chain(rng, degenerate: bool, heavy: bool) -> LatticeChain:
 
 def test_escape_test_matches_the_upward_probe_loop(monkeypatch):
     """Per-direction escapes equal an upward walk over t = 0.5, 1, ..., 16."""
-    module = sys.modules["relwalk.perron"]
     # The escape test does not use the minimizer, whose Hessian is singular
     # on a degenerate displacement span; a stub keeps the report going.
-    monkeypatch.setattr(module, "minimize_lambda", lambda c: perron(c, (0.0, 0.0)))
+    monkeypatch.setattr(perron_module, "minimize_lambda", lambda c: perron(c, (0.0, 0.0)))
     rng = np.random.default_rng(20171130)
     counts = [0, 0]
     for i in range(36):

@@ -8,13 +8,12 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from relwalk import (FloydFunction, FreeProductEngine, TransitionParams,
-                     floyd_distance, induce_first_return, load_config,
-                     transition_points, word_geodesic)
-from relwalk.groups import (Coset, FactorSpec, FreeProductGroup, coset_distance,
-                            project_to_coset)
+                     ball_elements, floyd_distance, induce_first_return,
+                     load_config, transition_points, word_geodesic)
+from relwalk.groups import Coset, FactorSpec, FreeProductGroup, project_to_coset
 from relwalk.perron import perron
 
-from conftest import config_path
+from conftest import config_path, coset_distance
 
 COMMON = settings(max_examples=25, deadline=None, derandomize=True)
 
@@ -85,8 +84,8 @@ def test_projection_realizes_the_coset_distance(tokens):
     g = Z2_CFG.group
     x = build_word(g, tokens)
     c = Coset.of(g.identity, 0)
-    pts, pi = project_to_coset(x, c)
-    assert pi in pts
+    pi = project_to_coset(x, c)
+    assert c.contains(pi)
     d = coset_distance(x, c)
     assert (pi.inverse() * x).word_length == d
     for z1 in (-2, 0, 1):
@@ -106,7 +105,8 @@ def test_geodesics_realize_the_word_metric(tx, ty):
         assert (p.inverse() * q).word_length == 1
 
 
-# Groups for the Floyd check, each with the radius of its reference ball:
+# Groups for the Floyd and transition-point checks, each with the radius of
+# the Floyd reference ball:
 # the free group, the shipped Z^2 * Z and (Z x Z/2) * Z/3 * Z^2.
 FLOYD_GROUPS = (
     (F2_CFG.group, 6),
@@ -207,3 +207,60 @@ def test_transition_points_are_translation_invariant(tt, tx, tz):
     base = transition_points(word_geodesic(x, z), params, [0])
     moved = transition_points(word_geodesic(shift * x, shift * z), params, [0])
     assert base == moved
+
+
+@functools.lru_cache(maxsize=64)
+def searched_coset_rows(path, epsilon, fac):
+    """Distances from each path point to every fac-coset within epsilon of the path.
+
+    A parabolic set's candidates are the union of its factors' candidates,
+    so rows are cached per factor and shared by every set and window.
+    """
+    cosets = {}
+    for p in path:
+        for h in ball_elements(path[0].group, epsilon):
+            c = Coset.of(p * h, fac)
+            cosets.setdefault(c.sort_key(), c)
+    return [[coset_distance(p, c) for p in path] for c in cosets.values()]
+
+
+def searched_transition_points(path, params, parabolic):
+    """Reference: transition points by search over the nearby cosets.
+
+    Every parabolic coset within epsilon of some path point is a
+    candidate, and a point is deep when one candidate's epsilon
+    neighborhood holds its whole window.
+    """
+    n = len(path)
+    if not parabolic:
+        return list(range(n))
+    dists = [row for fac in parabolic
+             for row in searched_coset_rows(tuple(path), params.epsilon, fac)]
+    out = []
+    for i in range(n):
+        lo, hi = max(0, i - params.window), min(n, i + params.window + 1)
+        if not any(max(row[lo:hi]) <= params.epsilon for row in dists):
+            out.append(i)
+    return out
+
+
+short_token_lists = st.lists(
+    st.tuples(st.integers(0, 5), st.integers(-2, 2)), min_size=0, max_size=3)
+
+
+@COMMON
+@given(short_token_lists, short_token_lists)
+def test_transition_points_match_the_coset_search(tx, tz):
+    for group, _ in FLOYD_GROUPS:
+        x = build_word(group, tx)
+        if x.is_identity:
+            x = group.generators()[0][1]
+        path = word_geodesic(x, build_word(group, tz) * x)
+        factors = range(len(group.factors))
+        for r in range(len(group.factors) + 1):
+            for parabolic in itertools.combinations(factors, r):
+                for eps in (0, 1, 2):
+                    for width in range(1, 6):
+                        params = TransitionParams(epsilon=eps, window=width)
+                        assert transition_points(path, params, parabolic) \
+                            == searched_transition_points(path, params, parabolic)
