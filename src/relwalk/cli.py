@@ -28,7 +28,7 @@ from .floyd import (FloydFunction, TransitionParams, floyd_distance,
 from .induced import FiberIndex, induce_first_return, verify_same_green
 from .lattice import ChainGreen, LatticeChain
 from .perron import (check_assumptions, direction_grid, level_set_point,
-                     minimize_lambda, perron)
+                     minimize_lambda, perron, perron_value)
 from .reports import svg_heatmap, svg_line_plot, write_csv, write_json
 
 _SAME_GREEN_TOL = 1e-6  # induce: induced-chain Green against the walk Green
@@ -56,7 +56,9 @@ class RunContext:
         self.cfg = cfg
         self.out = out_dir
         self._engine: FreeProductEngine | None = None
-        self._chains: dict[tuple[int, int], LatticeChain] = {}
+        # A chain that fails to induce keeps its error, so each stage that
+        # needs it re-raises that error instead of inducing it again.
+        self._chains: dict[tuple[int, int], LatticeChain | RelwalkError] = {}
 
     def path(self, name: str) -> str:
         return os.path.join(self.out, name)
@@ -70,8 +72,14 @@ class RunContext:
     def chain(self, factor: int, eta: int) -> LatticeChain:
         key = (factor, eta)
         if key not in self._chains:
-            self._chains[key] = induce_first_return(self.engine(), factor, eta)
-        return self._chains[key]
+            try:
+                self._chains[key] = induce_first_return(self.engine(), factor, eta)
+            except (AssumptionError, ConvergenceError) as exc:
+                self._chains[key] = exc
+        found = self._chains[key]
+        if isinstance(found, RelwalkError):
+            raise found
+        return found
 
     def chains(self) -> list[tuple[str, LatticeChain]]:
         """All lattice chains this config describes, with stable labels."""
@@ -226,7 +234,7 @@ def stage_lambda_surface(ctx: RunContext) -> dict:
         if chain.rank == 1:
             us = np.linspace(assume.u_min[0] - _LAMBDA_HALFWIDTH,
                              assume.u_min[0] + _LAMBDA_HALFWIDTH, points)
-            vals = [perron(chain, (float(u),)).value for u in us]
+            vals = [perron_value(chain, (float(u),)) for u in us]
             for u, v in zip(us, vals):
                 rows.append((label, "%.12g" % u, "", v))
             files.append(svg_line_plot(
@@ -244,7 +252,7 @@ def stage_lambda_surface(ctx: RunContext) -> dict:
                               assume.u_min[0] + _LAMBDA_HALFWIDTH, points)
             us1 = np.linspace(assume.u_min[1] - _LAMBDA_HALFWIDTH,
                               assume.u_min[1] + _LAMBDA_HALFWIDTH, points)
-            grid = [[perron(chain, (float(a), float(b))).value for a in us0]
+            grid = [[perron_value(chain, (float(a), float(b))) for a in us0]
                     for b in us1]
             for ib, b in enumerate(us1):
                 for ia, a in enumerate(us0):
@@ -498,11 +506,13 @@ def _run_stage(ctx: RunContext, name: str) -> tuple[int, dict]:
                           exc.payload)
         return 2, {"status": "tolerance-failure", "note": exc.payload.get("reason", ""),
                    "files": [os.path.basename(path)]}
-    except (AssumptionError, ConvergenceError) as exc:
+    except (AssumptionError, ConvergenceError, OverflowError) as exc:
         path = write_json(ctx.path(f"{name.replace('-', '_')}_diagnostic.json"),
                           {"reason": str(exc), "stage": name})
         return 2, {"status": "numerical-failure", "note": str(exc),
                    "files": [os.path.basename(path)]}
+    except StateCapError as exc:
+        return 1, {"status": "resource-failure", "note": str(exc), "files": []}
 
 
 def _run_all(ctx: RunContext) -> int:
@@ -551,10 +561,12 @@ def main(argv=None) -> int:
               + (f" ({summary['note']})" if summary.get("note") else ""))
         for fname in summary.get("files", []):
             print(f"  {os.path.join(out_dir, fname)}")
-        if code:
+        if code == 1:
+            print(f"error: {summary['note']}", file=sys.stderr)
+        elif code:
             print(f"{args.command}: diagnostic written", file=sys.stderr)
         return code
-    except (ConfigError, ParseError, InvalidMeasureError, StateCapError) as exc:
+    except (ConfigError, ParseError, InvalidMeasureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RelwalkError as exc:

@@ -6,9 +6,12 @@ lambda(u) is smooth, log-convex, and for strictly sub-Markov strongly
 irreducible chains the level set {lambda = 1} is a compact convex
 hypersurface whose outward normals parametrize directions of escape.
 
-Each perron() call is one dense eigensolve; lambda_hessian takes the
-Hessian from its eigenpair, and both geometric problems are solved by
-Newton on it.
+Each Perron root is one dense eigensolve of F(u).  perron() computes the
+eigenvalues with both eigenvectors and the gradient, and lambda_hessian
+takes the Hessian from that eigenpair; the Newton solvers for both
+geometric problems read them.  perron_value() computes the eigenvalues
+alone, for the callers that read only lambda: the lambda-surface grid and
+the escape probes of check_assumptions.
 """
 from __future__ import annotations
 
@@ -45,7 +48,7 @@ def _tilted_weights(chain: LatticeChain, v: np.ndarray) -> np.ndarray:
     over = np.flatnonzero(a > _EXP_CAP)
     if over.size:
         raise OverflowError(
-            f"tilt {tuple(v)} overflows on displacement {chain.entries[over[0]][2]}")
+            f"tilt {tuple(v.tolist())} overflows on displacement {chain.entries[over[0]][2]}")
     return w * np.exp(a)
 
 
@@ -71,12 +74,15 @@ class PerronData:
 def perron(chain: LatticeChain, u) -> PerronData:
     """Perron root, eigenvectors, and grad lambda at tilt u.
 
-    One eigendecomposition of F(u) gives both eigenvectors: for a
-    primitive nonnegative matrix the Perron root strictly dominates every
-    other eigenvalue in modulus, so the eigenvalue of largest real part is
-    the root and its eigenvectors are real up to rounding; scaling them to
-    unit sum also makes them positive.  The gradient uses the eigenvalue
-    perturbation identity d lambda/d u_i = w^T (dF/du_i) v / (w^T v).
+    For the callers that read the eigenvectors or the gradient: the
+    minimizer and the level-set Newton solvers; perron_value gives lambda
+    alone for less.  One eigendecomposition of F(u) gives both
+    eigenvectors: for a primitive nonnegative matrix the Perron root
+    strictly dominates every other eigenvalue in modulus, so the eigenvalue
+    of largest real part is the root and its eigenvectors are real up to
+    rounding; scaling them to unit sum also makes them positive.  The
+    gradient uses the eigenvalue perturbation identity
+    d lambda/d u_i = w^T (dF/du_i) v / (w^T v).
     """
     v = _tilt_vector(chain, u)
     tilted = _tilted_weights(chain, v)
@@ -99,6 +105,16 @@ def perron(chain: LatticeChain, u) -> PerronData:
     )
     return PerronData(u=tuple(v), value=lam, right=right, left=left,
                       gradient=grad, residual=res)
+
+
+def perron_value(chain: LatticeChain, u) -> float:
+    """Perron root of F(u) alone: the largest real part of its eigenvalues.
+
+    The same F(u), and the same OverflowError, as perron(), from an
+    eigensolve that computes no eigenvectors.
+    """
+    F = _fiber_sum(chain, _tilted_weights(chain, _tilt_vector(chain, u)))
+    return float(np.max(np.linalg.eigvals(F).real))
 
 
 def lambda_hessian(chain: LatticeChain, data: PerronData) -> np.ndarray:
@@ -201,7 +217,7 @@ class AssumptionReport:
 
 def _escapes(chain: LatticeChain, u: np.ndarray) -> bool:
     try:
-        return perron(chain, u).value >= _ESCAPE_LEVEL
+        return perron_value(chain, u) >= _ESCAPE_LEVEL
     except OverflowError:
         return True
 

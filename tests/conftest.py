@@ -29,6 +29,19 @@ def coset_distance(g, coset) -> int:
     return (project_to_coset(g, coset).inverse() * g).word_length
 
 
+def count_calls(monkeypatch, module, name: str) -> list[int]:
+    """Wrap module.name so that each call adds one to the returned counter."""
+    inner = getattr(module, name)
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def extrapolated_ratio_deviation(ratio_rows):
     """Kernel-ratio deviations of a martin_convergence report, raw and at n -> inf.
 

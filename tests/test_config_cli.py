@@ -8,10 +8,11 @@ import sys
 
 import pytest
 
+import relwalk.cli as cli
 from relwalk import load_config
 from relwalk.errors import ConfigError
 
-from conftest import CONFIG_DIR, cli_env, config_path
+from conftest import CONFIG_DIR, cli_env, config_path, count_calls
 
 
 def run_cli(*argv, env_extra=None):
@@ -308,16 +309,20 @@ def test_run_all_runs_exactly_the_stages_a_config_supports(tmp_path, cfg, skippe
     assert statuses == {s: "skipped" if s in skipped else "ok" for s in ALL_STAGES}
 
 
-def test_run_all_reports_a_failed_induction_stage_by_stage(tmp_path):
-    """A chain that cannot be induced fails the stages that need it, each with
-    a diagnostic, and every other stage still runs."""
-    cfg = {"name": "z2_only",
+# One parabolic Z^2 factor and nothing else: no mass escapes the eta-0
+# neighborhood, so its chain fails to induce.
+Z2_ONLY = {"name": "z2_only",
            "group": {"factors": [{"rank": 2, "lattice_names": ["a", "b"]}]},
            "measure": {"kind": "uniform", "lazy": True},
            "parabolic": [0], "radius": 6, "eta_list": [0],
            "sequences": [{"name": "diag", "templates": ["a^n*b^n"], "start": 1, "stop": 8}]}
+
+
+def test_run_all_reports_a_failed_induction_stage_by_stage(tmp_path):
+    """A chain that cannot be induced fails the stages that need it, each with
+    a diagnostic, and every other stage still runs."""
     p = tmp_path / "z2_only.json"
-    p.write_text(json.dumps(cfg))
+    p.write_text(json.dumps(Z2_ONLY))
     out = tmp_path / "o"
     r = run_cli("all", "--config", str(p), "--out", str(out))
     assert r.returncode == 2
@@ -330,3 +335,50 @@ def test_run_all_reports_a_failed_induction_stage_by_stage(tmp_path):
     for stage in failed:
         with open(out / f"{stage.replace('-', '_')}_diagnostic.json") as fh:
             assert "sub-Markov" in json.load(fh)["reason"]
+
+
+def test_a_failed_induction_is_not_retried(tmp_path, monkeypatch):
+    calls = count_calls(monkeypatch, cli, "induce_first_return")
+    p = tmp_path / "z2_only.json"
+    p.write_text(json.dumps(Z2_ONLY))
+    assert cli.main(["all", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert calls[0] == 1
+    with open(tmp_path / "o" / "run.json") as fh:
+        stages = json.load(fh)["stages"]
+    failed = [s for s, e in stages.items() if e["status"] == "numerical-failure"]
+    assert len(failed) == 5
+    assert all("not strictly sub-Markov" in stages[s]["note"] for s in failed)
+
+
+def test_an_overflowing_tilt_fails_its_stages_with_diagnostics(tmp_path):
+    # Steps of +-300 overflow exp() at the grid tilt -2.5.
+    cfg = {"name": "far_steps", "chain": {
+        "rank": 1, "fibers": 1, "entries": [[0, 0, [300], "0.2"], [0, 0, [-300], "0.2"]]}}
+    p = tmp_path / "far_steps.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    r = run_cli("all", "--config", str(p), "--out", str(out))
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    with open(out / "run.json") as fh:
+        stages = json.load(fh)["stages"]
+    assert stages["lambda-surface"]["status"] == "numerical-failure"
+    with open(out / "lambda_surface_diagnostic.json") as fh:
+        assert json.load(fh)["reason"] == "tilt (-2.5,) overflows on displacement (-300,)"
+    single = run_cli("lambda-surface", "--config", str(p), "--out", str(tmp_path / "s"))
+    assert single.returncode == 2
+    assert "Traceback" not in single.stderr
+
+
+def test_a_state_cap_inside_run_all_fails_only_its_stages(tmp_path):
+    out = tmp_path / "o"
+    r = run_cli("all", "--config", config_path("f2.json"), "--out", str(out),
+                "--state-cap", "10")
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    with open(out / "run.json") as fh:
+        stages = json.load(fh)["stages"]
+    assert {s: e["status"] for s, e in stages.items() if e["status"] != "skipped"} == {
+        "green": "resource-failure", "floyd": "ok", "classify": "ok",
+        "martin-seq": "resource-failure"}
+    assert "cap of 10 states" in stages["green"]["note"]

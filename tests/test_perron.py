@@ -1,13 +1,17 @@
 """Tilted Perron roots, lambda minimization, and level-set inversion."""
+import json
 import math
 
 import numpy as np
 import pytest
 
+import relwalk.cli as cli
 import relwalk.perron as perron_module
 from relwalk import (LatticeChain, check_assumptions, level_set_point,
-                     limit_kernel_ratio, minimize_lambda)
-from relwalk.perron import direction_grid, lambda_hessian, perron
+                     limit_kernel_ratio, load_config, minimize_lambda)
+from relwalk.perron import direction_grid, lambda_hessian, perron, perron_value
+
+from conftest import count_calls
 
 
 def killed_z(q: float = 0.2) -> LatticeChain:
@@ -123,14 +127,20 @@ def test_rank_two_level_points_have_requested_normals(z2_chain_eta2):
         assert abs(perron(z2_chain_eta2, bp.u).value - 1.0) < 1e-9
 
 
-def test_level_points_at_sharp_corners_of_a_nearly_reducible_chain():
-    # Two fibers drifting along different axes, coupled with weight 1e-5:
-    # the level set has sharply curved corners, where Newton from the ray
-    # crossing alone does not converge.
-    c = LatticeChain.build(2, 2, [
+def sharp_cornered_chain() -> LatticeChain:
+    """Two fibers drifting along different axes, coupled with weight 1e-5.
+
+    The level set has sharply curved corners, where Newton from the ray
+    crossing alone does not converge.
+    """
+    return LatticeChain.build(2, 2, [
         (0, 0, (1, 0), 0.3), (0, 0, (-1, 0), 0.1), (0, 0, (0, 1), 0.02), (0, 0, (0, -1), 0.02),
         (1, 1, (0, 1), 0.3), (1, 1, (0, -1), 0.1), (1, 1, (1, 0), 0.02), (1, 1, (-1, 0), 0.02),
         (0, 1, (0, 0), 1e-5), (1, 0, (0, 0), 1e-5)])
+
+
+def test_level_points_at_sharp_corners_of_a_nearly_reducible_chain():
+    c = sharp_cornered_chain()
     mn = minimize_lambda(c)
     for th in direction_grid(2, 16):
         bp = level_set_point(c, th, minimum=mn)
@@ -172,14 +182,7 @@ def test_hessian_matches_differences_of_the_gradient(z2_chain_eta2):
 
 def test_level_set_grid_evaluation_count(z2_chain_eta0, monkeypatch):
     # The module's own name is patched to count the evaluations its solvers make.
-    inner = perron_module.perron
-    calls = [0]
-
-    def counted(chain, u):
-        calls[0] += 1
-        return inner(chain, u)
-
-    monkeypatch.setattr(perron_module, "perron", counted)
+    calls = count_calls(monkeypatch, perron_module, "perron")
     mn = minimize_lambda(z2_chain_eta0)
     for th in direction_grid(2, 64):
         level_set_point(z2_chain_eta0, th, minimum=mn)
@@ -187,18 +190,33 @@ def test_level_set_grid_evaluation_count(z2_chain_eta0, monkeypatch):
 
 
 def test_escape_test_makes_one_solve_per_direction(z2_chain_eta2, monkeypatch):
-    inner = perron_module.perron
-    calls = [0]
-
-    def counted(chain, u):
-        calls[0] += 1
-        return inner(chain, u)
-
-    monkeypatch.setattr(perron_module, "perron", counted)
+    # Every direction of the compact eta-2 level set escapes at its far
+    # probe, which reads lambda alone; perron() runs only in the minimizer.
+    pairs = count_calls(monkeypatch, perron_module, "perron")
+    values = count_calls(monkeypatch, perron_module, "perron_value")
     minimize_lambda(z2_chain_eta2)
-    minimize_calls, calls[0] = calls[0], 0
+    minimize_calls, pairs[0] = pairs[0], 0
     assert check_assumptions(z2_chain_eta2).level_set_compact
-    assert calls[0] <= minimize_calls + 64
+    assert values[0] == 64
+    assert pairs[0] == minimize_calls
+
+
+def test_lambda_surface_reads_eigenpairs_only_in_the_minimizer(tmp_path, monkeypatch):
+    # The grid and the escape probes read lambda alone.
+    entries = [list(e) for e in sharp_cornered_chain().entries]
+    path = tmp_path / "plane.json"
+    path.write_text(json.dumps({"name": "plane", "chain": {
+        "rank": 2, "fibers": 2, "entries": entries},
+        "tolerances": {"lambda_grid_points": 5}}))
+    ctx = cli.RunContext(load_config(str(path)), str(tmp_path / "out"))
+    pairs = count_calls(monkeypatch, perron_module, "perron")
+    minimize_lambda(ctx.cfg.chain)
+    minimize_calls, pairs[0] = pairs[0], 0
+    pairs_in_cli = count_calls(monkeypatch, cli, "perron")
+    values = count_calls(monkeypatch, cli, "perron_value")
+    assert cli.stage_lambda_surface(ctx)["status"] == "ok"
+    assert pairs[0] == minimize_calls and pairs_in_cli[0] == 0
+    assert values[0] == 25
 
 
 def random_plane_chain(rng, degenerate: bool, heavy: bool) -> LatticeChain:
@@ -250,6 +268,22 @@ def test_escape_test_matches_the_upward_probe_loop(monkeypatch):
         assert [m for m in rep.messages if m.startswith("lambda stayed")] == expected
         assert rep.level_set_compact == (not expected)
     assert min(counts) > 100  # both outcomes are well represented
+
+
+def test_value_path_matches_the_eigenpair_path(z2_chain_eta2):
+    rng = np.random.default_rng(11)
+    cases = [(killed_z(0.2), (u,)) for u in (-1.3, 0.0, 0.7)]
+    cases += [(z2_chain_eta2, u) for u in ((0.0, 0.0), (0.3, -0.2), (-1.1, 0.8))]
+    for i in range(12):
+        chain = random_plane_chain(rng, degenerate=i % 3 == 1, heavy=i % 3 == 2)
+        cases.append((chain, tuple(rng.uniform(-2.0, 2.0, size=2))))
+    for chain, u in cases:
+        ref = perron(chain, u).value
+        assert abs(perron_value(chain, u) - ref) <= 1e-13 * abs(ref)
+    far = LatticeChain.build(1, 1, [(0, 0, (300,), 0.2), (0, 0, (-300,), 0.2)])
+    for fn in (perron, perron_value):
+        with pytest.raises(OverflowError, match=r"tilt \(-2\.5,\) overflows"):
+            fn(far, (-2.5,))
 
 
 def test_limit_kernel_ratio_formula():
