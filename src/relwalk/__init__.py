@@ -14,7 +14,7 @@ from .config import ExperimentConfig, load_config
 from .errors import (AssumptionError, BoundedSequenceError, ConfigError,
                      ConvergenceError, InvalidMeasureError, ParseError,
                      RelwalkError, StateCapError)
-from .excursions import FreeProductEngine
+from .excursions import FreeProductEngine, TabooContext
 from .floyd import (FloydFunction, TransitionParams, coned_off_distance,
                     floyd_distance, gromov_product_coned, transition_points,
                     word_geodesic)
@@ -34,7 +34,7 @@ __all__ = [
     "FactorSpec", "FiberIndex", "FloydFunction", "FreeProductEngine",
     "FreeProductGroup", "GroupElement", "InvalidMeasureError", "LatticeChain",
     "ParseError", "PerronData", "RelwalkError", "SequenceSpec",
-    "StateCapError", "StepMeasure", "TransitionParams",
+    "StateCapError", "StepMeasure", "TabooContext", "TransitionParams",
     "absorption_distribution", "ancona_ratio", "ball_elements",
     "check_assumptions", "coned_off_distance", "coset_lattice_part",
     "floyd_distance", "gromov_product_coned", "induce_first_return",

@@ -8,9 +8,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .balls import ball_elements
 from .errors import BoundedSequenceError, ConvergenceError, ParseError
-from .excursions import FreeProductEngine
+from .excursions import FreeProductEngine, TabooContext
 from .groups import (Coset, FreeProductGroup, GroupElement, coset_lattice_part,
                      project_to_coset)
 from .floyd import (TransitionParams, coned_off_distance, gromov_product_coned,
@@ -47,40 +46,26 @@ def _linear_exponent(text: str) -> tuple[int, int]:
 
 
 def _tokenize(template: str) -> list[tuple[str, tuple[int, int]]]:
+    """Split a template into (atom, exponent) tokens.
+
+    An atom is a generator name or a parenthesised word without nested
+    parentheses, optionally raised to ^exponent; whitespace or '*' may
+    separate atoms.
+    """
+    token = re.compile(
+        r"[ \t*]*(?:\((?P<word>[^()]*)\)|(?P<name>[^ \t*^()]+))(?:\^(?P<exp>[^ \t*()]+))?")
     tokens = []
-    i = 0
-    s = template
-    while i < len(s):
-        ch = s[i]
-        if ch in " \t*":
-            i += 1
-            continue
-        if ch == "(":
-            depth = 1
-            j = i + 1
-            while j < len(s) and depth:
-                depth += {"(": 1, ")": -1}.get(s[j], 0)
-                j += 1
-            if depth:
-                raise ParseError(f"unbalanced parentheses in {template!r}")
-            atom = s[i + 1:j - 1]
-            i = j
-        else:
-            j = i
-            while j < len(s) and s[j] not in " \t*^":
-                j += 1
-            atom = s[i:j]
-            i = j
-        exp = (0, 1)
-        if i < len(s) and s[i] == "^":
-            j = i + 1
-            while j < len(s) and s[j] not in " \t*":
-                j += 1
-            exp = _linear_exponent(s[i + 1:j])
-            i = j
-        if not atom:
+    pos, end = 0, len(template.rstrip(" \t*"))
+    while pos < end:
+        m = token.match(template, pos)
+        if m is None:
+            raise ParseError(f"cannot parse template {template!r} at {template[pos:]!r}; "
+                             "parentheses may not nest and must balance")
+        if m["word"] == "":
             raise ParseError(f"empty atom in template {template!r}")
-        tokens.append((atom, exp))
+        exp = (0, 1) if m["exp"] is None else _linear_exponent(m["exp"])
+        tokens.append((m["name"] or m["word"], exp))
+        pos = m.end()
     return tokens
 
 
@@ -244,22 +229,17 @@ def representative_invariance(group: FreeProductGroup,
             "agree": base.tag == shifted.tag, "direction_gap": gap}
 
 
-def ancona_ratio(engine: FreeProductEngine, x: GroupElement, z: GroupElement,
-                 y: GroupElement, radius: int) -> float:
-    """restricted Green / Green through the radius-ball around y.
+def ancona_ratio(taboo: TabooContext, x: GroupElement, z: GroupElement) -> float:
+    """G_A(x, z) / G(x, z), with A the forbidden set of the taboo context.
 
-    radius < 0 is the empty-forbidden-set convention and returns 1.
     Ratios below 1e-12 are reported as exact zeros: at the Green scales
     handled here they are always the float residue of a cut vertex that
     disconnects x from z, where the true restricted Green vanishes.
     """
-    g = engine.green(x, z)
+    g = taboo.engine.green(x, z)
     if g <= 0.0:
         return 0.0
-    if radius < 0:
-        return 1.0
-    ball = [y * h for h in ball_elements(engine.group, radius)]
-    ratio = engine.taboo_green(x, z, ball) / g
+    ratio = taboo.value(x, z) / g
     if ratio < 1e-12:
         return 0.0
     return min(1.0, ratio)
@@ -369,14 +349,13 @@ def martin_convergence(engine: FreeProductEngine,
     for n, g in zip(ns, elements):
         kernels = tuple(engine.martin_kernel(x, g) for x in test_points)
         rows.append(MartinRow(n=n, kernels=kernels))
-    deltas = []
-    for i in range(len(rows)):
-        worst = 0.0
-        for a in range(i, len(rows)):
-            for b in range(a + 1, len(rows)):
-                for ka, kb in zip(rows[a].kernels, rows[b].kernels):
-                    worst = max(worst, abs(ka - kb))
-        deltas.append((rows[i].n, worst))
+    # Rounding is monotone, so the largest |K_a(x) - K_b(x)| over rows a, b
+    # from i on is max - min of K(x) over those rows; fmax/fmin skip NaNs.
+    table = np.array([row.kernels for row in reversed(rows)])
+    table = table.reshape(len(rows), len(test_points))
+    spread = np.fmax.accumulate(table) - np.fmin.accumulate(table)
+    worst = np.fmax.reduce(spread, axis=1, initial=0.0)[::-1]
+    deltas = [(row.n, float(w)) for row, w in zip(rows, worst)]
     report = MartinConvergenceReport(test_points=tuple(test_points), rows=rows,
                                      cauchy_deltas=deltas)
     if boundary is not None and coset is not None:
@@ -395,8 +374,7 @@ def martin_convergence(engine: FreeProductEngine,
                     if row.n == ns[-1]:
                         worst_last = max(worst_last, dev)
                     report.ratio_rows.append(
-                        {"n": row.n, "x": engine.group.format(xi),
-                         "x_other": engine.group.format(xj),
+                        {"n": row.n, "x": xi, "x_other": xj,
                          "ratio": got, "predicted": pred, "rel_dev": dev})
         report.max_ratio_deviation = worst_last
     return report

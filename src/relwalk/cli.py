@@ -22,7 +22,7 @@ from .config import ExperimentConfig, load_config
 from .errors import (AssumptionError, BoundedSequenceError, ConfigError,
                      ConvergenceError, InvalidMeasureError, ParseError,
                      RelwalkError, StateCapError)
-from .excursions import FreeProductEngine
+from .excursions import FreeProductEngine, TabooContext
 from .floyd import (FloydFunction, TransitionParams, floyd_distance,
                     transition_points, word_geodesic)
 from .induced import FiberIndex, induce_first_return, verify_same_green
@@ -361,10 +361,13 @@ def stage_ancona(ctx: RunContext) -> dict:
     group = cfg.group
     pairs = sample_ancona_pairs(group, cfg.parabolic, cfg.seed,
                                 cfg.tolerances["ancona_samples"], _TRANSITIONS)
+    # rho_R forbids the ball B_R(e) around the transition midpoint e.
+    taboos = [TabooContext(engine, list(ball_elements(group, r, cfg.state_cap)))
+              for r in range(_ANCONA_RMAX + 1)]
     rows = []
     profiles = []
     for i, (x, z) in enumerate(pairs):
-        prof = [ancona_ratio(engine, x, z, group.identity, r) for r in range(_ANCONA_RMAX + 1)]
+        prof = [ancona_ratio(taboo, x, z) for taboo in taboos]
         profiles.append(prof)
         for r, rho in enumerate(prof):
             rows.append((i, group.format(x), group.format(z), r, rho))

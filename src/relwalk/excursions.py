@@ -23,7 +23,7 @@ geometrically in the radius to the true transient values.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -67,7 +67,6 @@ class FreeProductEngine:
         ]
         self.green_identity_value = self._gee_per_factor[0]
         self._fwd_cache: dict[Syllable, float] = {}
-        self._taboo_cache: dict[tuple, "TabooContext"] = {}
         # Syllable ids for batched blocks; id 0 pads short words.
         self._syllable_id: dict[Syllable, int] = {}
         self._id_syllable: list[Syllable | None] = [None]
@@ -250,28 +249,6 @@ class FreeProductEngine:
         """K(x, y) = G(x, y)/G(e, y)."""
         return self.green(x, y) / self.green(self.group.identity, y)
 
-    # -- taboo (path-restricted) Green's functions ------------------------
-
-    def taboo_green(self, x: GroupElement, y: GroupElement,
-                    avoid: Iterable[GroupElement]) -> float:
-        """Sum of path weights x -> y whose interior avoids the given set.
-
-        Endpoints are exempt: a path may start or end inside the set, only
-        the strictly intermediate positions are forbidden.  Solvers are
-        cached up to left translation, since only the pairwise displacements
-        inside the avoid set enter the linear algebra: the set is moved so
-        that its first element is e, and x and y move with it.
-        """
-        elems = sorted(set(avoid), key=lambda g: g.sort_key())
-        if not elems:
-            return self.green(x, y)
-        back = elems[0].inverse()
-        local = [back * w for w in elems]
-        shape = tuple(w.syllables for w in local)
-        if shape not in self._taboo_cache:
-            self._taboo_cache[shape] = TabooContext(self, local)
-        return self._taboo_cache[shape].value(back * x, back * y)
-
 
 class TabooContext:
     """Green's functions killed on a fixed finite set, via a Schur complement.
@@ -283,7 +260,8 @@ class TabooContext:
     the Schur-complement identity relating the inverse of a principal
     submatrix of (I - Q) to blocks of the full Green matrix.  Endpoints
     inside A are handled by one-step border sums, matching the convention
-    that only interior path positions are forbidden.
+    that only interior path positions are forbidden.  A is given as a list
+    of distinct elements; one context serves every pair (x, y).
     """
 
     def __init__(self, engine: FreeProductEngine, elems: list[GroupElement]):

@@ -269,7 +269,8 @@ def _ray_cross(chain: LatticeChain, u_min: np.ndarray,
     """Point u_min + t d with lambda = 1, by doubling then Newton.
 
     Along a ray from the minimizer lambda is convex and increasing, so
-    Newton started beyond the crossing decreases monotonically to it.
+    Newton started beyond the crossing decreases monotonically to it, and
+    the descent stops at the first step that fails to decrease t.
     Returns the point with its Perron data; each tilt on the way is
     evaluated once.
     """
@@ -284,15 +285,13 @@ def _ray_cross(chain: LatticeChain, u_min: np.ndarray,
         if t > 1e6:
             raise ConvergenceError("no level-set crossing found along search ray")
         u, data = at(t)
-    for _ in range(200):
-        f = data.value - 1.0
-        if abs(f) < 1e-14:
-            break
-        cand = t - f / float(np.asarray(data.gradient) @ d)
-        settled = abs(cand - t) < 1e-16 * max(1.0, t)
+    while abs(data.value - 1.0) >= 1e-14:
+        cand = t - (data.value - 1.0) / float(np.asarray(data.gradient) @ d)
+        # From above, Newton decreases t; a step that does not is rounding.
+        done = not cand < t or abs(cand - t) < 1e-16 * max(1.0, t)
         t = cand
         u, data = at(t)
-        if settled:
+        if done:
             break
     return u, data
 

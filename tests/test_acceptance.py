@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from relwalk import (FiberIndex, FreeProductEngine, LatticeChain,
-                     SequenceSpec, ancona_ratio, ball_elements,
+                     SequenceSpec, TabooContext, ancona_ratio, ball_elements,
                      induce_first_return,
                      level_set_point, martin_convergence, minimize_lambda,
                      representative_invariance, separation_experiment,
@@ -162,10 +162,10 @@ def test_a07_direction_to_tilt_round_trip(z2_chain_eta2):
 
 def test_a08_relative_green_decay(z2_cfg, z2_engine, f2_engine, f2_cfg):
     pairs = sample_ancona_pairs(z2_cfg.group, z2_cfg.parabolic, z2_cfg.seed, 20, _TRANSITIONS)
+    taboos = [TabooContext(z2_engine, list(ball_elements(z2_cfg.group, r))) for r in range(5)]
     profiles = []
     for x, z in pairs:
-        profiles.append([ancona_ratio(z2_engine, x, z, z2_cfg.group.identity, r)
-                         for r in range(5)])
+        profiles.append([ancona_ratio(taboo, x, z) for taboo in taboos])
     arr = np.array(profiles)
     all_bounded = bool(np.all(arr <= 1.0 + 1e-12))
     mean = arr.mean(axis=0)
@@ -174,9 +174,9 @@ def test_a08_relative_green_decay(z2_cfg, z2_engine, f2_engine, f2_cfg):
                    for r in range(4))
     drops = bool(mean[4] < mean[0])
     g = f2_cfg.group
-    tree_zero = max(
-        ancona_ratio(f2_engine, g.word("a^-2"), g.word("b^2"), g.identity, 0),
-        ancona_ratio(f2_engine, g.word("a^-3"), g.word("a^3"), g.identity, 0))
+    cut = TabooContext(f2_engine, [g.identity])
+    tree_zero = max(ancona_ratio(cut, g.word("a^-2"), g.word("b^2")),
+                    ancona_ratio(cut, g.word("a^-3"), g.word("a^3")))
     ok = all_bounded and monotone and drops and tree_zero == 0.0
     report("A08 relative-green-decay", ok,
            f"mean profile={np.round(mean, 5).tolist()}, deep-point rho_0={tree_zero}")

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from relwalk import (FreeProductEngine, SequenceSpec, ancona_ratio,
-                     martin_convergence, representative_invariance,
+from relwalk import (FreeProductEngine, SequenceSpec, TabooContext, ancona_ratio,
+                     ball_elements, martin_convergence, representative_invariance,
                      separation_experiment)
 from relwalk.classify import classify, sample_ancona_pairs
 from relwalk.cli import _TRANSITIONS
@@ -26,6 +26,11 @@ def test_template_exponent_parsing(z2_cfg):
     assert const.element(g, 1) == g.word("t*a")
     with pytest.raises(ParseError):
         SequenceSpec(name="bad", templates=("a^n^2",), start=1, stop=3).element(g, 1)
+    word = SequenceSpec(name="word", templates=("(a*t)^n*b",), start=1, stop=3)
+    assert word.element(g, 2) == g.word("a*t*a*t*b")
+    with pytest.raises(ParseError) as nested:
+        SequenceSpec(name="nested", templates=("((a*t)^2*b)^n",), start=1, stop=3).element(g, 1)
+    assert "'((a*t)^2*b)^n'" in str(nested.value) and "nest" in str(nested.value)
 
 
 def test_alternate_mode_cycles_templates(z2_cfg):
@@ -102,16 +107,15 @@ def test_ancona_ratio_conventions_and_tree_values(f2_engine, f2_cfg):
     g = f2_cfg.group
     eng = f2_engine
     x, z = g.word("a^-1"), g.word("a")
-    assert ancona_ratio(eng, x, z, g.identity, radius=-1) == 1.0
-    assert ancona_ratio(eng, x, z, g.identity, radius=0) == 0.0
-    off_axis = ancona_ratio(eng, g.identity, g.word("a"), g.word("b"), radius=0)
+    assert ancona_ratio(TabooContext(eng, [g.identity]), x, z) == 0.0
+    off_axis = ancona_ratio(TabooContext(eng, [g.word("b")]), g.identity, g.word("a"))
     assert abs(off_axis - 8.0 / 9.0) < 1e-10
-    assert ancona_ratio(eng, x, z, g.identity, radius=2) == 0.0
+    assert ancona_ratio(TabooContext(eng, list(ball_elements(g, 2))), x, z) == 0.0
 
 
 def test_ancona_ratio_evaluation_count(z2_cfg, monkeypatch):
     # The radius-4 taboo block has 609^2 entries; it is assembled in numpy,
-    # not by one scalar green call per entry. A fresh engine has no block cached.
+    # not by one scalar green call per entry, on a fresh engine and context.
     eng = FreeProductEngine(z2_cfg.group, z2_cfg.measure, radius=z2_cfg.radius)
     (x, z), = sample_ancona_pairs(z2_cfg.group, z2_cfg.parabolic, z2_cfg.seed, 1,
                                   _TRANSITIONS)
@@ -123,7 +127,7 @@ def test_ancona_ratio_evaluation_count(z2_cfg, monkeypatch):
         return inner(self, a, b)
 
     monkeypatch.setattr(FreeProductEngine, "green", counted)
-    rho = ancona_ratio(eng, x, z, z2_cfg.group.identity, radius=4)
+    rho = ancona_ratio(TabooContext(eng, list(ball_elements(z2_cfg.group, 4))), x, z)
     assert 0.0 <= rho <= 1.0
     assert calls[0] < 2000
 

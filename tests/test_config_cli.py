@@ -370,6 +370,33 @@ def test_an_overflowing_tilt_fails_its_stages_with_diagnostics(tmp_path):
     assert "Traceback" not in single.stderr
 
 
+def test_long_steps_reach_the_level_set(tmp_path):
+    # lambda(u) = 0.4 cosh(300 u): Newton from t = 1 needs about 300 steps.
+    cfg = {"name": "far_steps", "radius": 14, "theta_grid": 2, "chain": {
+        "rank": 1, "fibers": 1, "entries": [[0, 0, [300], "0.2"], [0, 0, [-300], "0.2"]]}}
+    p = tmp_path / "far_steps.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    r = run_cli("all", "--config", str(p), "--out", str(out))
+    assert "Traceback" not in r.stderr
+    with open(out / "run.json") as fh:
+        stages = json.load(fh)["stages"]
+    assert stages["boundary-map"]["status"] == "ok"
+    assert stages["separate"]["status"] == "ok"
+    with open(out / "boundary_map.csv") as fh:
+        us = {row["theta"]: float(row["u"]) for row in csv.DictReader(fh)}
+    level = math.acosh(2.5) / 300
+    assert abs(us["1"] - level) < 1e-10 and abs(us["-1"] + level) < 1e-10
+
+
+def test_ancona_respects_the_state_cap(tmp_path):
+    r = run_cli("ancona", "--config", config_path("z2_free_z.json"),
+                "--out", str(tmp_path / "a"), "--state-cap", "100")
+    assert r.returncode == 1
+    assert "ancona: resource-failure" in r.stdout
+    assert "ball enumeration exceeded the cap of 100 states" in r.stderr
+
+
 def test_a_state_cap_inside_run_all_fails_only_its_stages(tmp_path):
     out = tmp_path / "o"
     r = run_cli("all", "--config", config_path("f2.json"), "--out", str(out),

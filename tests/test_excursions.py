@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from relwalk import FreeProductEngine, StepMeasure, ball_elements
+from relwalk import FreeProductEngine, StepMeasure, TabooContext, ball_elements
 from relwalk.errors import InvalidMeasureError
 from relwalk.groups import FactorSpec, FreeProductGroup
 
@@ -54,21 +54,23 @@ def test_identity_spread_is_tiny(f2_engine, z2_engine):
     assert z2_engine.identity_spread() < 1e-9
 
 
-def test_taboo_green_closed_forms(f2_engine, f2_cfg):
+def test_taboo_context_closed_forms(f2_engine, f2_cfg):
     g = f2_cfg.group
     eng = f2_engine
-    assert abs(eng.taboo_green(g.identity, g.word("a"), [g.identity]) - 1.0 / 3.0) < 1e-12
-    assert abs(eng.taboo_green(g.identity, g.word("b"), [g.word("a")]) - 4.0 / 9.0) < 1e-12
+    avoid_e = TabooContext(eng, [g.identity])
+    assert abs(avoid_e.value(g.identity, g.word("a")) - 1.0 / 3.0) < 1e-12
+    avoid_a = TabooContext(eng, [g.word("a")])
+    assert abs(avoid_a.value(g.identity, g.word("b")) - 4.0 / 9.0) < 1e-12
     full = eng.green(g.identity, g.word("b"))
-    assert eng.taboo_green(g.identity, g.word("b"), [g.word("a")]) < full
+    assert avoid_a.value(g.identity, g.word("b")) < full
 
 
 def test_taboo_context_translation_invariance(f2_engine, f2_cfg):
     g = f2_cfg.group
     eng = f2_engine
     t = g.word("b^2*a")
-    base = eng.taboo_green(g.identity, g.word("a^2"), [g.word("a")])
-    moved = eng.taboo_green(t, t * g.word("a^2"), [t * g.word("a")])
+    base = TabooContext(eng, [g.word("a")]).value(g.identity, g.word("a^2"))
+    moved = TabooContext(eng, [t * g.word("a")]).value(t, t * g.word("a^2"))
     assert abs(base - moved) < 1e-13
 
 
@@ -163,7 +165,7 @@ def test_green_matrix_merges_finite_syllables_bit_for_bit():
 
 
 @pytest.mark.parametrize("engine_name", ["z2_engine", "z2_asymmetric_engine", "f2_engine"])
-def test_taboo_green_satisfies_the_first_step_identity(engine_name, request):
+def test_taboo_context_satisfies_the_first_step_identity(engine_name, request):
     """For x outside A: G_A(x, y) = d(x, y) + sum_{xs not in A} mu(s) G_A(xs, y)
     + sum_{xs in A} mu(s) d(xs, y), with y inside and outside A.
 
@@ -171,8 +173,8 @@ def test_taboo_green_satisfies_the_first_step_identity(engine_name, request):
     cut vertex between x and y, G_A vanishes up to rounding.
     """
     eng = request.getfixturevalue(engine_name)
-    avoid = ball_elements(eng.group, 2)
-    inside = set(avoid)
+    avoid = TabooContext(eng, list(ball_elements(eng.group, 2)))
+    inside = set(avoid.elems)
     starts = [x for x in ball_elements(eng.group, 3) if x not in inside][::10]
     targets = ball_elements(eng.group, 3)[::8]
     assert any(y in inside for y in targets) and any(y not in inside for y in targets)
@@ -185,7 +187,7 @@ def test_taboo_green_satisfies_the_first_step_identity(engine_name, request):
                 if xs in inside:
                     rhs += w * (1.0 if xs == y else 0.0)
                 else:
-                    rhs += w * eng.taboo_green(xs, y, avoid)
-            lhs = eng.taboo_green(x, y, avoid)
+                    rhs += w * avoid.value(xs, y)
+            lhs = avoid.value(x, y)
             worst = max(worst, abs(lhs - rhs) / eng.green(x, y))
     assert worst < 1e-12
