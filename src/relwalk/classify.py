@@ -324,7 +324,6 @@ class MartinRow:
 class MartinConvergenceReport:
     """Martin kernels along a sequence with Cauchy and limit diagnostics."""
 
-    test_points: tuple[GroupElement, ...]
     rows: list[MartinRow]
     cauchy_deltas: list[tuple[int, float]]
     ratio_rows: list[dict] = field(default_factory=list)
@@ -356,8 +355,7 @@ def martin_convergence(engine: FreeProductEngine,
     spread = np.fmax.accumulate(table) - np.fmin.accumulate(table)
     worst = np.fmax.reduce(spread, axis=1, initial=0.0)[::-1]
     deltas = [(row.n, float(w)) for row, w in zip(rows, worst)]
-    report = MartinConvergenceReport(test_points=tuple(test_points), rows=rows,
-                                     cauchy_deltas=deltas)
+    report = MartinConvergenceReport(rows=rows, cauchy_deltas=deltas)
     if boundary is not None and coset is not None:
         u = boundary.u
         tracks = {x: coset_lattice_part(coset, x) for x in test_points

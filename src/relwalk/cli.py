@@ -9,6 +9,7 @@ tolerance failure (a diagnostic JSON is written next to the outputs).
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -53,6 +54,7 @@ class RunContext:
     """Shared lazily built objects for one config run."""
 
     def __init__(self, cfg: ExperimentConfig, out_dir: str):
+        os.makedirs(out_dir, exist_ok=True)
         self.cfg = cfg
         self.out = out_dir
         self._engine: FreeProductEngine | None = None
@@ -73,8 +75,9 @@ class RunContext:
         key = (factor, eta)
         if key not in self._chains:
             try:
-                self._chains[key] = induce_first_return(self.engine(), factor, eta)
-            except (AssumptionError, ConvergenceError) as exc:
+                self._chains[key] = induce_first_return(self.engine(), factor, eta,
+                                                        self.cfg.state_cap)
+            except (AssumptionError, ConvergenceError, StateCapError) as exc:
                 self._chains[key] = exc
         found = self._chains[key]
         if isinstance(found, RelwalkError):
@@ -126,8 +129,9 @@ def stage_green(ctx: RunContext) -> dict:
     sphere = [x for x in ball if x.word_length == eff_radius]
     inner = ball_elements(group, 2, cfg.state_cap)
     kernel = (engine.green_matrix(inner, sphere) / engine.green_matrix([e], sphere)).T.tolist()
-    krows = [(group.format(y), group.format(x), k)
-             for y, column in zip(sphere, kernel) for x, k in zip(inner, column)]
+    inner_names = [group.format(x) for x in inner]
+    krows = [(y, x, k) for y, column in zip(map(group.format, sphere), kernel)
+             for x, k in zip(inner_names, column)]
     files = [write_csv(ctx.path("green.csv"), ["x", "word_length", "green"], rows),
              write_csv(ctx.path("martin.csv"), ["y", "x", "martin_kernel"], krows),
              write_json(ctx.path("green.json"), {
@@ -139,12 +143,9 @@ def stage_green(ctx: RunContext) -> dict:
 
 
 def _lattice_window(rank: int, radius: int) -> list[tuple[int, ...]]:
-    if rank == 1:
-        return [(z,) for z in range(-radius, radius + 1)]
-    out = [(z1, z2) for z1 in range(-radius, radius + 1)
-           for z2 in range(-radius, radius + 1)
-           if abs(z1) + abs(z2) <= radius]
-    return sorted(out)
+    """Lattice points of l1 norm <= radius, in lexicographic order."""
+    return [z for z in itertools.product(range(-radius, radius + 1), repeat=rank)
+            if sum(map(abs, z)) <= radius]
 
 
 def stage_floyd(ctx: RunContext) -> dict:
@@ -189,7 +190,7 @@ def stage_induce(ctx: RunContext) -> dict:
     for fac in cfg.parabolic:
         for eta in cfg.eta_list:
             chain = ctx.chain(fac, eta)
-            fibers = FiberIndex.build(cfg.group, fac, eta)
+            fibers = FiberIndex.build(cfg.group, fac, eta, cfg.state_cap)
             for j1, j2, dz, w in chain.entries:
                 rows.append((fac, eta, j1, j2, " ".join(map(str, dz)), w))
             dev = verify_same_green(chain, engine, fibers)
@@ -231,15 +232,19 @@ def stage_lambda_surface(ctx: RunContext) -> dict:
             "level_set_compact": assume.level_set_compact,
             "messages": list(assume.messages),
             "ok": assume.ok}
+        axes = [np.linspace(m - _LAMBDA_HALFWIDTH, m + _LAMBDA_HALFWIDTH, points)
+                for m in assume.u_min]
+        # u1 runs along each grid row; the rows step through the later axes.
+        later = list(itertools.product(*axes[1:]))
+        grid = [[perron_value(chain, (float(a),) + tuple(map(float, rest))) for a in axes[0]]
+                for rest in later]
+        for rest, row in zip(later, grid):
+            for a, v in zip(axes[0], row):
+                rows.append((label, "%.12g" % a, " ".join("%.12g" % b for b in rest), v))
         if chain.rank == 1:
-            us = np.linspace(assume.u_min[0] - _LAMBDA_HALFWIDTH,
-                             assume.u_min[0] + _LAMBDA_HALFWIDTH, points)
-            vals = [perron_value(chain, (float(u),)) for u in us]
-            for u, v in zip(us, vals):
-                rows.append((label, "%.12g" % u, "", v))
             files.append(svg_line_plot(
                 ctx.path(f"lambda_{label}.svg"),
-                [("lambda(u)", list(us), vals)],
+                [("lambda(u)", list(axes[0]), grid[0])],
                 f"Perron value, {label}", "u", "lambda", hline=1.0))
             if assume.ok and assume.lambda_min < 1.0:
                 mn = perron(chain, assume.u_min)
@@ -248,17 +253,8 @@ def stage_lambda_surface(ctx: RunContext) -> dict:
                 entry["u_plus"] = up.u[0]
                 entry["u_minus"] = un.u[0]
         elif chain.rank == 2:
-            us0 = np.linspace(assume.u_min[0] - _LAMBDA_HALFWIDTH,
-                              assume.u_min[0] + _LAMBDA_HALFWIDTH, points)
-            us1 = np.linspace(assume.u_min[1] - _LAMBDA_HALFWIDTH,
-                              assume.u_min[1] + _LAMBDA_HALFWIDTH, points)
-            grid = [[perron_value(chain, (float(a), float(b))) for a in us0]
-                    for b in us1]
-            for ib, b in enumerate(us1):
-                for ia, a in enumerate(us0):
-                    rows.append((label, "%.12g" % a, "%.12g" % b, grid[ib][ia]))
             files.append(svg_heatmap(
-                ctx.path(f"lambda_{label}.svg"), list(us0), list(us1), grid,
+                ctx.path(f"lambda_{label}.svg"), list(axes[0]), list(axes[1]), grid,
                 f"Perron value, {label}", "u1", "u2", level=1.0))
         report[label] = entry
     files.append(write_csv(ctx.path("lambda_surface.csv"),
@@ -332,9 +328,7 @@ def stage_classify(ctx: RunContext) -> dict:
             continue
         coset_txt = ""
         if cls.coset is not None:
-            rep = cls.coset.rep
-            coset_txt = f"{group.format(rep) if rep.syllable_count else 'e'}" \
-                        f"*F{cls.coset.factor}"
+            coset_txt = f"{group.format(cls.coset.rep)}*F{cls.coset.factor}"
         direction_txt = " ".join("%.12g" % c for c in cls.direction) \
             if cls.direction else ""
         detail = ""
@@ -555,7 +549,6 @@ def main(argv=None) -> int:
                 raise ConfigError("--state-cap must be positive")
             cfg.state_cap = args.state_cap
         out_dir = args.out or os.environ.get("RELWALK_OUT") or cfg.output_dir
-        os.makedirs(out_dir, exist_ok=True)
         ctx = RunContext(cfg, out_dir)
         if args.command == "all":
             return _run_all(ctx)

@@ -13,8 +13,8 @@ from .groups import FactorSpec, FreeProductGroup
 from .lattice import LatticeChain
 from .measures import StepMeasure
 
-# The lattice windows, separation defaults and direction grids of the
-# stages cover Z^1 and Z^2 only.
+# The one limit on lattice rank: the direction grids and the separation
+# directions of the stages cover Z^1 and Z^2 only.
 MAX_LATTICE_RANK = 2
 
 # Positive integer settings a config may override under "tolerances".

@@ -8,7 +8,6 @@ transition_points); no graph search or ball enumeration is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .groups import GroupElement
@@ -151,4 +150,4 @@ def gromov_product_coned(x: GroupElement, z: GroupElement, base: GroupElement,
     dx = coned_off_distance(base, x, parabolic)
     dz = coned_off_distance(base, z, parabolic)
     dxz = coned_off_distance(x, z, parabolic)
-    return float(Fraction(dx + dz - dxz, 2))
+    return (dx + dz - dxz) / 2

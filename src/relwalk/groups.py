@@ -14,29 +14,13 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ConfigError, ParseError
 
 # A syllable is (factor index, lattice vector, finite element index).
 # The finite index is 0-based internally; 0 is the identity of F.
 Syllable = tuple[int, tuple[int, ...], int]
-
-_SUPERSCRIPTS = str.maketrans("⁰¹²³⁴⁵⁶⁷⁸⁹⁻", "0123456789-")
-
-
-def _desugar(text: str) -> str:
-    """Rewrite unicode superscript exponents into caret notation."""
-    out = []
-    for ch in text:
-        if ch in "⁰¹²³⁴⁵⁶⁷⁸⁹⁻":
-            if not out or out[-1] not in "^0123456789-":
-                out.append("^")
-            out.append(ch.translate(_SUPERSCRIPTS))
-        else:
-            out.append(ch)
-    return "".join(out)
-
 
 @dataclass(frozen=True)
 class FactorSpec:
@@ -209,13 +193,6 @@ class FreeProductGroup:
 
     # -- construction ---------------------------------------------------
 
-    def element(self, syllables: Iterable[Syllable]) -> GroupElement:
-        """Build an element, re-normalizing whatever syllable list is given."""
-        out = self.identity
-        for fac, z, j in syllables:
-            out = out * self.syllable(fac, z, j)
-        return out
-
     def syllable(self, factor: int, z: Sequence[int], j: int = 0) -> GroupElement:
         spec = self.factors[factor]
         zt = tuple(int(c) for c in z)
@@ -269,7 +246,7 @@ class FreeProductGroup:
 
     def word(self, text: str) -> GroupElement:
         """Parse a word like 'a^3*t*b^-2' (spaces also separate tokens)."""
-        tokens = _desugar(text).replace("*", " ").split()
+        tokens = text.replace("*", " ").split()
         out = self.identity
         for tok in tokens:
             if tok == "e":

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .balls import ball_elements
+from .balls import DEFAULT_STATE_CAP, ball_elements
 from .errors import AssumptionError
 from .excursions import FreeProductEngine
 from .groups import FreeProductGroup, GroupElement
@@ -36,17 +36,17 @@ class FiberIndex:
 
     group: FreeProductGroup
     factor: int
-    eta: int
     fibers: tuple[tuple[GroupElement, int], ...]
 
     @staticmethod
-    def build(group: FreeProductGroup, factor: int, eta: int) -> "FiberIndex":
+    def build(group: FreeProductGroup, factor: int, eta: int,
+              state_cap: int = DEFAULT_STATE_CAP) -> "FiberIndex":
+        # ball_elements already lists the words by (length, normal form).
         spec = group.factors[factor]
-        words = [g for g in ball_elements(group, eta)
+        words = [g for g in ball_elements(group, eta, state_cap)
                  if g.syllable_count == 0 or g.syllables[0][0] != factor]
-        words.sort(key=lambda g: (g.word_length,) + g.sort_key())
         fibers = tuple((w, f) for w in words for f in range(len(spec.table)))
-        return FiberIndex(group=group, factor=factor, eta=eta, fibers=fibers)
+        return FiberIndex(group=group, factor=factor, fibers=fibers)
 
     def __len__(self) -> int:
         return len(self.fibers)
@@ -61,7 +61,8 @@ class FiberIndex:
         return base * w
 
 
-def induce_first_return(engine: FreeProductEngine, factor: int, eta: int) -> LatticeChain:
+def induce_first_return(engine: FreeProductEngine, factor: int, eta: int,
+                        state_cap: int = DEFAULT_STATE_CAP) -> LatticeChain:
     """First-return chain of the walk on the eta-neighborhood of factor's P.
 
     Each kernel entry sums all excursion paths exactly (up to the engine's
@@ -80,7 +81,7 @@ def induce_first_return(engine: FreeProductEngine, factor: int, eta: int) -> Lat
         raise ValueError(f"eta {eta} too large for engine radius {engine.radius}; "
                          "need eta <= radius/3")
     spec = group.factors[factor]
-    fibers = FiberIndex.build(group, factor, eta)
+    fibers = FiberIndex.build(group, factor, eta, state_cap)
     index = {(w.syllables, f): i for i, (w, f) in enumerate(fibers.fibers)}
     zero = (0,) * spec.rank
 
@@ -110,7 +111,7 @@ def induce_first_return(engine: FreeProductEngine, factor: int, eta: int) -> Lat
                     # F(s -> e) = F(e -> s^-1)
                     tail *= engine.forward_passage(*group.inverse_syllable(syl))
                 v0 = sylls[lstar]
-                prefix = group.element(sylls[:lstar])
+                prefix = GroupElement(group, sylls[:lstar])  # prefixes of normal forms are normal
                 for (zv, jv), prob in sorted(first_hit(v0, eta - depths[lstar]).items()):
                     if any(zv) or jv != 0:
                         target = prefix * group.syllable(v0[0], zv, jv)

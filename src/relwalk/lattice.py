@@ -82,20 +82,20 @@ class LatticeChain:
 
         The z displacement is collapsed onto the fiber adjacency, which is
         the right notion for the tilted matrix family: a positive power of
-        the adjacency makes every tilt primitive.  The power cap is the
-        Wielandt bound n^2 - 2n + 2.
+        the adjacency makes every tilt primitive.  A primitive pattern has
+        every power from the Wielandt bound n^2 - 2n + 2 on positive, so
+        the pattern is squared until its exponent reaches the bound.
         """
         n = self.fiber_count
-        adj = np.zeros((n, n), dtype=np.int64)
+        power = np.zeros((n, n), dtype=np.int64)
         for j1, j2, _, w in self.entries:
             if w > 0:
-                adj[j1, j2] = 1
-        cap = max(n * n - 2 * n + 2, 1)
-        power = adj.copy()
-        for _ in range(cap):
-            if power.min() > 0:
-                return True
-            power = np.minimum(power @ adj, 1)
+                power[j1, j2] = 1
+        bound = n * n - 2 * n + 2
+        exponent = 1
+        while exponent < bound and power.min() == 0:
+            power = np.minimum(power @ power, 1)
+            exponent *= 2
         return bool(power.min() > 0)
 
 

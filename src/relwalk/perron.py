@@ -179,18 +179,14 @@ def minimize_lambda(chain: LatticeChain) -> PerronData:
     raise ConvergenceError(f"lambda minimization did not converge in {_MIN_ROUNDS} rounds")
 
 
-def _check_rank(rank: int) -> None:
-    if rank not in (1, 2):
-        raise ValueError(f"level sets are solved for lattice ranks 1 and 2, not {rank}")
-
-
 def direction_grid(rank: int, count: int = 64) -> list[np.ndarray]:
     """Unit probe directions in Z^rank.
 
     Rank 1 gives the first count of +1, -1; rank 2 gives count evenly
-    spaced angles.  Higher ranks are not supported.
+    spaced angles.  Higher ranks have no grid yet.
     """
-    _check_rank(rank)
+    if rank not in (1, 2):
+        raise ValueError(f"direction grids cover lattice ranks 1 and 2, not {rank}")
     if rank == 1:
         return [np.array([1.0]), np.array([-1.0])][:count]
     return [np.array([math.cos(2 * math.pi * i / count),
@@ -258,7 +254,6 @@ class BoundaryPointU:
     """Point on {lambda = 1} whose outward normal is a requested direction."""
 
     u: tuple[float, ...]
-    theta: tuple[float, ...]
     lambda_residual: float
     angular_error: float
     gradient: tuple[float, ...]
@@ -335,7 +330,7 @@ def level_set_point(chain: LatticeChain, theta,
                     minimum: PerronData | None = None) -> BoundaryPointU:
     """Solve lambda(u) = 1 with grad lambda parallel to theta.
 
-    One path for ranks 1 and 2: cross the level along theta from the
+    One path at every rank: cross the level along theta from the
     lambda minimizer, then run bordered Newton from the crossing, whose
     normal lies within a quarter turn of theta (in rank 1 it is theta).
     Where Newton fails, the requested normal moves from the crossing's
@@ -346,7 +341,6 @@ def level_set_point(chain: LatticeChain, theta,
     th = np.asarray(theta, dtype=float).reshape(-1)
     if th.size != chain.rank:
         raise ValueError(f"direction has dimension {th.size}, chain rank is {chain.rank}")
-    _check_rank(chain.rank)
     nth = float(np.linalg.norm(th))
     if abs(nth - 1.0) > 1e-8:
         raise ValueError(f"direction must be a unit vector, got norm {nth}")
@@ -372,7 +366,7 @@ def level_set_point(chain: LatticeChain, theta,
     if lam_res > _LEVEL_LAMBDA_TOL or ang > _LEVEL_ANGLE_TOL:
         raise ConvergenceError(
             f"level-set solve stalled: |lambda-1|={lam_res:.3e}, angle defect={ang:.3e}")
-    return BoundaryPointU(u=tuple(u), theta=tuple(th), lambda_residual=lam_res,
+    return BoundaryPointU(u=tuple(u), lambda_residual=lam_res,
                           angular_error=ang, gradient=data.gradient)
 
 

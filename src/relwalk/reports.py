@@ -3,14 +3,14 @@
 Numbers are rendered with 12 significant digits and a '.' decimal
 separator, rows and keys are emitted in a fixed order, and nothing
 depends on the clock or the process, so re-running a computation on the
-same inputs reproduces every CSV and JSON byte for byte.
+same inputs reproduces every CSV and JSON byte for byte.  The writers
+expect the output directory to exist; cli.RunContext creates it.
 """
 from __future__ import annotations
 
 import csv
 import json
 import math
-import os
 from typing import Iterable, Mapping, Sequence
 
 _PALETTE = ("#1b6ca8", "#c23b22", "#2e8540", "#8a4f9e", "#b8860b", "#3d3d3d")
@@ -18,15 +18,12 @@ _PALETTE = ("#1b6ca8", "#c23b22", "#2e8540", "#8a4f9e", "#b8860b", "#3d3d3d")
 
 def fmt(value) -> str:
     """Canonical cell text: floats at 12 significant digits."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return "%.12g" % value
     return str(value)
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(header))
@@ -48,7 +45,6 @@ def _jsonable(obj):
 
 
 def write_json(path: str, payload) -> str:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     text = json.dumps(_jsonable(payload), sort_keys=True, indent=2)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
@@ -128,7 +124,6 @@ def svg_line_plot(path: str, series: Sequence[tuple[str, Sequence[float], Sequen
         parts.append(f'<text x="{ml + pw - 120}" y="{ly}" font-family="monospace" '
                      f'font-size="11">{label}</text>')
     parts.append("</svg>")
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")
     return path
@@ -202,7 +197,6 @@ def svg_heatmap(path: str, xs: Sequence[float], ys: Sequence[float],
                  + (f', outlined cells near {level:.4g}' if level is not None else '')
                  + '</text>')
     parts.append("</svg>")
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")
     return path

@@ -397,6 +397,16 @@ def test_ancona_respects_the_state_cap(tmp_path):
     assert "ball enumeration exceeded the cap of 100 states" in r.stderr
 
 
+@pytest.mark.parametrize("stage", ["induce", "lambda-surface"])
+def test_induction_respects_the_state_cap(tmp_path, stage):
+    # The eta-2 neighbourhood ball of z2_free_z has 33 elements.
+    r = run_cli(stage, "--config", config_path("z2_free_z.json"),
+                "--out", str(tmp_path / "i"), "--state-cap", "10")
+    assert r.returncode == 1
+    assert f"{stage}: resource-failure" in r.stdout
+    assert "ball enumeration exceeded the cap of 10 states" in r.stderr
+
+
 def test_a_state_cap_inside_run_all_fails_only_its_stages(tmp_path):
     out = tmp_path / "o"
     r = run_cli("all", "--config", config_path("f2.json"), "--out", str(out),

@@ -129,3 +129,8 @@ def test_unknown_generator_name_rejected(f2_cfg):
         f2_cfg.group.word("a*q")
     with pytest.raises(ParseError):
         f2_cfg.group.word("a^")
+
+
+def test_exponents_are_written_with_a_caret(f2_cfg):
+    with pytest.raises(ParseError):
+        f2_cfg.group.word("a²")

@@ -56,6 +56,18 @@ def test_strong_irreducibility_detection():
     flip = LatticeChain.build(1, 2, [(0, 1, (0,), 0.4), (1, 0, (0,), 0.4)])
     assert not flip.is_strongly_irreducible()
     assert lazy(flip).is_strongly_irreducible()
+    # Wielandt's pattern: an n-cycle plus one chord is first positive at the
+    # power n^2 - 2n + 2 itself.
+    n = 7
+    wielandt = LatticeChain.build(1, n, [(j, (j + 1) % n, (1,), 0.1) for j in range(n)]
+                                  + [(n - 1, 1, (0,), 0.1)])
+    assert wielandt.is_strongly_irreducible()
+    without_chord = LatticeChain.build(1, n, [(j, (j + 1) % n, (1,), 0.1) for j in range(n)])
+    assert not without_chord.is_strongly_irreducible()
+    # A reducible pattern on 60 fibers: no path leads back down.
+    ladder = LatticeChain.build(1, 60, [(j, j + 1, (1,), 0.1) for j in range(59)]
+                                + [(j, j, (0,), 0.1) for j in range(60)])
+    assert not ladder.is_strongly_irreducible()
 
 
 def test_box_green_matches_killed_walk_closed_form():

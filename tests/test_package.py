@@ -1,6 +1,10 @@
-"""The package namespace and the names the benchmark tracer wraps."""
+"""The package namespace, unused names, and the names the benchmark tracer wraps."""
+import ast
+import collections
+import glob
 import importlib
 import os
+import pathlib
 import pkgutil
 import subprocess
 import sys
@@ -10,6 +14,12 @@ import relwalk
 from conftest import cli_env, config_path
 
 REPO = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
+
+# Module-level names that nothing in the package or the benchmark names again,
+# with the reason each stays.
+_UNREAD_BUT_KEPT = {
+    "representative_invariance": "the A09 acceptance test gates on it",
+}
 
 
 def test_every_export_resolves():
@@ -38,3 +48,52 @@ def test_tracer_wraps_every_layer_name(tmp_path):
     assert r.returncode == 0, r.stderr
     assert "Traceback" not in r.stderr
     assert (tmp_path / "spans.npz").exists()
+
+
+def _mentions(tree: ast.AST) -> collections.Counter:
+    """Identifiers a module names: definitions, loads, attributes, imports, and
+    string constants (the benchmark tracer looks names up by string)."""
+    found = collections.Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found[node.name] += 1
+        elif isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            found[node.name] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            found[node.value] += 1
+    return found
+
+
+def test_every_module_level_name_is_named_again():
+    """Each function, class and constant of src/relwalk is read somewhere.
+
+    The definition is one mention; a second must come from a module of the
+    package other than __init__.py (an export alone is not a use) or from
+    the benchmark harness in perfbench/.
+    """
+    src = os.path.join(REPO, "src", "relwalk")
+    modules = [p for p in sorted(glob.glob(os.path.join(src, "*.py")))
+               if os.path.basename(p) not in ("__init__.py", "__main__.py")]
+    readers = modules + sorted(glob.glob(os.path.join(REPO, "perfbench", "*.py")))
+    trees = {p: ast.parse(pathlib.Path(p).read_text(encoding="utf-8"), p) for p in readers}
+    mentions = collections.Counter()
+    for tree in trees.values():
+        mentions.update(_mentions(tree))
+    defined = []
+    for path in modules:
+        for node in trees[path].body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [n.id for t in targets for n in ast.walk(t)
+                            if isinstance(n, ast.Name)]
+    unread = sorted(name for name in defined
+                    if mentions[name] < 2 and name not in _UNREAD_BUT_KEPT)
+    assert unread == []
+    assert all(mentions[name] < 2 for name in _UNREAD_BUT_KEPT)

@@ -98,11 +98,19 @@ def test_level_set_rejects_bad_directions(f2a_chain):
         level_set_point(f2a_chain, (0.0,))
     with pytest.raises(ValueError):
         level_set_point(f2a_chain, (1.0, 0.0))
+
+
+def test_rank_three_level_points_match_the_cosh_closed_form():
+    # lambda(u) = 0.2 sum_i cosh u_i, so the level set is sum_i cosh u_i = 5
+    # and its normal at u is parallel to (sinh u_i).
     cube = LatticeChain.build(3, 1, [(0, 0, dz, 0.1) for dz in
                                      ((1, 0, 0), (-1, 0, 0), (0, 1, 0),
                                       (0, -1, 0), (0, 0, 1), (0, 0, -1))])
-    with pytest.raises(ValueError):
-        level_set_point(cube, (1.0, 0.0, 0.0))
+    axis = level_set_point(cube, (1.0, 0.0, 0.0))
+    assert np.max(np.abs(np.array(axis.u) - (math.acosh(3.0), 0.0, 0.0))) < 1e-10
+    diagonal = level_set_point(cube, (1.0 / math.sqrt(3.0),) * 3)
+    assert np.max(np.abs(np.array(diagonal.u) - math.log(3.0))) < 1e-10
+    # The stages still have direction grids for ranks 1 and 2 only.
     with pytest.raises(ValueError):
         direction_grid(3, 8)
 
