@@ -29,7 +29,7 @@ from .floyd import (FloydFunction, TransitionParams, floyd_distance,
 from .induced import FiberIndex, induce_first_return, verify_same_green
 from .lattice import ChainGreen, LatticeChain
 from .perron import (check_assumptions, direction_grid, level_set_point,
-                     minimize_lambda, perron, perron_value)
+                     minimize_lambda, perron, perron_values)
 from .reports import svg_heatmap, svg_line_plot, write_csv, write_json
 
 _SAME_GREEN_TOL = 1e-6  # induce: induced-chain Green against the walk Green
@@ -236,8 +236,8 @@ def stage_lambda_surface(ctx: RunContext) -> dict:
                 for m in assume.u_min]
         # u1 runs along each grid row; the rows step through the later axes.
         later = list(itertools.product(*axes[1:]))
-        grid = [[perron_value(chain, (float(a),) + tuple(map(float, rest))) for a in axes[0]]
-                for rest in later]
+        tilts = [(a,) + rest for rest in later for a in axes[0]]
+        grid = perron_values(chain, tilts).reshape(len(later), len(axes[0])).tolist()
         for rest, row in zip(later, grid):
             for a, v in zip(axes[0], row):
                 rows.append((label, "%.12g" % a, " ".join("%.12g" % b for b in rest), v))
@@ -246,7 +246,7 @@ def stage_lambda_surface(ctx: RunContext) -> dict:
                 ctx.path(f"lambda_{label}.svg"),
                 [("lambda(u)", list(axes[0]), grid[0])],
                 f"Perron value, {label}", "u", "lambda", hline=1.0))
-            if assume.ok and assume.lambda_min < 1.0:
+            if assume.ok:
                 mn = perron(chain, assume.u_min)
                 up = level_set_point(chain, (1.0,), minimum=mn)
                 un = level_set_point(chain, (-1.0,), minimum=mn)

@@ -9,7 +9,9 @@ therefore only ever underestimates, and the error decays geometrically
 in the distance from the query points to the boundary.  First-hit laws
 on a neighborhood of the origin come from the same solver, on a box
 whose states in that neighborhood take no steps.  The box matrix is
-assembled in numpy, one vectorized pass per kernel entry.
+assembled in numpy, one vectorized pass per kernel entry.  A chain also
+caches its TiltCore, the untilted kernel split at the fibers that
+displaced entries touch, from which perron.perron_values reads lambda(u).
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -65,6 +68,11 @@ class LatticeChain:
             arr.flags.writeable = False
         return flat, dz, w
 
+    @cached_property
+    def tilt_core(self) -> "TiltCore":
+        """The split of the fibers into the tilted core C and the rest R."""
+        return TiltCore.split(self)
+
     # -- structure queries -------------------------------------------------
 
     def row_masses(self) -> list[float]:
@@ -97,6 +105,54 @@ class LatticeChain:
             power = np.minimum(power @ power, 1)
             exponent *= 2
         return bool(power.min() > 0)
+
+
+@dataclass(frozen=True)
+class TiltCore:
+    """Untilted part of F(u) = A + D(u), split at the fibers a tilt reaches.
+
+    A tilt multiplies only the entries with a displacement.  C is the set
+    of fibers such an entry leaves or enters (every fiber when no entry is
+    displaced), R the rest, so D(u) lives on C x C.  For lambda right of
+    rho(A_RR), lambda is an eigenvalue of F(u) exactly when it is one of
+    the stochastic complement
+    M(lambda, u) = A_CC + D(u) + A_CR (lambda - A_RR)^-1 A_RC
+    (Meyer, SIAM Review 31, 1989).  A_RR is kept in Schur form Q T Q^*,
+    real unless A_RR has complex eigenvalues, so that each resolvent is a
+    triangular solve that stays backward stable on a defective A_RR.
+    """
+
+    core: np.ndarray  # C, in fiber order
+    moved: np.ndarray  # entries with a displacement
+    slots: np.ndarray  # their flat positions j1 * |C| + j2 in the C x C block
+    base: np.ndarray  # A_CC
+    schur: np.ndarray  # T, |R| x |R| upper triangular
+    leave: np.ndarray  # A_CR Q
+    enter: np.ndarray  # Q^* A_RC
+    core_out: np.ndarray  # row sums of A_CR
+    rest_mass: float  # largest row sum of A over R
+
+    @staticmethod
+    def split(chain: LatticeChain) -> "TiltCore":
+        n = chain.fiber_count
+        flat, dz, w = chain.entry_arrays
+        moved = dz.any(axis=1)
+        j1, j2 = np.divmod(flat, n)
+        core = np.unique(np.concatenate([j1[moved], j2[moved]])) if moved.any() else np.arange(n)
+        rest = np.setdiff1d(np.arange(n), core)
+        local = np.zeros(n, dtype=np.intp)
+        local[core] = np.arange(core.size)
+        a = np.bincount(flat[~moved], weights=w[~moved], minlength=n * n).reshape(n, n)
+        schur, q = scipy.linalg.schur(a[np.ix_(rest, rest)]) if rest.size else (a[:0, :0],) * 2
+        if np.any(np.diag(schur, -1)):  # a 2 x 2 block: complex eigenvalues
+            schur, q = scipy.linalg.rsf2csf(schur, q)
+        return TiltCore(
+            core=core, moved=np.flatnonzero(moved),
+            slots=local[j1[moved]] * core.size + local[j2[moved]],
+            base=a[np.ix_(core, core)], schur=schur,
+            leave=a[np.ix_(core, rest)] @ q, enter=q.conj().T @ a[np.ix_(rest, core)],
+            core_out=a[np.ix_(core, rest)].sum(axis=1),
+            rest_mass=float(a[rest].sum(axis=1).max(initial=0.0)))
 
 
 class BoxGreen:

@@ -6,12 +6,17 @@ lambda(u) is smooth, log-convex, and for strictly sub-Markov strongly
 irreducible chains the level set {lambda = 1} is a compact convex
 hypersurface whose outward normals parametrize directions of escape.
 
-Each Perron root is one dense eigensolve of F(u).  perron() computes the
-eigenvalues with both eigenvectors and the gradient, and lambda_hessian
-takes the Hessian from that eigenpair; the Newton solvers for both
-geometric problems read them.  perron_value() computes the eigenvalues
-alone, for the callers that read only lambda: the lambda-surface grid and
-the escape probes of check_assumptions.
+perron() computes lambda(u) with both eigenvectors and the gradient from
+one dense eigensolve of F(u), and lambda_hessian takes the Hessian from
+that eigenpair; the Newton solvers for both geometric problems read them.
+perron_values() computes lambda alone, for a batch of tilts, for the
+callers that read only lambda: the lambda-surface grid and the escape
+probes of check_assumptions.  A tilt reaches only the core fibers C that
+displaced entries touch.  When the rest R is not empty, perron_values
+solves lambda = rho(M(lambda, u)) for the stochastic complement M onto C
+(see lattice.TiltCore) by one Newton iteration over all tilts at once,
+each step two triangular solves against the Schur form of A_RR, which is
+factored once per chain.  With R empty it takes the eigenvalues of F(u).
 """
 from __future__ import annotations
 
@@ -22,10 +27,11 @@ import numpy as np
 import scipy.linalg
 
 from .errors import AssumptionError, ConvergenceError
-from .lattice import LatticeChain
+from .lattice import LatticeChain, TiltCore
 
 _EXP_CAP = 700.0  # exp overflow guard on tilted entries
 _DENSE_EIG_MAX = 64  # read only by the benchmark harness, to label spans by fiber count
+_CORE_ROUNDS, _POLE_GAP = 100, 1e-14  # perron_values: Newton cap, smallest bracket around rho(A_RR)
 _MIN_GRAD_TOL, _MIN_ROUNDS = 1e-10, 100  # minimize_lambda: last-step gradient, round cap
 _ESCAPE_PROBES = (16.0, 8.0, 4.0, 2.0, 1.0, 0.5)  # check_assumptions: tilts per direction, far first
 _ESCAPE_GRID, _ESCAPE_LEVEL = 64, 2.0  # check_assumptions: direction count, escape level
@@ -41,15 +47,19 @@ def _tilt_vector(chain: LatticeChain, u) -> np.ndarray:
     return v
 
 
-def _tilted_weights(chain: LatticeChain, v: np.ndarray) -> np.ndarray:
-    """Per-entry tilted weights p((0,j1)->(z,j2)) exp(v.z)."""
-    _, dz, w = chain.entry_arrays
-    a = dz @ v
+def _exponents(chain: LatticeChain, v: np.ndarray) -> np.ndarray:
+    """Per-entry exponents v.z, or OverflowError where exp() would overflow."""
+    a = chain.entry_arrays[1] @ v
     over = np.flatnonzero(a > _EXP_CAP)
     if over.size:
         raise OverflowError(
             f"tilt {tuple(v.tolist())} overflows on displacement {chain.entries[over[0]][2]}")
-    return w * np.exp(a)
+    return a
+
+
+def _tilted_weights(chain: LatticeChain, v: np.ndarray) -> np.ndarray:
+    """Per-entry tilted weights p((0,j1)->(z,j2)) exp(v.z)."""
+    return chain.entry_arrays[2] * np.exp(_exponents(chain, v))
 
 
 def _fiber_sum(chain: LatticeChain, weights: np.ndarray) -> np.ndarray:
@@ -75,7 +85,7 @@ def perron(chain: LatticeChain, u) -> PerronData:
     """Perron root, eigenvectors, and grad lambda at tilt u.
 
     For the callers that read the eigenvectors or the gradient: the
-    minimizer and the level-set Newton solvers; perron_value gives lambda
+    minimizer and the level-set Newton solvers; perron_values gives lambda
     alone for less.  One eigendecomposition of F(u) gives both
     eigenvectors: for a primitive nonnegative matrix the Perron root
     strictly dominates every other eigenvalue in modulus, so the eigenvalue
@@ -107,14 +117,105 @@ def perron(chain: LatticeChain, u) -> PerronData:
                       gradient=grad, residual=res)
 
 
-def perron_value(chain: LatticeChain, u) -> float:
-    """Perron root of F(u) alone: the largest real part of its eigenvalues.
+def perron_values(chain: LatticeChain, tilts) -> np.ndarray:
+    """Perron roots lambda(u) of F(u), one per row u of tilts, without eigenvectors.
 
-    The same F(u), and the same OverflowError, as perron(), from an
-    eigensolve that computes no eigenvectors.
+    The same OverflowError as perron(), for the first overflowing tilt.
+    With R empty each root is the largest real part of the eigenvalues of
+    F(u).  Otherwise it is the root right of rho(A_RR) of
+    phi(lambda) = log lambda - log rho(M(lambda, u)) (see TiltCore).  The
+    entries of M are log-convex in lambda, so rho(M) is too (Kingman), and
+    phi is increasing and concave: Newton from the left climbs to the root
+    monotonically, and a tilt stops at its first step that does not
+    increase lambda.  In log form Newton also leaves a pole of the
+    resolvent of any order in a few steps.  The start is a lower bound
+    within a factor 2 of lambda - rho(A_RR).  A tilt whose bracket closes
+    on rho(A_RR) and that cannot climb from there has root rho(A_RR).
     """
-    F = _fiber_sum(chain, _tilted_weights(chain, _tilt_vector(chain, u)))
-    return float(np.max(np.linalg.eigvals(F).real))
+    u = np.asarray(tilts, dtype=float)
+    if u.ndim != 2 or u.shape[1] != chain.rank:
+        raise ValueError(f"tilts have shape {u.shape}, chain rank is {chain.rank}")
+    split = chain.tilt_core
+    if not split.schur.size:
+        return np.array([np.max(np.linalg.eigvals(_fiber_sum(chain, _tilted_weights(chain, v))).real)
+                         for v in u])
+    m, c = len(u), split.core.size
+    exps = np.array([_exponents(chain, v)[split.moved] for v in u]).reshape(m, split.moved.size)
+    cells = (np.arange(m)[:, None] * (c * c) + split.slots).ravel()
+    weights = (chain.entry_arrays[2][split.moved] * np.exp(exps)).ravel()
+    tilted = split.base + np.bincount(cells, weights, m * c * c).reshape(m, c, c)
+    upper = np.maximum((tilted.sum(axis=2) + split.core_out).max(axis=1), split.rest_mass)
+    pole = float(np.max(np.diag(split.schur).real))
+    floor = _POLE_GAP * upper
+    # lam <= lambda(u) <= pole + gap, from the largest row sum of F(u) down.
+    # M decreases in lambda, so rho(M(x)) at any x >= lambda(u) is a lower
+    # bound, and x <= rho(M(x)) means x <= lambda(u).  The gap halves until
+    # lam is within a factor 2 of it.
+    gap = np.maximum(upper - pole, floor)
+    lam = np.maximum(_complement_root(split, pole + gap, tilted)[0], pole + floor)
+    while True:
+        far = np.flatnonzero((lam < pole + 0.5 * gap) & (gap > 2.0 * floor))
+        if not far.size:
+            break
+        probe = pole + 0.5 * gap[far]
+        rho = _complement_root(split, probe, tilted[far])[0]
+        lam[far] = np.maximum(lam[far], np.minimum(probe, rho))
+        gap[far] = np.where(rho >= probe, gap[far], 0.5 * gap[far])
+    values = np.empty(m)
+    todo = np.arange(m)
+    for _ in range(_CORE_ROUNDS):
+        if not todo.size:
+            return values
+        rho, slope = _complement_root(split, lam, tilted[todo], slope=True)
+        rho = np.maximum(rho, np.finfo(float).tiny)  # rho(M) = 0: the root lies left
+        step = (np.log(lam) - np.log(rho)) / (1.0 / lam - slope / rho)
+        if not np.isfinite(step).all():
+            raise ConvergenceError("Perron root of the tilt core is not finite")
+        nxt = lam - step
+        climbs = nxt > lam
+        done = todo[~climbs]
+        values[done] = np.where(lam[~climbs] > pole + floor[done], lam[~climbs], pole)
+        todo, lam = todo[climbs], nxt[climbs]
+    raise ConvergenceError(f"Perron roots did not converge in {_CORE_ROUNDS} Newton steps")
+
+
+def _complement_root(split: TiltCore, lam: np.ndarray, tilted: np.ndarray,
+                     slope: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """rho(M(lam_t, u_t)) per tilt t, and d rho/d lambda if slope is set.
+
+    tilted holds A_CC + D(u_t).  Column t * |C| + k of the solves is tilt
+    t against column k of A_RC; d M/d lambda = -A_CR (lambda - A_RR)^-2 A_RC,
+    and d rho = l^T dM r / (l^T r) with the Perron vectors l, r of M.
+    """
+    m, c = tilted.shape[:2]
+    shift = np.repeat(lam, c)
+    x = _shifted_solve(split.schur, shift, np.tile(split.enter, (1, m)))
+
+    def per_tilt(cols):
+        return np.real(split.leave @ cols).reshape(c, m, c).transpose(1, 0, 2)
+
+    mats = tilted + per_tilt(x)
+    if not np.isfinite(mats).all():
+        raise ConvergenceError("stochastic complement overflows next to rho(A_RR)")
+    vals, right = np.linalg.eig(mats)
+    top = np.argmax(vals.real, axis=1)
+    rho = vals.real[np.arange(m), top]
+    if not slope:
+        return rho, None
+    lvals, left = np.linalg.eig(mats.transpose(0, 2, 1))
+    r = right[np.arange(m), :, top].real
+    l = left[np.arange(m), :, np.argmax(lvals.real, axis=1)].real
+    dmats = -per_tilt(_shifted_solve(split.schur, shift, x))
+    return rho, np.einsum("ti,tij,tj->t", l, dmats, r) / np.einsum("ti,ti->t", l, r)
+
+
+def _shifted_solve(schur: np.ndarray, shift: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Columns x_j of (shift_j I - T) x_j = rhs_j, by back substitution on the triangular T."""
+    x = np.empty(rhs.shape, dtype=np.result_type(schur, rhs))
+    diag = np.diag(schur)
+    for i in range(len(schur) - 1, -1, -1):
+        x[i] = (rhs[i] + schur[i, i + 1:] @ x[i + 1:]) / (shift - diag[i])
+    return x
 
 
 def lambda_hessian(chain: LatticeChain, data: PerronData) -> np.ndarray:
@@ -211,11 +312,12 @@ class AssumptionReport:
                 and self.lambda_min < 1.0 and self.level_set_compact)
 
 
-def _escapes(chain: LatticeChain, u: np.ndarray) -> bool:
+def _overflows(chain: LatticeChain, v: np.ndarray) -> bool:
     try:
-        return perron_value(chain, u) >= _ESCAPE_LEVEL
+        _exponents(chain, v)
     except OverflowError:
         return True
+    return False
 
 
 def check_assumptions(chain: LatticeChain) -> AssumptionReport:
@@ -225,9 +327,11 @@ def check_assumptions(chain: LatticeChain) -> AssumptionReport:
     t in _ESCAPE_PROBES, along every grid direction d) certifies that the
     lambda = 1 level set is compact.  Whether some probe escapes does not
     depend on the order the probes are tried, so they are tried far first
-    and a direction stops at its first escape.  lambda is convex along the
-    ray and lambda(0) <= 1 for a sub-Markov chain, so a direction that
-    escapes at any probe also escapes at the farthest: it costs one solve.
+    and a direction stops at its first escape: each probe level evaluates
+    the directions that have not escaped yet in one batch, and an
+    overflowing tilt escapes.  lambda is convex along the ray and
+    lambda(0) <= 1 for a sub-Markov chain, so a direction that escapes at
+    any probe also escapes at the farthest: it costs one tilt.
     """
     msgs: list[str] = []
     sub = chain.is_strictly_submarkov
@@ -239,14 +343,22 @@ def check_assumptions(chain: LatticeChain) -> AssumptionReport:
     mn = minimize_lambda(chain)
     if mn.value >= 1.0:
         msgs.append(f"lambda minimum {mn.value:.6f} is not below 1")
-    compact = True
-    for d in direction_grid(chain.rank, _ESCAPE_GRID):
-        if not any(_escapes(chain, t * d) for t in _ESCAPE_PROBES):
-            compact = False
+    grid = direction_grid(chain.rank, _ESCAPE_GRID)
+    escaped = np.zeros(len(grid), dtype=bool)
+    for t in _ESCAPE_PROBES:
+        pending = np.flatnonzero(~escaped)
+        if not pending.size:
+            break
+        tilts = t * np.array(grid)[pending]
+        hit = np.array([_overflows(chain, v) for v in tilts], dtype=bool)
+        hit[~hit] = perron_values(chain, tilts[~hit]) >= _ESCAPE_LEVEL
+        escaped[pending[hit]] = True
+    for d, out in zip(grid, escaped):
+        if not out:
             msgs.append(f"lambda stayed below {_ESCAPE_LEVEL} along direction {tuple(d)}")
     return AssumptionReport(submarkov=sub, strongly_irreducible=irr,
                             lambda_min=mn.value, u_min=mn.u,
-                            level_set_compact=compact, messages=msgs)
+                            level_set_compact=bool(escaped.all()), messages=msgs)
 
 
 @dataclass

@@ -42,6 +42,19 @@ def count_calls(monkeypatch, module, name: str) -> list[int]:
     return calls
 
 
+def count_tilts(monkeypatch, module, name: str) -> list[int]:
+    """Wrap the batched module.name(chain, tilts) so that each call adds its tilt count."""
+    inner = getattr(module, name)
+    tilts = [0]
+
+    def counted(chain, batch):
+        tilts[0] += len(batch)
+        return inner(chain, batch)
+
+    monkeypatch.setattr(module, name, counted)
+    return tilts
+
+
 def extrapolated_ratio_deviation(ratio_rows):
     """Kernel-ratio deviations of a martin_convergence report, raw and at n -> inf.
 

@@ -1,17 +1,23 @@
 """Tilted Perron roots, lambda minimization, and level-set inversion."""
+import importlib.util
 import json
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import relwalk.cli as cli
 import relwalk.perron as perron_module
-from relwalk import (LatticeChain, check_assumptions, level_set_point,
-                     limit_kernel_ratio, load_config, minimize_lambda)
-from relwalk.perron import direction_grid, lambda_hessian, perron, perron_value
+from relwalk import (FreeProductEngine, LatticeChain, check_assumptions,
+                     induce_first_return, level_set_point, limit_kernel_ratio,
+                     load_config, minimize_lambda)
+from relwalk.errors import ConvergenceError
+from relwalk.perron import direction_grid, lambda_hessian, perron, perron_values
 
-from conftest import count_calls
+from conftest import count_calls, count_tilts
 
 
 def killed_z(q: float = 0.2) -> LatticeChain:
@@ -201,7 +207,7 @@ def test_escape_test_makes_one_solve_per_direction(z2_chain_eta2, monkeypatch):
     # Every direction of the compact eta-2 level set escapes at its far
     # probe, which reads lambda alone; perron() runs only in the minimizer.
     pairs = count_calls(monkeypatch, perron_module, "perron")
-    values = count_calls(monkeypatch, perron_module, "perron_value")
+    values = count_tilts(monkeypatch, perron_module, "perron_values")
     minimize_lambda(z2_chain_eta2)
     minimize_calls, pairs[0] = pairs[0], 0
     assert check_assumptions(z2_chain_eta2).level_set_compact
@@ -221,7 +227,7 @@ def test_lambda_surface_reads_eigenpairs_only_in_the_minimizer(tmp_path, monkeyp
     minimize_lambda(ctx.cfg.chain)
     minimize_calls, pairs[0] = pairs[0], 0
     pairs_in_cli = count_calls(monkeypatch, cli, "perron")
-    values = count_calls(monkeypatch, cli, "perron_value")
+    values = count_tilts(monkeypatch, cli, "perron_values")
     assert cli.stage_lambda_surface(ctx)["status"] == "ok"
     assert pairs[0] == minimize_calls and pairs_in_cli[0] == 0
     assert values[0] == 25
@@ -287,11 +293,12 @@ def test_value_path_matches_the_eigenpair_path(z2_chain_eta2):
         cases.append((chain, tuple(rng.uniform(-2.0, 2.0, size=2))))
     for chain, u in cases:
         ref = perron(chain, u).value
-        assert abs(perron_value(chain, u) - ref) <= 1e-13 * abs(ref)
+        assert abs(perron_values(chain, [u])[0] - ref) <= 1e-13 * abs(ref)
     far = LatticeChain.build(1, 1, [(0, 0, (300,), 0.2), (0, 0, (-300,), 0.2)])
-    for fn in (perron, perron_value):
-        with pytest.raises(OverflowError, match=r"tilt \(-2\.5,\) overflows"):
-            fn(far, (-2.5,))
+    with pytest.raises(OverflowError, match=r"tilt \(-2\.5,\) overflows"):
+        perron(far, (-2.5,))
+    with pytest.raises(OverflowError, match=r"tilt \(-2\.5,\) overflows"):
+        perron_values(far, [(0.5,), (-2.5,), (3.0,)])
 
 
 def test_limit_kernel_ratio_formula():
@@ -314,3 +321,144 @@ def test_tilted_matrix_entries_are_weighted_exponentials(z2_chain_eta2):
     assert data.value == pytest.approx(max(np.linalg.eigvals(ref).real), rel=1e-13)
     assert np.allclose(ref @ data.right, data.value * data.right, rtol=1e-12, atol=1e-15)
     assert np.allclose(data.left @ ref, data.value * data.left, rtol=1e-12, atol=1e-15)
+
+
+
+def dense_perron_root(chain: LatticeChain, u) -> float:
+    """Largest real part of the eigenvalues of F(u), built entry by entry."""
+    F = np.zeros((chain.fiber_count,) * 2)
+    for j1, j2, dz, w in chain.entries:
+        F[j1, j2] += w * math.exp(float(np.dot(u, dz)))
+    return float(max(np.linalg.eigvals(F).real))
+
+
+def write_chain_config(path, chain: LatticeChain, grid_points: int) -> str:
+    path.write_text(json.dumps({"name": "chain", "chain": {
+        "rank": chain.rank, "fibers": chain.fiber_count,
+        "entries": [[j1, j2, list(dz), w] for j1, j2, dz, w in chain.entries]},
+        "tolerances": {"lambda_grid_points": grid_points}}))
+    return str(path)
+
+
+def induced_chain(directory, config: dict, eta: int) -> LatticeChain:
+    path = directory / f"{config['name']}.json"
+    path.write_text(json.dumps(config))
+    cfg = load_config(str(path))
+    return induce_first_return(FreeProductEngine(cfg.group, cfg.measure, radius=cfg.radius),
+                               factor=0, eta=eta)
+
+
+@pytest.fixture(scope="module")
+def seeded_eta4_chain(tmp_path_factory):
+    """The 233-fiber chain of the benchmark's z2-eta4-surface workload (seed 1)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads",
+        os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py"))
+    # Registered first: its dataclasses look their module up in sys.modules.
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    (inv,) = workloads.invocations("z2-eta4-surface", 1)
+    return induced_chain(tmp_path_factory.mktemp("eta4"), inv.config, 4)
+
+
+@pytest.fixture(scope="module")
+def finite_part_chain(tmp_path_factory):
+    """(Z^2 x Z/2) * Z at eta 2: 30 fibers, two of them in the tilt core."""
+    config = {"name": "z2_c2", "radius": 6, "parabolic": [0], "eta_list": [2],
+              "measure": {"kind": "uniform", "lazy": True},
+              "group": {"factors": [
+                  {"rank": 2, "lattice_names": ["a", "b"], "table": [[0, 1], [1, 0]],
+                   "finite_names": ["s"]},
+                  {"rank": 1, "lattice_names": ["t"]}]}}
+    return induced_chain(tmp_path_factory.mktemp("c2"), config, 2)
+
+
+def core_test_chains():
+    """Synthetic chains that stress the tilt-core split, by name."""
+    steps = [((1, 0), 0.05), ((-1, 0), 0.05), ((0, 1), 0.05), ((0, -1), 0.05)]
+    core = [(0, 0, dz, w) for dz, w in steps]
+    # A_RR = 0.3 I + 0.6 N on fibers 1..12, entered at one end and left at
+    # the other; listed downward, it is lower triangular.
+    jordan = {}
+    for name, order in (("jordan", list(range(1, 13))), ("jordan_down", list(range(12, 0, -1)))):
+        entries = core + [(0, order[0], (0, 0), 0.2), (order[-1], 0, (0, 0), 0.3)]
+        entries += [(j, j, (0, 0), 0.3) for j in order]
+        entries += [(a, b, (0, 0), 0.6) for a, b in zip(order, order[1:])]
+        jordan[name] = LatticeChain.build(2, 13, entries)
+    # Fibers 1, 2 form a class of Perron root 0.45 that C cannot reach;
+    # fiber 3 couples to C both ways.
+    dominated = LatticeChain.build(2, 4, core + [
+        (1, 2, (0, 0), 0.45), (2, 1, (0, 0), 0.45), (1, 0, (0, 0), 0.05),
+        (0, 3, (0, 0), 0.1), (3, 0, (0, 0), 0.1), (3, 3, (0, 0), 0.2)])
+    untilted = LatticeChain.build(2, 3, [
+        (0, 1, (0, 0), 0.3), (1, 2, (0, 0), 0.4), (2, 0, (0, 0), 0.5), (1, 1, (0, 0), 0.1)])
+    return {**jordan, "dominated": dominated, "untilted": untilted}
+
+
+def test_core_path_matches_dense_eigenvalues(z2_chain_eta0, z2_chain_eta2, seeded_eta4_chain,
+                                             finite_part_chain):
+    chains = {"eta0": z2_chain_eta0, "eta2": z2_chain_eta2, "eta4": seeded_eta4_chain,
+              "finite_part": finite_part_chain, **core_test_chains()}
+    split = {name: c.tilt_core for name, c in chains.items()}
+    assert [split[n].core.size for n in ("eta0", "eta2", "eta4", "finite_part")] == [1, 1, 1, 2]
+    assert [split[n].schur.shape[0] for n in ("eta0", "eta2", "eta4", "finite_part")] == [0, 12, 232, 28]
+    assert split["untilted"].core.tolist() == [0, 1, 2]
+    rng = np.random.default_rng(1989)
+    tilts = np.vstack([np.zeros((1, 2)), rng.uniform(-2.0, 2.0, size=(15, 2))])
+    for name, chain in chains.items():
+        got = perron_values(chain, tilts)
+        ref = np.array([dense_perron_root(chain, u) for u in tilts])
+        assert np.all(np.abs(got - ref) <= 1e-13 * ref), name
+    # The dominated chain's class {1, 2} sets lambda near u = 0, the core far out.
+    dominated = perron_values(chains["dominated"], [(0.0, 0.0), (3.0, 3.0)])
+    assert dominated[0] == pytest.approx(0.45, rel=1e-15) and dominated[1] > 1.0
+
+
+def test_level_points_do_not_depend_on_eta(z2_chain_eta0, z2_chain_eta2):
+    """M(1, u) is the first-return kernel to the eta-0 neighbourhood at every eta,
+    so the shipped chains at eta 0 and 2 share their level set {lambda = 1}."""
+    points = []
+    for chain in (z2_chain_eta0, z2_chain_eta2):
+        mn = minimize_lambda(chain)
+        points.append([level_set_point(chain, th, minimum=mn).u for th in direction_grid(2, 64)])
+    assert np.abs(np.subtract(*points)).max() < 1e-12
+
+
+def test_lambda_surface_factors_the_rest_once_and_never_builds_f(z2_chain_eta2, tmp_path,
+                                                                 monkeypatch):
+    # A fresh copy of the eta-2 chain, so its split is not cached yet.
+    ctx = cli.RunContext(load_config(write_chain_config(tmp_path / "eta2.json", z2_chain_eta2, 11)),
+                         str(tmp_path / "out"))
+    inner_min, inner_sum = perron_module.minimize_lambda, perron_module._fiber_sum
+    minimizing, stray = [False], []
+
+    def minimize(chain):
+        minimizing[0] = True
+        try:
+            return inner_min(chain)
+        finally:
+            minimizing[0] = False
+
+    def fiber_sum(chain, weights):
+        if not minimizing[0]:
+            stray.append(chain.fiber_count)
+        return inner_sum(chain, weights)
+
+    monkeypatch.setattr(perron_module, "minimize_lambda", minimize)
+    monkeypatch.setattr(perron_module, "_fiber_sum", fiber_sum)
+    schur = count_calls(monkeypatch, scipy.linalg, "schur")
+    values = count_tilts(monkeypatch, cli, "perron_values")
+    assert cli.stage_lambda_surface(ctx)["status"] == "ok"
+    assert values[0] == 121
+    assert stray == [] and schur[0] == 1
+
+
+def test_newton_cap_is_a_numerical_failure(z2_chain_eta2, tmp_path, monkeypatch):
+    monkeypatch.setattr(perron_module, "_CORE_ROUNDS", 1)
+    with pytest.raises(ConvergenceError, match="did not converge in 1 Newton steps"):
+        perron_values(LatticeChain.build(2, z2_chain_eta2.fiber_count, z2_chain_eta2.entries),
+                      [(0.3, -0.2)])
+    path = write_chain_config(tmp_path / "eta2.json", z2_chain_eta2, 5)
+    assert cli.main(["lambda-surface", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    with open(tmp_path / "out" / "lambda_surface_diagnostic.json") as fh:
+        assert "did not converge" in json.load(fh)["reason"]
