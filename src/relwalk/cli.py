@@ -135,7 +135,7 @@ def stage_green(ctx: RunContext) -> dict:
     files = [write_csv(ctx.path("green.csv"), ["x", "word_length", "green"], rows),
              write_csv(ctx.path("martin.csv"), ["y", "x", "martin_kernel"], krows),
              write_json(ctx.path("green.json"), {
-                 "green_ee": engine.green(e, e),
+                 "green_ee": engine.green_identity_value,
                  "factor_return_mass": list(engine.return_mass),
                  "radius": cfg.radius,
                  "identity_mass": cfg.measure.identity_mass})]

@@ -60,7 +60,8 @@ class FreeProductEngine:
         self.rounds_used = 0
         self.return_mass: list[float] = [0.0] * len(group.factors)
         self._fixed_point()
-        self._chains = [self._build_factor_chain(i) for i in range(len(group.factors))]
+        self._chains = [self._build_factor_chain(i, self.return_mass)
+                        for i in range(len(group.factors))]
         self._greens = [ChainGreen(c, self.radius) for c in self._chains]
         self._gee_per_factor = [
             cg.green_at_origin(0, 0) for cg in self._greens
@@ -75,10 +76,9 @@ class FreeProductEngine:
 
     # -- factor chains and the return fixed point -------------------------
 
-    def _build_factor_chain(self, i: int, return_masses: Sequence[float] | None = None) -> LatticeChain:
+    def _build_factor_chain(self, i: int, return_masses: Sequence[float]) -> LatticeChain:
         spec = self.group.factors[i]
-        r = self.return_mass if return_masses is None else return_masses
-        loop = self._identity_mass + sum(m for j, m in enumerate(r) if j != i)
+        loop = self._identity_mass + sum(m for j, m in enumerate(return_masses) if j != i)
         entries = []
         zero = (0,) * spec.rank
         for j1 in range(spec.finite_order):

@@ -112,10 +112,10 @@ class TiltCore:
     """Untilted part of F(u) = A + D(u), split at the fibers a tilt reaches.
 
     A tilt multiplies only the entries with a displacement.  C is the set
-    of fibers such an entry leaves or enters (every fiber when no entry is
-    displaced), R the rest, so D(u) lives on C x C.  For lambda right of
-    rho(A_RR), lambda is an eigenvalue of F(u) exactly when it is one of
-    the stochastic complement
+    of fibers such an entry leaves or enters, R the rest, so D(u) lives on
+    C x C.  Where R would be empty, every entry goes with D(u): A_CC = 0.
+    For lambda right of rho(A_RR), lambda is an eigenvalue of F(u) exactly
+    when it is one of the stochastic complement
     M(lambda, u) = A_CC + D(u) + A_CR (lambda - A_RR)^-1 A_RC
     (Meyer, SIAM Review 31, 1989).  A_RR is kept in Schur form Q T Q^*,
     real unless A_RR has complex eigenvalues, so that each resolvent is a
@@ -123,7 +123,7 @@ class TiltCore:
     """
 
     core: np.ndarray  # C, in fiber order
-    moved: np.ndarray  # entries with a displacement
+    moved: np.ndarray  # the displaced entries, or every entry when R is empty
     slots: np.ndarray  # their flat positions j1 * |C| + j2 in the C x C block
     base: np.ndarray  # A_CC
     schur: np.ndarray  # T, |R| x |R| upper triangular
@@ -138,7 +138,9 @@ class TiltCore:
         flat, dz, w = chain.entry_arrays
         moved = dz.any(axis=1)
         j1, j2 = np.divmod(flat, n)
-        core = np.unique(np.concatenate([j1[moved], j2[moved]])) if moved.any() else np.arange(n)
+        core = np.unique(np.concatenate([j1[moved], j2[moved]]))
+        if core.size in (0, n):
+            core, moved = np.arange(n), np.ones_like(moved)
         rest = np.setdiff1d(np.arange(n), core)
         local = np.zeros(n, dtype=np.intp)
         local[core] = np.arange(core.size)

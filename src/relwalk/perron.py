@@ -11,12 +11,12 @@ one dense eigensolve of F(u), and lambda_hessian takes the Hessian from
 that eigenpair; the Newton solvers for both geometric problems read them.
 perron_values() computes lambda alone, for a batch of tilts, for the
 callers that read only lambda: the lambda-surface grid and the escape
-probes of check_assumptions.  A tilt reaches only the core fibers C that
-displaced entries touch.  When the rest R is not empty, perron_values
-solves lambda = rho(M(lambda, u)) for the stochastic complement M onto C
-(see lattice.TiltCore) by one Newton iteration over all tilts at once,
-each step two triangular solves against the Schur form of A_RR, which is
-factored once per chain.  With R empty it takes the eigenvalues of F(u).
+probes of check_assumptions.  One pass assembles A_CC + D(u) for the
+batch, on the fibers C that displaced entries touch (lattice.TiltCore).
+With the rest R empty that is F(u), and one batched eigvals gives lambda.
+Otherwise lambda = rho(M(lambda, u)) for the stochastic complement M onto
+C, solved by one Newton iteration over all tilts whose steps are two
+triangular solves against the Schur form of A_RR, factored once per chain.
 """
 from __future__ import annotations
 
@@ -47,19 +47,20 @@ def _tilt_vector(chain: LatticeChain, u) -> np.ndarray:
     return v
 
 
-def _exponents(chain: LatticeChain, v: np.ndarray) -> np.ndarray:
-    """Per-entry exponents v.z, or OverflowError where exp() would overflow."""
-    a = chain.entry_arrays[1] @ v
-    over = np.flatnonzero(a > _EXP_CAP)
+def _exponents(chain: LatticeChain, tilts: np.ndarray) -> np.ndarray:
+    """Exponents u.z, tilts by entries; OverflowError names the first overflowing tilt."""
+    a = tilts @ chain.entry_arrays[1].T
+    over = np.argwhere(a > _EXP_CAP)
     if over.size:
+        t, e = over[0]
         raise OverflowError(
-            f"tilt {tuple(v.tolist())} overflows on displacement {chain.entries[over[0]][2]}")
+            f"tilt {tuple(tilts[t].tolist())} overflows on displacement {chain.entries[e][2]}")
     return a
 
 
 def _tilted_weights(chain: LatticeChain, v: np.ndarray) -> np.ndarray:
     """Per-entry tilted weights p((0,j1)->(z,j2)) exp(v.z)."""
-    return chain.entry_arrays[2] * np.exp(_exponents(chain, v))
+    return chain.entry_arrays[2] * np.exp(_exponents(chain, v[None])[0])
 
 
 def _fiber_sum(chain: LatticeChain, weights: np.ndarray) -> np.ndarray:
@@ -121,8 +122,9 @@ def perron_values(chain: LatticeChain, tilts) -> np.ndarray:
     """Perron roots lambda(u) of F(u), one per row u of tilts, without eigenvectors.
 
     The same OverflowError as perron(), for the first overflowing tilt.
-    With R empty each root is the largest real part of the eigenvalues of
-    F(u).  Otherwise it is the root right of rho(A_RR) of
+    With R empty the assembled stack is F(u), bit for bit as perron() sums
+    it, and each root is the largest real part of its eigenvalues.
+    Otherwise it is the root right of rho(A_RR) of
     phi(lambda) = log lambda - log rho(M(lambda, u)) (see TiltCore).  The
     entries of M are log-convex in lambda, so rho(M) is too (Kingman), and
     phi is increasing and concave: Newton from the left climbs to the root
@@ -136,14 +138,12 @@ def perron_values(chain: LatticeChain, tilts) -> np.ndarray:
     if u.ndim != 2 or u.shape[1] != chain.rank:
         raise ValueError(f"tilts have shape {u.shape}, chain rank is {chain.rank}")
     split = chain.tilt_core
-    if not split.schur.size:
-        return np.array([np.max(np.linalg.eigvals(_fiber_sum(chain, _tilted_weights(chain, v))).real)
-                         for v in u])
     m, c = len(u), split.core.size
-    exps = np.array([_exponents(chain, v)[split.moved] for v in u]).reshape(m, split.moved.size)
     cells = (np.arange(m)[:, None] * (c * c) + split.slots).ravel()
-    weights = (chain.entry_arrays[2][split.moved] * np.exp(exps)).ravel()
-    tilted = split.base + np.bincount(cells, weights, m * c * c).reshape(m, c, c)
+    weights = chain.entry_arrays[2][split.moved] * np.exp(_exponents(chain, u)[:, split.moved])
+    tilted = split.base + np.bincount(cells, weights.ravel(), m * c * c).reshape(m, c, c)
+    if not split.schur.size:
+        return np.linalg.eigvals(tilted).real.max(axis=1)
     upper = np.maximum((tilted.sum(axis=2) + split.core_out).max(axis=1), split.rest_mass)
     pole = float(np.max(np.diag(split.schur).real))
     floor = _POLE_GAP * upper
@@ -312,14 +312,6 @@ class AssumptionReport:
                 and self.lambda_min < 1.0 and self.level_set_compact)
 
 
-def _overflows(chain: LatticeChain, v: np.ndarray) -> bool:
-    try:
-        _exponents(chain, v)
-    except OverflowError:
-        return True
-    return False
-
-
 def check_assumptions(chain: LatticeChain) -> AssumptionReport:
     """Verify sub-Markov mass, irreducibility, and radial escape of lambda.
 
@@ -328,10 +320,11 @@ def check_assumptions(chain: LatticeChain) -> AssumptionReport:
     lambda = 1 level set is compact.  Whether some probe escapes does not
     depend on the order the probes are tried, so they are tried far first
     and a direction stops at its first escape: each probe level evaluates
-    the directions that have not escaped yet in one batch, and an
-    overflowing tilt escapes.  lambda is convex along the ray and
-    lambda(0) <= 1 for a sub-Markov chain, so a direction that escapes at
-    any probe also escapes at the farthest: it costs one tilt.
+    the directions that have not escaped yet in one batch, and a tilt whose
+    exponents overflow (one product per level) escapes.  lambda is convex
+    along the ray and lambda(0) <= 1 for a sub-Markov chain, so a direction
+    that escapes at any probe also escapes at the farthest: it costs one
+    tilt.  A nearer probe still counts where lambda(0) >= _ESCAPE_LEVEL.
     """
     msgs: list[str] = []
     sub = chain.is_strictly_submarkov
@@ -343,19 +336,19 @@ def check_assumptions(chain: LatticeChain) -> AssumptionReport:
     mn = minimize_lambda(chain)
     if mn.value >= 1.0:
         msgs.append(f"lambda minimum {mn.value:.6f} is not below 1")
-    grid = direction_grid(chain.rank, _ESCAPE_GRID)
+    grid = np.array(direction_grid(chain.rank, _ESCAPE_GRID))
     escaped = np.zeros(len(grid), dtype=bool)
     for t in _ESCAPE_PROBES:
         pending = np.flatnonzero(~escaped)
         if not pending.size:
             break
-        tilts = t * np.array(grid)[pending]
-        hit = np.array([_overflows(chain, v) for v in tilts], dtype=bool)
+        tilts = t * grid[pending]
+        hit = (tilts @ chain.entry_arrays[1].T > _EXP_CAP).any(axis=1)
         hit[~hit] = perron_values(chain, tilts[~hit]) >= _ESCAPE_LEVEL
         escaped[pending[hit]] = True
     for d, out in zip(grid, escaped):
         if not out:
-            msgs.append(f"lambda stayed below {_ESCAPE_LEVEL} along direction {tuple(d)}")
+            msgs.append(f"lambda stayed below {_ESCAPE_LEVEL} along direction {tuple(d.tolist())}")
     return AssumptionReport(submarkov=sub, strongly_irreducible=irr,
                             lambda_min=mn.value, u_min=mn.u,
                             level_set_compact=bool(escaped.all()), messages=msgs)

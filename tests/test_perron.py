@@ -276,7 +276,7 @@ def test_escape_test_matches_the_upward_probe_loop(monkeypatch):
                     break
                 t *= 2.0
             if t > 20.0:
-                expected.append(f"lambda stayed below 2.0 along direction {tuple(d)}")
+                expected.append(f"lambda stayed below 2.0 along direction {tuple(d.tolist())}")
             counts[t > 20.0] += 1
         rep = check_assumptions(chain)
         assert [m for m in rep.messages if m.startswith("lambda stayed")] == expected
@@ -299,6 +299,10 @@ def test_value_path_matches_the_eigenpair_path(z2_chain_eta2):
         perron(far, (-2.5,))
     with pytest.raises(OverflowError, match=r"tilt \(-2\.5,\) overflows"):
         perron_values(far, [(0.5,), (-2.5,), (3.0,)])
+    dominated = core_test_chains()["dominated"]  # its rest R is not empty
+    first = r"tilt \(0\.0, -900\.0\) overflows on displacement \(0, -1\)"
+    with pytest.raises(OverflowError, match=first):
+        perron_values(dominated, [(0.1, 0.2), (0.0, -900.0), (800.0, 0.0)])
 
 
 def test_limit_kernel_ratio_formula():
@@ -462,3 +466,62 @@ def test_newton_cap_is_a_numerical_failure(z2_chain_eta2, tmp_path, monkeypatch)
     assert cli.main(["lambda-surface", "--config", path, "--out", str(tmp_path / "out")]) == 2
     with open(tmp_path / "out" / "lambda_surface_diagnostic.json") as fh:
         assert "did not converge" in json.load(fh)["reason"]
+
+
+def rest_free_plane_chains(count: int) -> list[LatticeChain]:
+    """Seeded random_plane_chains whose displaced entries touch every fiber."""
+    rng = np.random.default_rng(1711)
+    chains = []
+    while len(chains) < count:
+        chain = random_plane_chain(rng, degenerate=len(chains) % 3 == 1, heavy=len(chains) % 3 == 2)
+        if not chain.tilt_core.schur.size:
+            chains.append(chain)
+    return chains
+
+
+def test_rest_free_values_are_the_eigenvalues_of_f_bit_for_bit(z2_chain_eta0, lat_cfg):
+    # With R empty the batched assembly is F(u) summed in entry order, so
+    # the values equal the per-tilt dense ones exactly.
+    plane = rest_free_plane_chains(12)
+    assert any(not any(dz) for c in plane if c.fiber_count > 1 for _, _, dz, _ in c.entries)
+    chains = [lat_cfg.chain, z2_chain_eta0, core_test_chains()["untilted"], *plane]
+    rng = np.random.default_rng(89)
+    for chain in chains:
+        tilts = np.vstack([np.zeros((1, chain.rank)),
+                           rng.uniform(-2.0, 2.0, size=(24, chain.rank))])
+        _, dz, w = chain.entry_arrays
+        ref = [max(np.linalg.eigvals(perron_module._fiber_sum(chain, w * np.exp(dz @ u))).real)
+               for u in tilts]
+        assert perron_values(chain, tilts).tolist() == ref
+
+
+def test_rest_free_grid_makes_one_product_and_one_eigensolve(z2_chain_eta0, monkeypatch):
+    products = count_calls(monkeypatch, perron_module, "_exponents")
+    eigensolves = count_calls(monkeypatch, np.linalg, "eigvals")
+    axis = np.linspace(-2.5, 2.5, 41)
+    values = perron_values(z2_chain_eta0, [(a, b) for b in axis for a in axis])
+    assert values.shape == (1681,)
+    assert products[0] == 1 and eigensolves[0] == 1
+
+
+def test_nearer_escape_probes_catch_a_heavy_chain():
+    # lambda(-t) = 4 e^-t + 1e-8 e^t is 2.43 at t = 0.5 but 0.089 at t = 16:
+    # only a nearer probe sees the escape along -1.
+    chain = LatticeChain.build(1, 1, [(0, 0, (1,), 4.0), (0, 0, (-1,), 1e-8)])
+    assert perron_values(chain, [(-16.0,)])[0] < 2.0 <= perron_values(chain, [(-0.5,)])[0]
+    assert check_assumptions(chain).level_set_compact
+
+
+def test_escape_messages_print_plain_floats(tmp_path):
+    # Along -e2 the weight 1e-9 leaves lambda below 2 at every probe.
+    chain = LatticeChain.build(2, 1, [(0, 0, (1, 0), 0.2), (0, 0, (-1, 0), 0.2),
+                                      (0, 0, (0, 1), 0.2), (0, 0, (0, -1), 1e-9)])
+    path = write_chain_config(tmp_path / "open.json", chain, 5)
+    assert cli.main(["lambda-surface", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    with open(tmp_path / "out" / "lambda_surface.json") as fh:
+        messages = [m for entry in json.load(fh).values() for m in entry["messages"]]
+    stayed = [m for m in messages if m.startswith("lambda stayed below")]
+    assert stayed and not any("np.float64" in m for m in messages)
+    for m in stayed:
+        x, y = map(float, m.split("direction (")[1].rstrip(")").split(", "))
+        assert y < 0.0
