@@ -30,9 +30,7 @@ def ball_elements(group: FreeProductGroup, radius: int,
                     nxt.append(y)
                     if len(seen) > state_cap:
                         raise StateCapError(
-                            f"ball enumeration exceeded the cap of {state_cap} states",
-                            states_seen=len(seen),
-                        )
+                            f"ball enumeration exceeded the cap of {state_cap} states")
         nxt.sort(key=lambda g: g.sort_key())
         out.extend(nxt)
         frontier = nxt

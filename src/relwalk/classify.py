@@ -24,6 +24,7 @@ UNRESOLVED = "Unresolved"
 
 _CONED_THRESHOLD, _DIRECTION_TOL, _MIN_NORM = 3.0, 0.05, 3.0  # classify trend tests
 _GRID_COUNT, _GRID_WIDTH, _GROWTH_EPS = 9, 0.1, 0.05  # separation_experiment grid and floor
+MIN_TERMS = 4  # the fewest sequence terms whose trend classify reads
 
 _EXP_RE = re.compile(r"^(?P<a>[+-]?\d*)n(?P<b>[+-]\d+)?$")
 
@@ -43,30 +44,6 @@ def _linear_exponent(text: str) -> tuple[int, int]:
         return 0, int(text)
     except ValueError:
         raise ParseError(f"cannot parse exponent {text!r}; expected a*n+b or an integer")
-
-
-def _tokenize(template: str) -> list[tuple[str, tuple[int, int]]]:
-    """Split a template into (atom, exponent) tokens.
-
-    An atom is a generator name or a parenthesised word without nested
-    parentheses, optionally raised to ^exponent; whitespace or '*' may
-    separate atoms.
-    """
-    token = re.compile(
-        r"[ \t*]*(?:\((?P<word>[^()]*)\)|(?P<name>[^ \t*^()]+))(?:\^(?P<exp>[^ \t*()]+))?")
-    tokens = []
-    pos, end = 0, len(template.rstrip(" \t*"))
-    while pos < end:
-        m = token.match(template, pos)
-        if m is None:
-            raise ParseError(f"cannot parse template {template!r} at {template[pos:]!r}; "
-                             "parentheses may not nest and must balance")
-        if m["word"] == "":
-            raise ParseError(f"empty atom in template {template!r}")
-        exp = (0, 1) if m["exp"] is None else _linear_exponent(m["exp"])
-        tokens.append((m["name"] or m["word"], exp))
-        pos = m.end()
-    return tokens
 
 
 @dataclass(frozen=True)
@@ -94,15 +71,20 @@ class SequenceSpec:
         if self.stop < self.start:
             raise ParseError("empty evaluation range")
 
+    @staticmethod
+    def terms(group: FreeProductGroup, template: str) -> list[tuple[GroupElement, tuple[int, int]]]:
+        """One template as (atom, (a, b)) pairs: the atom raised to a*n + b."""
+        return [(atom, (0, 1) if exp is None else _linear_exponent(exp))
+                for atom, exp in group.tokens(template)]
+
     def element(self, group: FreeProductGroup, n: int) -> GroupElement:
         template = self.templates[n % len(self.templates)] \
             if self.mode == "alternate" else self.templates[0]
         out = group.identity
-        for atom, (a, b) in _tokenize(template):
+        for atom, (a, b) in self.terms(group, template):
             k = a * n + b
-            if k == 0:
-                continue
-            out = out * (group.word(atom) ** k)
+            if k:
+                out = out * atom ** k
         return out
 
     def elements(self, group: FreeProductGroup) -> list[GroupElement]:
@@ -167,8 +149,8 @@ def classify(group: FreeProductGroup,
     BoundedSequenceError instead of receiving a label.
     """
     elements = seq.elements(group) if isinstance(seq, SequenceSpec) else list(seq)
-    if len(elements) < 4:
-        raise ValueError("need at least four terms to classify a trend")
+    if len(elements) < MIN_TERMS:
+        raise ValueError(f"need at least {MIN_TERMS} terms to classify a trend")
     lengths = [g.word_length for g in elements]
     half = len(elements) // 2
     if max(lengths[half:]) <= max(lengths[:half]):

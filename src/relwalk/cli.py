@@ -30,7 +30,7 @@ from .induced import FiberIndex, induce_first_return, verify_same_green
 from .lattice import ChainGreen, LatticeChain
 from .perron import (check_assumptions, direction_grid, level_set_point,
                      minimize_lambda, perron, perron_values)
-from .reports import svg_heatmap, svg_line_plot, write_csv, write_json
+from .reports import fmt, svg_heatmap, svg_line_plot, write_csv, write_json
 
 _SAME_GREEN_TOL = 1e-6  # induce: induced-chain Green against the walk Green
 _ANGULAR_TOL = 1e-8  # boundary-map: level-set normal against the direction
@@ -112,7 +112,7 @@ def stage_green(ctx: RunContext) -> dict:
         for z in _lattice_window(chain.rank, table_radius):
             for j1 in range(chain.fiber_count):
                 for j2 in range(chain.fiber_count):
-                    rows.append((" ".join(map(str, z)), j1, j2, cg.green(j1, z, j2)))
+                    rows.append((z, j1, j2, cg.green(j1, z, j2)))
         files = [write_csv(ctx.path("green.csv"), ["z", "j_from", "j_to", "green"], rows),
                  write_json(ctx.path("green.json"), {
                      "green_00": cg.green(0, zero, 0),
@@ -192,7 +192,7 @@ def stage_induce(ctx: RunContext) -> dict:
             chain = ctx.chain(fac, eta)
             fibers = FiberIndex.build(cfg.group, fac, eta, cfg.state_cap)
             for j1, j2, dz, w in chain.entries:
-                rows.append((fac, eta, j1, j2, " ".join(map(str, dz)), w))
+                rows.append((fac, eta, j1, j2, dz, w))
             dev = verify_same_green(chain, engine, fibers)
             report[f"f{fac}_eta{eta}"] = {
                 "factor": fac, "eta": eta,
@@ -239,8 +239,7 @@ def stage_lambda_surface(ctx: RunContext) -> dict:
         tilts = [(a,) + rest for rest in later for a in axes[0]]
         grid = perron_values(chain, tilts).reshape(len(later), len(axes[0])).tolist()
         for rest, row in zip(later, grid):
-            for a, v in zip(axes[0], row):
-                rows.append((label, "%.12g" % a, " ".join("%.12g" % b for b in rest), v))
+            rows.extend((label, a, rest, v) for a, v in zip(axes[0], row))
         if chain.rank == 1:
             files.append(svg_line_plot(
                 ctx.path(f"lambda_{label}.svg"),
@@ -278,10 +277,7 @@ def stage_boundary_map(ctx: RunContext) -> dict:
         for th in direction_grid(chain.rank, ctx.cfg.theta_grid):
             bp = level_set_point(chain, th, minimum=mn)
             points.append(bp)
-            rows.append((label,
-                         " ".join("%.12g" % c for c in th),
-                         " ".join("%.12g" % c for c in bp.u),
-                         bp.lambda_residual, bp.angular_error))
+            rows.append((label, th, bp.u, bp.lambda_residual, bp.angular_error))
         gaps = [float(np.linalg.norm(np.array(p.u) - np.array(q.u)))
                 for i, p in enumerate(points) for q in points[i + 1:]]
         entry = {
@@ -329,8 +325,7 @@ def stage_classify(ctx: RunContext) -> dict:
         coset_txt = ""
         if cls.coset is not None:
             coset_txt = f"{group.format(cls.coset.rep)}*F{cls.coset.factor}"
-        direction_txt = " ".join("%.12g" % c for c in cls.direction) \
-            if cls.direction else ""
+        direction_txt = fmt(cls.direction) if cls.direction else ""
         detail = ""
         if cls.tag == "Parabolic":
             detail = "projection norm %.6g" % cls.evidence["projection_norms"][-1]
@@ -512,6 +507,11 @@ def _run_stage(ctx: RunContext, name: str) -> tuple[int, dict]:
         return 1, {"status": "resource-failure", "note": str(exc), "files": []}
 
 
+def _print_status(name: str, summary: dict) -> None:
+    print(f"{name}: {summary['status']}"
+          + (f" ({summary['note']})" if summary.get("note") else ""))
+
+
 def _run_all(ctx: RunContext) -> int:
     code = 0
     manifest = {}
@@ -519,8 +519,7 @@ def _run_all(ctx: RunContext) -> int:
         stage_code, summary = _run_stage(ctx, name)
         code = max(code, stage_code)
         manifest[name] = summary
-        print(f"{name}: {summary['status']}"
-              + (f" ({summary['note']})" if summary.get("note") else ""))
+        _print_status(name, summary)
     write_json(ctx.path("run.json"), {"config": ctx.cfg.name, "stages": manifest})
     return code
 
@@ -553,8 +552,7 @@ def main(argv=None) -> int:
         if args.command == "all":
             return _run_all(ctx)
         code, summary = _run_stage(ctx, args.command)
-        print(f"{args.command}: {summary['status']}"
-              + (f" ({summary['note']})" if summary.get("note") else ""))
+        _print_status(args.command, summary)
         for fname in summary.get("files", []):
             print(f"  {os.path.join(out_dir, fname)}")
         if code == 1:

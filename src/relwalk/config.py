@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .balls import DEFAULT_STATE_CAP
-from .classify import SequenceSpec
+from .classify import MIN_TERMS, SequenceSpec
 from .errors import ConfigError, ParseError
 from .groups import FactorSpec, FreeProductGroup
 from .lattice import LatticeChain
@@ -160,8 +160,10 @@ def _parse_sequences(items, group: FreeProductGroup | None) -> tuple[SequenceSpe
             stop=stop,
             mode=str(obj.get("mode", "alternate" if len(templates) > 1 else "single")))
         if group is not None:
-            spec.element(group, spec.start)
-            spec.element(group, spec.stop)
+            for template in spec.templates:
+                spec.terms(group, template)
+        _require(stop - start + 1 >= MIN_TERMS,
+                 f"sequence {i}: start..stop must span at least {MIN_TERMS} terms")
         out.append(spec)
     return tuple(out)
 

@@ -20,10 +20,6 @@ class InvalidMeasureError(RelwalkError):
 class StateCapError(RelwalkError):
     """Ball enumeration exceeded the configured state cap."""
 
-    def __init__(self, message, states_seen=None):
-        super().__init__(message)
-        self.states_seen = states_seen
-
 
 class ConvergenceError(RelwalkError):
     """An iterative solve failed to reach its tolerance."""

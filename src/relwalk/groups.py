@@ -13,6 +13,7 @@ syllable of lattice part z and finite index j costs ||z||_1 + [j != 0].
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,6 +22,16 @@ from .errors import ConfigError, ParseError
 # A syllable is (factor index, lattice vector, finite element index).
 # The finite index is 0-based internally; 0 is the identity of F.
 Syllable = tuple[int, tuple[int, ...], int]
+
+# The word and template grammar.  A generator name is any nonempty text
+# without a space, tab, '*', '^' or parenthesis; spaces, tabs or '*'
+# separate tokens.  A token is a name or a parenthesised word without
+# nested parentheses, optionally raised to ^exponent.
+_SEPARATORS = " \t*"
+_NAME = rf"[^{_SEPARATORS}^()]+"
+_TOKEN = re.compile(rf"[{_SEPARATORS}]*(?:\((?P<word>[^()]*)\)|(?P<name>{_NAME}))"
+                    rf"(?:\^(?P<exp>[^{_SEPARATORS}()]+))?")
+
 
 @dataclass(frozen=True)
 class FactorSpec:
@@ -75,14 +86,6 @@ class FactorSpec:
         row = self.table[a]
         return row.index(0)
 
-    def finite_pow(self, a: int, n: int) -> int:
-        if n < 0:
-            return self.finite_pow(self.finite_inv(a), -n)
-        out = 0
-        for _ in range(n):
-            out = self.table[out][a]
-        return out
-
     def syllable_length(self, z: tuple[int, ...], j: int) -> int:
         return sum(abs(c) for c in z) + (1 if j != 0 else 0)
 
@@ -135,8 +138,9 @@ class GroupElement:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def prefixes(self) -> list["GroupElement"]:
@@ -185,7 +189,7 @@ class FreeProductGroup:
                 self._register(name, (i, (0,) * spec.rank, j))
 
     def _register(self, name: str, syl: Syllable):
-        if not name or any(ch in name for ch in " \t*^()"):
+        if not re.fullmatch(_NAME, name):
             raise ConfigError(f"bad generator name {name!r}")
         if name == "e" or name in self._catalog:
             raise ConfigError(f"duplicate or reserved generator name {name!r}")
@@ -244,27 +248,44 @@ class FreeProductGroup:
 
     # -- parsing and printing -------------------------------------------
 
+    def tokens(self, text: str) -> list[tuple[GroupElement, str | None]]:
+        """Split a word or template into (atom, exponent text) pairs.
+
+        The atom is a generator, the identity 'e', or the element of a
+        parenthesised word; the exponent text is None when no caret
+        follows.  Callers read the exponent: word() as an integer,
+        classify.SequenceSpec as a*n+b.
+        """
+        out = []
+        pos, end = 0, len(text.rstrip(_SEPARATORS))
+        while pos < end:
+            m = _TOKEN.match(text, pos)
+            if m is None:
+                raise ParseError(f"cannot parse {text!r} at {text[pos:]!r}; expected a generator "
+                                 "or an unnested parenthesised word, each optionally ^exponent")
+            if m["word"] == "":
+                raise ParseError(f"empty atom in {text!r}")
+            if m["word"] is not None:
+                atom = self.word(m["word"])
+            elif m["name"] == "e":
+                atom = self.identity
+            elif m["name"] in self._catalog:
+                atom = GroupElement(self, (self._catalog[m["name"]],))
+            else:
+                raise ParseError(f"unknown generator {m['name']!r}")
+            out.append((atom, m["exp"]))
+            pos = m.end()
+        return out
+
     def word(self, text: str) -> GroupElement:
-        """Parse a word like 'a^3*t*b^-2' (spaces also separate tokens)."""
-        tokens = text.replace("*", " ").split()
+        """Parse a word like 'a^3*t*b^-2' or '(a*t)^2' (spaces also separate tokens)."""
         out = self.identity
-        for tok in tokens:
-            if tok == "e":
-                continue
-            name, caret, exp_text = tok.partition("^")
-            if name not in self._catalog:
-                raise ParseError(f"unknown generator {name!r}")
-            if caret and not exp_text:
-                raise ParseError(f"bad exponent in token {tok!r}")
+        for atom, exp in self.tokens(text):
             try:
-                exp = int(exp_text) if exp_text else 1
+                k = 1 if exp is None else int(exp)
             except ValueError:
-                raise ParseError(f"bad exponent in token {tok!r}") from None
-            fac, z, j = self._catalog[name]
-            spec = self.factors[fac]
-            zs = tuple(c * exp for c in z)
-            js = spec.finite_pow(j, exp)
-            out = out * self.syllable(fac, zs, js)
+                raise ParseError(f"bad exponent {exp!r} in {text!r}") from None
+            out = out * atom ** k
         return out
 
     def format(self, g: GroupElement) -> str:

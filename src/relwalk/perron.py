@@ -79,7 +79,6 @@ class PerronData:
     right: np.ndarray
     left: np.ndarray
     gradient: tuple[float, ...]
-    residual: float
 
 
 def perron(chain: LatticeChain, u) -> PerronData:
@@ -105,7 +104,6 @@ def perron(chain: LatticeChain, u) -> PerronData:
     right = right / right.sum()
     left = lvecs[:, idx].real
     left = left / left.sum()
-    res = float(np.max(np.abs(F @ right - lam * right)))
     if right[0] > 0:
         right = right / right[0]
     denom = float(left @ right)
@@ -114,8 +112,7 @@ def perron(chain: LatticeChain, u) -> PerronData:
         float(left @ (_fiber_sum(chain, tilted * dz[:, ax]) @ right)) / denom
         for ax in range(chain.rank)
     )
-    return PerronData(u=tuple(v), value=lam, right=right, left=left,
-                      gradient=grad, residual=res)
+    return PerronData(u=tuple(v), value=lam, right=right, left=left, gradient=grad)
 
 
 def perron_values(chain: LatticeChain, tilts) -> np.ndarray:

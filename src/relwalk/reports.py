@@ -3,8 +3,10 @@
 Numbers are rendered with 12 significant digits and a '.' decimal
 separator, rows and keys are emitted in a fixed order, and nothing
 depends on the clock or the process, so re-running a computation on the
-same inputs reproduces every CSV and JSON byte for byte.  The writers
-expect the output directory to exist; cli.RunContext creates it.
+same inputs reproduces every CSV, JSON and SVG byte for byte.  fmt is
+the one rendering of a number, or a vector of numbers, in an artefact
+cell.  The writers expect the output directory to exist; cli.RunContext
+creates it.
 """
 from __future__ import annotations
 
@@ -13,13 +15,20 @@ import json
 import math
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 _PALETTE = ("#1b6ca8", "#c23b22", "#2e8540", "#8a4f9e", "#b8860b", "#3d3d3d")
+# Page sizes (width, height) in px, and the margins around every plot area.
+_LINE_PAGE, _HEAT_PAGE = (720, 480), (640, 600)
+_ML, _MR, _MT, _MB = 70, 20, 40, 50
 
 
 def fmt(value) -> str:
-    """Canonical cell text: floats at 12 significant digits."""
+    """Canonical cell text: floats at 12 significant digits, vectors space-joined."""
     if isinstance(value, float):
         return "%.12g" % value
+    if isinstance(value, (tuple, list, np.ndarray)):
+        return " ".join(map(fmt, value))
     return str(value)
 
 
@@ -57,13 +66,38 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
 
 
+def _plot_area(page: tuple[int, int]) -> tuple[int, int, int, int]:
+    """Left, top, width and height of the plot area on a page."""
+    return _ML, _MT, page[0] - _ML - _MR, page[1] - _MT - _MB
+
+
+def _svg_page(path: str, page: tuple[int, int], title: str, xlabel: str, ylabel: str,
+              body: list[str], overlay: list[str]) -> str:
+    """Write one chart: white page and title, body, axis labels, then overlay."""
+    width, height = page
+    ml, mt, pw, ph = _plot_area(page)
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+             f'viewBox="0 0 {width} {height}">',
+             f'<rect width="{width}" height="{height}" fill="white"/>',
+             f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" '
+             f'font-family="monospace" font-size="15">{title}</text>',
+             *body,
+             f'<text x="{ml + pw / 2:.1f}" y="{height - 12}" text-anchor="middle" '
+             f'font-family="monospace" font-size="12">{xlabel}</text>',
+             f'<text x="18" y="{mt + ph / 2:.1f}" text-anchor="middle" '
+             f'font-family="monospace" font-size="12" '
+             f'transform="rotate(-90 18 {mt + ph / 2:.1f})">{ylabel}</text>',
+             *overlay, "</svg>"]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(parts) + "\n")
+    return path
+
+
 def svg_line_plot(path: str, series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
                   title: str, xlabel: str, ylabel: str,
-                  logy: bool = False, hline: float | None = None,
-                  width: int = 720, height: int = 480) -> str:
+                  logy: bool = False, hline: float | None = None) -> str:
     """Polyline chart with axes, ticks, and a legend; no external assets."""
-    ml, mr, mt, mb = 70, 20, 40, 50
-    pw, ph = width - ml - mr, height - mt - mb
+    ml, mt, pw, ph = _plot_area(_LINE_PAGE)
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys]
     if hline is not None:
@@ -86,13 +120,8 @@ def svg_line_plot(path: str, series: Sequence[tuple[str, Sequence[float], Sequen
         v = math.log10(y) if logy else y
         return mt + ph * (1.0 - (v - ylo) / (yhi - ylo))
 
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-             f'viewBox="0 0 {width} {height}">',
-             f'<rect width="{width}" height="{height}" fill="white"/>',
-             f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" '
-             f'font-family="monospace" font-size="15">{title}</text>']
-    parts.append(f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" '
-                 'fill="none" stroke="#888"/>')
+    parts = [f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" '
+             'fill="none" stroke="#888"/>']
     for tx in _ticks(xlo, xhi):
         parts.append(f'<line x1="{px(tx):.2f}" y1="{mt + ph}" x2="{px(tx):.2f}" '
                      f'y2="{mt + ph + 5}" stroke="#444"/>')
@@ -104,29 +133,22 @@ def svg_line_plot(path: str, series: Sequence[tuple[str, Sequence[float], Sequen
         parts.append(f'<line x1="{ml - 5}" y1="{yy:.2f}" x2="{ml}" y2="{yy:.2f}" stroke="#444"/>')
         parts.append(f'<text x="{ml - 8}" y="{yy + 4:.2f}" text-anchor="end" '
                      f'font-family="monospace" font-size="11">{label}</text>')
-    parts.append(f'<text x="{ml + pw / 2:.1f}" y="{height - 12}" text-anchor="middle" '
-                 f'font-family="monospace" font-size="12">{xlabel}</text>')
-    parts.append(f'<text x="18" y="{mt + ph / 2:.1f}" text-anchor="middle" '
-                 f'font-family="monospace" font-size="12" '
-                 f'transform="rotate(-90 18 {mt + ph / 2:.1f})">{ylabel}</text>')
+    over = []
     if hline is not None and (logy is False or hline > 0):
-        parts.append(f'<line x1="{ml}" y1="{py(hline):.2f}" x2="{ml + pw}" '
-                     f'y2="{py(hline):.2f}" stroke="#999" stroke-dasharray="6,4"/>')
+        over.append(f'<line x1="{ml}" y1="{py(hline):.2f}" x2="{ml + pw}" '
+                    f'y2="{py(hline):.2f}" stroke="#999" stroke-dasharray="6,4"/>')
     for i, (label, xs, ys) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
         pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys)
                        if not logy or y > 0)
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                     'stroke-width="1.8"/>')
+        over.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
+                    'stroke-width="1.8"/>')
         ly = mt + 16 + 16 * i
-        parts.append(f'<line x1="{ml + pw - 150}" y1="{ly - 4}" x2="{ml + pw - 126}" '
-                     f'y2="{ly - 4}" stroke="{color}" stroke-width="1.8"/>')
-        parts.append(f'<text x="{ml + pw - 120}" y="{ly}" font-family="monospace" '
-                     f'font-size="11">{label}</text>')
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
-    return path
+        over.append(f'<line x1="{ml + pw - 150}" y1="{ly - 4}" x2="{ml + pw - 126}" '
+                    f'y2="{ly - 4}" stroke="{color}" stroke-width="1.8"/>')
+        over.append(f'<text x="{ml + pw - 120}" y="{ly}" font-family="monospace" '
+                    f'font-size="11">{label}</text>')
+    return _svg_page(path, _LINE_PAGE, title, xlabel, ylabel, parts, over)
 
 
 def _heat_color(t: float) -> str:
@@ -145,22 +167,17 @@ def _heat_color(t: float) -> str:
 
 def svg_heatmap(path: str, xs: Sequence[float], ys: Sequence[float],
                 values: Sequence[Sequence[float]], title: str,
-                xlabel: str, ylabel: str, level: float | None = None,
-                width: int = 640, height: int = 600) -> str:
+                xlabel: str, ylabel: str, level: float | None = None) -> str:
     """Grid heatmap of values[iy][ix]; cells near the level are outlined."""
-    ml, mr, mt, mb = 70, 20, 40, 50
-    pw, ph = width - ml - mr, height - mt - mb
+    ml, mt, pw, ph = _plot_area(_HEAT_PAGE)
     nx, ny = len(xs), len(ys)
     flat = [v for row in values for v in row]
     vlo, vhi = min(flat), max(flat)
     if vhi == vlo:
         vhi = vlo + 1.0
     cw, ch = pw / nx, ph / ny
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-             f'viewBox="0 0 {width} {height}">',
-             f'<rect width="{width}" height="{height}" fill="white"/>',
-             f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" '
-             f'font-family="monospace" font-size="15">{title}</text>']
+    span = 0.5 * (vhi - vlo) / max(nx, ny)
+    parts, outlines = [], []
     for iy in range(ny):
         for ix in range(nx):
             v = values[iy][ix]
@@ -169,16 +186,11 @@ def svg_heatmap(path: str, xs: Sequence[float], ys: Sequence[float],
             parts.append(f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{cw + 0.5:.2f}" '
                          f'height="{ch + 0.5:.2f}" '
                          f'fill="{_heat_color((v - vlo) / (vhi - vlo))}"/>')
-    if level is not None:
-        span = 0.5 * (vhi - vlo) / max(nx, ny)
-        for iy in range(ny):
-            for ix in range(nx):
-                if abs(values[iy][ix] - level) <= span:
-                    x0 = ml + ix * cw
-                    y0 = mt + (ny - 1 - iy) * ch
-                    parts.append(f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{cw:.2f}" '
-                                 f'height="{ch:.2f}" fill="none" stroke="black" '
-                                 'stroke-width="1.2"/>')
+            if level is not None and abs(v - level) <= span:
+                outlines.append(f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{cw:.2f}" '
+                                f'height="{ch:.2f}" fill="none" stroke="black" '
+                                'stroke-width="1.2"/>')
+    parts += outlines
     for i in range(0, nx, max(1, nx // 5)):
         xx = ml + (i + 0.5) * cw
         parts.append(f'<text x="{xx:.2f}" y="{mt + ph + 18}" text-anchor="middle" '
@@ -187,16 +199,8 @@ def svg_heatmap(path: str, xs: Sequence[float], ys: Sequence[float],
         yy = mt + (ny - 1 - i + 0.5) * ch
         parts.append(f'<text x="{ml - 8}" y="{yy + 4:.2f}" text-anchor="end" '
                      f'font-family="monospace" font-size="11">{ys[i]:.4g}</text>')
-    parts.append(f'<text x="{ml + pw / 2:.1f}" y="{height - 12}" text-anchor="middle" '
-                 f'font-family="monospace" font-size="12">{xlabel}</text>')
-    parts.append(f'<text x="18" y="{mt + ph / 2:.1f}" text-anchor="middle" '
-                 f'font-family="monospace" font-size="12" '
-                 f'transform="rotate(-90 18 {mt + ph / 2:.1f})">{ylabel}</text>')
-    parts.append(f'<text x="{ml}" y="{mt - 8}" font-family="monospace" font-size="11">'
-                 f'range [{vlo:.4g}, {vhi:.4g}]'
-                 + (f', outlined cells near {level:.4g}' if level is not None else '')
-                 + '</text>')
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
-    return path
+    note = (f'<text x="{ml}" y="{mt - 8}" font-family="monospace" font-size="11">'
+            f'range [{vlo:.4g}, {vhi:.4g}]'
+            + (f', outlined cells near {level:.4g}' if level is not None else '')
+            + '</text>')
+    return _svg_page(path, _HEAT_PAGE, title, xlabel, ylabel, parts, [note])

@@ -1,6 +1,9 @@
 """Shared fixtures: shipped configs, walk engines, and induced chains."""
+import importlib.util
+import json
 import math
 import os
+import sys
 from collections import defaultdict
 
 import numpy as np
@@ -53,6 +56,20 @@ def count_tilts(monkeypatch, module, name: str) -> list[int]:
 
     monkeypatch.setattr(module, name, counted)
     return tilts
+
+
+def tilted_matrix(chain, u) -> np.ndarray:
+    """F(u) of a lattice chain, built entry by entry."""
+    F = np.zeros((chain.fiber_count,) * 2)
+    for j1, j2, dz, w in chain.entries:
+        F[j1, j2] += w * math.exp(float(np.dot(u, dz)))
+    return F
+
+
+def perron_residual(chain, data) -> float:
+    """max |F r - lambda r| of a perron() result, r its right vector at unit sum."""
+    r = data.right / data.right.sum()
+    return float(np.max(np.abs(tilted_matrix(chain, data.u) @ r - data.value * r)))
 
 
 def extrapolated_ratio_deviation(ratio_rows):
@@ -121,3 +138,25 @@ def z2_chain_eta0(z2_engine):
 @pytest.fixture(scope="session")
 def z2_chain_eta2(z2_engine):
     return induce_first_return(z2_engine, factor=0, eta=2)
+
+
+@pytest.fixture(scope="session")
+def seeded_z2_engine(tmp_path_factory):
+    """Engine of the benchmark's z2-eta4-surface workload (perfbench seed 1)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads",
+        os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py"))
+    # Registered first: its dataclasses look their module up in sys.modules.
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    (inv,) = workloads.invocations("z2-eta4-surface", 1)
+    path = tmp_path_factory.mktemp("seeded") / "z2_eta4.json"
+    path.write_text(json.dumps(inv.config))
+    cfg = load_config(str(path))
+    return FreeProductEngine(cfg.group, cfg.measure, radius=cfg.radius)
+
+
+@pytest.fixture(scope="session")
+def seeded_eta4_chain(seeded_z2_engine):
+    """The 233-fiber chain of the benchmark's z2-eta4-surface workload."""
+    return induce_first_return(seeded_z2_engine, factor=0, eta=4)

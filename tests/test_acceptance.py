@@ -260,7 +260,7 @@ def test_a12_byte_identical_reruns(tmp_path):
         assert r.returncode == 0, r.stderr + r.stdout
         table = {}
         for name in sorted(os.listdir(out)):
-            if name.endswith((".csv", ".json")):
+            if name.endswith((".csv", ".json", ".svg")):
                 with open(out / name, "rb") as fh:
                     table[name] = fh.read()
         blobs.append(table)
@@ -268,4 +268,4 @@ def test_a12_byte_identical_reruns(tmp_path):
     diffs = [n for n in blobs[0] if blobs[0][n] != blobs[1].get(n)]
     ok = same_names and not diffs
     report("A12 byte-identical-reruns", ok,
-           f"{len(blobs[0])} CSV/JSON files compared, differing={diffs}")
+           f"{len(blobs[0])} CSV/JSON/SVG files compared, differing={diffs}")

@@ -26,5 +26,5 @@ def test_elements_sorted_shell_by_shell(f2_cfg):
 def test_state_cap_failure_reports_progress(f2_cfg):
     with pytest.raises(StateCapError) as exc:
         ball_elements(f2_cfg.group, 8, state_cap=100)
-    assert exc.value.states_seen >= 100
+    assert str(exc.value) == "ball enumeration exceeded the cap of 100 states"
 

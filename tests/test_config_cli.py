@@ -180,6 +180,30 @@ def test_invalid_config_and_usage_exit_codes(tmp_path):
     assert helped.returncode == 0
 
 
+@pytest.mark.parametrize("sequence, message", [
+    # Start and stop both pick the first template; the second is never evaluated.
+    ({"name": "swap", "templates": ["a^n", "zz^n"], "start": 2, "stop": 12},
+     "unknown generator 'zz'"),
+    # Too few terms for classify to read a trend.
+    ({"name": "short", "templates": ["a^n*b^n"], "start": 1, "stop": 3},
+     "at least 4 terms")])
+def test_sequences_classify_cannot_evaluate_fail_in_config(tmp_path, sequence, message):
+    with open(config_path("z2_free_z.json")) as fh:
+        cfg = json.load(fh)
+    cfg["sequences"] = [sequence]
+    p = tmp_path / "seq.json"
+    p.write_text(json.dumps(cfg))
+    with pytest.raises(ConfigError, match=message):
+        load_config(str(p))
+    for command in ("classify", "all"):
+        out = tmp_path / command
+        r = run_cli(command, "--config", str(p), "--out", str(out))
+        assert r.returncode == 1
+        assert r.stderr.startswith("error:") and message in r.stderr
+        assert "Traceback" not in r.stderr
+        assert r.stdout == "" and not out.exists()
+
+
 def test_induce_on_long_lattice_steps_exits_cleanly(tmp_path):
     steps = ["a", "a^-1", "a^2", "a^-2", "a^3", "a^-3", "t", "t^-1"]
     cfg = {"name": "long_steps",

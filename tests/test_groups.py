@@ -105,8 +105,9 @@ def test_finite_factor_arithmetic():
     assert s * s == g.identity
     assert s.inverse() == s
     assert (g.word("s*a*s")).word_length == 3
-    assert c2.finite_pow(1, 5) == 1
-    assert c2.finite_pow(1, 4) == 0
+    assert g.word("s^5") == s and g.word("s^-3") == s
+    assert g.word("s^4") == g.identity
+    assert g.word("(s*a)^-2") == g.word("a^-1*s*a^-1*s")
 
 
 def test_malformed_finite_table_rejected():

@@ -92,3 +92,42 @@ def test_excursions_through_a_finite_factor(eta):
     fibers = FiberIndex.build(group, factor=0, eta=eta)
     assert chain.fiber_count == len(fibers)
     assert verify_same_green(chain, engine, fibers) < 1e-6
+
+
+def complement_onto_first_fibers(chain, count: int):
+    """Stochastic complement at lambda = 1 onto fibers 0..count-1, from chain.entries.
+
+    Returns A_CC + A_CR (I - A_RR)^-1 A_RC over the undisplaced entries
+    and the displaced entries as a dict; every displaced entry must lie
+    in C x C, so excursions through the rest R carry no displacement.
+    """
+    n = chain.fiber_count
+    undisplaced = np.zeros((n, n))
+    displaced = {}
+    for j1, j2, dz, w in chain.entries:
+        if any(dz):
+            displaced[j1, j2, dz] = w
+        else:
+            undisplaced[j1, j2] += w
+    assert all(j1 < count and j2 < count for j1, j2, _ in displaced)
+    c, r = slice(0, count), slice(count, n)
+    excursions = undisplaced[c, r] @ np.linalg.solve(np.eye(n - count) - undisplaced[r, r],
+                                                     undisplaced[r, c])
+    return undisplaced[c, c] + excursions, displaced
+
+
+def test_wide_neighbourhood_chain_complements_to_the_eta0_chain(
+        z2_chain_eta0, z2_chain_eta2, f2_engine, f2a_chain, seeded_z2_engine, seeded_eta4_chain):
+    # Watching the eta-chain only on the eta-0 fibers is watching the walk
+    # on P: the complement (Meyer, SIAM Rev. 31, 1989) is the eta-0 kernel.
+    pairs = {"z2 eta 2": (z2_chain_eta0, z2_chain_eta2),
+             "f2_over_a eta 2": (f2a_chain, induce_first_return(f2_engine, 0, 2)),
+             "f2_over_a eta 4": (f2a_chain, induce_first_return(f2_engine, 0, 4)),
+             "seeded z2 eta 4": (induce_first_return(seeded_z2_engine, 0, 0), seeded_eta4_chain)}
+    for name, (base, wide) in pairs.items():
+        count = base.fiber_count
+        block, displaced = complement_onto_first_fibers(base, count)
+        got, wide_displaced = complement_onto_first_fibers(wide, count)
+        assert wide.fiber_count > count, name
+        assert wide_displaced == displaced, name
+        assert np.all(np.abs(got - block) <= 1e-13 * np.abs(block)), name

@@ -1,9 +1,6 @@
 """Tilted Perron roots, lambda minimization, and level-set inversion."""
-import importlib.util
 import json
 import math
-import os
-import sys
 
 import numpy as np
 import pytest
@@ -17,7 +14,7 @@ from relwalk import (FreeProductEngine, LatticeChain, check_assumptions,
 from relwalk.errors import ConvergenceError
 from relwalk.perron import direction_grid, lambda_hessian, perron, perron_values
 
-from conftest import count_calls, count_tilts
+from conftest import count_calls, count_tilts, perron_residual, tilted_matrix
 
 
 def killed_z(q: float = 0.2) -> LatticeChain:
@@ -48,7 +45,7 @@ def test_minimum_and_gradient_of_symmetric_walk():
     for chain in (c, fibered_z(0.2)):
         d = perron(chain, (0.7,))
         assert abs(d.gradient[0] - 0.4 * math.sinh(0.7)) < 1e-10
-        assert d.residual < 1e-10
+        assert perron_residual(chain, d) < 1e-10
 
 
 def test_level_set_points_of_symmetric_walk():
@@ -330,10 +327,7 @@ def test_tilted_matrix_entries_are_weighted_exponentials(z2_chain_eta2):
 
 def dense_perron_root(chain: LatticeChain, u) -> float:
     """Largest real part of the eigenvalues of F(u), built entry by entry."""
-    F = np.zeros((chain.fiber_count,) * 2)
-    for j1, j2, dz, w in chain.entries:
-        F[j1, j2] += w * math.exp(float(np.dot(u, dz)))
-    return float(max(np.linalg.eigvals(F).real))
+    return float(max(np.linalg.eigvals(tilted_matrix(chain, u)).real))
 
 
 def write_chain_config(path, chain: LatticeChain, grid_points: int) -> str:
@@ -353,19 +347,6 @@ def induced_chain(directory, config: dict, eta: int) -> LatticeChain:
 
 
 @pytest.fixture(scope="module")
-def seeded_eta4_chain(tmp_path_factory):
-    """The 233-fiber chain of the benchmark's z2-eta4-surface workload (seed 1)."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads",
-        os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py"))
-    # Registered first: its dataclasses look their module up in sys.modules.
-    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    (inv,) = workloads.invocations("z2-eta4-surface", 1)
-    return induced_chain(tmp_path_factory.mktemp("eta4"), inv.config, 4)
-
-
-@pytest.fixture(scope="module")
 def finite_part_chain(tmp_path_factory):
     """(Z^2 x Z/2) * Z at eta 2: 30 fibers, two of them in the tilt core."""
     config = {"name": "z2_c2", "radius": 6, "parabolic": [0], "eta_list": [2],
@@ -381,14 +362,18 @@ def core_test_chains():
     """Synthetic chains that stress the tilt-core split, by name."""
     steps = [((1, 0), 0.05), ((-1, 0), 0.05), ((0, 1), 0.05), ((0, -1), 0.05)]
     core = [(0, 0, dz, w) for dz, w in steps]
-    # A_RR = 0.3 I + 0.6 N on fibers 1..12, entered at one end and left at
-    # the other; listed downward, it is lower triangular.
+    # A_RR = 0.3 I + 0.6 N on fibers 1..n, entered at one end and left at
+    # the other; listed downward, it is lower triangular.  At order 40 the
+    # start of the core Newton needs its halving bracket: from the row-sum
+    # bound alone the complement overflows next to rho(A_RR).
     jordan = {}
-    for name, order in (("jordan", list(range(1, 13))), ("jordan_down", list(range(12, 0, -1)))):
-        entries = core + [(0, order[0], (0, 0), 0.2), (order[-1], 0, (0, 0), 0.3)]
-        entries += [(j, j, (0, 0), 0.3) for j in order]
-        entries += [(a, b, (0, 0), 0.6) for a, b in zip(order, order[1:])]
-        jordan[name] = LatticeChain.build(2, 13, entries)
+    for n, suffix in ((12, ""), (40, "40")):
+        for name, order in ((f"jordan{suffix}", list(range(1, n + 1))),
+                            (f"jordan{suffix}_down", list(range(n, 0, -1)))):
+            entries = core + [(0, order[0], (0, 0), 0.2), (order[-1], 0, (0, 0), 0.3)]
+            entries += [(j, j, (0, 0), 0.3) for j in order]
+            entries += [(a, b, (0, 0), 0.6) for a, b in zip(order, order[1:])]
+            jordan[name] = LatticeChain.build(2, n + 1, entries)
     # Fibers 1, 2 form a class of Perron root 0.45 that C cannot reach;
     # fiber 3 couples to C both ways.
     dominated = LatticeChain.build(2, 4, core + [
