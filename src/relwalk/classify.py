@@ -211,20 +211,20 @@ def representative_invariance(group: FreeProductGroup,
             "agree": base.tag == shifted.tag, "direction_gap": gap}
 
 
-def ancona_ratio(taboo: TabooContext, x: GroupElement, z: GroupElement) -> float:
-    """G_A(x, z) / G(x, z), with A the forbidden set of the taboo context.
+def ancona_ratio(taboo: TabooContext, pairs: Sequence[tuple[GroupElement, GroupElement]]
+                 ) -> list[float]:
+    """G_A(x, z) / G(x, z) for each pair, with A the forbidden set of the taboo context.
 
     Ratios below 1e-12 are reported as exact zeros: at the Green scales
     handled here they are always the float residue of a cut vertex that
     disconnects x from z, where the true restricted Green vanishes.
     """
-    g = taboo.engine.green(x, z)
-    if g <= 0.0:
-        return 0.0
-    ratio = taboo.value(x, z) / g
-    if ratio < 1e-12:
-        return 0.0
-    return min(1.0, ratio)
+    out = []
+    for (x, z), killed in zip(pairs, taboo.value(pairs)):
+        g = taboo.engine.green(x, z)
+        ratio = 0.0 if g <= 0.0 else killed / g
+        out.append(0.0 if ratio < 1e-12 else min(1.0, ratio))
+    return out
 
 
 def sample_ancona_pairs(group: FreeProductGroup, parabolic: Sequence[int], seed: int,

@@ -17,8 +17,8 @@ import sys
 import numpy as np
 
 from .balls import ball_elements
-from .classify import (ancona_ratio, classify, martin_convergence,
-                       sample_ancona_pairs, separation_experiment)
+from .classify import (Classification, SequenceSpec, ancona_ratio, classify,
+                       martin_convergence, sample_ancona_pairs, separation_experiment)
 from .config import ExperimentConfig, load_config
 from .errors import (AssumptionError, BoundedSequenceError, ConfigError,
                      ConvergenceError, InvalidMeasureError, ParseError,
@@ -61,6 +61,8 @@ class RunContext:
         # A chain that fails to induce keeps its error, so each stage that
         # needs it re-raises that error instead of inducing it again.
         self._chains: dict[tuple[int, int], LatticeChain | RelwalkError] = {}
+        # Each sequence is classified once; a bounded one keeps its error.
+        self._classes: dict[SequenceSpec, Classification | RelwalkError] = {}
 
     def path(self, name: str) -> str:
         return os.path.join(self.out, name)
@@ -72,17 +74,15 @@ class RunContext:
         return self._engine
 
     def chain(self, factor: int, eta: int) -> LatticeChain:
-        key = (factor, eta)
-        if key not in self._chains:
-            try:
-                self._chains[key] = induce_first_return(self.engine(), factor, eta,
-                                                        self.cfg.state_cap)
-            except (AssumptionError, ConvergenceError, StateCapError) as exc:
-                self._chains[key] = exc
-        found = self._chains[key]
-        if isinstance(found, RelwalkError):
-            raise found
-        return found
+        return _once(self._chains, (factor, eta),
+                     lambda: induce_first_return(self.engine(), factor, eta,
+                                                 self.cfg.state_cap),
+                     (AssumptionError, ConvergenceError, StateCapError))
+
+    def classification(self, seq: SequenceSpec) -> Classification:
+        return _once(self._classes, seq,
+                     lambda: classify(self.cfg.group, seq, self.cfg.parabolic),
+                     BoundedSequenceError)
 
     def chains(self) -> list[tuple[str, LatticeChain]]:
         """All lattice chains this config describes, with stable labels."""
@@ -90,6 +90,19 @@ class RunContext:
             return [("chain", self.cfg.chain)]
         return [(f"f{fac}_eta{eta}", self.chain(fac, eta))
                 for fac in self.cfg.parabolic for eta in self.cfg.eta_list]
+
+
+def _once(store: dict, key, build, errors):
+    """store[key], built on first use; an error in errors is kept and re-raised."""
+    if key not in store:
+        try:
+            store[key] = build()
+        except errors as exc:
+            store[key] = exc
+    found = store[key]
+    if isinstance(found, RelwalkError):
+        raise found
+    return found
 
 
 def _ok(files: list[str], **extra) -> dict:
@@ -317,7 +330,7 @@ def stage_classify(ctx: RunContext) -> dict:
     report = {}
     for seq in cfg.sequences:
         try:
-            cls = classify(group, seq, cfg.parabolic)
+            cls = ctx.classification(seq)
         except BoundedSequenceError as exc:
             rows.append((seq.name, "Bounded", "", "", str(exc)))
             report[seq.name] = {"tag": "Bounded", "note": str(exc)}
@@ -353,13 +366,11 @@ def stage_ancona(ctx: RunContext) -> dict:
     # rho_R forbids the ball B_R(e) around the transition midpoint e.
     taboos = [TabooContext(engine, list(ball_elements(group, r, cfg.state_cap)))
               for r in range(_ANCONA_RMAX + 1)]
+    profiles = list(zip(*(ancona_ratio(taboo, pairs) for taboo in taboos)))
     rows = []
-    profiles = []
-    for i, (x, z) in enumerate(pairs):
-        prof = [ancona_ratio(taboo, x, z) for taboo in taboos]
-        profiles.append(prof)
-        for r, rho in enumerate(prof):
-            rows.append((i, group.format(x), group.format(z), r, rho))
+    for i, ((x, z), prof) in enumerate(zip(pairs, profiles)):
+        xname, zname = group.format(x), group.format(z)
+        rows.extend((i, xname, zname, r, rho) for r, rho in enumerate(prof))
     mean = [float(np.mean([p[r] for p in profiles])) for r in range(_ANCONA_RMAX + 1)]
     bad_monotone = [i for i, p in enumerate(profiles)
                     if any(b > a + _ANCONA_MONOTONE_SLACK for a, b in zip(p, p[1:]))]
@@ -399,7 +410,7 @@ def stage_martin_seq(ctx: RunContext) -> dict:
         elements = seq.elements(group)
         ns = list(range(seq.start, seq.stop + 1))
         try:
-            cls = classify(group, seq, cfg.parabolic)
+            cls = ctx.classification(seq)
         except BoundedSequenceError as exc:
             report[seq.name] = {"tag": "Bounded", "note": str(exc)}
             continue

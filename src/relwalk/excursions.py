@@ -23,6 +23,7 @@ geometrically in the radius to the true transient values.
 """
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -271,37 +272,54 @@ class TabooContext:
         self._ids = engine.syllable_ids(elems)
         self._minv = np.linalg.inv(engine.green_matrix(self._ids, self._ids))
 
-    def _killed(self, xs: list[GroupElement], ys: list[GroupElement]) -> np.ndarray:
-        """G_A(x, y) for x in xs and y in ys, all strictly outside the set."""
-        eng = self.engine
-        gx = eng.green_matrix(xs, self._ids)
-        hy = np.ascontiguousarray(eng.green_matrix(self._ids, ys).T)
-        out = eng.green_matrix(xs, ys)
-        for a in range(len(xs)):
-            row = gx[a] @ self._minv
-            for b in range(len(ys)):
-                out[a, b] -= float(row @ hy[b])
-        return out
+    def value(self, pairs: Sequence[tuple[GroupElement, GroupElement]]) -> list[float]:
+        """G_A(x, y) for each pair (x, y), read off Green blocks shared by all pairs.
 
-    def value(self, x: GroupElement, y: GroupElement) -> float:
-        eng = self.engine
-        if x not in self.index and y not in self.index:
-            return float(self._killed([x], [y])[0, 0])
-        mu = eng.mu
-        total = 1.0 if x == y else 0.0
-        total += mu(x.inverse() * y)
-        outer = []
-        for s, ws in mu.items():
-            xs = x * s
-            if xs not in self.index:
-                outer.append((xs, ws))
-        inner = []
-        for t, wt in mu.items():
-            yt = y * t.inverse()
-            if yt not in self.index:
-                inner.append((yt, wt))
-        killed = self._killed([xs for xs, _ in outer], [yt for yt, _ in inner])
-        for a, (_, ws) in enumerate(outer):
-            for b, (_, wt) in enumerate(inner):
-                total += ws * float(killed[a, b]) * wt
-        return total
+        A pair with an endpoint in A is the border sum d(x, y) + mu(x^-1 y) +
+        sum mu(s) G_A(xs, y t^-1) mu(t) over xs and y t^-1 outside A; a pair
+        outside A is the one-term sum 0 + 1 G_A(x, y) 1, which is G_A(x, y)
+        exactly.  Each G_A(l, r) is G(l, r) - G(l, A) G(A, A)^-1 G(A, r): the
+        left endpoints l and right endpoints r of all pairs share one G(L, A)
+        and one G(A, R) block, and G(L, R) is built over runs of pairs.
+        """
+        eng, index = self.engine, self.index
+        steps = list(eng.mu.items())
+        back_steps = [(t.inverse(), wt) for t, wt in steps]
+        lefts: dict[GroupElement, int] = {}
+        rights: dict[GroupElement, int] = {}
+        reads = []  # per pair: the sum's constant and its weighted endpoint indices
+        for x, y in pairs:
+            if x in index or y in index:
+                base = (1.0 if x == y else 0.0) + eng.mu(x.inverse() * y)
+                outer = [(xs, ws) for xs, ws in ((x * s, ws) for s, ws in steps)
+                         if xs not in index]
+                inner = [(yt, wt) for yt, wt in ((y * t, wt) for t, wt in back_steps)
+                         if yt not in index]
+            else:
+                base, outer, inner = 0.0, [(x, 1.0)], [(y, 1.0)]
+            reads.append((base,
+                          [(lefts.setdefault(xs, len(lefts)), ws) for xs, ws in outer],
+                          [(rights.setdefault(yt, len(rights)), wt) for yt, wt in inner]))
+        left_ids, right_ids = eng.syllable_ids(list(lefts)), eng.syllable_ids(list(rights))
+        gx = eng.green_matrix(left_ids, self._ids)
+        # One product per left row keeps every value equal bit for bit to a
+        # lone pair's, whatever the batch.
+        rows = [gx[a] @ self._minv for a in range(len(lefts))]
+        hy = np.ascontiguousarray(eng.green_matrix(self._ids, right_ids).T)
+        # A pair has at most len(steps) endpoints a side, so a run's G(L, R)
+        # block stays within _BLOCK_CHUNK entries.
+        run = max(1, math.isqrt(_BLOCK_CHUNK) // max(1, len(steps)))
+        out = []
+        for lo in range(0, len(reads), run):
+            chunk = reads[lo:lo + run]
+            ls = sorted({a for _, outer, _ in chunk for a, _ in outer})
+            rs = sorted({b for _, _, inner in chunk for b, _ in inner})
+            cross = dict(zip(ls, eng.green_matrix(left_ids[ls], right_ids[rs])))
+            at = {b: j for j, b in enumerate(rs)}
+            for base, outer, inner in chunk:
+                total = base
+                for a, ws in outer:
+                    for b, wt in inner:
+                        total += ws * (float(cross[a][at[b]]) - float(rows[a] @ hy[b])) * wt
+                out.append(total)
+        return out

@@ -163,20 +163,17 @@ def test_a07_direction_to_tilt_round_trip(z2_chain_eta2):
 def test_a08_relative_green_decay(z2_cfg, z2_engine, f2_engine, f2_cfg):
     pairs = sample_ancona_pairs(z2_cfg.group, z2_cfg.parabolic, z2_cfg.seed, 20, _TRANSITIONS)
     taboos = [TabooContext(z2_engine, list(ball_elements(z2_cfg.group, r))) for r in range(5)]
-    profiles = []
-    for x, z in pairs:
-        profiles.append([ancona_ratio(taboo, x, z) for taboo in taboos])
-    arr = np.array(profiles)
+    arr = np.array([ancona_ratio(taboo, pairs) for taboo in taboos]).T
     all_bounded = bool(np.all(arr <= 1.0 + 1e-12))
     mean = arr.mean(axis=0)
-    stderr = arr.std(axis=0, ddof=1) / math.sqrt(len(profiles))
+    stderr = arr.std(axis=0, ddof=1) / math.sqrt(len(pairs))
     monotone = all(mean[r + 1] <= mean[r] + (stderr[r] + stderr[r + 1])
                    for r in range(4))
     drops = bool(mean[4] < mean[0])
     g = f2_cfg.group
     cut = TabooContext(f2_engine, [g.identity])
-    tree_zero = max(ancona_ratio(cut, g.word("a^-2"), g.word("b^2")),
-                    ancona_ratio(cut, g.word("a^-3"), g.word("a^3")))
+    tree_zero = max(ancona_ratio(cut, [(g.word("a^-2"), g.word("b^2")),
+                                       (g.word("a^-3"), g.word("a^3"))]))
     ok = all_bounded and monotone and drops and tree_zero == 0.0
     report("A08 relative-green-decay", ok,
            f"mean profile={np.round(mean, 5).tolist()}, deep-point rho_0={tree_zero}")

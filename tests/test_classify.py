@@ -107,18 +107,18 @@ def test_ancona_ratio_conventions_and_tree_values(f2_engine, f2_cfg):
     g = f2_cfg.group
     eng = f2_engine
     x, z = g.word("a^-1"), g.word("a")
-    assert ancona_ratio(TabooContext(eng, [g.identity]), x, z) == 0.0
-    off_axis = ancona_ratio(TabooContext(eng, [g.word("b")]), g.identity, g.word("a"))
+    assert ancona_ratio(TabooContext(eng, [g.identity]), [(x, z)]) == [0.0]
+    (off_axis,) = ancona_ratio(TabooContext(eng, [g.word("b")]), [(g.identity, g.word("a"))])
     assert abs(off_axis - 8.0 / 9.0) < 1e-10
-    assert ancona_ratio(TabooContext(eng, list(ball_elements(g, 2))), x, z) == 0.0
+    assert ancona_ratio(TabooContext(eng, list(ball_elements(g, 2))), [(x, z)]) == [0.0]
 
 
 def test_ancona_ratio_evaluation_count(z2_cfg, monkeypatch):
     # The radius-4 taboo block has 609^2 entries; it is assembled in numpy,
     # not by one scalar green call per entry, on a fresh engine and context.
     eng = FreeProductEngine(z2_cfg.group, z2_cfg.measure, radius=z2_cfg.radius)
-    (x, z), = sample_ancona_pairs(z2_cfg.group, z2_cfg.parabolic, z2_cfg.seed, 1,
-                                  _TRANSITIONS)
+    pairs = sample_ancona_pairs(z2_cfg.group, z2_cfg.parabolic, z2_cfg.seed, 1,
+                                _TRANSITIONS)
     inner = FreeProductEngine.green
     calls = [0]
 
@@ -127,7 +127,7 @@ def test_ancona_ratio_evaluation_count(z2_cfg, monkeypatch):
         return inner(self, a, b)
 
     monkeypatch.setattr(FreeProductEngine, "green", counted)
-    rho = ancona_ratio(TabooContext(eng, list(ball_elements(z2_cfg.group, 4))), x, z)
+    (rho,) = ancona_ratio(TabooContext(eng, list(ball_elements(z2_cfg.group, 4))), pairs)
     assert 0.0 <= rho <= 1.0
     assert calls[0] < 2000
 

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import relwalk.cli as cli
-from relwalk import load_config
+from relwalk import FreeProductEngine, load_config
 from relwalk.errors import ConfigError
 
 from conftest import CONFIG_DIR, cli_env, config_path, count_calls
@@ -443,3 +443,45 @@ def test_a_state_cap_inside_run_all_fails_only_its_stages(tmp_path):
         "green": "resource-failure", "floyd": "ok", "classify": "ok",
         "martin-seq": "resource-failure"}
     assert "cap of 10 states" in stages["green"]["note"]
+
+
+@pytest.mark.parametrize("base", ["f2_over_a", "z2_free_z"])
+def test_ancona_green_blocks_do_not_grow_with_the_sample_count(tmp_path, monkeypatch, base):
+    """Each forbidden ball answers all sampled pairs from a fixed handful of
+    green_matrix blocks: its own, G(L, A), G(A, R) and one G(L, R) run."""
+    counts = {}
+    for samples in (5, 20):
+        p = tmp_path / f"{samples}.json"
+        p.write_text(json.dumps(_shipped(base, tolerances={"ancona_samples": samples})))
+        ctx = cli.RunContext(load_config(str(p)), str(tmp_path / f"o{samples}"))
+        calls = count_calls(monkeypatch, FreeProductEngine, "green_matrix")
+        assert cli.stage_ancona(ctx)["status"] == "ok"
+        counts[samples] = calls[0]
+        monkeypatch.undo()
+    assert counts[5] == counts[20] == 4 * (cli._ANCONA_RMAX + 1)
+
+
+def test_ancona_alone_writes_what_run_all_writes(tmp_path):
+    """A standalone ancona run starts from a cold engine, run all reaches ancona
+    with passages and boxes the earlier stages left; the bytes must agree."""
+    for command in ("ancona", "all"):
+        assert cli.main([command, "--config", config_path("f2_over_a.json"),
+                         "--out", str(tmp_path / command)]) == 0
+    for name in ("ancona.csv", "ancona.json"):
+        assert (tmp_path / "ancona" / name).read_bytes() == \
+            (tmp_path / "all" / name).read_bytes()
+
+
+def test_run_all_classifies_each_sequence_once(tmp_path, monkeypatch):
+    """classify and martin-seq share one classification per sequence, a
+    bounded sequence's error included."""
+    cfg = _shipped("f2", sequences=_shipped("f2")["sequences"] + [
+        {"name": "still", "templates": ["a"], "start": 1, "stop": 8}])
+    p = tmp_path / "f2.json"
+    p.write_text(json.dumps(cfg))
+    calls = count_calls(monkeypatch, cli, "classify")
+    assert cli.main(["all", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+    assert calls[0] == len(cfg["sequences"]) == 3
+    for name in ("classify.json", "martin_seq.json"):
+        with open(tmp_path / "o" / name) as fh:
+            assert json.load(fh)["still"]["tag"] == "Bounded"

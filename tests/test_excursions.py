@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from relwalk import FreeProductEngine, StepMeasure, TabooContext, ball_elements
+from relwalk.classify import sample_ancona_pairs
+from relwalk.cli import _TRANSITIONS
 from relwalk.errors import InvalidMeasureError
 from relwalk.groups import FactorSpec, FreeProductGroup
 
@@ -58,19 +60,19 @@ def test_taboo_context_closed_forms(f2_engine, f2_cfg):
     g = f2_cfg.group
     eng = f2_engine
     avoid_e = TabooContext(eng, [g.identity])
-    assert abs(avoid_e.value(g.identity, g.word("a")) - 1.0 / 3.0) < 1e-12
-    avoid_a = TabooContext(eng, [g.word("a")])
-    assert abs(avoid_a.value(g.identity, g.word("b")) - 4.0 / 9.0) < 1e-12
-    full = eng.green(g.identity, g.word("b"))
-    assert avoid_a.value(g.identity, g.word("b")) < full
+    (to_a,) = avoid_e.value([(g.identity, g.word("a"))])
+    assert abs(to_a - 1.0 / 3.0) < 1e-12
+    (to_b,) = TabooContext(eng, [g.word("a")]).value([(g.identity, g.word("b"))])
+    assert abs(to_b - 4.0 / 9.0) < 1e-12
+    assert to_b < eng.green(g.identity, g.word("b"))
 
 
 def test_taboo_context_translation_invariance(f2_engine, f2_cfg):
     g = f2_cfg.group
     eng = f2_engine
     t = g.word("b^2*a")
-    base = TabooContext(eng, [g.word("a")]).value(g.identity, g.word("a^2"))
-    moved = TabooContext(eng, [t * g.word("a")]).value(t, t * g.word("a^2"))
+    (base,) = TabooContext(eng, [g.word("a")]).value([(g.identity, g.word("a^2"))])
+    (moved,) = TabooContext(eng, [t * g.word("a")]).value([(t, t * g.word("a^2"))])
     assert abs(base - moved) < 1e-13
 
 
@@ -178,6 +180,9 @@ def test_taboo_context_satisfies_the_first_step_identity(engine_name, request):
     starts = [x for x in ball_elements(eng.group, 3) if x not in inside][::10]
     targets = ball_elements(eng.group, 3)[::8]
     assert any(y in inside for y in targets) and any(y not in inside for y in targets)
+    pairs = [(x, y) for x in starts for y in targets]
+    pairs += [(x * s, y) for x, y in pairs for s, _ in eng.mu.items() if x * s not in inside]
+    killed = dict(zip(pairs, avoid.value(pairs)))
     worst = 0.0
     for x in starts:
         for y in targets:
@@ -187,7 +192,29 @@ def test_taboo_context_satisfies_the_first_step_identity(engine_name, request):
                 if xs in inside:
                     rhs += w * (1.0 if xs == y else 0.0)
                 else:
-                    rhs += w * avoid.value(xs, y)
-            lhs = avoid.value(x, y)
-            worst = max(worst, abs(lhs - rhs) / eng.green(x, y))
+                    rhs += w * killed[xs, y]
+            worst = max(worst, abs(killed[x, y] - rhs) / eng.green(x, y))
     assert worst < 1e-12
+
+
+@pytest.mark.parametrize("cfg_name, seed, count, repeats, touching", [
+    ("z2_cfg", None, 20, 0, [0, 0, 0, 0, 2]),
+    ("f2a_cfg", 1, 100, 18, [0, 0, 0, 13, 52]),
+], ids=["z2", "f2_over_a"])
+def test_batched_taboo_values_equal_lone_pairs_bit_for_bit(cfg_name, seed, count, repeats,
+                                                          touching, request):
+    """One value() call over the ancona stage's pairs reads the same floats as
+    a call per pair, around every forbidden ball B_0..B_4 (touching counts
+    the pairs with an endpoint inside each).  The 100 F2 pairs, repeats
+    included, span three runs of G(L, R) blocks."""
+    cfg = request.getfixturevalue(cfg_name)
+    eng = FreeProductEngine(cfg.group, cfg.measure, radius=cfg.radius)
+    pairs = sample_ancona_pairs(cfg.group, cfg.parabolic,
+                                cfg.seed if seed is None else seed, count, _TRANSITIONS)
+    assert len(pairs) == count and len(pairs) - len(set(pairs)) == repeats
+    for r, touch in enumerate(touching):
+        taboo = TabooContext(eng, list(ball_elements(cfg.group, r)))
+        assert sum(x in taboo.index or z in taboo.index for x, z in pairs) == touch
+        batched = taboo.value(pairs)
+        alone = [v for pair in pairs for v in taboo.value([pair])]
+        assert [v.hex() for v in batched] == [v.hex() for v in alone]
