@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BoundedSequenceError, ConvergenceError, ParseError
-from .excursions import FreeProductEngine, TabooContext
+from .excursions import _BLOCK_CHUNK, FreeProductEngine, TabooContext
 from .groups import (Coset, FreeProductGroup, GroupElement, coset_lattice_part,
                      project_to_coset)
 from .floyd import (TransitionParams, coned_off_distance, gromov_product_coned,
@@ -211,20 +211,30 @@ def representative_invariance(group: FreeProductGroup,
             "agree": base.tag == shifted.tag, "direction_gap": gap}
 
 
-def ancona_ratio(taboo: TabooContext, pairs: Sequence[tuple[GroupElement, GroupElement]]
-                 ) -> list[float]:
-    """G_A(x, z) / G(x, z) for each pair, with A the forbidden set of the taboo context.
+def ancona_ratio(taboos: Sequence[TabooContext],
+                 pairs: Sequence[tuple[GroupElement, GroupElement]]
+                 ) -> list[tuple[float, ...]]:
+    """Each pair's profile G_A(x, z) / G(x, z), with A the forbidden set of each taboo context.
 
-    Ratios below 1e-12 are reported as exact zeros: at the Green scales
-    handled here they are always the float residue of a cut vertex that
-    disconnects x from z, where the true restricted Green vanishes.
+    The denominators G(x, z) are read once for all contexts, as the
+    diagonals of green_matrix blocks over runs of pairs small enough that
+    each block stays within _BLOCK_CHUNK entries.  Ratios below 1e-12 are
+    reported as exact zeros: at the Green scales handled here they are
+    always the float residue of a cut vertex that disconnects x from z,
+    where the true restricted Green vanishes.
     """
-    out = []
-    for (x, z), killed in zip(pairs, taboo.value(pairs)):
-        g = taboo.engine.green(x, z)
-        ratio = 0.0 if g <= 0.0 else killed / g
-        out.append(0.0 if ratio < 1e-12 else min(1.0, ratio))
-    return out
+    engine = taboos[0].engine
+    xs = engine.syllable_ids([x for x, _ in pairs])
+    zs = engine.syllable_ids([z for _, z in pairs])
+    run = math.isqrt(_BLOCK_CHUNK)
+    greens: list[float] = []
+    for lo in range(0, len(pairs), run):
+        greens.extend(np.diagonal(engine.green_matrix(xs[lo:lo + run], zs[lo:lo + run])).tolist())
+    profiles = []
+    for taboo in taboos:
+        rho = [0.0 if g <= 0.0 else killed / g for killed, g in zip(taboo.value(pairs), greens)]
+        profiles.append([0.0 if r < 1e-12 else min(1.0, r) for r in rho])
+    return list(zip(*profiles))
 
 
 def sample_ancona_pairs(group: FreeProductGroup, parabolic: Sequence[int], seed: int,
@@ -328,7 +338,10 @@ def martin_convergence(engine: FreeProductEngine,
     ns = list(range(len(elements))) if ns is None else list(ns)
     rows = []
     for n, g in zip(ns, elements):
-        kernels = tuple(engine.martin_kernel(x, g) for x in test_points)
+        # Scalar, in this order: far boxes are keyed by centre, so a block's
+        # passage order could move these kernels.
+        kernels = tuple(engine.green(x, g) / engine.green(engine.group.identity, g)
+                        for x in test_points)
         rows.append(MartinRow(n=n, kernels=kernels))
     # Rounding is monotone, so the largest |K_a(x) - K_b(x)| over rows a, b
     # from i on is max - min of K(x) over those rows; fmax/fmin skip NaNs.

@@ -366,7 +366,7 @@ def stage_ancona(ctx: RunContext) -> dict:
     # rho_R forbids the ball B_R(e) around the transition midpoint e.
     taboos = [TabooContext(engine, list(ball_elements(group, r, cfg.state_cap)))
               for r in range(_ANCONA_RMAX + 1)]
-    profiles = list(zip(*(ancona_ratio(taboo, pairs) for taboo in taboos)))
+    profiles = ancona_ratio(taboos, pairs)
     rows = []
     for i, ((x, z), prof) in enumerate(zip(pairs, profiles)):
         xname, zname = group.format(x), group.format(z)

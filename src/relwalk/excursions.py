@@ -65,7 +65,7 @@ class FreeProductEngine:
                         for i in range(len(group.factors))]
         self._greens = [ChainGreen(c, self.radius) for c in self._chains]
         self._gee_per_factor = [
-            cg.green_at_origin(0, 0) for cg in self._greens
+            cg.green(0, (0,) * cg.chain.rank, 0) for cg in self._greens
         ]
         self.green_identity_value = self._gee_per_factor[0]
         self._fwd_cache: dict[Syllable, float] = {}
@@ -107,8 +107,8 @@ class FreeProductEngine:
                     continue
                 chain = self._build_factor_chain(i, r)
                 cg = ChainGreen(chain, self.radius)
-                g00 = cg.green_at_origin(0, 0)
                 spec = self.group.factors[i]
+                g00 = cg.green(0, (0,) * spec.rank, 0)
                 total = 0.0
                 for z, j, w in self._steps[i]:
                     back = cg.green(0, tuple(-c for c in z), spec.finite_inv(j))
@@ -151,17 +151,14 @@ class FreeProductEngine:
             self._fwd_cache[key] = cg.green(0, z, j) / self._gee_per_factor[fac]
         return self._fwd_cache[key]
 
-    def green_from_identity(self, g: GroupElement) -> float:
+    def green(self, x: GroupElement, y: GroupElement) -> float:
+        """G(x, y) = G(e, x^-1 y), exact via the prefix product through cut vertices."""
         val = self.green_identity_value
         cache = self._fwd_cache
-        for syl in g.syllables:
+        for syl in (x.inverse() * y).syllables:
             passage = cache.get(syl)
             val *= self.forward_passage(*syl) if passage is None else passage
         return val
-
-    def green(self, x: GroupElement, y: GroupElement) -> float:
-        """G(x, y), exact via the prefix product through cut vertices."""
-        return self.green_from_identity(x.inverse() * y)
 
     def syllable_ids(self, elems: Sequence[GroupElement]) -> np.ndarray:
         """Padded syllable-id table of an element list, one row per element.
@@ -200,7 +197,7 @@ class FreeProductEngine:
         x^-1 y is x_m^-1 ... x_{d+2}^-1 (x_{d+1}^-1 y_{d+1}) y_{d+2} ... y_n,
         where the middle syllables merge when they lie in one factor and
         stay two syllables otherwise.  Each entry multiplies its passages
-        in that order, as green_from_identity does, without forming x^-1 y.
+        in that order, as green does, without forming x^-1 y.
         """
         X = xs if isinstance(xs, np.ndarray) else self.syllable_ids(xs)
         Y = ys if isinstance(ys, np.ndarray) else self.syllable_ids(ys)
@@ -245,10 +242,6 @@ class FreeProductEngine:
             use = (first <= k) & (Y[:, k] > 0)[None, :]
             fwd = self._passages(Y[use.any(axis=0), k], inverse=False)
             np.multiply(val, fwd[Y[:, k]][None, :], out=val, where=use)
-
-    def martin_kernel(self, x: GroupElement, y: GroupElement) -> float:
-        """K(x, y) = G(x, y)/G(e, y)."""
-        return self.green(x, y) / self.green(self.group.identity, y)
 
 
 class TabooContext:

@@ -149,22 +149,15 @@ def verify_same_green(chain: LatticeChain, engine: FreeProductEngine,
 
     The induced chain observes the walk at its visits to the neighborhood,
     so its Green's function at any pair of neighborhood states equals the
-    walk's Green's function at the corresponding group elements.
+    walk's Green's function at the corresponding group elements.  The walk
+    side is one row, green_matrix([e], states), over every probe state.
     """
     rank = chain.rank
-    probes = []
-    for z in _SAME_GREEN_PROBES:
-        zt = tuple(int(c) for c in z)
-        if len(zt) < rank:
-            zt = zt + (0,) * (rank - len(zt))
-        probes.append(zt[:rank])
+    states = [((z + (0,) * rank)[:rank], k)
+              for z in _SAME_GREEN_PROBES for k in range(len(fibers))]
+    refs = engine.green_matrix([engine.group.identity],
+                               [fibers.state(zt, k) for zt, k in states])[0].tolist()
     cg = ChainGreen(chain, radius=engine.radius)
-    worst = 0.0
-    for zt in probes:
-        for k in range(len(fibers)):
-            target = fibers.state(zt, k)
-            ref = engine.green(engine.group.identity, target)
-            got = cg.green(0, zt, k)
-            worst = max(worst, abs(got - ref))
-    return worst
+    return max((abs(cg.green(0, zt, k) - ref) for (zt, k), ref in zip(states, refs)),
+               default=0.0)
 

@@ -264,9 +264,6 @@ class ChainGreen:
         target = tuple(a + c for a, c in zip(zt, box.center))
         return float(box.row(j_from)[box._state_id(target, j_to)])
 
-    def green_at_origin(self, j_from: int, j_to: int) -> float:
-        return self.green(j_from, (0,) * self.chain.rank, j_to)
-
 
 def absorption_distribution(chain: LatticeChain, start_z: Sequence[int],
                             start_j: int, max_len: int, radius: int, *,

@@ -1,5 +1,6 @@
 """Boundary classification, Ancona ratios, and Martin convergence."""
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -107,10 +108,11 @@ def test_ancona_ratio_conventions_and_tree_values(f2_engine, f2_cfg):
     g = f2_cfg.group
     eng = f2_engine
     x, z = g.word("a^-1"), g.word("a")
-    assert ancona_ratio(TabooContext(eng, [g.identity]), [(x, z)]) == [0.0]
-    (off_axis,) = ancona_ratio(TabooContext(eng, [g.word("b")]), [(g.identity, g.word("a"))])
+    assert ancona_ratio([TabooContext(eng, [g.identity])], [(x, z)]) == [(0.0,)]
+    ((off_axis,),) = ancona_ratio([TabooContext(eng, [g.word("b")])],
+                                  [(g.identity, g.word("a"))])
     assert abs(off_axis - 8.0 / 9.0) < 1e-10
-    assert ancona_ratio(TabooContext(eng, list(ball_elements(g, 2))), [(x, z)]) == [0.0]
+    assert ancona_ratio([TabooContext(eng, list(ball_elements(g, 2)))], [(x, z)]) == [(0.0,)]
 
 
 def test_ancona_ratio_evaluation_count(z2_cfg, monkeypatch):
@@ -127,9 +129,42 @@ def test_ancona_ratio_evaluation_count(z2_cfg, monkeypatch):
         return inner(self, a, b)
 
     monkeypatch.setattr(FreeProductEngine, "green", counted)
-    (rho,) = ancona_ratio(TabooContext(eng, list(ball_elements(z2_cfg.group, 4))), pairs)
+    ((rho,),) = ancona_ratio([TabooContext(eng, list(ball_elements(z2_cfg.group, 4)))], pairs)
     assert 0.0 <= rho <= 1.0
     assert calls[0] < 2000
+
+
+@pytest.mark.parametrize("cfg_name, count, runs", [("f2a_cfg", 400, 3), ("z2_cfg", 200, 2)],
+                         ids=["f2_over_a", "z2"])
+def test_ancona_denominators_equal_scalar_green_bit_for_bit(cfg_name, count, runs, request,
+                                                            monkeypatch):
+    """ancona_ratio reads each G(x, z) as a diagonal entry of one of `runs`
+    green_matrix blocks on a fresh engine; each equals the scalar green(x, z)
+    of another fresh engine, and divides its own pair's value."""
+    cfg = request.getfixturevalue(cfg_name)
+    pairs = sample_ancona_pairs(cfg.group, cfg.parabolic, cfg.seed, count, _TRANSITIONS)
+
+    def fresh():
+        return FreeProductEngine(cfg.group, cfg.measure, radius=cfg.radius)
+
+    scalar = fresh()
+    greens = [scalar.green(x, z) for x, z in pairs]
+    blocks = []
+    inner = FreeProductEngine.green_matrix
+
+    def recorded(self, xs, ys):
+        blocks.append(inner(self, xs, ys))
+        return blocks[-1]
+
+    monkeypatch.setattr(FreeProductEngine, "green_matrix", recorded)
+    # A stand-in context whose values are half the scalar Greens and which reads
+    # no block of its own, so only denominators are recorded.
+    half = SimpleNamespace(engine=fresh(), value=lambda ps: [0.5 * g for g in greens])
+    assert ancona_ratio([half], pairs) == [(0.5,)] * count
+    monkeypatch.undo()
+    assert len(blocks) == runs
+    assert [g.hex() for b in blocks for g in np.diagonal(b).tolist()] == \
+        [g.hex() for g in greens]
 
 
 def test_martin_convergence_along_a_free_factor_ray(f2_engine, f2_cfg):

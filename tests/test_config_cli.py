@@ -448,17 +448,20 @@ def test_a_state_cap_inside_run_all_fails_only_its_stages(tmp_path):
 @pytest.mark.parametrize("base", ["f2_over_a", "z2_free_z"])
 def test_ancona_green_blocks_do_not_grow_with_the_sample_count(tmp_path, monkeypatch, base):
     """Each forbidden ball answers all sampled pairs from a fixed handful of
-    green_matrix blocks: its own, G(L, A), G(A, R) and one G(L, R) run."""
+    green_matrix blocks: its own, G(L, A), G(A, R) and one G(L, R) run; one
+    more run reads every denominator G(x, z), and no scalar Green is read."""
     counts = {}
     for samples in (5, 20):
         p = tmp_path / f"{samples}.json"
         p.write_text(json.dumps(_shipped(base, tolerances={"ancona_samples": samples})))
         ctx = cli.RunContext(load_config(str(p)), str(tmp_path / f"o{samples}"))
         calls = count_calls(monkeypatch, FreeProductEngine, "green_matrix")
+        scalar = count_calls(monkeypatch, FreeProductEngine, "green")
         assert cli.stage_ancona(ctx)["status"] == "ok"
         counts[samples] = calls[0]
+        assert scalar[0] == 0
         monkeypatch.undo()
-    assert counts[5] == counts[20] == 4 * (cli._ANCONA_RMAX + 1)
+    assert counts[5] == counts[20] == 4 * (cli._ANCONA_RMAX + 1) + 1
 
 
 def test_ancona_alone_writes_what_run_all_writes(tmp_path):

@@ -36,7 +36,7 @@ def test_free_group_green_closed_forms(f2_engine, f2_cfg):
     for word in ("a", "a^-1", "b^2", "a*b*a", "b^-1*a^2*b^-1", "a^5"):
         x = g.word(word)
         tree = 1.5 * 3.0 ** (-x.word_length)
-        assert abs(eng.green_from_identity(x) - tree) < 1e-12
+        assert abs(eng.green(g.identity, x) - tree) < 1e-12
 
 
 def test_free_group_kernel_and_hitting_closed_forms(f2_engine, f2_cfg):
@@ -44,9 +44,10 @@ def test_free_group_kernel_and_hitting_closed_forms(f2_engine, f2_cfg):
     eng = f2_engine
     for n in (2, 3, 6):
         yn = g.word(f"a^{n}")
-        assert abs(eng.martin_kernel(g.word("a"), yn) - 3.0) < 1e-12
-        assert abs(eng.martin_kernel(g.word("a^2"), yn) - 9.0) < 1e-12
-        assert abs(eng.martin_kernel(g.word("b"), yn) - 1.0 / 3.0) < 1e-12
+        gey = eng.green(g.identity, yn)
+        assert abs(eng.green(g.word("a"), yn) / gey - 3.0) < 1e-12
+        assert abs(eng.green(g.word("a^2"), yn) / gey - 9.0) < 1e-12
+        assert abs(eng.green(g.word("b"), yn) / gey - 1.0 / 3.0) < 1e-12
     hitting = eng.green(g.identity, g.word("a")) / eng.green_identity_value
     assert abs(hitting - 1.0 / 3.0) < 1e-12
 
@@ -83,10 +84,10 @@ def test_lazy_engine_doubles_green_and_keeps_kernels(f2_cfg):
     leng = FreeProductEngine(g, mu.lazy(), radius=20)
     for word in ("e", "a", "a*b^-1", "b^3"):
         x = g.word(word)
-        assert abs(leng.green_from_identity(x) - 2.0 * eng.green_from_identity(x)) < 1e-11
-    yn = g.word("a^5")
-    assert abs(leng.martin_kernel(g.word("a"), yn) -
-               eng.martin_kernel(g.word("a"), yn)) < 1e-11
+        assert abs(leng.green(g.identity, x) - 2.0 * eng.green(g.identity, x)) < 1e-11
+    x, yn = g.word("a"), g.word("a^5")
+    assert abs(leng.green(x, yn) / leng.green(g.identity, yn) -
+               eng.green(x, yn) / eng.green(g.identity, yn)) < 1e-11
 
 
 def test_green_depends_only_on_displacement(z2_engine, z2_cfg):
@@ -95,14 +96,14 @@ def test_green_depends_only_on_displacement(z2_engine, z2_cfg):
     x, y = g.word("t*a"), g.word("t*a*b^2")
     shift = g.word("a^-1*t")
     assert abs(eng.green(x, y) - eng.green(shift * x, shift * y)) < 1e-12
-    assert abs(eng.green(x, y) - eng.green_from_identity(x.inverse() * y)) < 1e-15
+    assert abs(eng.green(x, y) - eng.green(g.identity, x.inverse() * y)) < 1e-15
 
 
 def test_symmetric_measure_green_symmetry(z2_engine, z2_cfg):
     g = z2_cfg.group
     w = g.word("a^2*t^-1*b")
-    assert abs(z2_engine.green_from_identity(w) -
-               z2_engine.green_from_identity(w.inverse())) < 1e-12
+    assert abs(z2_engine.green(g.identity, w) -
+               z2_engine.green(g.identity, w.inverse())) < 1e-12
 
 
 def test_pinned_values_for_the_rank_two_free_product(z2_engine):
@@ -125,7 +126,7 @@ def test_passage_factors_multiply_along_syllables(z2_engine, z2_cfg):
     prod = eng.green_identity_value
     for fac, z, j in w.syllables:
         prod *= eng.forward_passage(fac, z, j)
-    assert abs(prod - eng.green_from_identity(w)) < 1e-15
+    assert abs(prod - eng.green(g.identity, w)) < 1e-15
 
 
 def test_engine_satisfies_the_resolvent_identity(f2_engine, z2_engine):

@@ -4,10 +4,37 @@ import math
 import numpy as np
 import pytest
 
-from relwalk import (FactorSpec, FiberIndex, FreeProductEngine, FreeProductGroup,
+from relwalk import (ChainGreen, FactorSpec, FiberIndex, FreeProductEngine, FreeProductGroup,
                      StepMeasure, induce_first_return, minimize_lambda,
                      verify_same_green)
+from relwalk.induced import _SAME_GREEN_PROBES
 from relwalk.perron import level_set_point
+
+from conftest import count_calls
+
+
+def _scalar_same_green(chain, engine, fibers) -> float:
+    """The per-state scalar loop that verify_same_green's block row replaced."""
+    cg = ChainGreen(chain, radius=engine.radius)
+    worst = 0.0
+    for z in _SAME_GREEN_PROBES:
+        zt = (tuple(z) + (0,) * chain.rank)[:chain.rank]
+        for k in range(len(fibers)):
+            ref = engine.green(engine.group.identity, fibers.state(zt, k))
+            worst = max(worst, abs(cg.green(0, zt, k) - ref))
+    return worst
+
+
+def assert_same_green_equals_the_scalar_loop(monkeypatch, chain, group, mu, radius, fibers):
+    """On two fresh engines, the block row and the scalar loop give the same
+    float, and the block row reads no scalar Green."""
+    block_engine = FreeProductEngine(group, mu, radius=radius)
+    scalar = count_calls(monkeypatch, FreeProductEngine, "green")
+    got = verify_same_green(chain, block_engine, fibers)
+    assert scalar[0] == 0
+    monkeypatch.undo()
+    ref = _scalar_same_green(chain, FreeProductEngine(group, mu, radius=radius), fibers)
+    assert got.hex() == ref.hex()
 
 
 def test_fiber_enumeration_small_neighborhoods(f2_cfg, z2_cfg):
@@ -57,6 +84,17 @@ def test_rank_two_induced_chain_green_matches_the_walk(z2_chain_eta2, z2_engine,
     assert dev < 1e-9
 
 
+@pytest.mark.parametrize("cfg_name, chain_name, eta", [
+    ("f2a_cfg", "f2a_chain", 0), ("z2_cfg", "z2_chain_eta0", 0), ("z2_cfg", "z2_chain_eta2", 2),
+], ids=["f2_over_a-eta0", "z2-eta0", "z2-eta2"])
+def test_same_green_row_equals_the_scalar_loop(cfg_name, chain_name, eta, request, monkeypatch):
+    cfg = request.getfixturevalue(cfg_name)
+    chain = request.getfixturevalue(chain_name)
+    fibers = FiberIndex.build(cfg.group, factor=0, eta=eta)
+    assert_same_green_equals_the_scalar_loop(monkeypatch, chain, cfg.group, cfg.measure,
+                                             cfg.radius, fibers)
+
+
 def test_neighborhood_width_does_not_move_the_boundary_point(z2_chain_eta0, z2_chain_eta2):
     th = (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
     b0 = level_set_point(z2_chain_eta0, th)
@@ -82,16 +120,18 @@ def test_induced_chain_is_symmetric_under_z_negation(z2_chain_eta0):
 
 
 @pytest.mark.parametrize("eta", [0, 1, 2])
-def test_excursions_through_a_finite_factor(eta):
+def test_excursions_through_a_finite_factor(eta, monkeypatch):
     # Z^2 * Z/3: excursions leave the parabolic Z^2 through the rank-0 factor.
     group = FreeProductGroup([
         FactorSpec(2, ((0,),), ("a", "b"), ()),
         FactorSpec(0, ((0, 1, 2), (1, 2, 0), (2, 0, 1)), (), ("t", "u"))])
-    engine = FreeProductEngine(group, StepMeasure.uniform(group).lazy(), radius=6)
+    mu = StepMeasure.uniform(group).lazy()
+    engine = FreeProductEngine(group, mu, radius=6)
     chain = induce_first_return(engine, factor=0, eta=eta)
     fibers = FiberIndex.build(group, factor=0, eta=eta)
     assert chain.fiber_count == len(fibers)
     assert verify_same_green(chain, engine, fibers) < 1e-6
+    assert_same_green_equals_the_scalar_loop(monkeypatch, chain, group, mu, 6, fibers)
 
 
 def complement_onto_first_fibers(chain, count: int):

@@ -73,7 +73,7 @@ def test_strong_irreducibility_detection():
 def test_box_green_matches_killed_walk_closed_form():
     q = 0.2
     cg = ChainGreen(killed_z(q), radius=60)
-    g00 = cg.green_at_origin(0, 0)
+    g00 = cg.green(0, (0,), 0)
     assert abs(g00 - 1.0 / math.sqrt(1.0 - 4.0 * q * q)) < 1e-10
     r = (1.0 - math.sqrt(1.0 - 4.0 * q * q)) / (2.0 * q)
     for n in (1, 2, 5, -3):
@@ -91,7 +91,7 @@ def test_absorption_distribution_matches_first_passage():
         assert 0.0 < total <= 1.0 + 1e-12
         assert set(dist) == {((max_len,), 0)}
         assert abs(total - r ** (3 - max_len)) < 1e-9
-        first_passage = cg.green(0, (max_len - 3,), 0) / cg.green_at_origin(0, 0)
+        first_passage = cg.green(0, (max_len - 3,), 0) / cg.green(0, (0,), 0)
         assert abs(total - first_passage) < 1e-9
 
 
