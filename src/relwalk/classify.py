@@ -9,14 +9,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BoundedSequenceError, ConvergenceError, ParseError
-from .excursions import _BLOCK_CHUNK, FreeProductEngine, TabooContext
+from .excursions import FreeProductEngine, TabooContext
 from .groups import (Coset, FreeProductGroup, GroupElement, coset_lattice_part,
                      project_to_coset)
 from .floyd import (TransitionParams, coned_off_distance, gromov_product_coned,
                     transition_points, word_geodesic)
 from .lattice import LatticeChain
-from .perron import (BoundaryPointU, level_set_point, limit_kernel_ratio,
-                     minimize_lambda)
+from .perron import BoundaryPointU, level_set_point, limit_kernel_ratio
 
 CONICAL = "Conical"
 PARABOLIC = "Parabolic"
@@ -216,20 +215,15 @@ def ancona_ratio(taboos: Sequence[TabooContext],
                  ) -> list[tuple[float, ...]]:
     """Each pair's profile G_A(x, z) / G(x, z), with A the forbidden set of each taboo context.
 
-    The denominators G(x, z) are read once for all contexts, as the
-    diagonals of green_matrix blocks over runs of pairs small enough that
-    each block stays within _BLOCK_CHUNK entries.  Ratios below 1e-12 are
+    The denominators G(x, z) are read once for all contexts, in one
+    green_pairs call over the aligned pairs.  Ratios below 1e-12 are
     reported as exact zeros: at the Green scales handled here they are
     always the float residue of a cut vertex that disconnects x from z,
     where the true restricted Green vanishes.
     """
     engine = taboos[0].engine
-    xs = engine.syllable_ids([x for x, _ in pairs])
-    zs = engine.syllable_ids([z for _, z in pairs])
-    run = math.isqrt(_BLOCK_CHUNK)
-    greens: list[float] = []
-    for lo in range(0, len(pairs), run):
-        greens.extend(np.diagonal(engine.green_matrix(xs[lo:lo + run], zs[lo:lo + run])).tolist())
+    greens = engine.green_pairs(engine.syllable_ids([x for x, _ in pairs]),
+                                engine.syllable_ids([z for _, z in pairs])).tolist()
     profiles = []
     for taboo in taboos:
         rho = [0.0 if g <= 0.0 else killed / g for killed, g in zip(taboo.value(pairs), greens)]
@@ -403,16 +397,15 @@ def separation_experiment(chain: LatticeChain, theta0, theta1,
     if float(np.linalg.norm(t0 - t1)) < 1e-12:
         raise ValueError("separation needs two distinct directions")
     ns = list(range(1, 13)) if ns is None else list(ns)
-    mn = minimize_lambda(chain)
-    b0 = level_set_point(chain, t0, minimum=mn)
-    b1 = level_set_point(chain, t1, minimum=mn)
+    b0 = level_set_point(chain, t0)
+    b1 = level_set_point(chain, t1)
     if chain.rank == 1:
         grid = [tuple(t1)]
     else:
         base_angle = math.atan2(t1[1], t1[0])
         grid = [(math.cos(base_angle + d), math.sin(base_angle + d))
                 for d in np.linspace(-_GRID_WIDTH, _GRID_WIDTH, _GRID_COUNT)]
-    grid_points = [level_set_point(chain, th, minimum=mn) for th in grid]
+    grid_points = [level_set_point(chain, th) for th in grid]
     scaled = t1 / float(np.max(np.abs(t1)))
     primitive = np.round(scaled)
     if float(np.max(np.abs(scaled - primitive))) > 1e-9:

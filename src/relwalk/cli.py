@@ -28,8 +28,7 @@ from .floyd import (FloydFunction, TransitionParams, floyd_distance,
                     transition_points, word_geodesic)
 from .induced import FiberIndex, induce_first_return, verify_same_green
 from .lattice import ChainGreen, LatticeChain
-from .perron import (check_assumptions, direction_grid, level_set_point,
-                     minimize_lambda, perron, perron_values)
+from .perron import check_assumptions, direction_grid, level_set_point, perron_values
 from .reports import fmt, svg_heatmap, svg_line_plot, write_csv, write_json
 
 _SAME_GREEN_TOL = 1e-6  # induce: induced-chain Green against the walk Green
@@ -44,9 +43,10 @@ _SEPARATION_THETAS = {1: ((-1.0,), (1.0,)),
 
 
 class _ToleranceFailure(Exception):
-    def __init__(self, stage: str, payload: dict):
-        super().__init__(f"{stage}: tolerance failure")
-        self.stage = stage
+    """A stage's tolerance check failed; payload is its diagnostic JSON."""
+
+    def __init__(self, payload: dict):
+        super().__init__(payload["reason"])
         self.payload = payload
 
 
@@ -221,7 +221,7 @@ def stage_induce(ctx: RunContext) -> dict:
              write_json(ctx.path("induce.json"), report)]
     worst = max(v["same_green_dev"] for v in report.values())
     if worst >= _SAME_GREEN_TOL:
-        raise _ToleranceFailure("induce", {
+        raise _ToleranceFailure({
             "reason": "induced chain Green deviates from the walk Green",
             "max_deviation": worst,
             "tolerance": _SAME_GREEN_TOL,
@@ -259,9 +259,8 @@ def stage_lambda_surface(ctx: RunContext) -> dict:
                 [("lambda(u)", list(axes[0]), grid[0])],
                 f"Perron value, {label}", "u", "lambda", hline=1.0))
             if assume.ok:
-                mn = perron(chain, assume.u_min)
-                up = level_set_point(chain, (1.0,), minimum=mn)
-                un = level_set_point(chain, (-1.0,), minimum=mn)
+                up = level_set_point(chain, (1.0,))
+                un = level_set_point(chain, (-1.0,))
                 entry["u_plus"] = up.u[0]
                 entry["u_minus"] = un.u[0]
         elif chain.rank == 2:
@@ -274,7 +273,7 @@ def stage_lambda_surface(ctx: RunContext) -> dict:
     files.append(write_json(ctx.path("lambda_surface.json"), report))
     bad = {k: v for k, v in report.items() if not v["ok"]}
     if bad:
-        raise _ToleranceFailure("lambda-surface", {
+        raise _ToleranceFailure({
             "reason": "assumption checks failed", "detail": bad})
     return _ok(files)
 
@@ -286,9 +285,8 @@ def stage_boundary_map(ctx: RunContext) -> dict:
     files = []
     for label, chain in ctx.chains():
         points = []
-        mn = minimize_lambda(chain)
         for th in direction_grid(chain.rank, ctx.cfg.theta_grid):
-            bp = level_set_point(chain, th, minimum=mn)
+            bp = level_set_point(chain, th)
             points.append(bp)
             rows.append((label, th, bp.u, bp.lambda_residual, bp.angular_error))
         gaps = [float(np.linalg.norm(np.array(p.u) - np.array(q.u)))
@@ -313,7 +311,7 @@ def stage_boundary_map(ctx: RunContext) -> dict:
     worst = max(v["max_angular_error"] for v in report.values())
     not_injective = [k for k, v in report.items() if not v["injective"]]
     if worst >= _ANGULAR_TOL or not_injective:
-        raise _ToleranceFailure("boundary-map", {
+        raise _ToleranceFailure({
             "reason": "sphere map round-trip out of tolerance",
             "max_angular_error": worst,
             "tolerance": _ANGULAR_TOL,
@@ -391,7 +389,7 @@ def stage_ancona(ctx: RunContext) -> dict:
                            "Relative Green ratio vs forbidden radius",
                            "R", "rho", hline=1.0)]
     if bad_monotone or bad_drop:
-        raise _ToleranceFailure("ancona", {
+        raise _ToleranceFailure({
             "reason": "rho_R profile not decaying as required",
             "non_monotone_samples": bad_monotone,
             "no_strict_drop_samples": bad_drop,
@@ -465,7 +463,7 @@ def stage_separate(ctx: RunContext) -> dict:
                            "Boundary separation along the theta1 ray", "n", "kernel",
                            logy=True)]
     if not rep.certified:
-        raise _ToleranceFailure("separate", {
+        raise _ToleranceFailure({
             "reason": "separation not certified",
             "decay": rep.decay, "grid_min": rep.grid_min})
     return _ok(files, certified=rep.certified)
@@ -505,17 +503,13 @@ def _run_stage(ctx: RunContext, name: str) -> tuple[int, dict]:
     try:
         return 0, STAGES[name](ctx)
     except _ToleranceFailure as exc:
-        path = write_json(ctx.path(f"{exc.stage.replace('-', '_')}_diagnostic.json"),
-                          exc.payload)
-        return 2, {"status": "tolerance-failure", "note": exc.payload.get("reason", ""),
-                   "files": [os.path.basename(path)]}
+        status, payload = "tolerance-failure", exc.payload
     except (AssumptionError, ConvergenceError, OverflowError) as exc:
-        path = write_json(ctx.path(f"{name.replace('-', '_')}_diagnostic.json"),
-                          {"reason": str(exc), "stage": name})
-        return 2, {"status": "numerical-failure", "note": str(exc),
-                   "files": [os.path.basename(path)]}
+        status, payload = "numerical-failure", {"reason": str(exc), "stage": name}
     except StateCapError as exc:
         return 1, {"status": "resource-failure", "note": str(exc), "files": []}
+    path = write_json(ctx.path(f"{name.replace('-', '_')}_diagnostic.json"), payload)
+    return 2, {"status": status, "note": payload["reason"], "files": [os.path.basename(path)]}
 
 
 def _print_status(name: str, summary: dict) -> None:

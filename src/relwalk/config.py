@@ -195,7 +195,7 @@ def load_config(path: str) -> ExperimentConfig:
             measure = _parse_measure(raw.get("measure", {}), group)
         else:
             chain = _parse_chain(raw["chain"])
-    except (TypeError, ValueError, KeyError) as exc:
+    except (TypeError, ValueError, KeyError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad group, measure or chain: {exc}")
 
     parabolic = raw.get("parabolic", [])

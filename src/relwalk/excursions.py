@@ -23,7 +23,6 @@ geometrically in the radius to the true transient values.
 """
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -180,57 +179,64 @@ class FreeProductEngine:
                 table[i, k] = sid
         return table
 
-    def _passages(self, ids: np.ndarray, inverse: bool) -> np.ndarray:
-        """Lookup array over syllable ids: F(e -> s) (or F(e -> s^-1)) at ids, 1 elsewhere."""
+    def _passages(self, ids: np.ndarray, use: np.ndarray, inverse: bool) -> np.ndarray:
+        """Lookup array over syllable ids: F(e -> s) (or F(e -> s^-1)) at the ids of
+        the entries use reads, over the axes ids broadcasts along, in id order; 1 elsewhere."""
         out = np.ones(len(self._id_syllable))
         syllables = self._id_inverse if inverse else self._id_syllable
-        for sid in np.unique(ids):
+        read = use.any(axis=tuple(i for i, n in enumerate(ids.shape) if n == 1), keepdims=True)
+        for sid in np.unique(ids[read]):
             out[sid] = self.forward_passage(*syllables[sid])
         return out
 
     def green_matrix(self, xs: Sequence[GroupElement] | np.ndarray,
                      ys: Sequence[GroupElement] | np.ndarray) -> np.ndarray:
-        """The block G(x_i, y_j), equal bit for bit to green(x_i, y_j).
+        """The block G(x_i, y_j): green_pairs over every pair, in chunks of rows.
 
-        xs and ys are element lists or their syllable_ids tables.  With d
-        the common syllable-prefix depth of x and y, the normal form of
-        x^-1 y is x_m^-1 ... x_{d+2}^-1 (x_{d+1}^-1 y_{d+1}) y_{d+2} ... y_n,
-        where the middle syllables merge when they lie in one factor and
-        stay two syllables otherwise.  Each entry multiplies its passages
-        in that order, as green does, without forming x^-1 y.
+        xs and ys are element lists or their syllable_ids tables.
         """
         X = xs if isinstance(xs, np.ndarray) else self.syllable_ids(xs)
         Y = ys if isinstance(ys, np.ndarray) else self.syllable_ids(ys)
         out = np.empty((len(X), len(Y)))
         step = max(1, _BLOCK_CHUNK // max(1, len(Y)))
         for lo in range(0, len(X), step):
-            self._green_rows(out[lo:lo + step], X[lo:lo + step], Y)
+            out[lo:lo + step] = self.green_pairs(X[lo:lo + step, None], Y[None])
         return out
 
-    def _green_rows(self, val: np.ndarray, X: np.ndarray, Y: np.ndarray):
-        """Fill val with the green_matrix block of two syllable-id tables."""
-        width = min(X.shape[1], Y.shape[1])
-        depth = np.zeros(val.shape, dtype=np.min_scalar_type(width))
-        alive = np.ones(val.shape, dtype=bool)
+    def green_pairs(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """G(x, y) for the pairs of two syllable-id tables, equal bit for bit to green(x, y).
+
+        Ids run along the last axis and the other axes broadcast: aligned
+        (n, w) and (n, w') tables give one value per row pair, X[:, None]
+        and Y[None] the block.  With d the common syllable-prefix depth of
+        x and y, the normal form of x^-1 y is x_m^-1 ... x_{d+2}^-1
+        (x_{d+1}^-1 y_{d+1}) y_{d+2} ... y_n, where the middle syllables
+        merge when they lie in one factor and stay two syllables otherwise.
+        Each value multiplies its passages in that order, as green does,
+        without forming x^-1 y.
+        """
+        shape = np.broadcast_shapes(X.shape[:-1], Y.shape[:-1])
+        width = min(X.shape[-1], Y.shape[-1])
+        depth = np.zeros(shape, dtype=np.min_scalar_type(width))
+        alive = np.ones(shape, dtype=bool)
         for k in range(width - 1):
-            alive &= X[:, k, None] == Y[None, :, k]
-            alive &= (X[:, k] > 0)[:, None]
+            alive &= X[..., k] == Y[..., k]
+            alive &= X[..., k] > 0
             if not alive.any():
                 break
             depth += alive
-        xd = X[np.arange(len(X))[:, None], depth]
-        yd = Y[np.arange(len(Y))[None, :], depth]
+        xd, yd = _at(X, depth), _at(Y, depth)
         factor = np.array(self._id_factor, dtype=np.int16)
         merged = (xd > 0) & (yd > 0) & (factor[xd] == factor[yd])
         codes = xd[merged].astype(np.int64) * len(factor) + yd[merged]
         # Both tails start at the divergence, or just after it when the
         # middle syllables merge into one.
         first = depth + merged
-        val.fill(self.green_identity_value)
-        for k in reversed(range(X.shape[1] - 1)):
-            use = (first <= k) & (X[:, k] > 0)[:, None]
-            back = self._passages(X[use.any(axis=1), k], inverse=True)
-            np.multiply(val, back[X[:, k]][:, None], out=val, where=use)
+        val = np.full(shape, self.green_identity_value)
+        for k in reversed(range(X.shape[-1] - 1)):
+            use = (first <= k) & (X[..., k] > 0)
+            back = self._passages(X[..., k], use, inverse=True)
+            np.multiply(val, back[X[..., k]], out=val, where=use)
         if len(codes):
             pairs, where = np.unique(codes, return_inverse=True)
             middle = np.array([
@@ -238,10 +244,18 @@ class FreeProductEngine:
                     self._id_inverse[c // len(factor)], self._id_syllable[c % len(factor)]))
                 for c in pairs.tolist()])
             val[merged] *= middle[where]
-        for k in range(Y.shape[1] - 1):
-            use = (first <= k) & (Y[:, k] > 0)[None, :]
-            fwd = self._passages(Y[use.any(axis=0), k], inverse=False)
-            np.multiply(val, fwd[Y[:, k]][None, :], out=val, where=use)
+        for k in range(Y.shape[-1] - 1):
+            use = (first <= k) & (Y[..., k] > 0)
+            fwd = self._passages(Y[..., k], use, inverse=False)
+            np.multiply(val, fwd[Y[..., k]], out=val, where=use)
+        return val
+
+
+def _at(table: np.ndarray, depth: np.ndarray) -> np.ndarray:
+    """table[..., depth] entry by entry, the leading axes of table broadcasting against depth."""
+    rows = np.ravel_multi_index(np.indices(table.shape[:-1], sparse=True), table.shape[:-1])
+    return np.take(table, rows * table.shape[-1] + depth)
+
 
 
 class TabooContext:
@@ -266,14 +280,15 @@ class TabooContext:
         self._minv = np.linalg.inv(engine.green_matrix(self._ids, self._ids))
 
     def value(self, pairs: Sequence[tuple[GroupElement, GroupElement]]) -> list[float]:
-        """G_A(x, y) for each pair (x, y), read off Green blocks shared by all pairs.
+        """G_A(x, y) for each pair (x, y), read off Green values shared by all pairs.
 
         A pair with an endpoint in A is the border sum d(x, y) + mu(x^-1 y) +
         sum mu(s) G_A(xs, y t^-1) mu(t) over xs and y t^-1 outside A; a pair
         outside A is the one-term sum 0 + 1 G_A(x, y) 1, which is G_A(x, y)
         exactly.  Each G_A(l, r) is G(l, r) - G(l, A) G(A, A)^-1 G(A, r): the
         left endpoints l and right endpoints r of all pairs share one G(L, A)
-        and one G(A, R) block, and G(L, R) is built over runs of pairs.
+        and one G(A, R) block, and one green_pairs call reads G(l, r) for
+        exactly the terms of the sums.
         """
         eng, index = self.engine, self.index
         steps = list(eng.mu.items())
@@ -299,20 +314,14 @@ class TabooContext:
         # lone pair's, whatever the batch.
         rows = [gx[a] @ self._minv for a in range(len(lefts))]
         hy = np.ascontiguousarray(eng.green_matrix(self._ids, right_ids).T)
-        # A pair has at most len(steps) endpoints a side, so a run's G(L, R)
-        # block stays within _BLOCK_CHUNK entries.
-        run = max(1, math.isqrt(_BLOCK_CHUNK) // max(1, len(steps)))
+        terms = [(a, b) for _, outer, inner in reads for a, _ in outer for b, _ in inner]
+        cross = iter(eng.green_pairs(left_ids[[a for a, _ in terms]],
+                                     right_ids[[b for _, b in terms]]).tolist())
         out = []
-        for lo in range(0, len(reads), run):
-            chunk = reads[lo:lo + run]
-            ls = sorted({a for _, outer, _ in chunk for a, _ in outer})
-            rs = sorted({b for _, _, inner in chunk for b, _ in inner})
-            cross = dict(zip(ls, eng.green_matrix(left_ids[ls], right_ids[rs])))
-            at = {b: j for j, b in enumerate(rs)}
-            for base, outer, inner in chunk:
-                total = base
-                for a, ws in outer:
-                    for b, wt in inner:
-                        total += ws * (float(cross[a][at[b]]) - float(rows[a] @ hy[b])) * wt
-                out.append(total)
+        for base, outer, inner in reads:
+            total = base
+            for a, ws in outer:
+                for b, wt in inner:
+                    total += ws * (next(cross) - float(rows[a] @ hy[b])) * wt
+            out.append(total)
         return out

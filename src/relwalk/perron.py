@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -238,8 +239,9 @@ def lambda_hessian(chain: LatticeChain, data: PerronData) -> np.ndarray:
     return (direct + cross + cross.T) / denom
 
 
+@lru_cache(maxsize=16)
 def minimize_lambda(chain: LatticeChain) -> PerronData:
-    """Global minimum of lambda over tilts u.
+    """Global minimum of lambda over tilts u, memoized per chain: callers share the result.
 
     lambda is smooth and convex in u, so damped Newton on grad lambda = 0
     from the origin homes in on the unique minimum.  Steps halve, also on
@@ -428,8 +430,7 @@ def _bordered_newton(chain: LatticeChain, u: np.ndarray, data: PerronData, s: fl
     return None
 
 
-def level_set_point(chain: LatticeChain, theta,
-                    minimum: PerronData | None = None) -> BoundaryPointU:
+def level_set_point(chain: LatticeChain, theta) -> BoundaryPointU:
     """Solve lambda(u) = 1 with grad lambda parallel to theta.
 
     One path at every rank: cross the level along theta from the
@@ -437,8 +438,7 @@ def level_set_point(chain: LatticeChain, theta,
     normal lies within a quarter turn of theta (in rank 1 it is theta).
     Where Newton fails, the requested normal moves from the crossing's
     normal to theta in strides that halve on failure, each point seeding
-    the next.  Passing the precomputed lambda minimum skips redoing that
-    solve on repeated calls.
+    the next.
     """
     th = np.asarray(theta, dtype=float).reshape(-1)
     if th.size != chain.rank:
@@ -447,7 +447,7 @@ def level_set_point(chain: LatticeChain, theta,
     if abs(nth - 1.0) > 1e-8:
         raise ValueError(f"direction must be a unit vector, got norm {nth}")
     th = th / nth
-    mn = minimize_lambda(chain) if minimum is None else minimum
+    mn = minimize_lambda(chain)
     if mn.value >= 1.0:
         raise AssumptionError(
             f"lambda minimum {mn.value:.6f} is not below 1; no level set to parametrize")

@@ -18,7 +18,7 @@ import pytest
 from relwalk import (FiberIndex, FreeProductEngine, LatticeChain,
                      SequenceSpec, TabooContext, ancona_ratio, ball_elements,
                      induce_first_return,
-                     level_set_point, martin_convergence, minimize_lambda,
+                     level_set_point, martin_convergence,
                      representative_invariance, separation_experiment,
                      verify_same_green)
 from relwalk.classify import classify, sample_ancona_pairs
@@ -142,13 +142,12 @@ def test_a06_gradient_against_finite_differences(z2_cfg):
 
 
 def test_a07_direction_to_tilt_round_trip(z2_chain_eta2):
-    mn = minimize_lambda(z2_chain_eta2)
     us = []
     worst_angle = 0.0
     for i in range(64):
         ang = 2.0 * math.pi * i / 64
         th = np.array([math.cos(ang), math.sin(ang)])
-        bp = level_set_point(z2_chain_eta2, tuple(th), minimum=mn)
+        bp = level_set_point(z2_chain_eta2, tuple(th))
         grad = np.asarray(bp.gradient)
         normal = grad / np.linalg.norm(grad)
         worst_angle = max(worst_angle, float(np.linalg.norm(normal - th)))

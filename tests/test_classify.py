@@ -14,7 +14,7 @@ from relwalk.errors import BoundedSequenceError, ParseError
 from relwalk.perron import BoundaryPointU, level_set_point, minimize_lambda
 from relwalk.groups import Coset
 
-from conftest import extrapolated_ratio_deviation
+from conftest import count_calls, extrapolated_ratio_deviation
 
 
 def test_template_exponent_parsing(z2_cfg):
@@ -134,13 +134,13 @@ def test_ancona_ratio_evaluation_count(z2_cfg, monkeypatch):
     assert calls[0] < 2000
 
 
-@pytest.mark.parametrize("cfg_name, count, runs", [("f2a_cfg", 400, 3), ("z2_cfg", 200, 2)],
+@pytest.mark.parametrize("cfg_name, count", [("f2a_cfg", 400), ("z2_cfg", 200)],
                          ids=["f2_over_a", "z2"])
-def test_ancona_denominators_equal_scalar_green_bit_for_bit(cfg_name, count, runs, request,
+def test_ancona_denominators_equal_scalar_green_bit_for_bit(cfg_name, count, request,
                                                             monkeypatch):
-    """ancona_ratio reads each G(x, z) as a diagonal entry of one of `runs`
-    green_matrix blocks on a fresh engine; each equals the scalar green(x, z)
-    of another fresh engine, and divides its own pair's value."""
+    """ancona_ratio reads every G(x, z) in one green_pairs call of one entry
+    per pair on a fresh engine, and no block; each equals the scalar
+    green(x, z) of another fresh engine, and divides its own pair's value."""
     cfg = request.getfixturevalue(cfg_name)
     pairs = sample_ancona_pairs(cfg.group, cfg.parabolic, cfg.seed, count, _TRANSITIONS)
 
@@ -149,22 +149,22 @@ def test_ancona_denominators_equal_scalar_green_bit_for_bit(cfg_name, count, run
 
     scalar = fresh()
     greens = [scalar.green(x, z) for x, z in pairs]
-    blocks = []
-    inner = FreeProductEngine.green_matrix
+    reads = []
+    inner = FreeProductEngine.green_pairs
 
-    def recorded(self, xs, ys):
-        blocks.append(inner(self, xs, ys))
-        return blocks[-1]
+    def recorded(self, X, Y):
+        reads.append(inner(self, X, Y))
+        return reads[-1]
 
-    monkeypatch.setattr(FreeProductEngine, "green_matrix", recorded)
+    monkeypatch.setattr(FreeProductEngine, "green_pairs", recorded)
+    blocks = count_calls(monkeypatch, FreeProductEngine, "green_matrix")
     # A stand-in context whose values are half the scalar Greens and which reads
-    # no block of its own, so only denominators are recorded.
+    # no Green value of its own, so only denominators are recorded.
     half = SimpleNamespace(engine=fresh(), value=lambda ps: [0.5 * g for g in greens])
     assert ancona_ratio([half], pairs) == [(0.5,)] * count
     monkeypatch.undo()
-    assert len(blocks) == runs
-    assert [g.hex() for b in blocks for g in np.diagonal(b).tolist()] == \
-        [g.hex() for g in greens]
+    assert blocks[0] == 0 and [r.shape for r in reads] == [(count,)]
+    assert [g.hex() for g in reads[0].tolist()] == [g.hex() for g in greens]
 
 
 def test_martin_convergence_along_a_free_factor_ray(f2_engine, f2_cfg):

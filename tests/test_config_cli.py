@@ -9,8 +9,10 @@ import sys
 import pytest
 
 import relwalk.cli as cli
-from relwalk import FreeProductEngine, load_config
+from relwalk import FreeProductEngine, ball_elements, load_config
+from relwalk.classify import sample_ancona_pairs
 from relwalk.errors import ConfigError
+from relwalk.perron import minimize_lambda
 
 from conftest import CONFIG_DIR, cli_env, config_path, count_calls
 
@@ -114,6 +116,8 @@ def test_config_validation_failures(tmp_path):
                                {"table": [[0, 1.0], [1, 0]], "finite_names": ["t"]}]}},
         {"group": {"factors": [{"rank": 1, "lattice_names": ["a"]},
                                {"table": [[0, True], [True, 0]], "finite_names": ["t"]}]}},
+        {"group": base_group, "measure": {"kind": "weights", "weights": [["a", "1/0"]]}},
+        {"chain": {"rank": 1, "entries": [[0, 0, [1], "1/0"], [0, 0, [-1], 0.2]]}},
     ]
     for payload in cases:
         with pytest.raises(ConfigError):
@@ -172,6 +176,15 @@ def test_invalid_config_and_usage_exit_codes(tmp_path):
     bad_value = run_cli("lambda-surface", "--config", str(ten), "--out", str(tmp_path / "t"))
     assert bad_value.returncode == 1
     assert "Traceback" not in bad_value.stderr
+    with open(config_path("f2.json")) as fh:
+        cfg = json.load(fh)
+    cfg["measure"] = {"kind": "weights", "weights": [["a", "1/0"], ["b", "1/4"]]}
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps(cfg))
+    bad_weight = run_cli("green", "--config", str(zero), "--out", str(tmp_path / "z"))
+    assert bad_weight.returncode == 1
+    assert bad_weight.stderr.startswith("error:")
+    assert "Traceback" not in bad_weight.stdout + bad_weight.stderr
     usage = run_cli("green")
     assert usage.returncode == 1
     unknown = run_cli("not-a-command", "--config", "x")
@@ -445,23 +458,55 @@ def test_a_state_cap_inside_run_all_fails_only_its_stages(tmp_path):
     assert "cap of 10 states" in stages["green"]["note"]
 
 
+def _cross_terms(taboo, steps, pairs) -> int:
+    """How many G(l, r) terms the taboo read-out sums over pairs: one for a pair
+    outside the forbidden set, one per pair of steps leaving it otherwise."""
+    inside = set(taboo)
+    total = 0
+    for x, z in pairs:
+        if x in inside or z in inside:
+            total += (sum(x * s not in inside for s in steps)
+                      * sum(z * s.inverse() not in inside for s in steps))
+        else:
+            total += 1
+    return total
+
+
 @pytest.mark.parametrize("base", ["f2_over_a", "z2_free_z"])
 def test_ancona_green_blocks_do_not_grow_with_the_sample_count(tmp_path, monkeypatch, base):
     """Each forbidden ball answers all sampled pairs from a fixed handful of
-    green_matrix blocks: its own, G(L, A), G(A, R) and one G(L, R) run; one
-    more run reads every denominator G(x, z), and no scalar Green is read."""
+    green_matrix blocks: its own, G(L, A) and G(A, R).  One green_pairs read
+    per ball serves its G(l, r) terms and one more every denominator G(x, z),
+    each with one entry per pair it serves; no scalar Green is read."""
     counts = {}
     for samples in (5, 20):
         p = tmp_path / f"{samples}.json"
         p.write_text(json.dumps(_shipped(base, tolerances={"ancona_samples": samples})))
-        ctx = cli.RunContext(load_config(str(p)), str(tmp_path / f"o{samples}"))
-        calls = count_calls(monkeypatch, FreeProductEngine, "green_matrix")
+        cfg = load_config(str(p))
+        ctx = cli.RunContext(cfg, str(tmp_path / f"o{samples}"))
+        blocks = count_calls(monkeypatch, FreeProductEngine, "green_matrix")
         scalar = count_calls(monkeypatch, FreeProductEngine, "green")
+        sizes = []
+        inner = FreeProductEngine.green_pairs
+
+        def recorded(self, X, Y, _inner=inner):
+            out = _inner(self, X, Y)
+            if out.ndim == 1:  # a pair read; green_matrix reads 2-D chunks
+                sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(FreeProductEngine, "green_pairs", recorded)
         assert cli.stage_ancona(ctx)["status"] == "ok"
-        counts[samples] = calls[0]
-        assert scalar[0] == 0
         monkeypatch.undo()
-    assert counts[5] == counts[20] == 4 * (cli._ANCONA_RMAX + 1) + 1
+        pairs = sample_ancona_pairs(cfg.group, cfg.parabolic, cfg.seed, samples,
+                                    cli._TRANSITIONS)
+        steps = [s for s, _ in cfg.measure.items()]
+        assert sizes == [samples] + [
+            _cross_terms(ball_elements(cfg.group, r), steps, pairs)
+            for r in range(cli._ANCONA_RMAX + 1)]
+        counts[samples] = blocks[0]
+        assert scalar[0] == 0
+    assert counts[5] == counts[20] == 3 * (cli._ANCONA_RMAX + 1)
 
 
 def test_ancona_alone_writes_what_run_all_writes(tmp_path):
@@ -473,6 +518,16 @@ def test_ancona_alone_writes_what_run_all_writes(tmp_path):
     for name in ("ancona.csv", "ancona.json"):
         assert (tmp_path / "ancona" / name).read_bytes() == \
             (tmp_path / "all" / name).read_bytes()
+
+
+def test_run_all_minimizes_each_chain_once(tmp_path):
+    """lambda-surface, boundary-map, martin-seq and separate share one lambda
+    minimization per chain."""
+    minimize_lambda.cache_clear()
+    assert cli.main(["all", "--config", config_path("f2_over_a.json"),
+                     "--out", str(tmp_path / "o")]) == 0
+    info = minimize_lambda.cache_info()
+    assert info.misses == 1 and info.hits >= 4
 
 
 def test_run_all_classifies_each_sequence_once(tmp_path, monkeypatch):

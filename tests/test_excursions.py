@@ -149,14 +149,20 @@ def test_green_matrix_is_bit_equal_to_green(z2_engine, z2_asymmetric_engine, f2_
         assert np.array_equal(eng.green_matrix(ball, ball), _scalar_block(eng, ball, ball))
 
 
-def test_green_matrix_merges_finite_syllables_bit_for_bit():
-    # (Z x Z/2) * Z/3: middle syllables of x^-1 y merge through the finite table.
+def _finite_factor_walk() -> tuple[FreeProductGroup, StepMeasure, int]:
+    """(Z x Z/2) * Z/3 with its lazy uniform walk, and an engine radius."""
     line_c2 = FactorSpec(rank=1, table=((0, 1), (1, 0)), lattice_names=("a",),
                          finite_names=("s",))
     c3 = FactorSpec(rank=0, table=((0, 1, 2), (1, 2, 0), (2, 0, 1)),
                     lattice_names=(), finite_names=("r", "r2"))
     g = FreeProductGroup([line_c2, c3])
-    eng = FreeProductEngine(g, StepMeasure.uniform(g).lazy(), radius=10)
+    return g, StepMeasure.uniform(g).lazy(), 10
+
+
+def test_green_matrix_merges_finite_syllables_bit_for_bit():
+    # Middle syllables of x^-1 y merge through the finite table.
+    g, mu, radius = _finite_factor_walk()
+    eng = FreeProductEngine(g, mu, radius=radius)
     ball = ball_elements(g, 4)
     pairs = {(x.syllables[0][1:], y.syllables[0][1:]) for x in ball for y in ball
              if x.syllables and y.syllables and x.syllables[0][0] == y.syllables[0][0]}
@@ -165,6 +171,55 @@ def test_green_matrix_merges_finite_syllables_bit_for_bit():
     sub = ball[::7]
     assert np.array_equal(eng.green_matrix(sub, ball), _scalar_block(eng, sub, ball))
     assert eng.green_matrix([], ball).shape == (0, len(ball))
+
+
+def _common_depth(x, y) -> int:
+    depth = 0
+    for s, t in zip(x.syllables, y.syllables):
+        if s != t:
+            break
+        depth += 1
+    return depth
+
+
+@pytest.mark.parametrize("walk", ["f2", "z2", "finite"])
+def test_green_pairs_equal_block_diagonals_and_scalar_green(walk, f2_cfg, z2_cfg):
+    """green_pairs over aligned tables reads, on a fresh engine, the floats
+    that green_matrix's diagonal and scalar green read on fresh engines of
+    their own.  The seeded pairs hold the identity, shared prefixes and
+    merged middle syllables, and their tables differ in width; both orders
+    are read."""
+    if walk == "finite":
+        g, mu, radius = _finite_factor_walk()
+    else:
+        cfg = f2_cfg if walk == "f2" else z2_cfg
+        g, mu, radius = cfg.group, cfg.measure, cfg.radius
+    rng = np.random.default_rng(21)
+    near, far = ball_elements(g, 2), ball_elements(g, 4)
+    xs = [near[i] for i in rng.integers(0, len(near), 60)] + [g.identity, g.identity, far[-1]]
+    ys = [far[i] for i in rng.integers(0, len(far), 60)] + [g.identity, far[-1], g.identity]
+    steps = [s for s, _ in mu.items()]
+    xs += ys[:20]
+    ys += [y * steps[i % len(steps)] for i, y in enumerate(ys[:20])]
+    depths = [_common_depth(x, y) for x, y in zip(xs, ys)]
+    assert any(depths)
+    assert any(d < min(x.syllable_count, y.syllable_count)
+               and x.syllables[d][0] == y.syllables[d][0]
+               for x, y, d in zip(xs, ys, depths))
+
+    def fresh():
+        return FreeProductEngine(g, mu, radius=radius)
+
+    for left, right in ((xs, ys), (ys, xs)):
+        eng = fresh()
+        X, Y = eng.syllable_ids(left), eng.syllable_ids(right)
+        assert X.shape[1] != Y.shape[1]
+        pairs = eng.green_pairs(X, Y).tolist()
+        diagonal = np.diagonal(fresh().green_matrix(left, right)).tolist()
+        scalar_engine = fresh()
+        scalar = [scalar_engine.green(x, y) for x, y in zip(left, right)]
+        assert [v.hex() for v in pairs] == [v.hex() for v in diagonal] == \
+            [v.hex() for v in scalar]
 
 
 @pytest.mark.parametrize("engine_name", ["z2_engine", "z2_asymmetric_engine", "f2_engine"])
@@ -206,8 +261,8 @@ def test_batched_taboo_values_equal_lone_pairs_bit_for_bit(cfg_name, seed, count
                                                           touching, request):
     """One value() call over the ancona stage's pairs reads the same floats as
     a call per pair, around every forbidden ball B_0..B_4 (touching counts
-    the pairs with an endpoint inside each).  The 100 F2 pairs, repeats
-    included, span three runs of G(L, R) blocks."""
+    the pairs with an endpoint inside each).  The 100 F2 pairs include
+    repeats."""
     cfg = request.getfixturevalue(cfg_name)
     eng = FreeProductEngine(cfg.group, cfg.measure, radius=cfg.radius)
     pairs = sample_ancona_pairs(cfg.group, cfg.parabolic,

@@ -90,8 +90,8 @@ def test_lambda_is_log_convex_along_lines(f2a_chain):
 def test_free_group_induced_chain_minimum_and_levels(f2a_chain):
     mn = minimize_lambda(f2a_chain)
     assert abs(mn.value - 2.0 / 3.0) < 1e-9
-    up = level_set_point(f2a_chain, (1.0,), minimum=mn)
-    un = level_set_point(f2a_chain, (-1.0,), minimum=mn)
+    up = level_set_point(f2a_chain, (1.0,))
+    un = level_set_point(f2a_chain, (-1.0,))
     assert abs(up.u[0] - math.log(3.0)) < 1e-9
     assert abs(un.u[0] + math.log(3.0)) < 1e-9
 
@@ -127,10 +127,9 @@ def test_assumption_report_for_induced_rank_two_chain(z2_chain_eta2):
 
 
 def test_rank_two_level_points_have_requested_normals(z2_chain_eta2):
-    mn = minimize_lambda(z2_chain_eta2)
     for ang in (0.0, 0.9, 2.2, -2.8):
         th = (math.cos(ang), math.sin(ang))
-        bp = level_set_point(z2_chain_eta2, th, minimum=mn)
+        bp = level_set_point(z2_chain_eta2, th)
         g = np.asarray(bp.gradient)
         n = g / np.linalg.norm(g)
         assert bp.angular_error < 1e-8
@@ -152,18 +151,20 @@ def sharp_cornered_chain() -> LatticeChain:
 
 def test_level_points_at_sharp_corners_of_a_nearly_reducible_chain():
     c = sharp_cornered_chain()
-    mn = minimize_lambda(c)
     for th in direction_grid(2, 16):
-        bp = level_set_point(c, th, minimum=mn)
+        bp = level_set_point(c, th)
         assert bp.angular_error < 1e-8 and bp.lambda_residual < 1e-10
 
 
 def test_precomputed_minimum_changes_nothing(z2_chain_eta0):
-    mn = minimize_lambda(z2_chain_eta0)
+    """A level point read off the memoized lambda minimum equals one that
+    minimizes afresh, bit for bit."""
     th = (math.cos(0.6), math.sin(0.6))
+    minimize_lambda.cache_clear()
     a = level_set_point(z2_chain_eta0, th)
-    b = level_set_point(z2_chain_eta0, th, minimum=mn)
-    assert np.allclose(a.u, b.u, atol=1e-12)
+    b = level_set_point(z2_chain_eta0, th)
+    assert minimize_lambda.cache_info().misses == 1
+    assert a.u == b.u and a.gradient == b.gradient
 
 
 def test_hessian_matches_closed_forms():
@@ -194,9 +195,8 @@ def test_hessian_matches_differences_of_the_gradient(z2_chain_eta2):
 def test_level_set_grid_evaluation_count(z2_chain_eta0, monkeypatch):
     # The module's own name is patched to count the evaluations its solvers make.
     calls = count_calls(monkeypatch, perron_module, "perron")
-    mn = minimize_lambda(z2_chain_eta0)
     for th in direction_grid(2, 64):
-        level_set_point(z2_chain_eta0, th, minimum=mn)
+        level_set_point(z2_chain_eta0, th)
     assert calls[0] < 2000
 
 
@@ -205,11 +205,13 @@ def test_escape_test_makes_one_solve_per_direction(z2_chain_eta2, monkeypatch):
     # probe, which reads lambda alone; perron() runs only in the minimizer.
     pairs = count_calls(monkeypatch, perron_module, "perron")
     values = count_tilts(monkeypatch, perron_module, "perron_values")
-    minimize_lambda(z2_chain_eta2)
-    minimize_calls, pairs[0] = pairs[0], 0
+    minimize_lambda.cache_clear()
     assert check_assumptions(z2_chain_eta2).level_set_compact
     assert values[0] == 64
-    assert pairs[0] == minimize_calls
+    check_calls, pairs[0] = pairs[0], 0
+    minimize_lambda.cache_clear()
+    minimize_lambda(z2_chain_eta2)
+    assert check_calls == pairs[0]
 
 
 def test_lambda_surface_reads_eigenpairs_only_in_the_minimizer(tmp_path, monkeypatch):
@@ -221,13 +223,14 @@ def test_lambda_surface_reads_eigenpairs_only_in_the_minimizer(tmp_path, monkeyp
         "tolerances": {"lambda_grid_points": 5}}))
     ctx = cli.RunContext(load_config(str(path)), str(tmp_path / "out"))
     pairs = count_calls(monkeypatch, perron_module, "perron")
-    minimize_lambda(ctx.cfg.chain)
-    minimize_calls, pairs[0] = pairs[0], 0
-    pairs_in_cli = count_calls(monkeypatch, cli, "perron")
     values = count_tilts(monkeypatch, cli, "perron_values")
+    minimize_lambda.cache_clear()
     assert cli.stage_lambda_surface(ctx)["status"] == "ok"
-    assert pairs[0] == minimize_calls and pairs_in_cli[0] == 0
     assert values[0] == 25
+    stage_calls, pairs[0] = pairs[0], 0
+    minimize_lambda.cache_clear()
+    minimize_lambda(ctx.cfg.chain)
+    assert stage_calls == pairs[0]
 
 
 def random_plane_chain(rng, degenerate: bool, heavy: bool) -> LatticeChain:
@@ -408,8 +411,7 @@ def test_level_points_do_not_depend_on_eta(z2_chain_eta0, z2_chain_eta2):
     so the shipped chains at eta 0 and 2 share their level set {lambda = 1}."""
     points = []
     for chain in (z2_chain_eta0, z2_chain_eta2):
-        mn = minimize_lambda(chain)
-        points.append([level_set_point(chain, th, minimum=mn).u for th in direction_grid(2, 64)])
+        points.append([level_set_point(chain, th).u for th in direction_grid(2, 64)])
     assert np.abs(np.subtract(*points)).max() < 1e-12
 
 
