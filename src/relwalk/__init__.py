@@ -8,8 +8,7 @@ classifies escaping sequences through Floyd and coned-off geometry.
 """
 from .balls import ball_elements
 from .classify import (Classification, SequenceSpec, ancona_ratio,
-                       martin_convergence, representative_invariance,
-                       separation_experiment)
+                       martin_convergence, separation_experiment)
 from .config import ExperimentConfig, load_config
 from .errors import (AssumptionError, BoundedSequenceError, ConfigError,
                      ConvergenceError, InvalidMeasureError, ParseError,
@@ -40,6 +39,6 @@ __all__ = [
     "floyd_distance", "gromov_product_coned", "induce_first_return",
     "level_set_point", "limit_kernel_ratio", "load_config",
     "martin_convergence", "minimize_lambda", "project_to_coset",
-    "representative_invariance", "separation_experiment",
-    "transition_points", "verify_same_green", "word_geodesic",
+    "separation_experiment", "transition_points", "verify_same_green",
+    "word_geodesic",
 ]

@@ -1,6 +1,7 @@
 """Boundary classification of sequences, Ancona ratios, and convergence experiments."""
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -92,32 +93,15 @@ class SequenceSpec:
 
 @dataclass
 class Classification:
-    """Boundary label with the numerical evidence that produced it."""
+    """Boundary label with the numerical evidence that produced it: projection
+    norms for a Parabolic label, coned-off Gromov products for the others."""
 
     tag: str
+    word_lengths: list[int]
     coset: Coset | None = None
     direction: tuple[float, ...] | None = None
-    evidence: dict = field(default_factory=dict)
-
-
-def _lattice_track(coset: Coset, elements: Sequence[GroupElement],
-                   offset: GroupElement | None = None) -> list[tuple[int, ...]]:
-    """Lattice coordinates of the projections, in the coset's chart.
-
-    An alternate representative rep*offset (offset in the parabolic
-    factor) shifts every coordinate by the offset's lattice part.
-    """
-    shift = (0,) * coset.group.factors[coset.factor].rank
-    if offset is not None and offset.syllable_count:
-        fac, z, _ = offset.syllables[0]
-        if fac != coset.factor or offset.syllable_count != 1:
-            raise ValueError("representative offset must lie in the parabolic factor")
-        shift = z
-    out = []
-    for g in elements:
-        z = coset_lattice_part(coset, project_to_coset(g, coset))
-        out.append(tuple(a - b for a, b in zip(z, shift)))
-    return out
+    projection_norms: list[float] = field(default_factory=list)
+    coned_gromov_products: list[float] = field(default_factory=list)
 
 
 def _candidate_cosets(group: FreeProductGroup, elements: Sequence[GroupElement],
@@ -136,8 +120,7 @@ def _candidate_cosets(group: FreeProductGroup, elements: Sequence[GroupElement],
 
 def classify(group: FreeProductGroup,
              seq: SequenceSpec | Sequence[GroupElement],
-             parabolic: Sequence[int], *,
-             rep_offset: GroupElement | None = None) -> Classification:
+             parabolic: Sequence[int]) -> Classification:
     """Label a sequence Conical, Parabolic(coset, direction), or Unresolved.
 
     Parabolic: some parabolic coset's projections have lattice parts with
@@ -156,11 +139,11 @@ def classify(group: FreeProductGroup,
         raise BoundedSequenceError(
             f"word lengths do not grow (first half max {max(lengths[:half])}, "
             f"second half max {max(lengths[half:])})")
-    evidence: dict = {"word_lengths": lengths}
     parabolic = tuple(parabolic)
 
     for coset in _candidate_cosets(group, elements, parabolic):
-        track = _lattice_track(coset, elements, rep_offset)
+        # Lattice coordinates of the projections, in the coset's chart.
+        track = [coset_lattice_part(coset, project_to_coset(g, coset)) for g in elements]
         norms = [math.sqrt(sum(c * c for c in z)) for z in track]
         tail_norms = norms[half:]
         if tail_norms[-1] < _MIN_NORM:
@@ -171,43 +154,20 @@ def classify(group: FreeProductGroup,
             continue
         dirs = [np.array(z, dtype=float) / n
                 for z, n in zip(track[half:], tail_norms) if n > 0]
-        if not dirs:
-            continue
         gap = max(float(np.linalg.norm(d - dirs[-1])) for d in dirs)
         if gap < _DIRECTION_TOL:
             theta = tuple(float(c) for c in dirs[-1])
-            evidence["projection_norms"] = norms
-            return Classification(tag=PARABOLIC, coset=coset, direction=theta,
-                                  evidence=evidence)
+            return Classification(tag=PARABOLIC, word_lengths=lengths, coset=coset,
+                                  direction=theta, projection_norms=norms)
 
     products = [gromov_product_coned(a, b, group.identity, parabolic)
                 for a, b in zip(elements, elements[1:])]
     coned = [coned_off_distance(group.identity, g, parabolic) for g in elements]
-    evidence["coned_gromov_products"] = products
     tail = products[max(0, half - 1):]
     growing = all(b >= a - 1e-9 for a, b in zip(tail, tail[1:]))
-    if growing and min(tail) > _CONED_THRESHOLD and coned[-1] > coned[half - 1]:
-        return Classification(tag=CONICAL, evidence=evidence)
-    return Classification(tag=UNRESOLVED, evidence=evidence)
-
-
-def representative_invariance(group: FreeProductGroup,
-                              seq: SequenceSpec | Sequence[GroupElement],
-                              parabolic: Sequence[int],
-                              offset: GroupElement) -> dict:
-    """Classify under the canonical and an offset representative set.
-
-    The offset replaces each representative rep by rep*offset; lattice
-    charts shift by a constant, so tags agree and parabolic directions
-    coincide in the limit.
-    """
-    base = classify(group, seq, parabolic)
-    shifted = classify(group, seq, parabolic, rep_offset=offset)
-    gap = 0.0
-    if base.direction is not None and shifted.direction is not None:
-        gap = float(np.linalg.norm(np.array(base.direction) - np.array(shifted.direction)))
-    return {"base": base, "shifted": shifted,
-            "agree": base.tag == shifted.tag, "direction_gap": gap}
+    conical = growing and min(tail) > _CONED_THRESHOLD and coned[-1] > coned[half - 1]
+    return Classification(tag=CONICAL if conical else UNRESOLVED, word_lengths=lengths,
+                          coned_gromov_products=products)
 
 
 def ancona_ratio(taboos: Sequence[TabooContext],
@@ -301,69 +261,60 @@ def sample_ancona_pairs(group: FreeProductGroup, parabolic: Sequence[int], seed:
 
 
 @dataclass
-class MartinRow:
-    n: int
-    kernels: tuple[float, ...]
-
-
-@dataclass
 class MartinConvergenceReport:
-    """Martin kernels along a sequence with Cauchy and limit diagnostics."""
+    """Martin kernels along a sequence with Cauchy and limit diagnostics.
 
-    rows: list[MartinRow]
+    kernels[i, k] is K_{g_i}(x_k) for the i-th term (index ns[i]) and the
+    k-th test point.  With a boundary point, column c of ratios is the
+    kernel ratio K(x_a) / K(x_b) of the test-point indices (a, b) =
+    pairs[c], and predicted[c] its limit e^(u.(z_a - z_b)).
+    """
+
+    ns: list[int]
+    kernels: np.ndarray
     cauchy_deltas: list[tuple[int, float]]
-    ratio_rows: list[dict] = field(default_factory=list)
+    pairs: np.ndarray | None = None
+    predicted: np.ndarray | None = None
+    ratios: np.ndarray | None = None
     max_ratio_deviation: float | None = None
 
 
 def martin_convergence(engine: FreeProductEngine,
                        elements: Sequence[GroupElement],
                        test_points: Sequence[GroupElement],
-                       ns: Sequence[int] | None = None,
+                       ns: Sequence[int],
                        boundary: BoundaryPointU | None = None,
                        coset: Coset | None = None) -> MartinConvergenceReport:
     """Tabulate K_{g_n}(x) over test points with Cauchy deltas.
 
     When a level-set point and a parabolic coset are supplied, kernel
-    ratios of lattice test points are compared against the limiting
-    exponential e^(u.(z_x - z_x')); max_ratio_deviation reports the
-    final row's worst relative deviation, ratio_rows every row's.
+    ratios of every pair of lattice test points are compared against the
+    limiting exponential e^(u.(z_x - z_x')); max_ratio_deviation reports
+    the final row's worst relative deviation.
     """
-    ns = list(range(len(elements))) if ns is None else list(ns)
-    rows = []
-    for n, g in zip(ns, elements):
-        # Scalar, in this order: far boxes are keyed by centre, so a block's
-        # passage order could move these kernels.
-        kernels = tuple(engine.green(x, g) / engine.green(engine.group.identity, g)
-                        for x in test_points)
-        rows.append(MartinRow(n=n, kernels=kernels))
+    ns = list(ns)
+    # Scalar, in this order: far boxes are keyed by centre, so a block's
+    # passage order could move these kernels.
+    kernels = np.array([[engine.green(x, g) / engine.green(engine.group.identity, g)
+                         for x in test_points] for g in elements]
+                       ).reshape(len(ns), len(test_points))
     # Rounding is monotone, so the largest |K_a(x) - K_b(x)| over rows a, b
     # from i on is max - min of K(x) over those rows; fmax/fmin skip NaNs.
-    table = np.array([row.kernels for row in reversed(rows)])
-    table = table.reshape(len(rows), len(test_points))
+    table = kernels[::-1]
     spread = np.fmax.accumulate(table) - np.fmin.accumulate(table)
     worst = np.fmax.reduce(spread, axis=1, initial=0.0)[::-1]
-    deltas = [(row.n, float(w)) for row, w in zip(rows, worst)]
-    report = MartinConvergenceReport(rows=rows, cauchy_deltas=deltas)
+    report = MartinConvergenceReport(ns=ns, kernels=kernels,
+                                     cauchy_deltas=[(n, float(w)) for n, w in zip(ns, worst)])
     if boundary is not None and coset is not None:
-        u = boundary.u
-        tracks = {x: coset_lattice_part(coset, x) for x in test_points
+        tracks = {k: coset_lattice_part(coset, x) for k, x in enumerate(test_points)
                   if coset.contains(x)}
-        pts = [x for x in test_points if x in tracks]
-        worst_last = 0.0
-        for row in rows:
-            kx = dict(zip(test_points, row.kernels))
-            for i, xi in enumerate(pts):
-                for xj in pts[i + 1:]:
-                    pred = limit_kernel_ratio(u, tracks[xi], tracks[xj])
-                    got = kx[xi] / kx[xj]
-                    dev = abs(got - pred) / pred
-                    if row.n == ns[-1]:
-                        worst_last = max(worst_last, dev)
-                    report.ratio_rows.append(
-                        {"n": row.n, "x": xi, "x_other": xj,
-                         "ratio": got, "predicted": pred, "rel_dev": dev})
-        report.max_ratio_deviation = worst_last
+        pairs = list(itertools.combinations(tracks, 2))
+        report.pairs = np.array(pairs, dtype=int).reshape(len(pairs), 2)
+        report.predicted = np.array([limit_kernel_ratio(boundary.u, tracks[a], tracks[b])
+                                     for a, b in pairs])
+        report.ratios = kernels[:, report.pairs[:, 0]] / kernels[:, report.pairs[:, 1]]
+        dev = np.abs(report.ratios - report.predicted) / report.predicted
+        report.max_ratio_deviation = float(np.fmax.reduce(dev[-1], initial=0.0))
     return report
 
 

@@ -339,15 +339,15 @@ def stage_classify(ctx: RunContext) -> dict:
         direction_txt = fmt(cls.direction) if cls.direction else ""
         detail = ""
         if cls.tag == "Parabolic":
-            detail = "projection norm %.6g" % cls.evidence["projection_norms"][-1]
+            detail = "projection norm %.6g" % cls.projection_norms[-1]
         elif cls.tag == "Conical":
-            detail = "gromov product %.6g" % cls.evidence["coned_gromov_products"][-1]
+            detail = "gromov product %.6g" % cls.coned_gromov_products[-1]
         rows.append((seq.name, cls.tag, coset_txt, direction_txt, detail))
         report[seq.name] = {
             "tag": cls.tag, "coset": coset_txt, "direction": direction_txt,
-            "word_lengths": cls.evidence["word_lengths"],
-            "coned_gromov_products": cls.evidence.get("coned_gromov_products", []),
-            "projection_norms": cls.evidence.get("projection_norms", [])}
+            "word_lengths": cls.word_lengths,
+            "coned_gromov_products": cls.coned_gromov_products,
+            "projection_norms": cls.projection_norms}
     files = [write_csv(ctx.path("classify.csv"),
                        ["sequence", "tag", "coset", "direction", "detail"], rows),
              write_json(ctx.path("classify.json"), report)]
@@ -425,9 +425,8 @@ def stage_martin_seq(ctx: RunContext) -> dict:
             test_points = ball_elements(group, _MARTIN_TEST_RADIUS, cfg.state_cap)[:9]
         rep = martin_convergence(engine, elements, test_points, ns=ns,
                                  boundary=boundary, coset=coset)
-        for row in rep.rows:
-            for x, k in zip(test_points, row.kernels):
-                rows.append((seq.name, row.n, group.format(x), k))
+        for n, kernels in zip(rep.ns, rep.kernels.tolist()):
+            rows.extend((seq.name, n, group.format(x), k) for x, k in zip(test_points, kernels))
         entry = {"tag": cls.tag,
                  "cauchy_deltas": [[n, d] for n, d in rep.cauchy_deltas]}
         if rep.max_ratio_deviation is not None:

@@ -115,6 +115,9 @@ def _parse_measure(obj: dict, group: FreeProductGroup) -> StepMeasure:
         raise ConfigError(f"unknown measure kind {kind!r}")
     if obj.get("lazy", False):
         mu = mu.lazy()
+    # The Green engine and the induction both read steps one syllable at a time.
+    _require(mu.has_syllable_support,
+             "measure must be supported on single syllables and the identity")
     return mu
 
 
@@ -201,6 +204,7 @@ def load_config(path: str) -> ExperimentConfig:
     parabolic = raw.get("parabolic", [])
     _require(isinstance(parabolic, list) and all(map(_is_int, parabolic)),
              "parabolic must be a list of factor indices")
+    _require(len(set(parabolic)) == len(parabolic), f"parabolic repeats a factor: {parabolic}")
     if group is not None:
         for i in parabolic:
             _require(0 <= i < len(group.factors), f"parabolic factor {i} does not exist")
@@ -220,6 +224,7 @@ def load_config(path: str) -> ExperimentConfig:
     eta_list = raw.get("eta_list", [0])
     _require(isinstance(eta_list, list) and all(_is_int(h) and h >= 0 for h in eta_list),
              "eta_list must be a list of integers >= 0")
+    _require(len(set(eta_list)) == len(eta_list), f"eta_list repeats a value: {eta_list}")
     for h in eta_list:
         _require(3 * h <= radius, f"eta {h} needs radius >= {3 * h}")
     theta_grid = raw.get("theta_grid", 16)
@@ -227,7 +232,7 @@ def load_config(path: str) -> ExperimentConfig:
     state_cap = raw.get("state_cap", DEFAULT_STATE_CAP)
     _require(_is_int(state_cap) and state_cap >= 1, "state_cap must be a positive integer")
     seed = raw.get("seed", 0)
-    _require(_is_int(seed), "seed must be an integer")
+    _require(_is_int(seed) and seed >= 0, "seed must be an integer >= 0")
 
     try:
         sequences = _parse_sequences(raw.get("sequences", []), group)

@@ -4,10 +4,9 @@ Watching the walk only when it sits in the eta-neighborhood of the
 parabolic subgroup P = Z^k x F yields a Z^k-invariant sub-Markov chain on
 Z^k x {fibers}.  The excursions between visits are summed exactly through
 the cut-vertex structure of the free product: an excursion re-enters the
-neighborhood through the block where it left, so its weight factors into
-per-syllable passage probabilities and one first-hit law in the factor
-where the excursion started, read off a box Green row of that factor's
-chain stopped on the states of re-entry.
+neighborhood through the block where it left, so its weight is one
+first-hit law in the factor where the excursion started, read off a box
+Green row of that factor's chain stopped on the states of re-entry.
 """
 from __future__ import annotations
 
@@ -66,9 +65,10 @@ def induce_first_return(engine: FreeProductEngine, factor: int, eta: int,
     """First-return chain of the walk on the eta-neighborhood of factor's P.
 
     Each kernel entry sums all excursion paths exactly (up to the engine's
-    box truncation): a step leaving the neighborhood is propagated back
-    through the departing branch by backward passage probabilities and one
-    first-hit (absorption) distribution in the branching factor.  Lattice
+    box truncation).  Steps are single syllables, so a step w -> w*s that
+    leaves the neighborhood does so inside the last syllable of w*s, and
+    its excursion weight is one first-hit (absorption) distribution back
+    onto the neighborhood in that syllable's factor.  Lattice
     displacements occur only on direct steps inside P, so the chain's
     z-support equals the P-support of the step measure at every eta.
     """
@@ -101,23 +101,16 @@ def induce_first_return(engine: FreeProductEngine, factor: int, eta: int,
                 if h.word_length <= eta:
                     entries.append((k, index[(h.syllables, f)], zero, wt))
                     continue
-                sylls = h.syllables
-                depths = [0]
-                for (ff, zz, jj) in sylls:
-                    depths.append(depths[-1] + group.factors[ff].syllable_length(zz, jj))
-                lstar = max(l for l in range(len(sylls)) if depths[l] <= eta)
-                tail = wt
-                for syl in sylls[lstar + 1:]:
-                    # F(s -> e) = F(e -> s^-1)
-                    tail *= engine.forward_passage(*group.inverse_syllable(syl))
-                v0 = sylls[lstar]
-                prefix = GroupElement(group, sylls[:lstar])  # prefixes of normal forms are normal
-                for (zv, jv), prob in sorted(first_hit(v0, eta - depths[lstar]).items()):
+                # h leaves the ball inside its last syllable v0: the prefix
+                # before it is w or a prefix of w, so |prefix| <= eta.
+                v0 = h.syllables[-1]
+                prefix = GroupElement(group, h.syllables[:-1])  # prefixes of normal forms are normal
+                for (zv, jv), prob in sorted(first_hit(v0, eta - prefix.word_length).items()):
                     if any(zv) or jv != 0:
                         target = prefix * group.syllable(v0[0], zv, jv)
                     else:
                         target = prefix
-                    entries.append((k, index[(target.syllables, f)], zero, tail * prob))
+                    entries.append((k, index[(target.syllables, f)], zero, wt * prob))
         return entries
 
     # A first pass lists the first-hit laws the kernel needs.  They are

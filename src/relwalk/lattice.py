@@ -24,7 +24,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ConfigError, ConvergenceError
+from .errors import AssumptionError, ConfigError, ConvergenceError
 
 
 @dataclass(frozen=True)
@@ -208,7 +208,13 @@ class BoxGreen:
         q = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                           shape=(num_states, num_states))
         a = sp.identity(num_states, format="csr") - q
-        self._lu = spla.splu(a.T.tocsc())
+        try:
+            self._lu = spla.splu(a.T.tocsc())
+        except RuntimeError as exc:
+            if "singular" not in str(exc):
+                raise
+            raise AssumptionError(f"singular box: I - Q on the {num_states} states within {h} "
+                                  f"of {self.center}; some states never lose mass") from None
         self._rows: dict[tuple[tuple[int, ...], int], np.ndarray] = {}
 
     def _site_id(self, z: tuple[int, ...]) -> int:

@@ -4,7 +4,6 @@ import json
 import math
 import os
 import sys
-from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -72,26 +71,20 @@ def perron_residual(chain, data) -> float:
     return float(np.max(np.abs(tilted_matrix(chain, data.u) @ r - data.value * r)))
 
 
-def extrapolated_ratio_deviation(ratio_rows):
+def extrapolated_ratio_deviation(rep):
     """Kernel-ratio deviations of a martin_convergence report, raw and at n -> inf.
 
-    Each test-point pair's log(ratio/predicted) is fitted by least squares
-    against (1, 1/n, 1/n^2); the intercept is the pair's n -> inf limit.
-    Returns the worst |expm1(intercept)| over pairs and the raw worst
-    relative deviation at each n.
+    Each column of log(ratios / predicted), one test-point pair, is fitted
+    by least squares against (1, 1/n, 1/n^2); the intercept is the pair's
+    n -> inf limit.  Returns the worst |expm1(intercept)| over pairs and
+    the raw worst relative deviation at each n.
     """
-    per_pair = defaultdict(list)
-    per_n = {}
-    for row in ratio_rows:
-        per_pair[row["x"], row["x_other"]].append(
-            (row["n"], math.log(row["ratio"] / row["predicted"])))
-        per_n[row["n"]] = max(per_n.get(row["n"], 0.0), row["rel_dev"])
-    worst = 0.0
-    for samples in per_pair.values():
-        inv_n = np.array([1.0 / n for n, _ in samples])
-        design = np.column_stack([np.ones_like(inv_n), inv_n, inv_n ** 2])
-        coef, *_ = np.linalg.lstsq(design, [y for _, y in samples], rcond=None)
-        worst = max(worst, abs(math.expm1(coef[0])))
+    inv_n = 1.0 / np.array(rep.ns, dtype=float)
+    design = np.column_stack([np.ones_like(inv_n), inv_n, inv_n ** 2])
+    coef, *_ = np.linalg.lstsq(design, np.log(rep.ratios / rep.predicted), rcond=None)
+    worst = float(np.max(np.abs(np.expm1(coef[0])), initial=0.0))
+    dev = np.abs(rep.ratios - rep.predicted) / rep.predicted
+    per_n = {n: float(np.max(row, initial=0.0)) for n, row in zip(rep.ns, dev)}
     return worst, dict(sorted(per_n.items()))
 
 

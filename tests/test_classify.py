@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from relwalk import (FreeProductEngine, SequenceSpec, TabooContext, ancona_ratio,
-                     ball_elements, martin_convergence, representative_invariance,
-                     separation_experiment)
+                     ball_elements, martin_convergence, separation_experiment)
 from relwalk.classify import classify, sample_ancona_pairs
 from relwalk.cli import _TRANSITIONS
 from relwalk.errors import BoundedSequenceError, ParseError
@@ -89,11 +88,15 @@ def test_translated_sequence_lands_in_translated_coset(z2_cfg):
 
 
 def test_representative_invariance_for_the_diagonal(z2_cfg):
+    # Translating by a^-1 moves the identity coset's chart by a's lattice part,
+    # as choosing a for its representative would.
     g = z2_cfg.group
     spec = SequenceSpec(name="diag", templates=("a^n*b^n",), start=1, stop=14)
-    out = representative_invariance(g, spec, [0], offset=g.word("a"))
-    assert out["agree"]
-    assert out["direction_gap"] < 0.05
+    base = classify(g, spec, [0])
+    shifted = classify(g, [g.word("a^-1") * x for x in spec.elements(g)], [0])
+    assert shifted.tag == base.tag == "Parabolic"
+    assert shifted.coset == base.coset
+    assert np.linalg.norm(np.subtract(shifted.direction, base.direction)) < 0.05
 
 
 def test_bounded_sequences_are_rejected(z2_cfg):
@@ -172,9 +175,10 @@ def test_martin_convergence_along_a_free_factor_ray(f2_engine, f2_cfg):
     seq = [g.word(f"a^{n}") for n in range(3, 9)]
     pts = [g.identity, g.word("a"), g.word("a^2"), g.word("b")]
     rep = martin_convergence(f2_engine, seq, pts, ns=list(range(3, 9)))
-    assert len(rep.rows) == 6
-    assert rep.rows[0].kernels[0] == 1.0
-    assert abs(rep.rows[-1].kernels[1] - 3.0) < 1e-12
+    assert rep.ns == list(range(3, 9)) and rep.kernels.shape == (6, 4)
+    assert rep.kernels[0, 0] == 1.0
+    assert abs(rep.kernels[-1, 1] - 3.0) < 1e-12
+    assert rep.ratios is None and rep.max_ratio_deviation is None
     deltas = [d for _, d in rep.cauchy_deltas]
     assert deltas[-1] <= deltas[0]
     assert deltas[-1] < 1e-9
@@ -190,9 +194,11 @@ def test_martin_ratio_deviation_against_boundary_prediction(z2_engine, z2_cfg, z
     rep = martin_convergence(z2_engine, seq, pts, ns=[6, 8, 10],
                              boundary=bp, coset=coset)
     assert rep.max_ratio_deviation is not None
-    assert rep.ratio_rows
-    last = [r for r in rep.ratio_rows if r["n"] == 10]
-    assert rep.max_ratio_deviation == pytest.approx(max(r["rel_dev"] for r in last))
+    assert rep.pairs.tolist() == [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
+    assert rep.ratios.shape == (3, 6)
+    last = [abs(rep.kernels[-1, i] / rep.kernels[-1, j] - p) / p
+            for (i, j), p in zip(rep.pairs.tolist(), rep.predicted.tolist())]
+    assert rep.max_ratio_deviation == max(last)
 
 
 def test_separation_certificate_for_the_free_group_chain(f2a_chain):
@@ -240,5 +246,5 @@ def test_kernel_ratio_limit_rejects_off_diagonal_point(z2_engine, z2_cfg, z2_cha
     ns = list(range(8, 13))
     rep = martin_convergence(z2_engine, [g.word(f"a^{n}*b^{n}") for n in ns], pts,
                              ns=ns, boundary=bp, coset=coset)
-    worst, _ = extrapolated_ratio_deviation(rep.ratio_rows)
+    worst, _ = extrapolated_ratio_deviation(rep)
     assert worst > 0.05

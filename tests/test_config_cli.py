@@ -118,6 +118,10 @@ def test_config_validation_failures(tmp_path):
                                {"table": [[0, True], [True, 0]], "finite_names": ["t"]}]}},
         {"group": base_group, "measure": {"kind": "weights", "weights": [["a", "1/0"]]}},
         {"chain": {"rank": 1, "entries": [[0, 0, [1], "1/0"], [0, 0, [-1], 0.2]]}},
+        {"group": base_group, "seed": -1},
+        {"group": base_group, "parabolic": [0, 0]},
+        {"group": base_group, "parabolic": [0], "eta_list": [0, 0]},
+        {"group": base_group, "measure": {"kind": "weights", "weights": [["a*b", "0.5"]]}},
     ]
     for payload in cases:
         with pytest.raises(ConfigError):
@@ -159,6 +163,26 @@ def test_lambda_surface_stage_reports_level_points(tmp_path):
     assert abs(entry["u_plus"] - math.log(3.0)) < 1e-8
     assert abs(entry["u_minus"] + math.log(3.0)) < 1e-8
     assert entry["ok"]
+
+
+@pytest.mark.parametrize("payload", [
+    {"group": {"factors": [{"rank": 0, "table": [[0, 1], [1, 0]], "finite_names": ["s"]}]}},
+    {"chain": {"rank": 1, "fibers": 2,
+               "entries": [[0, 0, [1], "0.2"], [0, 0, [-1], "0.2"], [1, 1, [0], "1"]]}},
+], ids=["one_finite_factor", "closed_fiber"])
+def test_singular_box_ends_in_a_diagnostic(tmp_path, payload):
+    """A box whose I - Q is singular (some states never lose mass) is a
+    numerical failure with a diagnostic, and `all` still writes run.json."""
+    cfg = tmp_path / "singular.json"
+    cfg.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    r = run_cli("all", "--config", str(cfg), "--out", str(out))
+    assert r.returncode == 2
+    assert "Traceback" not in r.stdout + r.stderr
+    with open(out / "run.json") as fh:
+        assert json.load(fh)["stages"]["green"]["status"] == "numerical-failure"
+    with open(out / "green_diagnostic.json") as fh:
+        assert json.load(fh)["reason"].startswith("singular box:")
 
 
 def test_invalid_config_and_usage_exit_codes(tmp_path):

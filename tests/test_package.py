@@ -15,12 +15,6 @@ from conftest import cli_env, config_path
 
 REPO = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 
-# Module-level names that nothing in the package or the benchmark names again,
-# with the reason each stays.
-_UNREAD_BUT_KEPT = {
-    "representative_invariance": "the A09 acceptance test gates on it",
-}
-
 
 def test_every_export_resolves():
     missing = [name for name in relwalk.__all__ if not hasattr(relwalk, name)]
@@ -93,7 +87,5 @@ def test_every_module_level_name_is_named_again():
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 defined += [n.id for t in targets for n in ast.walk(t)
                             if isinstance(n, ast.Name)]
-    unread = sorted(name for name in defined
-                    if mentions[name] < 2 and name not in _UNREAD_BUT_KEPT)
+    unread = sorted(name for name in defined if mentions[name] < 2)
     assert unread == []
-    assert all(mentions[name] < 2 for name in _UNREAD_BUT_KEPT)
