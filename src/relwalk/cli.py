@@ -57,21 +57,21 @@ class RunContext:
         os.makedirs(out_dir, exist_ok=True)
         self.cfg = cfg
         self.out = out_dir
-        self._engine: FreeProductEngine | None = None
-        # A chain that fails to induce keeps its error, so each stage that
-        # needs it re-raises that error instead of inducing it again.
+        # The engine, a chain that fails to induce and a classification each
+        # keep their error, so each stage that needs one re-raises that error
+        # instead of building it again.  The engine sits under the key None.
+        self._engine: dict[None, FreeProductEngine | RelwalkError] = {}
         self._chains: dict[tuple[int, int], LatticeChain | RelwalkError] = {}
-        # Each sequence is classified once; a bounded one keeps its error.
         self._classes: dict[SequenceSpec, Classification | RelwalkError] = {}
 
     def path(self, name: str) -> str:
         return os.path.join(self.out, name)
 
     def engine(self) -> FreeProductEngine:
-        if self._engine is None:
-            self._engine = FreeProductEngine(self.cfg.group, self.cfg.measure,
-                                             radius=self.cfg.radius)
-        return self._engine
+        return _once(self._engine, None,
+                     lambda: FreeProductEngine(self.cfg.group, self.cfg.measure,
+                                               radius=self.cfg.radius),
+                     (AssumptionError, ConvergenceError))
 
     def chain(self, factor: int, eta: int) -> LatticeChain:
         return _once(self._chains, (factor, eta),

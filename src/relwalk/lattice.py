@@ -3,15 +3,17 @@
 A LatticeChain stores a finitely supported kernel p_{j1,j2}(0, z); the
 Z^k-invariance is structural because only the displacement z is kept.
 Green's functions are computed by direct sparse factorization on a box
-[-h, h]^k (shifted by an optional center) with absorption outside, which
-is exactly the walk killed at the first exit from the box.  Truncation
-therefore only ever underestimates, and the error decays geometrically
-in the distance from the query points to the boundary.  First-hit laws
-on a neighborhood of the origin come from the same solver, on a box
-whose states in that neighborhood take no steps.  The box matrix is
-assembled in numpy, one vectorized pass per kernel entry.  A chain also
-caches its TiltCore, the untilted kernel split at the fibers that
-displaced entries touch, from which perron.perron_values reads lambda(u).
+[-h, h]^k with absorption outside, which is exactly the walk killed at
+the first exit from the box.  Truncation therefore only ever
+underestimates, and the error decays geometrically in the distance from
+the query points to the boundary.  A box around any other centre has the
+same matrix, so one factorization per half-width serves every centre.
+First-hit laws on a neighborhood of the origin come from the same
+solver, on a box whose states in that neighborhood take no steps.  The
+box matrix is assembled in numpy, one vectorized pass per kernel entry.
+A chain also caches its TiltCore, the untilted kernel split at the
+fibers that displaced entries touch, from which perron.perron_values
+reads lambda(u).
 """
 from __future__ import annotations
 
@@ -158,26 +160,23 @@ class TiltCore:
 
 
 class BoxGreen:
-    """Green's function of a chain on a finite box with outside absorption.
+    """Green's function of a chain on the box [-h, h]^k with outside absorption.
 
     Rows G((z_source, j1) -> (z, j2)) are solved from any source state in
-    the box (the center c by default); arbitrary pairs follow from
-    translation invariance as long as both points fit in one box.
+    the box (the origin by default).  The chain is Z^k-invariant, so a box
+    centred elsewhere would have the same matrix: the row from its centre
+    is the row from the origin here, read at the shifted point.
 
-    With a stop depth d, the states (z, j) with |z|_1 + [j != 0] <= d (z
-    absolute) take no steps.  A stopped state is then visited at most once,
-    so the row from a source outside that set, read at a stopped state, is
-    the probability that the walk first enters the set there; states it
+    With a stop depth d, the states (z, j) with |z|_1 + [j != 0] <= d take
+    no steps.  A stopped state is then visited at most once, so the row
+    from a source outside that set, read at a stopped state, is the
+    probability that the walk first enters the set there; states it
     cannot enter first stay structurally zero.
     """
 
-    def __init__(self, chain: LatticeChain, half_width: int, center: Sequence[int] | None = None,
-                 stop_depth: int | None = None):
+    def __init__(self, chain: LatticeChain, half_width: int, stop_depth: int | None = None):
         self.chain = chain
         self.half_width = int(half_width)
-        self.center = tuple(int(c) for c in (center or (0,) * chain.rank))
-        if len(self.center) != chain.rank:
-            raise ConfigError("box center has wrong dimension")
         k, n, h = chain.rank, chain.fiber_count, self.half_width
         side = 2 * h + 1
         self._side = side
@@ -189,11 +188,10 @@ class BoxGreen:
         moves = np.ones((self._num_sites, n), dtype=bool)
         self.stopped: dict[tuple[tuple[int, ...], int], int] = {}
         if stop_depth is not None:
-            z_abs = grid + np.array(self.center, dtype=grid.dtype)
-            depth = np.abs(z_abs).sum(axis=1)[:, None] + (np.arange(n) != 0)
+            depth = np.abs(grid).sum(axis=1)[:, None] + (np.arange(n) != 0)
             moves = depth > stop_depth
             for sid in np.flatnonzero(~moves).tolist():
-                self.stopped[(tuple(z_abs[sid // n].tolist()), sid % n)] = sid
+                self.stopped[(tuple(grid[sid // n].tolist()), sid % n)] = sid
         # One pass per kernel entry: every moving source state whose target
         # stays in the box.  A shift by dz moves a site index by dz . strides.
         flat, dz, w = chain.entry_arrays
@@ -214,26 +212,22 @@ class BoxGreen:
             if "singular" not in str(exc):
                 raise
             raise AssumptionError(f"singular box: I - Q on the {num_states} states within {h} "
-                                  f"of {self.center}; some states never lose mass") from None
+                                  f"of {(0,) * k}; some states never lose mass") from None
         self._rows: dict[tuple[tuple[int, ...], int], np.ndarray] = {}
 
-    def _site_id(self, z: tuple[int, ...]) -> int:
+    def _state_id(self, z: tuple[int, ...], j: int) -> int:
+        if any(abs(c) > self.half_width for c in z):
+            raise ConvergenceError(
+                f"point {z} lies outside the box of half-width {self.half_width}")
         sid = 0
         for c in z:
             sid = sid * self._side + (c + self.half_width)
-        return sid
-
-    def _state_id(self, z_abs: tuple[int, ...], j: int) -> int:
-        rel = tuple(a - c for a, c in zip(z_abs, self.center))
-        if any(abs(c) > self.half_width for c in rel):
-            raise ConvergenceError(
-                f"point {z_abs} lies outside the box of half-width {self.half_width} "
-                f"around {self.center}")
-        return self._site_id(rel) * self.chain.fiber_count + j
+        return sid * self.chain.fiber_count + j
 
     def row(self, j_source: int, z_source: Sequence[int] | None = None) -> np.ndarray:
-        """Green row from the state (z_source, j_source), z_source absolute (default: center)."""
-        key = (self.center if z_source is None else tuple(int(c) for c in z_source), j_source)
+        """Green row from the state (z_source, j_source) (default: the origin)."""
+        key = ((0,) * self.chain.rank if z_source is None else tuple(int(c) for c in z_source),
+               j_source)
         if key not in self._rows:
             e = np.zeros(self._num_sites * self.chain.fiber_count)
             e[self._state_id(*key)] = 1.0
@@ -242,33 +236,40 @@ class BoxGreen:
 
 
 class ChainGreen:
-    """Memoized Green evaluations for one chain at a fixed truncation radius."""
+    """Memoized Green evaluations for one chain at a fixed truncation radius.
+
+    A target near the origin is read in the origin box of half-width
+    radius.  A far target z is read in a box around the centre z//2, whose
+    half-width radius + max ceil(|z_i|/2) is fixed by the first target read
+    with that centre, so a later, farther target with the same centre may
+    not fit.  By Z^k-invariance every box of one half-width is the same:
+    one origin-centred BoxGreen per half-width, with its one LU and one row
+    per source fiber, serves all such centres.
+    """
 
     def __init__(self, chain: LatticeChain, radius: int):
         self.chain = chain
         self.radius = int(radius)
-        self._origin = BoxGreen(chain, self.radius)
-        self._boxes: dict[tuple[int, ...], BoxGreen] = {}
-
-    def _box_for(self, z: tuple[int, ...]) -> BoxGreen:
-        if all(abs(c) <= self.radius // 2 for c in z):
-            return self._origin
-        center = tuple(c // 2 for c in z)
-        if center not in self._boxes:
-            half = self.radius + max((abs(c) + 1) // 2 for c in z)
-            self._boxes[center] = BoxGreen(self.chain, half, center)
-        return self._boxes[center]
+        self._boxes = {self.radius: BoxGreen(chain, self.radius)}
+        self._halves: dict[tuple[int, ...], int] = {}  # far centre -> half-width
 
     def green(self, j_from: int, z: Sequence[int], j_to: int) -> float:
-        """G((0, j_from) -> (z, j_to)), read off the row from the box center.
-
-        By translation invariance this is the row from (center, j_from)
-        read at z shifted by the center.
-        """
+        """G((0, j_from) -> (z, j_to)), read off the origin row of a box."""
         zt = tuple(int(c) for c in z)
-        box = self._box_for(zt)
-        target = tuple(a + c for a, c in zip(zt, box.center))
-        return float(box.row(j_from)[box._state_id(target, j_to)])
+        if all(abs(c) <= self.radius // 2 for c in zt):
+            half = self.radius
+        else:
+            center = tuple(c // 2 for c in zt)
+            half = self._halves.setdefault(
+                center, self.radius + max((abs(c) + 1) // 2 for c in zt))
+            if any(abs(c) > half for c in zt):
+                target = tuple(a + c for a, c in zip(zt, center))
+                raise ConvergenceError(f"point {target} lies outside the box of half-width "
+                                       f"{half} around {center}")
+        if half not in self._boxes:
+            self._boxes[half] = BoxGreen(self.chain, half)
+        box = self._boxes[half]
+        return float(box.row(j_from)[box._state_id(zt, j_to)])
 
 
 def absorption_distribution(chain: LatticeChain, start_z: Sequence[int],

@@ -36,9 +36,9 @@ def count_calls(monkeypatch, module, name: str) -> list[int]:
     inner = getattr(module, name)
     calls = [0]
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls[0] += 1
-        return inner(*args)
+        return inner(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
     return calls

@@ -269,7 +269,7 @@ def test_out_of_box_green_lookup_exits_with_diagnostic(tmp_path):
     assert "Traceback" not in r.stderr
     with open(out / "martin_seq_diagnostic.json") as fh:
         diag = json.load(fh)
-    assert "outside the box" in diag["reason"]
+    assert diag["reason"] == "point (13, 10) lies outside the box of half-width 8 around (4, 3)"
 
 
 def test_state_cap_violation_exits_one(tmp_path):
@@ -409,6 +409,33 @@ def test_a_failed_induction_is_not_retried(tmp_path, monkeypatch):
     failed = [s for s, e in stages.items() if e["status"] == "numerical-failure"]
     assert len(failed) == 5
     assert all("not strictly sub-Markov" in stages[s]["note"] for s in failed)
+
+
+def test_a_failed_engine_is_not_rebuilt(tmp_path, monkeypatch):
+    """(Z) * (Z/2) with all mass on s: the box of the finite factor is
+    singular, so the engine is built once and each stage that needs it
+    fails with the same diagnostic."""
+    cfg = {"name": "s_only",
+           "group": {"factors": [{"rank": 1, "lattice_names": ["a"]},
+                                 {"rank": 0, "table": [[0, 1], [1, 0]], "finite_names": ["s"]}]},
+           "measure": {"kind": "weights", "weights": [["s", "1"]], "lazy": False},
+           "parabolic": [0], "eta_list": [0],
+           "sequences": [{"name": "ray", "templates": ["a^n"], "start": 1, "stop": 8}]}
+    p = tmp_path / "s_only.json"
+    p.write_text(json.dumps(cfg))
+    calls = count_calls(monkeypatch, cli, "FreeProductEngine")
+    out = tmp_path / "o"
+    assert cli.main(["all", "--config", str(p), "--out", str(out)]) == 2
+    assert calls[0] == 1
+    with open(out / "run.json") as fh:
+        statuses = {name: e["status"] for name, e in json.load(fh)["stages"].items()}
+    assert statuses == {s: "ok" if s in ("floyd", "classify") else "numerical-failure"
+                        for s in ALL_STAGES}
+    reason = "singular box: I - Q on the 2 states within 10 of (); some states never lose mass"
+    for stage, status in statuses.items():
+        if status != "ok":
+            with open(out / f"{stage.replace('-', '_')}_diagnostic.json") as fh:
+                assert json.load(fh)["reason"] == reason
 
 
 def test_an_overflowing_tilt_fails_its_stages_with_diagnostics(tmp_path):

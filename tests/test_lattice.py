@@ -141,7 +141,7 @@ def test_entry_arrays_of_a_rank_zero_chain():
     assert w.tolist() == [0.5, 0.25]
 
 
-def reference_box(chain, half_width, center, stop_depth):
+def reference_box(chain, half_width, stop_depth):
     """State-by-state assembly of BoxGreen's matrix: its CSC form and stop set."""
     k, n = chain.rank, chain.fiber_count
     side = 2 * half_width + 1
@@ -161,11 +161,9 @@ def reference_box(chain, half_width, center, stop_depth):
     for site, z in enumerate(itertools.product(*[coords] * k)):
         for j1 in range(n):
             sid = site * n + j1
-            if stop_depth is not None:
-                z_abs = tuple(a + c for a, c in zip(z, center))
-                if sum(map(abs, z_abs)) + (j1 != 0) <= stop_depth:
-                    stopped[(z_abs, j1)] = sid
-                    continue
+            if stop_depth is not None and sum(map(abs, z)) + (j1 != 0) <= stop_depth:
+                stopped[(z, j1)] = sid
+                continue
             for j2, dz, w in by_source[j1]:
                 z2 = tuple(a + b for a, b in zip(z, dz))
                 if all(abs(c) <= half_width for c in z2):
@@ -176,7 +174,7 @@ def reference_box(chain, half_width, center, stop_depth):
     return (sp.identity(num_states, format="csr") - q).T.tocsc(), stopped
 
 
-@pytest.mark.parametrize("chain, half_width, center, stop_depth", [
+@pytest.mark.parametrize("chain, half_width, source, stop_depth", [
     (LatticeChain.build(0, 3, [(0, 1, (), 0.5), (1, 2, (), 0.25), (2, 0, (), 0.2)]), 3, None, None),
     (LatticeChain.build(0, 2, [(0, 1, (), 0.5), (1, 0, (), 0.25)]), 0, None, 0),
     (killed_z(0.2), 5, None, None),
@@ -186,13 +184,15 @@ def reference_box(chain, half_width, center, stop_depth):
     (two_fiber_plane(), 5, (-2, 3), 1),
     (two_fiber_plane(), 3, (1, 0), 0),
 ])
-def test_box_assembly_matches_the_state_by_state_loop(monkeypatch, chain, half_width, center,
+def test_box_assembly_matches_the_state_by_state_loop(monkeypatch, chain, half_width, source,
                                                      stop_depth):
+    """The factored matrix and the stop set match the loop, and the row from
+    (source, 0) (default: the origin) solves the loop's system."""
     factored = []
     splu = lattice.spla.splu
     monkeypatch.setattr(lattice.spla, "splu", lambda a: factored.append(a) or splu(a))
-    box = BoxGreen(chain, half_width, center, stop_depth=stop_depth)
-    ref, stopped = reference_box(chain, half_width, box.center, stop_depth)
+    box = BoxGreen(chain, half_width, stop_depth=stop_depth)
+    ref, stopped = reference_box(chain, half_width, stop_depth)
     (got,) = factored
     assert got.format == "csc" and got.shape == ref.shape
     assert np.array_equal(got.indptr, ref.indptr)
@@ -200,3 +200,33 @@ def test_box_assembly_matches_the_state_by_state_loop(monkeypatch, chain, half_w
     assert np.array_equal(got.data, ref.data)
     assert list(box.stopped.items()) == list(stopped.items())
     assert ref.nnz > ref.shape[0]  # some step stays in the box
+    sites = list(itertools.product(range(-half_width, half_width + 1), repeat=chain.rank))
+    e = np.zeros(ref.shape[0])
+    e[sites.index(source or (0,) * chain.rank) * chain.fiber_count] = 1.0
+    assert np.array_equal(box.row(0, source), splu(ref).solve(e))
+
+
+def test_far_boxes_share_one_factorization_per_half_width(monkeypatch, z2_engine):
+    """The martin-seq targets a^n*b^n, a^n and b^n of the Z^2 factor: one LU
+    per half-width, and every far value read at z from an origin box of the
+    half-width that the target's centre z//2 first took."""
+    chain, radius = z2_engine.factor_chain(0), z2_engine.radius
+    targets = [z for n in range(1, 13) for z in ((n, n), (n, 0), (0, n))]
+    factored = []
+    splu = lattice.spla.splu
+    monkeypatch.setattr(lattice.spla, "splu", lambda a: factored.append(a) or splu(a))
+    cg = ChainGreen(chain, radius)
+    values = [cg.green(0, z, 0) for z in targets]
+    monkeypatch.undo()
+    halves, far = {}, []
+    for z, value in zip(targets, values):
+        if max(map(abs, z)) > radius // 2:
+            h = halves.setdefault((z[0] // 2, z[1] // 2), radius + max((c + 1) // 2 for c in z))
+            far.append((z, h, value))
+    assert len(factored) == len({radius, *halves.values()}) == 4
+    boxes = {h: BoxGreen(chain, h) for h in set(halves.values())}
+    for z, h, value in far:
+        side = 2 * h + 1
+        state = np.ravel_multi_index((z[0] + h, z[1] + h), (side, side)) * chain.fiber_count
+        assert value == float(boxes[h].row(0)[state])
+    assert len(far) == 15
