@@ -150,6 +150,8 @@ def stage_green(ctx: RunContext) -> dict:
              write_json(ctx.path("green.json"), {
                  "green_ee": engine.green_identity_value,
                  "factor_return_mass": list(engine.return_mass),
+                 "fixed_point_rounds": engine.rounds_used,
+                 "identity_spread": engine.identity_spread(),
                  "radius": cfg.radius,
                  "identity_mass": cfg.measure.identity_mass})]
     return _ok(files)

@@ -7,10 +7,15 @@ consequences are exploited here.
 
 First, watching the walk from inside one factor gives an honest factor
 chain: a step into another factor either returns to its departure point
-(with a probability that solves a small fixed point across factors) or
-never comes back, so it collapses to extra identity mass on a killed
+or never comes back, so it collapses to extra identity mass on a killed
 chain nu_i per factor.  Green's functions of nu_i are computed on
-truncated lattice boxes.
+truncated lattice boxes.  The return masses are the least fixed point of
+a monotone convex system across factors (the free-product equations of
+Woess, Random Walks on Infinite Graphs and Groups, CUP 2000), solved by
+Newton from zero, which converges monotonically to it (Etessami &
+Yannakakis, JACM 56, 2009).  The Jacobian comes from the same box
+factorizations: added loop mass l moves a factor Green's function by
+d/dl G = G^2, an origin row dotted with one transposed-solve column.
 
 Second, to travel from e to s_1 s_2 ... s_m the walk must pass the
 syllable prefixes in order, which turns the global Green's function into
@@ -32,7 +37,7 @@ from .groups import FreeProductGroup, GroupElement, Syllable
 from .lattice import ChainGreen, LatticeChain
 from .measures import StepMeasure
 
-_FIXED_POINT_TOL, _FIXED_POINT_ROUNDS = 1e-14, 500  # return-mass iteration stopping rule
+_FIXED_POINT_TOL, _FIXED_POINT_ROUNDS = 1e-14, 500  # return-mass Newton stopping rule and round cap
 _BLOCK_CHUNK = 1 << 15  # green_matrix entries per row chunk, to bound its temporaries
 
 
@@ -60,9 +65,6 @@ class FreeProductEngine:
         self.rounds_used = 0
         self.return_mass: list[float] = [0.0] * len(group.factors)
         self._fixed_point()
-        self._chains = [self._build_factor_chain(i, self.return_mass)
-                        for i in range(len(group.factors))]
-        self._greens = [ChainGreen(c, self.radius) for c in self._chains]
         self._gee_per_factor = [
             cg.green(0, (0,) * cg.chain.rank, 0) for cg in self._greens
         ]
@@ -89,47 +91,68 @@ class FreeProductEngine:
         return LatticeChain.build(spec.rank, spec.finite_order, entries)
 
     def _fixed_point(self):
-        """Iterate the per-factor return masses to their least fixed point.
+        """Solve r = Phi(r) for the least fixed point of the return masses by Newton.
 
         r_i is the probability-weighted chance that a step into factor i
-        ever comes back to its departure point.  Starting from zero the
-        iterates increase monotonically, and each round only needs the
-        factor Green's functions at the step displacements.
+        ever comes back to its departure point: Phi_i(r) is the sum over
+        the steps s of factor i of mu(s) G(0, s^-1) / G(0, 0) in the chain
+        whose loop mass is l_i = mu(e) + sum_{j != i} r_j.  Phi_i is a power
+        series in l_i with nonnegative coefficients, so the system is
+        monotone and convex, and Newton from 0 increases monotonically to
+        the least fixed point (Etessami & Yannakakis, JACM 56, 2009), the
+        solution of the free-product equations (Woess, Random Walks on
+        Infinite Graphs and Groups, CUP 2000).  The Jacobian has
+        dPhi_i/dr_j = dPhi_i/dl_i for j != i and 0 on the diagonal; the
+        slope comes from d/dl G = G^2 on each round's boxes.  The chains of
+        the last round, at the reported masses, are the engine's.
         """
         m = len(self.group.factors)
-        r = [0.0] * m
+        r = np.zeros(m)
         for round_no in range(1, _FIXED_POINT_ROUNDS + 1):
-            new_r = []
-            for i in range(m):
-                if not self._steps[i]:
-                    new_r.append(0.0)
-                    continue
-                chain = self._build_factor_chain(i, r)
-                cg = ChainGreen(chain, self.radius)
-                spec = self.group.factors[i]
-                g00 = cg.green(0, (0,) * spec.rank, 0)
-                total = 0.0
-                for z, j, w in self._steps[i]:
-                    back = cg.green(0, tuple(-c for c in z), spec.finite_inv(j))
-                    total += w * back / g00
-                new_r.append(total)
-            delta = max(abs(a - b) for a, b in zip(r, new_r))
-            r = new_r
-            if delta < _FIXED_POINT_TOL:
+            chains = [self._build_factor_chain(i, r) for i in range(m)]
+            greens = [ChainGreen(c, self.radius) for c in chains]
+            phi, slope = np.zeros(m), np.zeros(m)
+            for i, cg in enumerate(greens):
+                if self._steps[i]:
+                    phi[i], slope[i] = self._return_map(i, cg)
+            jacobian = slope[:, None] * (1.0 - np.eye(m))
+            inverse = np.linalg.inv(np.eye(m) - jacobian)
+            step = inverse @ (phi - r)
+            # The step that roundoff in phi alone could make.  It grows
+            # without bound at a fold (a recurrent walk, I - J singular at
+            # the limit), where a small step proves nothing.
+            noise = np.abs(inverse).sum(axis=1) * np.finfo(float).eps * phi.max()
+            if (np.abs(step) + noise).max() < _FIXED_POINT_TOL:
                 self.rounds_used = round_no
                 break
+            r = r + step
+            del chains, greens  # free this round's boxes before the next round's
         else:
             raise ConvergenceError(
                 f"return-mass fixed point did not settle in {_FIXED_POINT_ROUNDS} rounds"
             )
-        self.return_mass = r
+        self.return_mass = r.tolist()
+        self._chains, self._greens = chains, greens
         for i in range(m):
             mass = self._identity_mass + sum(w for _, _, w in self._steps[i])
-            mass += sum(x for j, x in enumerate(r) if j != i)
+            mass += sum(x for j, x in enumerate(self.return_mass) if j != i)
             if mass > 1 + 1e-9:
                 raise ConvergenceError(
                     f"factor {i} return mass pushed the chain above probability mass"
                 )
+
+    def _return_map(self, i: int, cg: ChainGreen) -> tuple[float, float]:
+        """Phi_i at the masses cg's chain was built with, and dPhi_i/dl_i."""
+        spec = self.group.factors[i]
+        zero = (0,) * spec.rank
+        g00, d00 = cg.green(0, zero, 0), cg.loop_slope(0, zero, 0)
+        total = slope = 0.0
+        for z, j, w in self._steps[i]:
+            back = (tuple(-c for c in z), spec.finite_inv(j))
+            g = cg.green(0, *back)
+            total += w * g / g00
+            slope += w * (cg.loop_slope(0, *back) - g * d00 / g00) / g00
+        return total, slope
 
     def factor_chain(self, i: int) -> LatticeChain:
         """The killed factor chain nu_i (steps inside factor i plus loop mass)."""

@@ -94,10 +94,12 @@ class LatticeChain:
         the right notion for the tilted matrix family: a positive power of
         the adjacency makes every tilt primitive.  A primitive pattern has
         every power from the Wielandt bound n^2 - 2n + 2 on positive, so
-        the pattern is squared until its exponent reaches the bound.
+        the pattern is squared until its exponent reaches the bound.  The
+        0/1 pattern is squared in float64, on BLAS: every entry of a
+        product is at most n, so the booleans are exact.
         """
         n = self.fiber_count
-        power = np.zeros((n, n), dtype=np.int64)
+        power = np.zeros((n, n))
         for j1, j2, _, w in self.entries:
             if w > 0:
                 power[j1, j2] = 1
@@ -163,7 +165,8 @@ class BoxGreen:
     """Green's function of a chain on the box [-h, h]^k with outside absorption.
 
     Rows G((z_source, j1) -> (z, j2)) are solved from any source state in
-    the box (the origin by default).  The chain is Z^k-invariant, so a box
+    the box (the origin by default), and columns into any target state by
+    a transposed solve on the same LU.  The chain is Z^k-invariant, so a box
     centred elsewhere would have the same matrix: the row from its centre
     is the row from the origin here, read at the shifted point.
 
@@ -234,6 +237,13 @@ class BoxGreen:
             self._rows[key] = self._lu.solve(e)
         return self._rows[key]
 
+    def column(self, j_target: int, z_target: Sequence[int]) -> np.ndarray:
+        """Green column into the state (z_target, j_target), one transposed
+        solve on the same LU."""
+        e = np.zeros(self._num_sites * self.chain.fiber_count)
+        e[self._state_id(tuple(z_target), j_target)] = 1.0
+        return self._lu.solve(e, trans="T")
+
 
 class ChainGreen:
     """Memoized Green evaluations for one chain at a fixed truncation radius.
@@ -255,6 +265,20 @@ class ChainGreen:
 
     def green(self, j_from: int, z: Sequence[int], j_to: int) -> float:
         """G((0, j_from) -> (z, j_to)), read off the origin row of a box."""
+        box, zt = self._box(z)
+        return float(box.row(j_from)[box._state_id(zt, j_to)])
+
+    def loop_slope(self, j_from: int, z: Sequence[int], j_to: int) -> float:
+        """d/dl G((0, j_from) -> (z, j_to)) under loop mass l added at every state.
+
+        d/dl (I - Q - l I)^-1 = G^2, so the slope is the origin row dotted
+        with the column into (z, j_to), both on the box that green reads.
+        """
+        box, zt = self._box(z)
+        return float(box.row(j_from) @ box.column(j_to, zt))
+
+    def _box(self, z: Sequence[int]) -> tuple[BoxGreen, tuple[int, ...]]:
+        """The box a read of z goes to, and z as a tuple."""
         zt = tuple(int(c) for c in z)
         if all(abs(c) <= self.radius // 2 for c in zt):
             half = self.radius
@@ -268,8 +292,7 @@ class ChainGreen:
                                        f"{half} around {center}")
         if half not in self._boxes:
             self._boxes[half] = BoxGreen(self.chain, half)
-        box = self._boxes[half]
-        return float(box.row(j_from)[box._state_id(zt, j_to)])
+        return self._boxes[half], zt
 
 
 def absorption_distribution(chain: LatticeChain, start_z: Sequence[int],

@@ -144,6 +144,8 @@ def test_green_stage_writes_the_tree_value(tmp_path):
     with open(out / "green.json") as fh:
         data = json.load(fh)
     assert abs(data["green_ee"] - 1.5) < 1e-8
+    assert data["fixed_point_rounds"] == 5
+    assert 0.0 <= data["identity_spread"] < 1e-12
     with open(out / "green.csv") as fh:
         rows = list(csv.DictReader(fh))
     by_word = {row["x"]: float(row["green"]) for row in rows}

@@ -6,10 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from relwalk import FreeProductEngine, StepMeasure, TabooContext, ball_elements
+from relwalk import (ChainGreen, FreeProductEngine, StepMeasure, TabooContext,
+                     ball_elements, excursions)
 from relwalk.classify import sample_ancona_pairs
 from relwalk.cli import _TRANSITIONS
-from relwalk.errors import InvalidMeasureError
+from relwalk.errors import ConvergenceError, InvalidMeasureError
 from relwalk.groups import FactorSpec, FreeProductGroup
 
 
@@ -26,6 +27,98 @@ def z2_asymmetric_engine(z2_cfg):
 
 def _scalar_block(engine, xs, ys):
     return np.array([[engine.green(x, y) for y in ys] for x in xs])
+
+
+def _plain_return_masses(engine, tol=1e-14, cap=500):
+    """Scalar reference: the plain iteration r <- Phi(r) from 0 on fresh factor
+    chains each round, until a round moves r by less than tol or the cap is
+    reached.  Returns the masses and the rounds taken."""
+    m = len(engine.group.factors)
+    r = [0.0] * m
+    for round_no in range(1, cap + 1):
+        new_r = []
+        for i, spec in enumerate(engine.group.factors):
+            cg = ChainGreen(engine._build_factor_chain(i, r), engine.radius)
+            g00 = cg.green(0, (0,) * spec.rank, 0)
+            new_r.append(sum(w * cg.green(0, tuple(-c for c in z), spec.finite_inv(j)) / g00
+                             for z, j, w in engine._steps[i]))
+        delta = max(abs(a - b) for a, b in zip(r, new_r))
+        r = new_r
+        if delta < tol:
+            break
+    return r, round_no
+
+
+@pytest.fixture(params=["f2", "f2_over_a", "z2", "seeded z2"])
+def walk_engine(request):
+    """An engine of every shipped walk config and of the benchmark's seeded z2 measure."""
+    if request.param == "seeded z2":
+        return request.getfixturevalue("seeded_z2_engine")
+    cfg = request.getfixturevalue({"f2": "f2_cfg", "f2_over_a": "f2a_cfg",
+                                   "z2": "z2_cfg"}[request.param])
+    return FreeProductEngine(cfg.group, cfg.measure, radius=cfg.radius)
+
+
+def test_newton_return_masses_agree_with_the_plain_iteration(walk_engine):
+    plain, plain_rounds = _plain_return_masses(walk_engine)
+    assert plain_rounds > 10
+    assert walk_engine.rounds_used <= 6
+    assert np.max(np.abs(np.subtract(walk_engine.return_mass, plain))) < 1e-13
+
+
+def test_newton_iterates_increase_to_the_least_fixed_point(walk_engine, monkeypatch):
+    """Each round builds every factor chain at the current iterate; the
+    iterates rise from 0 and stay below the limit of the plain iteration run
+    to roundoff."""
+    iterates = []
+    build = FreeProductEngine._build_factor_chain
+
+    def recording(self, i, return_masses):
+        if i == 0:
+            iterates.append(np.array(return_masses, dtype=float))
+        return build(self, i, return_masses)
+
+    monkeypatch.setattr(FreeProductEngine, "_build_factor_chain", recording)
+    eng = FreeProductEngine(walk_engine.group, walk_engine.mu, radius=walk_engine.radius)
+    monkeypatch.undo()
+    limit, _ = _plain_return_masses(eng, tol=0.0, cap=60)
+    assert len(iterates) == eng.rounds_used
+    assert not iterates[0].any()
+    assert np.array_equal(iterates[-1], eng.return_mass)
+    assert all((b >= a).all() for a, b in zip(iterates, iterates[1:]))
+    assert max(float(np.max(r - limit)) for r in iterates) <= 1e-15
+
+
+@pytest.mark.parametrize("i", [0, 1])
+def test_loop_slope_matches_a_central_difference(z2_engine, i):
+    """dPhi_i/dl_i from the transposed solves against Phi_i at l_i +- h: the
+    loop mass of factor i moves with the other factor's return mass."""
+    eng, h = z2_engine, 1e-5
+    _, slope = eng._return_map(i, eng._greens[i])
+    phis = []
+    for sign in (1, -1):
+        r = list(eng.return_mass)
+        r[1 - i] += sign * h
+        phis.append(eng._return_map(i, ChainGreen(eng._build_factor_chain(i, r), eng.radius))[0])
+    assert slope > 0
+    assert abs(slope - (phis[0] - phis[1]) / (2 * h)) < 1e-8 * slope
+
+
+def test_round_cap_still_raises_the_convergence_error(z2_cfg, monkeypatch):
+    monkeypatch.setattr(excursions, "_FIXED_POINT_ROUNDS", 1)
+    with pytest.raises(ConvergenceError,
+                       match=r"^return-mass fixed point did not settle in 1 rounds$"):
+        FreeProductEngine(z2_cfg.group, z2_cfg.measure, radius=z2_cfg.radius)
+
+
+def test_recurrent_free_product_does_not_settle():
+    """Z/2 * Z/2 is amenable and its simple walk recurrent: the fixed point is
+    a fold of the return-mass system, where Newton's step is roundoff."""
+    c2 = [FactorSpec(rank=0, table=((0, 1), (1, 0)), lattice_names=(), finite_names=(s,))
+          for s in ("s", "t")]
+    g = FreeProductGroup(c2)
+    with pytest.raises(ConvergenceError, match="did not settle in 500 rounds"):
+        FreeProductEngine(g, StepMeasure.uniform(g), radius=4)
 
 
 def test_free_group_green_closed_forms(f2_engine, f2_cfg):

@@ -70,6 +70,53 @@ def test_strong_irreducibility_detection():
     assert not ladder.is_strongly_irreducible()
 
 
+def _irreducible_int64(chain) -> bool:
+    """The squaring check on an int64 pattern, as it ran before float64."""
+    n = chain.fiber_count
+    power = np.zeros((n, n), dtype=np.int64)
+    for j1, j2, _, w in chain.entries:
+        power[j1, j2] = 1
+    exponent = 1
+    while exponent < n * n - 2 * n + 2 and power.min() == 0:
+        power = np.minimum(power @ power, 1)
+        exponent *= 2
+    return bool(power.min() > 0)
+
+
+def _pattern_chain(pattern: np.ndarray) -> LatticeChain:
+    return LatticeChain.build(1, len(pattern), [(j1, j2, (j1 - j2,), 0.01)
+                                                for j1, j2 in zip(*np.nonzero(pattern))])
+
+
+def test_float_irreducibility_matches_the_int64_squaring(seeded_eta4_chain, z2_chain_eta0,
+                                                         z2_chain_eta2, f2a_chain, lat_cfg):
+    """The eta = 4 and shipped chains, and seeded random patterns with an
+    imprimitive cycle (every power zero somewhere) and a reducible pattern."""
+    rng = np.random.default_rng(24)
+    patterns = [rng.random((n, n)) < density for n, density in
+                ((5, 0.3), (12, 0.5), (40, 0.05), (90, 0.1), (150, 0.08))]
+    cycle = np.roll(np.eye(30, dtype=bool), 1, axis=1)
+    cycle |= np.roll(cycle, 2, axis=1)  # steps +1 and +3 mod 30: period 2
+    patterns += [cycle, np.triu(rng.random((50, 50)) < 0.3)]
+    chains = [seeded_eta4_chain, z2_chain_eta0, z2_chain_eta2, f2a_chain, lat_cfg.chain]
+    chains += [_pattern_chain(p) for p in patterns]
+    got = [c.is_strongly_irreducible() for c in chains]
+    assert got == [_irreducible_int64(c) for c in chains]
+    assert got[0] and not got[-1] and not got[-2]
+    assert True in got[5:-2] and False in got[5:-2]
+
+
+def test_box_column_is_the_transposed_row():
+    """G((z, j) -> (z', j')) read from the row out of (z, j) and from the
+    column into (z', j')."""
+    box = BoxGreen(two_fiber_plane(), 4)
+    for (z, j), (zt, jt) in [(((0, 0), 0), ((1, -2), 1)), (((2, 1), 1), ((0, 0), 0)),
+                             (((-3, 0), 0), ((-3, 0), 0))]:
+        from_row = box.row(j, z)[box._state_id(zt, jt)]
+        from_column = box.column(jt, zt)[box._state_id(z, j)]
+        assert abs(from_row - from_column) < 1e-15 * abs(from_row)
+
+
 def test_box_green_matches_killed_walk_closed_form():
     q = 0.2
     cg = ChainGreen(killed_z(q), radius=60)
