@@ -14,9 +14,8 @@ from .errors import (AssumptionError, BoundedSequenceError, ConfigError,
                      ConvergenceError, InvalidMeasureError, ParseError,
                      RelwalkError, StateCapError)
 from .excursions import FreeProductEngine, TabooContext
-from .floyd import (FloydFunction, TransitionParams, coned_off_distance,
-                    floyd_distance, gromov_product_coned, transition_points,
-                    word_geodesic)
+from .floyd import (TransitionParams, coned_off_distance, floyd_distance,
+                    gromov_product_coned, transition_points, word_geodesic)
 from .groups import (Coset, FactorSpec, FreeProductGroup, GroupElement,
                      coset_lattice_part, project_to_coset)
 from .induced import FiberIndex, induce_first_return, verify_same_green
@@ -30,7 +29,7 @@ __all__ = [
     "AssumptionError", "AssumptionReport", "BoundaryPointU",
     "BoundedSequenceError", "BoxGreen", "ChainGreen", "Classification",
     "ConfigError", "ConvergenceError", "Coset", "ExperimentConfig",
-    "FactorSpec", "FiberIndex", "FloydFunction", "FreeProductEngine",
+    "FactorSpec", "FiberIndex", "FreeProductEngine",
     "FreeProductGroup", "GroupElement", "InvalidMeasureError", "LatticeChain",
     "ParseError", "PerronData", "RelwalkError", "SequenceSpec",
     "StateCapError", "StepMeasure", "TabooContext", "TransitionParams",

@@ -24,6 +24,10 @@ UNRESOLVED = "Unresolved"
 
 _CONED_THRESHOLD, _DIRECTION_TOL, _MIN_NORM = 3.0, 0.05, 3.0  # classify trend tests
 _GRID_COUNT, _GRID_WIDTH, _GROWTH_EPS = 9, 0.1, 0.05  # separation_experiment grid and floor
+# separation_experiment: (theta0, theta1) by lattice rank, and the ray steps n
+_SEPARATION_THETAS = {1: ((-1.0,), (1.0,)),
+                      2: ((-1.0, 0.0), (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)))}
+_SEPARATION_NS = range(1, 13)
 MIN_TERMS = 4  # the fewest sequence terms whose trend classify reads
 
 _EXP_RE = re.compile(r"^(?P<a>[+-]?\d*)n(?P<b>[+-]\d+)?$")
@@ -333,46 +337,31 @@ class SeparationReport:
     certified: bool
 
 
-def separation_experiment(chain: LatticeChain, theta0, theta1,
-                          ns: Sequence[int] | None = None) -> SeparationReport:
+def separation_experiment(chain: LatticeChain) -> SeparationReport:
     """Witness that distinct boundary directions separate at infinity.
 
-    Along lattice points z_n realizing theta1's supporting ray, the limit
+    Along lattice points z_n = n z_1, n in _SEPARATION_NS, realizing the
+    supporting ray of theta1 = _SEPARATION_THETAS[rank][1], the limit
     kernels K_theta(z_n) = e^(u(theta).z_n) grow uniformly for theta in a
     grid around theta1 while K_theta0(z_n) decays to 0.
     """
-    t0 = np.asarray(theta0, dtype=float).reshape(-1)
-    t1 = np.asarray(theta1, dtype=float).reshape(-1)
-    t0 = t0 / np.linalg.norm(t0)
-    t1 = t1 / np.linalg.norm(t1)
-    if float(np.linalg.norm(t0 - t1)) < 1e-12:
-        raise ValueError("separation needs two distinct directions")
-    ns = list(range(1, 13)) if ns is None else list(ns)
+    t0, t1 = (np.asarray(t) / np.linalg.norm(t) for t in _SEPARATION_THETAS[chain.rank])
+    ns = list(_SEPARATION_NS)
     b0 = level_set_point(chain, t0)
     b1 = level_set_point(chain, t1)
     if chain.rank == 1:
-        grid = [tuple(t1)]
+        grid, grid_points = [tuple(t1)], [b1]
     else:
         base_angle = math.atan2(t1[1], t1[0])
         grid = [(math.cos(base_angle + d), math.sin(base_angle + d))
                 for d in np.linspace(-_GRID_WIDTH, _GRID_WIDTH, _GRID_COUNT)]
-    grid_points = [level_set_point(chain, th) for th in grid]
-    scaled = t1 / float(np.max(np.abs(t1)))
-    primitive = np.round(scaled)
-    if float(np.max(np.abs(scaled - primitive))) > 1e-9:
-        primitive = None
-    decay = []
-    grid_min = []
-    zs = []
-    for n in ns:
-        if primitive is not None:
-            zn = tuple(int(c) * n for c in primitive)
-        else:
-            zn = tuple(int(round(n * c)) for c in t1)
-        zs.append(zn)
-        decay.append(limit_kernel_ratio(b0.u, zn, (0,) * chain.rank))
-        grid_min.append(min(limit_kernel_ratio(bp.u, zn, (0,) * chain.rank)
-                            for bp in grid_points))
+        grid_points = [level_set_point(chain, th) for th in grid]
+    # Each theta1 of the table is a multiple of a primitive lattice vector.
+    primitive = np.round(t1 / float(np.max(np.abs(t1))))
+    zero = (0,) * chain.rank
+    zs = [tuple(int(c) * n for c in primitive) for n in ns]
+    decay = [limit_kernel_ratio(b0.u, zn, zero) for zn in zs]
+    grid_min = [min(limit_kernel_ratio(bp.u, zn, zero) for bp in grid_points) for zn in zs]
     decay_ok = all(b <= a * (1 + 1e-12) for a, b in zip(decay, decay[1:])) \
         and decay[-1] < decay[0]
     growth_ok = all(b >= a * (1 - 1e-12) for a, b in zip(grid_min, grid_min[1:])) \

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import math
 import os
 import sys
 
@@ -24,22 +23,19 @@ from .errors import (AssumptionError, BoundedSequenceError, ConfigError,
                      ConvergenceError, InvalidMeasureError, ParseError,
                      RelwalkError, StateCapError)
 from .excursions import FreeProductEngine, TabooContext
-from .floyd import (FloydFunction, TransitionParams, floyd_distance,
-                    transition_points, word_geodesic)
+from .floyd import TransitionParams, floyd_distance, transition_points, word_geodesic
 from .induced import FiberIndex, induce_first_return, verify_same_green
 from .lattice import ChainGreen, LatticeChain
-from .perron import check_assumptions, direction_grid, level_set_point, perron_values
+from .perron import (LEVEL_ANGLE_TOL, check_assumptions, direction_grid, level_set_point,
+                     perron_values)
 from .reports import fmt, svg_heatmap, svg_line_plot, write_csv, write_json
 
 _SAME_GREEN_TOL = 1e-6  # induce: induced-chain Green against the walk Green
-_ANGULAR_TOL = 1e-8  # boundary-map: level-set normal against the direction
 _TRANSITIONS = TransitionParams(epsilon=1, window=4)  # floyd and ancona
 _FLOYD_RADIUS = 6  # floyd: longer path points get a blank floyd.csv cell
 _ANCONA_RMAX, _ANCONA_MONOTONE_SLACK = 4, 1e-9  # ancona: forbidden radii 0..RMAX
 _MARTIN_TEST_RADIUS = 2  # martin-seq: radius of the kernel test points
 _LAMBDA_HALFWIDTH = 2.5  # lambda-surface: grid half-width around u_min
-_SEPARATION_THETAS = {1: ((-1.0,), (1.0,)),
-                      2: ((-1.0, 0.0), (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)))}
 
 
 class _ToleranceFailure(Exception):
@@ -168,7 +164,6 @@ def stage_floyd(ctx: RunContext) -> dict:
     cfg = ctx.cfg
     group = cfg.group
     e = group.identity
-    f = FloydFunction(cfg.floyd_ratio)
     rows = []
     summary = {}
     for seq in cfg.sequences:
@@ -177,7 +172,7 @@ def stage_floyd(ctx: RunContext) -> dict:
         transitions = set(transition_points(path, _TRANSITIONS, cfg.parabolic))
         for i, p in enumerate(path):
             reach = p.word_length <= _FLOYD_RADIUS
-            dist = floyd_distance(f, p) if reach else ""
+            dist = floyd_distance(cfg.floyd_ratio, p) if reach else ""
             rows.append((seq.name, i, group.format(p), p.word_length,
                          1 if i in transitions else 0, dist))
         summary[seq.name] = {
@@ -191,7 +186,7 @@ def stage_floyd(ctx: RunContext) -> dict:
                  "floyd_ratio": cfg.floyd_ratio,
                  "epsilon": _TRANSITIONS.epsilon,
                  "window": _TRANSITIONS.window,
-                 "diameter_bound": 2.0 * f.total,
+                 "diameter_bound": 2.0 * (1.0 / (1.0 - cfg.floyd_ratio)),
                  "sequences": summary})]
     return _ok(files)
 
@@ -312,11 +307,11 @@ def stage_boundary_map(ctx: RunContext) -> dict:
     files.append(write_json(ctx.path("boundary_map.json"), report))
     worst = max(v["max_angular_error"] for v in report.values())
     not_injective = [k for k, v in report.items() if not v["injective"]]
-    if worst >= _ANGULAR_TOL or not_injective:
+    if not_injective:
         raise _ToleranceFailure({
             "reason": "sphere map round-trip out of tolerance",
             "max_angular_error": worst,
-            "tolerance": _ANGULAR_TOL,
+            "tolerance": LEVEL_ANGLE_TOL,
             "non_injective": not_injective,
             "detail": report})
     return _ok(files, max_angular_error=worst)
@@ -446,7 +441,7 @@ def stage_martin_seq(ctx: RunContext) -> dict:
 def stage_separate(ctx: RunContext) -> dict:
     """Two-direction separation experiment on the first available chain."""
     label, chain = ctx.chains()[0]
-    rep = separation_experiment(chain, *_SEPARATION_THETAS[chain.rank])
+    rep = separation_experiment(chain)
     rows = [(label, n, d, g) for n, d, g in zip(rep.ns, rep.decay, rep.grid_min)]
     files = [write_csv(ctx.path("separate.csv"),
                        ["chain", "n", "kernel_theta0", "grid_min_kernel"], rows),
@@ -539,7 +534,6 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="experiment JSON file")
         p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--state-cap", type=int, default=None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -549,10 +543,6 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
-        if args.state_cap is not None:
-            if args.state_cap < 1:
-                raise ConfigError("--state-cap must be positive")
-            cfg.state_cap = args.state_cap
         out_dir = args.out or os.environ.get("RELWALK_OUT") or cfg.output_dir
         ctx = RunContext(cfg, out_dir)
         if args.command == "all":

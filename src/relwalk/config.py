@@ -167,6 +167,8 @@ def _parse_sequences(items, group: FreeProductGroup | None) -> tuple[SequenceSpe
                 spec.terms(group, template)
         _require(stop - start + 1 >= MIN_TERMS,
                  f"sequence {i}: start..stop must span at least {MIN_TERMS} terms")
+        _require(all(spec.name != s.name for s in out),
+                 f"sequence {i}: name {spec.name!r} is used by an earlier sequence")
         out.append(spec)
     return tuple(out)
 

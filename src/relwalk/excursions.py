@@ -44,7 +44,7 @@ _BLOCK_CHUNK = 1 << 15  # green_matrix entries per row chunk, to bound its tempo
 class FreeProductEngine:
     """Green's function calculator for single-syllable step measures."""
 
-    def __init__(self, group: FreeProductGroup, mu: StepMeasure, radius: int = 20):
+    def __init__(self, group: FreeProductGroup, mu: StepMeasure, radius: int):
         if not mu.has_syllable_support:
             raise InvalidMeasureError(
                 "cut-vertex elimination needs a step measure supported on "
@@ -133,10 +133,8 @@ class FreeProductEngine:
             )
         self.return_mass = r.tolist()
         self._chains, self._greens = chains, greens
-        for i in range(m):
-            mass = self._identity_mass + sum(w for _, _, w in self._steps[i])
-            mass += sum(x for j, x in enumerate(self.return_mass) if j != i)
-            if mass > 1 + 1e-9:
+        for i, chain in enumerate(self._chains):
+            if max(chain.row_masses()) > 1 + 1e-9:
                 raise ConvergenceError(
                     f"factor {i} return mass pushed the chain above probability mass"
                 )

@@ -14,24 +14,6 @@ from .groups import GroupElement
 
 
 @dataclass(frozen=True)
-class FloydFunction:
-    """Geometric rescaling f(n) = ratio^n with ratio in (0,1)."""
-
-    ratio: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 < self.ratio < 1.0:
-            raise ValueError("Floyd ratio must lie strictly between 0 and 1")
-
-    def __call__(self, n: int) -> float:
-        return self.ratio ** n
-
-    @property
-    def total(self) -> float:
-        return 1.0 / (1.0 - self.ratio)
-
-
-@dataclass(frozen=True)
 class TransitionParams:
     """Neighborhood width and window length for transition-point detection."""
 
@@ -43,20 +25,21 @@ class TransitionParams:
             raise ValueError("need epsilon >= 0 and window > 0")
 
 
-def floyd_distance(f: FloydFunction, z: GroupElement) -> float:
-    """Floyd distance from the identity to z: the sum of f(k) over k < |z|.
+def floyd_distance(ratio: float, z: GroupElement) -> float:
+    """Floyd distance from the identity to z: the sum of ratio^k over k < |z|.
 
-    An edge {g, h} of the Cayley graph weighs f(min(|g|, |h|)).  Word
-    length changes by at most one per edge, so every path from e to z
-    crosses each level k < |z| on an edge of weight f(k), and a word
-    geodesic crosses each level once and takes no other edge.  The value
-    is therefore exact in the group and in every ball of radius >= |z|.
-    The terms are added from 0.0 in increasing k, in a plain loop rather
-    than sum(), whose float summation is compensated from Python 3.12 on.
+    An edge {g, h} of the Cayley graph weighs ratio^min(|g|, |h|), with
+    ratio in (0, 1).  Word length changes by at most one per edge, so every
+    path from e to z crosses each level k < |z| on an edge of weight
+    ratio^k, and a word geodesic crosses each level once and takes no
+    other edge.  The value is therefore exact in the group and in every
+    ball of radius >= |z|.  The terms are added from 0.0 in increasing k,
+    in a plain loop rather than sum(), whose float summation is
+    compensated from Python 3.12 on.
     """
     total = 0.0
     for k in range(z.word_length):
-        total += f(k)
+        total += ratio ** k
     return total
 
 

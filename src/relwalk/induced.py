@@ -120,8 +120,8 @@ def induce_first_return(engine: FreeProductEngine, factor: int, eta: int,
     kernel_entries(lambda v0, depth: laws.setdefault((v0, depth), {}))
 
     def box_order(key):
-        (j_star, z, _), depth = key
-        return j_star, depth, max(map(abs, z), default=0), key
+        (fac, z, _), depth = key
+        return fac, depth, max(map(abs, z), default=0), key
 
     boxes: dict = {}
     for v0, depth in sorted(laws, key=box_order):

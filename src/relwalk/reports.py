@@ -167,7 +167,7 @@ def _heat_color(t: float) -> str:
 
 def svg_heatmap(path: str, xs: Sequence[float], ys: Sequence[float],
                 values: Sequence[Sequence[float]], title: str,
-                xlabel: str, ylabel: str, level: float | None = None) -> str:
+                xlabel: str, ylabel: str, level: float) -> str:
     """Grid heatmap of values[iy][ix]; cells near the level are outlined."""
     ml, mt, pw, ph = _plot_area(_HEAT_PAGE)
     nx, ny = len(xs), len(ys)
@@ -186,7 +186,7 @@ def svg_heatmap(path: str, xs: Sequence[float], ys: Sequence[float],
             parts.append(f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{cw + 0.5:.2f}" '
                          f'height="{ch + 0.5:.2f}" '
                          f'fill="{_heat_color((v - vlo) / (vhi - vlo))}"/>')
-            if level is not None and abs(v - level) <= span:
+            if abs(v - level) <= span:
                 outlines.append(f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{cw:.2f}" '
                                 f'height="{ch:.2f}" fill="none" stroke="black" '
                                 'stroke-width="1.2"/>')
@@ -200,7 +200,5 @@ def svg_heatmap(path: str, xs: Sequence[float], ys: Sequence[float],
         parts.append(f'<text x="{ml - 8}" y="{yy + 4:.2f}" text-anchor="end" '
                      f'font-family="monospace" font-size="11">{ys[i]:.4g}</text>')
     note = (f'<text x="{ml}" y="{mt - 8}" font-family="monospace" font-size="11">'
-            f'range [{vlo:.4g}, {vhi:.4g}]'
-            + (f', outlined cells near {level:.4g}' if level is not None else '')
-            + '</text>')
+            f'range [{vlo:.4g}, {vhi:.4g}], outlined cells near {level:.4g}</text>')
     return _svg_page(path, _HEAT_PAGE, title, xlabel, ylabel, parts, [note])

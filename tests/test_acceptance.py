@@ -235,7 +235,7 @@ def test_a10_parabolic_kernel_ratio_limit(z2_engine, z2_chain_eta0, z2_cfg):
 
 
 def test_a11_boundary_separation_certificate(f2a_chain):
-    rep = separation_experiment(f2a_chain, (-1.0,), (1.0,))
+    rep = separation_experiment(f2a_chain)
     decay_dev = max(abs(d - 3.0 ** (-n)) for n, d in zip(rep.ns, rep.decay))
     floor_ok = all(gmin >= 3.0 ** (n * 0.95) * (1 - 1e-9)
                    for n, gmin in zip(rep.ns, rep.grid_min))

@@ -60,6 +60,7 @@ def test_config_validation_failures(tmp_path):
         {"group": base_group, "parabolic": [5]},
         {"group": base_group, "radius": 0},
         {"group": base_group, "floyd_ratio": 1.0},
+        {"group": base_group, "floyd_ratio": 0.0},
         {"group": base_group, "radius": 5, "eta_list": [2]},
         {"group": base_group, "sequences": [
             {"name": "bad", "templates": ["q^n"], "start": 1, "stop": 3}]},
@@ -121,6 +122,8 @@ def test_config_validation_failures(tmp_path):
         {"group": base_group, "seed": -1},
         {"group": base_group, "parabolic": [0, 0]},
         {"group": base_group, "parabolic": [0], "eta_list": [0, 0]},
+        {"group": base_group, "sequences": [{"name": "s", "templates": ["a^n"]},
+                                            {"name": "s", "templates": ["b^n"]}]},
         {"group": base_group, "measure": {"kind": "weights", "weights": [["a*b", "0.5"]]}},
     ]
     for payload in cases:
@@ -274,11 +277,26 @@ def test_out_of_box_green_lookup_exits_with_diagnostic(tmp_path):
     assert diag["reason"] == "point (13, 10) lies outside the box of half-width 8 around (4, 3)"
 
 
+def _capped(tmp_path, base: str, cap: int) -> str:
+    """A copy of a shipped config whose state_cap is cap."""
+    p = tmp_path / f"{base}_cap{cap}.json"
+    p.write_text(json.dumps(_shipped(base, state_cap=cap)))
+    return str(p)
+
+
 def test_state_cap_violation_exits_one(tmp_path):
+    r = run_cli("green", "--config", _capped(tmp_path, "f2", 10),
+                "--out", str(tmp_path / "s"))
+    assert r.returncode == 1
+    assert "state" in r.stderr.lower() or "cap" in r.stderr.lower()
+
+
+def test_state_cap_is_not_a_flag(tmp_path):
     r = run_cli("green", "--config", config_path("f2.json"),
                 "--out", str(tmp_path / "s"), "--state-cap", "10")
     assert r.returncode == 1
-    assert "state" in r.stderr.lower() or "cap" in r.stderr.lower()
+    assert "unrecognized arguments: --state-cap" in r.stderr
+    assert not (tmp_path / "s").exists()
 
 
 def test_markov_synthetic_chain_fails_tolerance_with_diagnostic(tmp_path):
@@ -480,8 +498,8 @@ def test_long_steps_reach_the_level_set(tmp_path):
 
 
 def test_ancona_respects_the_state_cap(tmp_path):
-    r = run_cli("ancona", "--config", config_path("z2_free_z.json"),
-                "--out", str(tmp_path / "a"), "--state-cap", "100")
+    r = run_cli("ancona", "--config", _capped(tmp_path, "z2_free_z", 100),
+                "--out", str(tmp_path / "a"))
     assert r.returncode == 1
     assert "ancona: resource-failure" in r.stdout
     assert "ball enumeration exceeded the cap of 100 states" in r.stderr
@@ -490,8 +508,8 @@ def test_ancona_respects_the_state_cap(tmp_path):
 @pytest.mark.parametrize("stage", ["induce", "lambda-surface"])
 def test_induction_respects_the_state_cap(tmp_path, stage):
     # The eta-2 neighbourhood ball of z2_free_z has 33 elements.
-    r = run_cli(stage, "--config", config_path("z2_free_z.json"),
-                "--out", str(tmp_path / "i"), "--state-cap", "10")
+    r = run_cli(stage, "--config", _capped(tmp_path, "z2_free_z", 10),
+                "--out", str(tmp_path / "i"))
     assert r.returncode == 1
     assert f"{stage}: resource-failure" in r.stdout
     assert "ball enumeration exceeded the cap of 10 states" in r.stderr
@@ -499,8 +517,7 @@ def test_induction_respects_the_state_cap(tmp_path, stage):
 
 def test_a_state_cap_inside_run_all_fails_only_its_stages(tmp_path):
     out = tmp_path / "o"
-    r = run_cli("all", "--config", config_path("f2.json"), "--out", str(out),
-                "--state-cap", "10")
+    r = run_cli("all", "--config", _capped(tmp_path, "f2", 10), "--out", str(out))
     assert r.returncode == 1
     assert "Traceback" not in r.stderr
     with open(out / "run.json") as fh:

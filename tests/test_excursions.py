@@ -209,7 +209,7 @@ def test_engine_rejects_multi_syllable_support(f2_cfg):
     g = f2_cfg.group
     nu = StepMeasure.from_weights(g, [("a*b", "0.5"), ("b^-1*a^-1", "0.5")])
     with pytest.raises(InvalidMeasureError):
-        FreeProductEngine(g, nu)
+        FreeProductEngine(g, nu, radius=f2_cfg.radius)
 
 
 def test_passage_factors_multiply_along_syllables(z2_engine, z2_cfg):

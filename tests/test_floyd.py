@@ -3,34 +3,31 @@ import math
 
 import pytest
 
-from relwalk import (FloydFunction, TransitionParams, floyd_distance,
-                     gromov_product_coned, transition_points, word_geodesic)
+from relwalk import (TransitionParams, floyd_distance, gromov_product_coned,
+                     transition_points, word_geodesic)
 from relwalk.floyd import coned_off_distance
 from relwalk.groups import GroupElement
 
 
-def test_scaling_function_total_and_validation():
-    f = FloydFunction(0.5)
-    assert f(0) == 1.0 and f(3) == 0.125
-    assert f.total == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        FloydFunction(1.0)
-    with pytest.raises(ValueError):
-        FloydFunction(0.0)
+def test_scaling_function_total_and_validation(f2_cfg):
+    """Level k weighs ratio^k and the levels sum to 1 / (1 - ratio); load_config
+    checks the ratio's bounds (test_config_validation_failures)."""
+    g = f2_cfg.group
+    assert floyd_distance(0.5, g.word("a")) == 1.0
+    assert floyd_distance(0.5, g.word("a^4")) - floyd_distance(0.5, g.word("a^3")) == 0.125
+    assert floyd_distance(0.5, g.word("a^60")) == pytest.approx(2.0)
 
 
 def test_tree_floyd_distances_through_the_basepoint(f2_cfg):
     g = f2_cfg.group
-    f = FloydFunction(0.5)
-    assert floyd_distance(f, g.word("a^3")) == pytest.approx(1.75)
-    assert floyd_distance(f, g.identity) == 0.0
+    assert floyd_distance(0.5, g.word("a^3")) == pytest.approx(1.75)
+    assert floyd_distance(0.5, g.identity) == 0.0
 
 
 def test_floyd_diameter_is_bounded_by_twice_the_total(f2_cfg):
     g = f2_cfg.group
-    f = FloydFunction(0.5)
-    # Every point lies within f.total of the base, so any two within twice that.
-    assert floyd_distance(f, g.word("a^5*b^-5")) < f.total
+    # Every point lies within 1 / (1 - 0.5) = 2 of the base, so any two within twice that.
+    assert floyd_distance(0.5, g.word("a^5*b^-5")) < 2.0
 
 
 def test_word_geodesic_steps_by_unit_generators(z2_cfg):

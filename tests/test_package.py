@@ -3,6 +3,7 @@ import ast
 import collections
 import glob
 import importlib
+import json
 import os
 import pathlib
 import pkgutil
@@ -33,15 +34,22 @@ def test_submodule_names_resolve_to_their_modules():
 
 
 def test_tracer_wraps_every_layer_name(tmp_path):
-    """perfbench/child.py looks up each traced function by name; a rename breaks it."""
+    """perfbench/child.py looks up each traced function by name; a rename breaks it.
+
+    Every stage of f2_over_a ends ok, so each wrapped function runs under
+    its wrapper with the arguments the stages pass it.
+    """
     child = os.path.join(REPO, "perfbench", "child.py")
     r = subprocess.run(
         [sys.executable, child, str(tmp_path / "spans.npz"), "trace", "--",
-         "green", "--config", config_path("f2.json"), "--out", str(tmp_path / "out")],
+         "all", "--config", config_path("f2_over_a.json"), "--out", str(tmp_path / "out")],
         capture_output=True, text=True, env=cli_env(), timeout=120)
     assert r.returncode == 0, r.stderr
     assert "Traceback" not in r.stderr
     assert (tmp_path / "spans.npz").exists()
+    with open(tmp_path / "out" / "run.json") as fh:
+        stages = json.load(fh)["stages"]
+    assert {e["status"] for e in stages.values()} == {"ok"}
 
 
 def _mentions(tree: ast.AST) -> collections.Counter:

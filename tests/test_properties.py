@@ -7,9 +7,9 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from relwalk import (FloydFunction, FreeProductEngine, TransitionParams,
-                     ball_elements, floyd_distance, induce_first_return,
-                     load_config, transition_points, word_geodesic)
+from relwalk import (FreeProductEngine, TransitionParams, ball_elements,
+                     floyd_distance, induce_first_return, load_config,
+                     transition_points, word_geodesic)
 from relwalk.groups import Coset, FactorSpec, FreeProductGroup, project_to_coset
 from relwalk.perron import perron, perron_values
 
@@ -120,8 +120,7 @@ FLOYD_GROUPS = (
 
 @functools.lru_cache(maxsize=None)
 def ball_floyd_distances(group, radius, ratio):
-    """Reference: Dijkstra from e over the radius ball, edge {g, h} weighing f(min(|g|, |h|))."""
-    f = FloydFunction(ratio)
+    """Reference: Dijkstra from e over the radius ball, edge {g, h} weighing ratio^min(|g|, |h|)."""
     gens = [s for _, s in group.generators()]
     dist = {group.identity: 0.0}
     order = itertools.count()
@@ -134,7 +133,7 @@ def ball_floyd_distances(group, radius, ratio):
             h = g * s
             if h.word_length > radius:
                 continue
-            nd = d + f(min(g.word_length, h.word_length))
+            nd = d + ratio ** min(g.word_length, h.word_length)
             if nd < dist.get(h, math.inf) - 1e-18:
                 dist[h] = nd
                 heapq.heappush(heap, (nd, next(order), h))
@@ -149,7 +148,7 @@ def test_floyd_distance_matches_a_ball_dijkstra(tokens):
         z = word_geodesic(group.identity, z)[min(z.word_length, radius)]
         for ratio in (0.1, 0.5, 0.9):
             expected = ball_floyd_distances(group, radius, ratio)[z]
-            assert floyd_distance(FloydFunction(ratio), z) == expected
+            assert floyd_distance(ratio, z) == expected
 
 
 Z2_ENGINE = FreeProductEngine(Z2_CFG.group, Z2_CFG.measure, radius=12)
