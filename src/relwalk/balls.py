@@ -6,12 +6,10 @@ from functools import lru_cache
 from .errors import StateCapError
 from .groups import FreeProductGroup, GroupElement
 
-DEFAULT_STATE_CAP = 2_000_000
-
 
 @lru_cache(maxsize=16)
 def ball_elements(group: FreeProductGroup, radius: int,
-                  state_cap: int = DEFAULT_STATE_CAP) -> tuple[GroupElement, ...]:
+                  state_cap: int) -> tuple[GroupElement, ...]:
     """All elements of word length <= radius, ordered by (length, normal form).
 
     Memoized per (group, radius, state_cap), hence an immutable tuple.

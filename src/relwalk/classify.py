@@ -63,7 +63,7 @@ class SequenceSpec:
     templates: tuple[str, ...]
     start: int
     stop: int
-    mode: str = "single"
+    mode: str
 
     def __post_init__(self):
         if not self.templates:
@@ -122,8 +122,7 @@ def _candidate_cosets(group: FreeProductGroup, elements: Sequence[GroupElement],
     return [seen[k] for k in sorted(seen)]
 
 
-def classify(group: FreeProductGroup,
-             seq: SequenceSpec | Sequence[GroupElement],
+def classify(group: FreeProductGroup, elements: Sequence[GroupElement],
              parabolic: Sequence[int]) -> Classification:
     """Label a sequence Conical, Parabolic(coset, direction), or Unresolved.
 
@@ -134,7 +133,6 @@ def classify(group: FreeProductGroup,
     last half.  A sequence with no word-length growth raises
     BoundedSequenceError instead of receiving a label.
     """
-    elements = seq.elements(group) if isinstance(seq, SequenceSpec) else list(seq)
     if len(elements) < MIN_TERMS:
         raise ValueError(f"need at least {MIN_TERMS} terms to classify a trend")
     lengths = [g.word_length for g in elements]
@@ -287,8 +285,8 @@ def martin_convergence(engine: FreeProductEngine,
                        elements: Sequence[GroupElement],
                        test_points: Sequence[GroupElement],
                        ns: Sequence[int],
-                       boundary: BoundaryPointU | None = None,
-                       coset: Coset | None = None) -> MartinConvergenceReport:
+                       boundary: BoundaryPointU | None,
+                       coset: Coset | None) -> MartinConvergenceReport:
     """Tabulate K_{g_n}(x) over test points with Cauchy deltas.
 
     When a level-set point and a parabolic coset are supplied, kernel

@@ -26,8 +26,7 @@ from .excursions import FreeProductEngine, TabooContext
 from .floyd import TransitionParams, floyd_distance, transition_points, word_geodesic
 from .induced import FiberIndex, induce_first_return, verify_same_green
 from .lattice import ChainGreen, LatticeChain
-from .perron import (LEVEL_ANGLE_TOL, check_assumptions, direction_grid, level_set_point,
-                     perron_values)
+from .perron import check_assumptions, direction_grid, level_set_point, perron_values
 from .reports import fmt, svg_heatmap, svg_line_plot, write_csv, write_json
 
 _SAME_GREEN_TOL = 1e-6  # induce: induced-chain Green against the walk Green
@@ -36,6 +35,7 @@ _FLOYD_RADIUS = 6  # floyd: longer path points get a blank floyd.csv cell
 _ANCONA_RMAX, _ANCONA_MONOTONE_SLACK = 4, 1e-9  # ancona: forbidden radii 0..RMAX
 _MARTIN_TEST_RADIUS = 2  # martin-seq: radius of the kernel test points
 _LAMBDA_HALFWIDTH = 2.5  # lambda-surface: grid half-width around u_min
+_U_GAP_FLOOR = 1e-12  # boundary-map: level points closer than this coincide
 
 
 class _ToleranceFailure(Exception):
@@ -77,7 +77,8 @@ class RunContext:
 
     def classification(self, seq: SequenceSpec) -> Classification:
         return _once(self._classes, seq,
-                     lambda: classify(self.cfg.group, seq, self.cfg.parabolic),
+                     lambda: classify(self.cfg.group, seq.elements(self.cfg.group),
+                                      self.cfg.parabolic),
                      BoundedSequenceError)
 
     def chains(self) -> list[tuple[str, LatticeChain]]:
@@ -293,7 +294,7 @@ def stage_boundary_map(ctx: RunContext) -> dict:
             "max_angular_error": max(p.angular_error for p in points),
             "max_lambda_residual": max(abs(p.lambda_residual) for p in points),
             "min_pairwise_u_gap": min(gaps) if gaps else None,
-            "injective": bool(min(gaps) > 1e-12) if gaps else True}
+            "injective": bool(min(gaps) > _U_GAP_FLOOR) if gaps else True}
         report[label] = entry
         if chain.rank == 2 and len(points) >= 3:
             xs = [p.u[0] for p in points] + [points[0].u[0]]
@@ -305,16 +306,15 @@ def stage_boundary_map(ctx: RunContext) -> dict:
                            ["chain", "theta", "u", "lambda_residual", "angular_error"],
                            rows))
     files.append(write_json(ctx.path("boundary_map.json"), report))
-    worst = max(v["max_angular_error"] for v in report.values())
     not_injective = [k for k, v in report.items() if not v["injective"]]
     if not_injective:
         raise _ToleranceFailure({
-            "reason": "sphere map round-trip out of tolerance",
-            "max_angular_error": worst,
-            "tolerance": LEVEL_ANGLE_TOL,
+            "reason": "boundary map not injective: two level points coincide",
+            "min_pairwise_u_gap": min(report[k]["min_pairwise_u_gap"] for k in not_injective),
+            "floor": _U_GAP_FLOOR,
             "non_injective": not_injective,
             "detail": report})
-    return _ok(files, max_angular_error=worst)
+    return _ok(files, max_angular_error=max(v["max_angular_error"] for v in report.values()))
 
 
 def stage_classify(ctx: RunContext) -> dict:
@@ -543,7 +543,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
-        out_dir = args.out or os.environ.get("RELWALK_OUT") or cfg.output_dir
+        out_dir = args.out or cfg.output_dir
         ctx = RunContext(cfg, out_dir)
         if args.command == "all":
             return _run_all(ctx)

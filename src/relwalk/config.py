@@ -6,7 +6,6 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .balls import DEFAULT_STATE_CAP
 from .classify import MIN_TERMS, SequenceSpec
 from .errors import ConfigError, ParseError
 from .groups import FactorSpec, FreeProductGroup
@@ -16,6 +15,9 @@ from .measures import StepMeasure
 # The one limit on lattice rank: the direction grids and the separation
 # directions of the stages cover Z^1 and Z^2 only.
 MAX_LATTICE_RANK = 2
+
+# The most states a ball enumeration may visit, unless a config sets state_cap.
+DEFAULT_STATE_CAP = 2_000_000
 
 # Positive integer settings a config may override under "tolerances".
 DEFAULT_TOLERANCES = {

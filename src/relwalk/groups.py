@@ -326,8 +326,8 @@ class Coset:
     def contains(self, x: GroupElement) -> bool:
         return Coset.of(x, self.factor) == self
 
-    def member(self, z: Sequence[int], j: int = 0) -> GroupElement:
-        return self.rep * self.group.syllable(self.factor, z, j)
+    def member(self, z: Sequence[int]) -> GroupElement:
+        return self.rep * self.group.syllable(self.factor, z)
 
     def sort_key(self):
         return (self.factor, self.rep.sort_key())

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .balls import DEFAULT_STATE_CAP, ball_elements
+from .balls import ball_elements
 from .errors import AssumptionError
 from .excursions import FreeProductEngine
 from .groups import FreeProductGroup, GroupElement
@@ -39,7 +39,7 @@ class FiberIndex:
 
     @staticmethod
     def build(group: FreeProductGroup, factor: int, eta: int,
-              state_cap: int = DEFAULT_STATE_CAP) -> "FiberIndex":
+              state_cap: int) -> "FiberIndex":
         # ball_elements already lists the words by (length, normal form).
         spec = group.factors[factor]
         words = [g for g in ball_elements(group, eta, state_cap)
@@ -61,7 +61,7 @@ class FiberIndex:
 
 
 def induce_first_return(engine: FreeProductEngine, factor: int, eta: int,
-                        state_cap: int = DEFAULT_STATE_CAP) -> LatticeChain:
+                        state_cap: int) -> LatticeChain:
     """First-return chain of the walk on the eta-neighborhood of factor's P.
 
     Each kernel entry sums all excursion paths exactly (up to the engine's

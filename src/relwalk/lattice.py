@@ -287,9 +287,8 @@ class ChainGreen:
             half = self._halves.setdefault(
                 center, self.radius + max((abs(c) + 1) // 2 for c in zt))
             if any(abs(c) > half for c in zt):
-                target = tuple(a + c for a, c in zip(zt, center))
-                raise ConvergenceError(f"point {target} lies outside the box of half-width "
-                                       f"{half} around {center}")
+                raise ConvergenceError(f"point {zt} lies outside the box of half-width {half} "
+                                       f"fixed by the first read with centre {center}")
         if half not in self._boxes:
             self._boxes[half] = BoxGreen(self.chain, half)
         return self._boxes[half], zt
@@ -297,22 +296,21 @@ class ChainGreen:
 
 def absorption_distribution(chain: LatticeChain, start_z: Sequence[int],
                             start_j: int, max_len: int, radius: int, *,
-                            boxes: dict | None = None) -> dict[tuple[tuple[int, ...], int], float]:
+                            boxes: dict) -> dict[tuple[tuple[int, ...], int], float]:
     """First-hit distribution on A = {(z,j): |z|_1 + [j != 0] <= max_len}.
 
     The chain starts at (start_z, start_j) outside A and runs until it
     first enters A or dies; mass escaping a box of half-width radius (plus
     the start offset) is treated as dead, consistent with the box Green
     truncation used elsewhere.  The law is the Green row from the start in
-    a box stopped on A, read at A.  A dict passed as boxes keeps the box of
-    the last call, so consecutive calls that need the same (chain,
-    half-width, max_len) box share one factorization.
+    a box stopped on A, read at A.  The dict boxes keeps the box of the
+    last call, so consecutive calls that need the same (chain, half-width,
+    max_len) box share one factorization.
     """
     start = tuple(int(c) for c in start_z)
     if sum(map(abs, start)) + (start_j != 0) <= max_len:
         raise ValueError("start state already lies in the absorbing set")
     half = radius + max([max_len, *map(abs, start)])
-    boxes = {} if boxes is None else boxes
     key = (chain, half, max_len)
     if key not in boxes:
         boxes.clear()  # one box alive at a time

@@ -38,7 +38,7 @@ _ESCAPE_PROBES = (16.0, 8.0, 4.0, 2.0, 1.0, 0.5)  # check_assumptions: tilts per
 _ESCAPE_GRID, _ESCAPE_LEVEL = 64, 2.0  # check_assumptions: direction count, escape level
 _LEVEL_STOP_LAMBDA, _LEVEL_STOP_ANGLE = 1e-14, 1e-13  # level_set_point: Newton stop
 _LEVEL_ROUNDS, _LEVEL_MIN_STRIDE = 8, 1e-6  # level_set_point: Newton cap, smallest normal stride
-_LEVEL_LAMBDA_TOL, LEVEL_ANGLE_TOL = 1e-10, 1e-8  # level_set_point: |lambda-1|, |normal-theta|
+_LEVEL_LAMBDA_TOL, _LEVEL_ANGLE_TOL = 1e-10, 1e-8  # level_set_point: |lambda-1|, |normal-theta|
 
 
 def _tilt_vector(chain: LatticeChain, u) -> np.ndarray:
@@ -417,7 +417,7 @@ def _bordered_newton(chain: LatticeChain, u: np.ndarray, data: PerronData, s: fl
         except np.linalg.LinAlgError:
             return None
         size = float(np.linalg.norm(step[:-1]))
-        if size > 0.5 * last and lam_res <= _LEVEL_LAMBDA_TOL and ang <= LEVEL_ANGLE_TOL:
+        if size > 0.5 * last and lam_res <= _LEVEL_LAMBDA_TOL and ang <= _LEVEL_ANGLE_TOL:
             return u, data, s
         last = size
         try:  # a step may leave the tilts where F(u) and its derivatives are finite
@@ -465,7 +465,7 @@ def level_set_point(chain: LatticeChain, theta) -> BoundaryPointU:
     g = np.asarray(data.gradient)
     lam_res = abs(data.value - 1.0)
     ang = float(np.linalg.norm(g / np.linalg.norm(g) - th))
-    if lam_res > _LEVEL_LAMBDA_TOL or ang > LEVEL_ANGLE_TOL:
+    if lam_res > _LEVEL_LAMBDA_TOL or ang > _LEVEL_ANGLE_TOL:
         raise ConvergenceError(
             f"level-set solve stalled: |lambda-1|={lam_res:.3e}, angle defect={ang:.3e}")
     return BoundaryPointU(u=tuple(u), lambda_residual=lam_res,

@@ -60,10 +60,10 @@ def write_json(path: str, payload) -> str:
     return path
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
-    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+    return [lo + (hi - lo) * i / 4 for i in range(5)]
 
 
 def _plot_area(page: tuple[int, int]) -> tuple[int, int, int, int]:

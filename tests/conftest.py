@@ -10,6 +10,7 @@ import pytest
 
 from relwalk import (FreeProductEngine, induce_first_return, load_config,
                      project_to_coset)
+from relwalk.config import DEFAULT_STATE_CAP
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 SRC_DIR = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
@@ -115,7 +116,7 @@ def f2_engine(f2_cfg):
 
 @pytest.fixture(scope="session")
 def f2a_chain(f2a_cfg, f2_engine):
-    return induce_first_return(f2_engine, factor=0, eta=0)
+    return induce_first_return(f2_engine, factor=0, eta=0, state_cap=DEFAULT_STATE_CAP)
 
 
 @pytest.fixture(scope="session")
@@ -125,12 +126,12 @@ def z2_engine(z2_cfg):
 
 @pytest.fixture(scope="session")
 def z2_chain_eta0(z2_engine):
-    return induce_first_return(z2_engine, factor=0, eta=0)
+    return induce_first_return(z2_engine, factor=0, eta=0, state_cap=DEFAULT_STATE_CAP)
 
 
 @pytest.fixture(scope="session")
 def z2_chain_eta2(z2_engine):
-    return induce_first_return(z2_engine, factor=0, eta=2)
+    return induce_first_return(z2_engine, factor=0, eta=2, state_cap=DEFAULT_STATE_CAP)
 
 
 @pytest.fixture(scope="session")
@@ -152,4 +153,4 @@ def seeded_z2_engine(tmp_path_factory):
 @pytest.fixture(scope="session")
 def seeded_eta4_chain(seeded_z2_engine):
     """The 233-fiber chain of the benchmark's z2-eta4-surface workload."""
-    return induce_first_return(seeded_z2_engine, factor=0, eta=4)
+    return induce_first_return(seeded_z2_engine, factor=0, eta=4, state_cap=DEFAULT_STATE_CAP)

@@ -22,6 +22,7 @@ from relwalk import (FiberIndex, FreeProductEngine, LatticeChain,
                      verify_same_green)
 from relwalk.classify import classify, sample_ancona_pairs
 from relwalk.cli import _TRANSITIONS
+from relwalk.config import DEFAULT_STATE_CAP
 from relwalk.groups import Coset
 from relwalk.lattice import ChainGreen
 from relwalk.perron import limit_kernel_ratio, perron
@@ -39,7 +40,7 @@ def test_a01_tree_green_oracle(f2_engine, f2_cfg):
     g = f2_cfg.group
     dev_ee = abs(f2_engine.green_identity_value - 1.5)
     worst = 0.0
-    for x in ball_elements(g, 5):
+    for x in ball_elements(g, 5, DEFAULT_STATE_CAP):
         tree = 1.5 * 3.0 ** (-x.word_length)
         worst = max(worst, abs(f2_engine.green(g.identity, x) - tree))
     elapsed = time.monotonic() - t0
@@ -58,8 +59,8 @@ def test_a02_lazy_walk_doubling(f2_engine, f2_cfg):
     t0 = time.monotonic()
     g = f2_cfg.group
     lazy_engine = FreeProductEngine(g, f2_cfg.measure.lazy(), radius=f2_cfg.radius)
-    targets = ball_elements(g, 10)
-    shorts = ball_elements(g, 2)
+    targets = ball_elements(g, 10, DEFAULT_STATE_CAP)
+    shorts = ball_elements(g, 2, DEFAULT_STATE_CAP)
 
     def blocks(engine):
         ids = engine.syllable_ids(targets)
@@ -96,7 +97,7 @@ def test_a04_induced_chain_oracle(f2a_chain, f2_engine, f2_cfg):
     dev_step = max(abs(probs.get((1,), 0.0) - 0.25),
                    abs(probs.get((-1,), 0.0) - 0.25))
     stray = sum(w for dz, w in probs.items() if dz not in {(0,), (1,), (-1,)})
-    fibers = FiberIndex.build(f2_cfg.group, factor=0, eta=0)
+    fibers = FiberIndex.build(f2_cfg.group, factor=0, eta=0, state_cap=DEFAULT_STATE_CAP)
     same_green = verify_same_green(f2a_chain, f2_engine, fibers)
     ok = dev_loop < 1e-6 and dev_step < 1e-6 and stray < 1e-10 and same_green < 1e-6
     report("A04 induced-chain-oracle", ok,
@@ -120,7 +121,7 @@ def test_a05_boundary_point_matches_tree_kernels(f2a_chain, f2_engine, f2_cfg):
 def test_a06_gradient_against_finite_differences(z2_cfg):
     t0 = time.monotonic()
     engine = FreeProductEngine(z2_cfg.group, z2_cfg.measure, radius=12)
-    chain = induce_first_return(engine, factor=0, eta=2)
+    chain = induce_first_return(engine, factor=0, eta=2, state_cap=DEFAULT_STATE_CAP)
     h = 1e-5
     worst = 0.0
     for u1 in np.linspace(-0.8, 1.0, 5):
@@ -160,7 +161,7 @@ def test_a07_direction_to_tilt_round_trip(z2_chain_eta2):
 
 def test_a08_relative_green_decay(z2_cfg, z2_engine, f2_engine, f2_cfg):
     pairs = sample_ancona_pairs(z2_cfg.group, z2_cfg.parabolic, z2_cfg.seed, 20, _TRANSITIONS)
-    taboos = [TabooContext(z2_engine, list(ball_elements(z2_cfg.group, r))) for r in range(5)]
+    taboos = [TabooContext(z2_engine, list(ball_elements(z2_cfg.group, r, DEFAULT_STATE_CAP))) for r in range(5)]
     arr = np.array(ancona_ratio(taboos, pairs))
     all_bounded = bool(np.all(arr <= 1.0 + 1e-12))
     mean = arr.mean(axis=0)
@@ -179,17 +180,17 @@ def test_a08_relative_green_decay(z2_cfg, z2_engine, f2_engine, f2_cfg):
 
 def test_a09_classification_suite(z2_cfg):
     g = z2_cfg.group
-    diag = SequenceSpec(name="diag", templates=("a^n*b^n",), start=1, stop=12)
-    ray = SequenceSpec(name="ray", templates=("a*t",), start=1, stop=12)
+    diag = SequenceSpec(name="diag", templates=("a^n*b^n",), start=1, stop=12, mode="single")
+    ray = SequenceSpec(name="ray", templates=("a*t",), start=1, stop=12, mode="single")
     swap = SequenceSpec(name="swap", templates=("a^n", "b^n"), start=1, stop=12,
                         mode="alternate")
-    res_diag = classify(g, diag, [0])
+    res_diag = classify(g, diag.elements(g), [0])
     s = 1.0 / math.sqrt(2.0)
     diag_ok = (res_diag.tag == "Parabolic" and res_diag.coset == Coset.of(g.identity, 0)
                and np.allclose(res_diag.direction, (s, s), atol=1e-6))
     ray_elems = [g.word("a*t") ** n for n in range(1, 13)]
     ray_ok = classify(g, ray_elems, [0]).tag == "Conical"
-    swap_ok = classify(g, swap, [0]).tag == "Unresolved"
+    swap_ok = classify(g, swap.elements(g), [0]).tag == "Unresolved"
     t = g.word("t")
     moved = classify(g, [t * x for x in diag.elements(g)], [0])
     moved_ray = classify(g, [t * x for x in ray_elems], [0])

@@ -9,6 +9,7 @@ from relwalk import (FreeProductEngine, SequenceSpec, TabooContext, ancona_ratio
                      ball_elements, martin_convergence, separation_experiment)
 from relwalk.classify import classify, sample_ancona_pairs
 from relwalk.cli import _TRANSITIONS
+from relwalk.config import DEFAULT_STATE_CAP
 from relwalk.errors import BoundedSequenceError, ParseError
 from relwalk.perron import BoundaryPointU, level_set_point, minimize_lambda
 from relwalk.groups import Coset
@@ -18,18 +19,18 @@ from conftest import count_calls, extrapolated_ratio_deviation
 
 def test_template_exponent_parsing(z2_cfg):
     g = z2_cfg.group
-    spec = SequenceSpec(name="diag", templates=("a^n*b^n",), start=1, stop=4)
+    spec = SequenceSpec(name="diag", templates=("a^n*b^n",), start=1, stop=4, mode="single")
     assert spec.element(g, 3) == g.word("a^3*b^3")
-    affine = SequenceSpec(name="odd", templates=("a^2n+1",), start=0, stop=3)
+    affine = SequenceSpec(name="odd", templates=("a^2n+1",), start=0, stop=3, mode="single")
     assert affine.element(g, 2) == g.word("a^5")
-    const = SequenceSpec(name="mix", templates=("t*a^n",), start=1, stop=4)
+    const = SequenceSpec(name="mix", templates=("t*a^n",), start=1, stop=4, mode="single")
     assert const.element(g, 1) == g.word("t*a")
     with pytest.raises(ParseError):
-        SequenceSpec(name="bad", templates=("a^n^2",), start=1, stop=3).element(g, 1)
-    word = SequenceSpec(name="word", templates=("(a*t)^n*b",), start=1, stop=3)
+        SequenceSpec(name="bad", templates=("a^n^2",), start=1, stop=3, mode="single").element(g, 1)
+    word = SequenceSpec(name="word", templates=("(a*t)^n*b",), start=1, stop=3, mode="single")
     assert word.element(g, 2) == g.word("a*t*a*t*b")
     with pytest.raises(ParseError) as nested:
-        SequenceSpec(name="nested", templates=("((a*t)^2*b)^n",), start=1, stop=3).element(g, 1)
+        SequenceSpec(name="nested", templates=("((a*t)^2*b)^n",), start=1, stop=3, mode="single").element(g, 1)
     assert "'((a*t)^2*b)^n'" in str(nested.value) and "nest" in str(nested.value)
 
 
@@ -41,13 +42,13 @@ def test_alternate_mode_cycles_templates(z2_cfg):
     assert els[0] == g.word("b^1")
     assert els[1] == g.word("a^2")
     with pytest.raises(ParseError):
-        SequenceSpec(name="two", templates=("a^n", "b^n"), start=1, stop=3)
+        SequenceSpec(name="two", templates=("a^n", "b^n"), start=1, stop=3, mode="single")
 
 
 def test_diagonal_sequence_is_parabolic_with_unit_diagonal_direction(z2_cfg):
     g = z2_cfg.group
-    spec = SequenceSpec(name="diag", templates=("a^n*b^n",), start=1, stop=10)
-    res = classify(g, spec, parabolic=[0])
+    spec = SequenceSpec(name="diag", templates=("a^n*b^n",), start=1, stop=10, mode="single")
+    res = classify(g, spec.elements(g), parabolic=[0])
     assert res.tag == "Parabolic"
     assert res.coset is not None and res.coset.factor == 0
     s = 1.0 / math.sqrt(2.0)
@@ -56,7 +57,7 @@ def test_diagonal_sequence_is_parabolic_with_unit_diagonal_direction(z2_cfg):
 
 def test_mixed_syllable_sequence_is_conical(z2_cfg):
     g = z2_cfg.group
-    spec = SequenceSpec(name="at", templates=("a*t",), start=1, stop=10)
+    spec = SequenceSpec(name="at", templates=("a*t",), start=1, stop=10, mode="single")
     seq = [g.word("a*t") ** n for n in range(1, 11)]
     res = classify(g, seq, parabolic=[0])
     assert res.tag == "Conical"
@@ -66,7 +67,7 @@ def test_axis_swapping_sequence_stays_unresolved(z2_cfg):
     g = z2_cfg.group
     spec = SequenceSpec(name="swap", templates=("a^n", "b^n"), start=1, stop=12,
                         mode="alternate")
-    res = classify(g, spec, parabolic=[0])
+    res = classify(g, spec.elements(g), parabolic=[0])
     assert res.tag == "Unresolved"
 
 
@@ -79,8 +80,8 @@ def test_second_factor_ray_is_conical_relative_to_first(z2_cfg):
 
 def test_translated_sequence_lands_in_translated_coset(z2_cfg):
     g = z2_cfg.group
-    spec = SequenceSpec(name="tdiag", templates=("t*a^n*b^n",), start=1, stop=10)
-    res = classify(g, spec, parabolic=[0])
+    spec = SequenceSpec(name="tdiag", templates=("t*a^n*b^n",), start=1, stop=10, mode="single")
+    res = classify(g, spec.elements(g), parabolic=[0])
     assert res.tag == "Parabolic"
     assert res.coset == Coset.of(g.word("t"), 0)
     s = 1.0 / math.sqrt(2.0)
@@ -91,8 +92,8 @@ def test_representative_invariance_for_the_diagonal(z2_cfg):
     # Translating by a^-1 moves the identity coset's chart by a's lattice part,
     # as choosing a for its representative would.
     g = z2_cfg.group
-    spec = SequenceSpec(name="diag", templates=("a^n*b^n",), start=1, stop=14)
-    base = classify(g, spec, [0])
+    spec = SequenceSpec(name="diag", templates=("a^n*b^n",), start=1, stop=14, mode="single")
+    base = classify(g, spec.elements(g), [0])
     shifted = classify(g, [g.word("a^-1") * x for x in spec.elements(g)], [0])
     assert shifted.tag == base.tag == "Parabolic"
     assert shifted.coset == base.coset
@@ -115,7 +116,7 @@ def test_ancona_ratio_conventions_and_tree_values(f2_engine, f2_cfg):
     ((off_axis,),) = ancona_ratio([TabooContext(eng, [g.word("b")])],
                                   [(g.identity, g.word("a"))])
     assert abs(off_axis - 8.0 / 9.0) < 1e-10
-    assert ancona_ratio([TabooContext(eng, list(ball_elements(g, 2)))], [(x, z)]) == [(0.0,)]
+    assert ancona_ratio([TabooContext(eng, list(ball_elements(g, 2, DEFAULT_STATE_CAP)))], [(x, z)]) == [(0.0,)]
 
 
 def test_ancona_ratio_evaluation_count(z2_cfg, monkeypatch):
@@ -132,7 +133,7 @@ def test_ancona_ratio_evaluation_count(z2_cfg, monkeypatch):
         return inner(self, a, b)
 
     monkeypatch.setattr(FreeProductEngine, "green", counted)
-    ((rho,),) = ancona_ratio([TabooContext(eng, list(ball_elements(z2_cfg.group, 4)))], pairs)
+    ((rho,),) = ancona_ratio([TabooContext(eng, list(ball_elements(z2_cfg.group, 4, DEFAULT_STATE_CAP)))], pairs)
     assert 0.0 <= rho <= 1.0
     assert calls[0] < 2000
 
@@ -174,7 +175,8 @@ def test_martin_convergence_along_a_free_factor_ray(f2_engine, f2_cfg):
     g = f2_cfg.group
     seq = [g.word(f"a^{n}") for n in range(3, 9)]
     pts = [g.identity, g.word("a"), g.word("a^2"), g.word("b")]
-    rep = martin_convergence(f2_engine, seq, pts, ns=list(range(3, 9)))
+    rep = martin_convergence(f2_engine, seq, pts, ns=list(range(3, 9)),
+                             boundary=None, coset=None)
     assert rep.ns == list(range(3, 9)) and rep.kernels.shape == (6, 4)
     assert rep.kernels[0, 0] == 1.0
     assert abs(rep.kernels[-1, 1] - 3.0) < 1e-12

@@ -11,15 +11,16 @@ import pytest
 import relwalk.cli as cli
 from relwalk import FreeProductEngine, ball_elements, load_config
 from relwalk.classify import sample_ancona_pairs
+from relwalk.config import DEFAULT_STATE_CAP
 from relwalk.errors import ConfigError
 from relwalk.perron import minimize_lambda
 
 from conftest import CONFIG_DIR, cli_env, config_path, count_calls
 
 
-def run_cli(*argv, env_extra=None):
+def run_cli(*argv):
     return subprocess.run([sys.executable, "-m", "relwalk", *argv],
-                          capture_output=True, text=True, env=cli_env(**(env_extra or {})),
+                          capture_output=True, text=True, env=cli_env(),
                           cwd=os.path.dirname(CONFIG_DIR))
 
 
@@ -274,7 +275,9 @@ def test_out_of_box_green_lookup_exits_with_diagnostic(tmp_path):
     assert "Traceback" not in r.stderr
     with open(out / "martin_seq_diagnostic.json") as fh:
         diag = json.load(fh)
-    assert diag["reason"] == "point (13, 10) lies outside the box of half-width 8 around (4, 3)"
+    # (8, 7) came first and fixed the half-width of centre (4, 3) at 8; (9, 7) shares it.
+    assert diag["reason"] == ("point (9, 7) lies outside the box of half-width 8 "
+                              "fixed by the first read with centre (4, 3)")
 
 
 def _capped(tmp_path, base: str, cap: int) -> str:
@@ -314,17 +317,18 @@ def test_markov_synthetic_chain_fails_tolerance_with_diagnostic(tmp_path):
 
 
 def test_output_dir_precedence(tmp_path):
+    """--out wins over the config's output_dir, which is used without it."""
+    cfg_dir = tmp_path / "cfg"
+    p = tmp_path / "lattice_1d.json"
+    p.write_text(json.dumps(_shipped("lattice_1d", output_dir=str(cfg_dir))))
     flag_dir = tmp_path / "flag"
-    env_dir = tmp_path / "env"
-    r = run_cli("green", "--config", config_path("lattice_1d.json"),
-                "--out", str(flag_dir), env_extra={"RELWALK_OUT": str(env_dir)})
+    r = run_cli("green", "--config", str(p), "--out", str(flag_dir))
     assert r.returncode == 0
     assert (flag_dir / "green.json").exists()
-    assert not env_dir.exists()
-    r2 = run_cli("green", "--config", config_path("lattice_1d.json"),
-                 env_extra={"RELWALK_OUT": str(env_dir)})
+    assert not cfg_dir.exists()
+    r2 = run_cli("green", "--config", str(p))
     assert r2.returncode == 0
-    assert (env_dir / "green.json").exists()
+    assert (cfg_dir / "green.json").exists()
 
 
 def test_synthetic_run_all_is_deterministic(tmp_path):
@@ -572,7 +576,7 @@ def test_ancona_green_blocks_do_not_grow_with_the_sample_count(tmp_path, monkeyp
                                     cli._TRANSITIONS)
         steps = [s for s, _ in cfg.measure.items()]
         assert sizes == [samples] + [
-            _cross_terms(ball_elements(cfg.group, r), steps, pairs)
+            _cross_terms(ball_elements(cfg.group, r, DEFAULT_STATE_CAP), steps, pairs)
             for r in range(cli._ANCONA_RMAX + 1)]
         counts[samples] = blocks[0]
         assert scalar[0] == 0
@@ -588,6 +592,22 @@ def test_ancona_alone_writes_what_run_all_writes(tmp_path):
     for name in ("ancona.csv", "ancona.json"):
         assert (tmp_path / "ancona" / name).read_bytes() == \
             (tmp_path / "all" / name).read_bytes()
+
+
+def test_coincident_level_points_fail_boundary_map_as_non_injective(tmp_path, monkeypatch):
+    """Every direction mapped to one level point: boundary-map exits 2 and
+    names the coincidence, with the smallest gap and its floor."""
+    real = cli.level_set_point
+    monkeypatch.setattr(cli, "level_set_point", lambda chain, _theta: real(chain, (1.0,)))
+    out = tmp_path / "b"
+    assert cli.main(["boundary-map", "--config", config_path("lattice_1d.json"),
+                     "--out", str(out)]) == 2
+    with open(out / "boundary_map_diagnostic.json") as fh:
+        diag = json.load(fh)
+    assert diag["reason"] == "boundary map not injective: two level points coincide"
+    assert diag["min_pairwise_u_gap"] == 0.0
+    assert diag["floor"] == 1e-12
+    assert diag["non_injective"] == ["chain"]
 
 
 def test_run_all_minimizes_each_chain_once(tmp_path):

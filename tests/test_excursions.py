@@ -5,13 +5,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.special
 
 from relwalk import (ChainGreen, FreeProductEngine, StepMeasure, TabooContext,
                      ball_elements, excursions)
 from relwalk.classify import sample_ancona_pairs
 from relwalk.cli import _TRANSITIONS
+from relwalk.config import DEFAULT_STATE_CAP
 from relwalk.errors import ConvergenceError, InvalidMeasureError
 from relwalk.groups import FactorSpec, FreeProductGroup
+
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -205,6 +209,28 @@ def test_pinned_values_for_the_rank_two_free_product(z2_engine):
     assert abs(z2_engine.return_mass[1] - 0.0338952574606) < 1e-9
 
 
+@pytest.mark.parametrize("loop", [0.5, 0.6])
+def test_oracle_series_matches_the_elliptic_closed_form(loop):
+    # With equal axis weights p, a 45 degree rotation splits the planar walk
+    # into two independent +-1 walks: G(0, 0) = (2/pi) K(k) / (1 - l), k = 4p/(1 - l).
+    p = 1.0 / 12.0
+    k = 4.0 * p / (1.0 - loop)
+    exact = 2.0 / math.pi * scipy.special.ellipk(k * k) / (1.0 - loop)
+    assert oracles.lattice_green_00(loop, [(p, p), (p, p)]) == pytest.approx(exact, rel=1e-14)
+
+
+@pytest.mark.parametrize("engine_name", ["z2_engine", "seeded_z2_engine"])
+def test_green_identity_and_return_masses_match_the_exact_reference(engine_name, request):
+    """The engine's G(e, e) in every factor and its return masses, against
+    the exact series of tests/oracles.py on the shipped z2_free_z walk and
+    the seed-1 benchmark walk, to 1e-13 relative (both read under 1.5e-15)."""
+    engine = request.getfixturevalue(engine_name)
+    masses = oracles.return_masses(engine.mu)
+    assert engine.return_mass == pytest.approx(masses, rel=1e-13, abs=0.0)
+    for g_ee in oracles.green_identity(engine.mu, masses):
+        assert engine.green_identity_value == pytest.approx(g_ee, rel=1e-13, abs=0.0)
+
+
 def test_engine_rejects_multi_syllable_support(f2_cfg):
     g = f2_cfg.group
     nu = StepMeasure.from_weights(g, [("a*b", "0.5"), ("b^-1*a^-1", "0.5")])
@@ -226,8 +252,8 @@ def test_engine_satisfies_the_resolvent_identity(f2_engine, z2_engine):
     """G(x, y) = delta(x, y) + sum_s mu(s) G(xs, y): G inverts I - P."""
     for eng in (f2_engine, z2_engine):
         worst = 0.0
-        for y in ball_elements(eng.group, 2):
-            for x in ball_elements(eng.group, 3):
+        for y in ball_elements(eng.group, 2, DEFAULT_STATE_CAP):
+            for x in ball_elements(eng.group, 3, DEFAULT_STATE_CAP):
                 rhs = (1.0 if x == y else 0.0) + sum(
                     w * eng.green(x * s, y) for s, w in eng.mu.items())
                 worst = max(worst, abs(eng.green(x, y) - rhs))
@@ -238,7 +264,7 @@ def test_green_matrix_is_bit_equal_to_green(z2_engine, z2_asymmetric_engine, f2_
     # A ball holds the identity, every prefix of its elements and, on the
     # diagonal, the pairs x == y.
     for eng, radius in ((z2_engine, 4), (z2_asymmetric_engine, 4), (f2_engine, 4)):
-        ball = ball_elements(eng.group, radius)
+        ball = ball_elements(eng.group, radius, DEFAULT_STATE_CAP)
         assert np.array_equal(eng.green_matrix(ball, ball), _scalar_block(eng, ball, ball))
 
 
@@ -256,7 +282,7 @@ def test_green_matrix_merges_finite_syllables_bit_for_bit():
     # Middle syllables of x^-1 y merge through the finite table.
     g, mu, radius = _finite_factor_walk()
     eng = FreeProductEngine(g, mu, radius=radius)
-    ball = ball_elements(g, 4)
+    ball = ball_elements(g, 4, DEFAULT_STATE_CAP)
     pairs = {(x.syllables[0][1:], y.syllables[0][1:]) for x in ball for y in ball
              if x.syllables and y.syllables and x.syllables[0][0] == y.syllables[0][0]}
     assert any(jx != jy and jx and jy for (_, jx), (_, jy) in pairs)
@@ -288,7 +314,7 @@ def test_green_pairs_equal_block_diagonals_and_scalar_green(walk, f2_cfg, z2_cfg
         cfg = f2_cfg if walk == "f2" else z2_cfg
         g, mu, radius = cfg.group, cfg.measure, cfg.radius
     rng = np.random.default_rng(21)
-    near, far = ball_elements(g, 2), ball_elements(g, 4)
+    near, far = ball_elements(g, 2, DEFAULT_STATE_CAP), ball_elements(g, 4, DEFAULT_STATE_CAP)
     xs = [near[i] for i in rng.integers(0, len(near), 60)] + [g.identity, g.identity, far[-1]]
     ys = [far[i] for i in rng.integers(0, len(far), 60)] + [g.identity, far[-1], g.identity]
     steps = [s for s, _ in mu.items()]
@@ -324,10 +350,10 @@ def test_taboo_context_satisfies_the_first_step_identity(engine_name, request):
     cut vertex between x and y, G_A vanishes up to rounding.
     """
     eng = request.getfixturevalue(engine_name)
-    avoid = TabooContext(eng, list(ball_elements(eng.group, 2)))
+    avoid = TabooContext(eng, list(ball_elements(eng.group, 2, DEFAULT_STATE_CAP)))
     inside = set(avoid.elems)
-    starts = [x for x in ball_elements(eng.group, 3) if x not in inside][::10]
-    targets = ball_elements(eng.group, 3)[::8]
+    starts = [x for x in ball_elements(eng.group, 3, DEFAULT_STATE_CAP) if x not in inside][::10]
+    targets = ball_elements(eng.group, 3, DEFAULT_STATE_CAP)[::8]
     assert any(y in inside for y in targets) and any(y not in inside for y in targets)
     pairs = [(x, y) for x in starts for y in targets]
     pairs += [(x * s, y) for x, y in pairs for s, _ in eng.mu.items() if x * s not in inside]
@@ -362,7 +388,7 @@ def test_batched_taboo_values_equal_lone_pairs_bit_for_bit(cfg_name, seed, count
                                 cfg.seed if seed is None else seed, count, _TRANSITIONS)
     assert len(pairs) == count and len(pairs) - len(set(pairs)) == repeats
     for r, touch in enumerate(touching):
-        taboo = TabooContext(eng, list(ball_elements(cfg.group, r)))
+        taboo = TabooContext(eng, list(ball_elements(cfg.group, r, DEFAULT_STATE_CAP)))
         assert sum(x in taboo.index or z in taboo.index for x, z in pairs) == touch
         batched = taboo.value(pairs)
         alone = [v for pair in pairs for v in taboo.value([pair])]

@@ -7,6 +7,7 @@ import pytest
 from relwalk import (ChainGreen, FactorSpec, FiberIndex, FreeProductEngine, FreeProductGroup,
                      StepMeasure, induce_first_return, minimize_lambda,
                      verify_same_green)
+from relwalk.config import DEFAULT_STATE_CAP
 from relwalk.induced import _SAME_GREEN_PROBES
 from relwalk.perron import level_set_point
 
@@ -38,17 +39,17 @@ def assert_same_green_equals_the_scalar_loop(monkeypatch, chain, group, mu, radi
 
 
 def test_fiber_enumeration_small_neighborhoods(f2_cfg, z2_cfg):
-    f1 = FiberIndex.build(f2_cfg.group, factor=0, eta=1)
+    f1 = FiberIndex.build(f2_cfg.group, factor=0, eta=1, state_cap=DEFAULT_STATE_CAP)
     assert len(f1) == 3
-    z0 = FiberIndex.build(z2_cfg.group, factor=0, eta=0)
+    z0 = FiberIndex.build(z2_cfg.group, factor=0, eta=0, state_cap=DEFAULT_STATE_CAP)
     assert len(z0) == 1
-    z2 = FiberIndex.build(z2_cfg.group, factor=0, eta=2)
+    z2 = FiberIndex.build(z2_cfg.group, factor=0, eta=2, state_cap=DEFAULT_STATE_CAP)
     assert len(z2) == 13
 
 
 def test_fiber_round_trip_through_group_elements(z2_cfg):
     group = z2_cfg.group
-    fibers = FiberIndex.build(group, factor=0, eta=2)
+    fibers = FiberIndex.build(group, factor=0, eta=2, state_cap=DEFAULT_STATE_CAP)
     assert fibers.state((0, 0), 0) == group.identity
     states = {fibers.state(z, k) for z in ((0, 0), (2, -1)) for k in range(len(fibers))}
     assert len(states) == 2 * len(fibers)
@@ -73,13 +74,13 @@ def test_free_group_induced_chain_is_the_birth_death_oracle(f2a_chain):
 
 
 def test_induced_chain_green_matches_the_walk(f2a_chain, f2_engine, f2_cfg):
-    fibers = FiberIndex.build(f2_cfg.group, factor=0, eta=0)
+    fibers = FiberIndex.build(f2_cfg.group, factor=0, eta=0, state_cap=DEFAULT_STATE_CAP)
     dev = verify_same_green(f2a_chain, f2_engine, fibers)
     assert dev < 1e-9
 
 
 def test_rank_two_induced_chain_green_matches_the_walk(z2_chain_eta2, z2_engine, z2_cfg):
-    fibers = FiberIndex.build(z2_cfg.group, factor=0, eta=2)
+    fibers = FiberIndex.build(z2_cfg.group, factor=0, eta=2, state_cap=DEFAULT_STATE_CAP)
     dev = verify_same_green(z2_chain_eta2, z2_engine, fibers)
     assert dev < 1e-9
 
@@ -90,7 +91,7 @@ def test_rank_two_induced_chain_green_matches_the_walk(z2_chain_eta2, z2_engine,
 def test_same_green_row_equals_the_scalar_loop(cfg_name, chain_name, eta, request, monkeypatch):
     cfg = request.getfixturevalue(cfg_name)
     chain = request.getfixturevalue(chain_name)
-    fibers = FiberIndex.build(cfg.group, factor=0, eta=eta)
+    fibers = FiberIndex.build(cfg.group, factor=0, eta=eta, state_cap=DEFAULT_STATE_CAP)
     assert_same_green_equals_the_scalar_loop(monkeypatch, chain, cfg.group, cfg.measure,
                                              cfg.radius, fibers)
 
@@ -127,8 +128,8 @@ def test_excursions_through_a_finite_factor(eta, monkeypatch):
         FactorSpec(0, ((0, 1, 2), (1, 2, 0), (2, 0, 1)), (), ("t", "u"))])
     mu = StepMeasure.uniform(group).lazy()
     engine = FreeProductEngine(group, mu, radius=6)
-    chain = induce_first_return(engine, factor=0, eta=eta)
-    fibers = FiberIndex.build(group, factor=0, eta=eta)
+    chain = induce_first_return(engine, factor=0, eta=eta, state_cap=DEFAULT_STATE_CAP)
+    fibers = FiberIndex.build(group, factor=0, eta=eta, state_cap=DEFAULT_STATE_CAP)
     assert chain.fiber_count == len(fibers)
     assert verify_same_green(chain, engine, fibers) < 1e-6
     assert_same_green_equals_the_scalar_loop(monkeypatch, chain, group, mu, 6, fibers)
@@ -161,9 +162,9 @@ def test_wide_neighbourhood_chain_complements_to_the_eta0_chain(
     # Watching the eta-chain only on the eta-0 fibers is watching the walk
     # on P: the complement (Meyer, SIAM Rev. 31, 1989) is the eta-0 kernel.
     pairs = {"z2 eta 2": (z2_chain_eta0, z2_chain_eta2),
-             "f2_over_a eta 2": (f2a_chain, induce_first_return(f2_engine, 0, 2)),
-             "f2_over_a eta 4": (f2a_chain, induce_first_return(f2_engine, 0, 4)),
-             "seeded z2 eta 4": (induce_first_return(seeded_z2_engine, 0, 0), seeded_eta4_chain)}
+             "f2_over_a eta 2": (f2a_chain, induce_first_return(f2_engine, 0, 2, DEFAULT_STATE_CAP)),
+             "f2_over_a eta 4": (f2a_chain, induce_first_return(f2_engine, 0, 4, DEFAULT_STATE_CAP)),
+             "seeded z2 eta 4": (induce_first_return(seeded_z2_engine, 0, 0, DEFAULT_STATE_CAP), seeded_eta4_chain)}
     for name, (base, wide) in pairs.items():
         count = base.fiber_count
         block, displaced = complement_onto_first_fibers(base, count)

@@ -133,7 +133,7 @@ def test_absorption_distribution_matches_first_passage():
     r = 2.0 - math.sqrt(3.0)
     cg = ChainGreen(chain, radius=50)
     for max_len in (0, 1):
-        dist = absorption_distribution(chain, (3,), 0, max_len=max_len, radius=40)
+        dist = absorption_distribution(chain, (3,), 0, max_len=max_len, radius=40, boxes={})
         total = sum(dist.values())
         assert 0.0 < total <= 1.0 + 1e-12
         assert set(dist) == {((max_len,), 0)}
@@ -159,7 +159,7 @@ def test_first_hit_law_decomposes_the_green_function():
                if abs(z1) + abs(z2) + j <= depth]
     assert ((0, 0), 1) in members
     for x in (((3, 1), 0), ((-2, 2), 1), ((0, -3), 1)):
-        h = absorption_distribution(chain, x[0], x[1], max_len=depth, radius=30)
+        h = absorption_distribution(chain, x[0], x[1], max_len=depth, radius=30, boxes={})
         assert set(h) <= set(members)
         assert 0.0 < sum(h.values()) < 1.0
         for za, ja in members:
@@ -171,7 +171,7 @@ def test_first_hit_law_decomposes_the_green_function():
 
 def test_absorption_start_inside_set_rejected():
     with pytest.raises(ValueError):
-        absorption_distribution(killed_z(), (0,), 0, max_len=0, radius=10)
+        absorption_distribution(killed_z(), (0,), 0, max_len=0, radius=10, boxes={})
 
 
 def test_chain_green_translation_consistency():

@@ -346,7 +346,7 @@ def induced_chain(directory, config: dict, eta: int) -> LatticeChain:
     path.write_text(json.dumps(config))
     cfg = load_config(str(path))
     return induce_first_return(FreeProductEngine(cfg.group, cfg.measure, radius=cfg.radius),
-                               factor=0, eta=eta)
+                               factor=0, eta=eta, state_cap=cfg.state_cap)
 
 
 @pytest.fixture(scope="module")

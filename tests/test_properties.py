@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from relwalk import (FreeProductEngine, TransitionParams, ball_elements,
                      floyd_distance, induce_first_return, load_config,
                      transition_points, word_geodesic)
+from relwalk.config import DEFAULT_STATE_CAP
 from relwalk.groups import Coset, FactorSpec, FreeProductGroup, project_to_coset
 from relwalk.perron import perron, perron_values
 
@@ -152,8 +153,8 @@ def test_floyd_distance_matches_a_ball_dijkstra(tokens):
 
 
 Z2_ENGINE = FreeProductEngine(Z2_CFG.group, Z2_CFG.measure, radius=12)
-Z2_CHAIN = induce_first_return(Z2_ENGINE, factor=0, eta=0)
-Z2_CHAIN_ETA2 = induce_first_return(Z2_ENGINE, factor=0, eta=2)
+Z2_CHAIN = induce_first_return(Z2_ENGINE, factor=0, eta=0, state_cap=DEFAULT_STATE_CAP)
+Z2_CHAIN_ETA2 = induce_first_return(Z2_ENGINE, factor=0, eta=2, state_cap=DEFAULT_STATE_CAP)
 
 
 @COMMON
@@ -218,7 +219,7 @@ def searched_coset_rows(path, epsilon, fac):
     """
     cosets = {}
     for p in path:
-        for h in ball_elements(path[0].group, epsilon):
+        for h in ball_elements(path[0].group, epsilon, DEFAULT_STATE_CAP):
             c = Coset.of(p * h, fac)
             cosets.setdefault(c.sort_key(), c)
     return [[coset_distance(p, c) for p in path] for c in cosets.values()]
