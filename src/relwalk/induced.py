@@ -85,49 +85,44 @@ def induce_first_return(engine: FreeProductEngine, factor: int, eta: int,
     index = {(w.syllables, f): i for i, (w, f) in enumerate(fibers.fibers)}
     zero = (0,) * spec.rank
 
-    def kernel_entries(first_hit) -> list:
-        """Kernel entries in a fixed order; first_hit(v0, depth) gives an exit's law."""
-        entries = []
-        for k, (w, f) in enumerate(fibers.fibers):
-            for s, wt in engine.mu.items():
-                if s.syllable_count == 0:
-                    entries.append((k, k, zero, wt))
-                    continue
-                sf, sz, sj = s.syllables[0]
-                if w.syllable_count == 0 and sf == factor:
-                    entries.append((k, index[((), spec.finite_mul(f, sj))], tuple(sz), wt))
-                    continue
-                h = w * s
-                if h.word_length <= eta:
-                    entries.append((k, index[(h.syllables, f)], zero, wt))
-                    continue
-                # h leaves the ball inside its last syllable v0: the prefix
-                # before it is w or a prefix of w, so |prefix| <= eta.
-                v0 = h.syllables[-1]
-                prefix = GroupElement(group, h.syllables[:-1])  # prefixes of normal forms are normal
-                for (zv, jv), prob in sorted(first_hit(v0, eta - prefix.word_length).items()):
-                    if any(zv) or jv != 0:
-                        target = prefix * group.syllable(v0[0], zv, jv)
-                    else:
-                        target = prefix
-                    entries.append((k, index[(target.syllables, f)], zero, wt * prob))
-        return entries
-
-    # A first pass lists the first-hit laws the kernel needs.  They are
-    # solved in box order (factor, depth, start offset), so one stopped box
-    # is alive at a time and each box is factored once.
-    laws: dict[tuple, dict] = {}
-    kernel_entries(lambda v0, depth: laws.setdefault((v0, depth), {}))
-
-    def box_order(key):
-        (fac, z, _), depth = key
-        return fac, depth, max(map(abs, z), default=0), key
-
-    boxes: dict = {}
-    for v0, depth in sorted(laws, key=box_order):
-        laws[v0, depth] = absorption_distribution(
-            engine.factor_chain(v0[0]), v0[1], v0[2], depth, engine.radius, boxes=boxes)
-    entries = kernel_entries(lambda v0, depth: laws[v0, depth])
+    # One pass in kernel order.  A direct step is the entry (k, j2, dz,
+    # weight); an exit is (k, f, weight, prefix, v0, depth), expanded below
+    # once the first-hit law of v0 on its (factor, depth) set is known.
+    steps: list[tuple] = []
+    first_hit: dict[tuple[int, int], dict] = {}  # (factor, depth) -> {start (z, j): law}
+    for k, (w, f) in enumerate(fibers.fibers):
+        for s, wt in engine.mu.items():
+            if s.syllable_count == 0:
+                steps.append((k, k, zero, wt))
+                continue
+            sf, sz, sj = s.syllables[0]
+            if w.syllable_count == 0 and sf == factor:
+                steps.append((k, index[((), spec.finite_mul(f, sj))], tuple(sz), wt))
+                continue
+            h = w * s
+            if h.word_length <= eta:
+                steps.append((k, index[(h.syllables, f)], zero, wt))
+                continue
+            # h leaves the ball inside its last syllable v0: the prefix
+            # before it is w or a prefix of w, so |prefix| <= eta.
+            v0 = h.syllables[-1]
+            prefix = GroupElement(group, h.syllables[:-1])  # prefixes of normal forms are normal
+            depth = eta - prefix.word_length
+            first_hit.setdefault((v0[0], depth), {})[v0[1:]] = None
+            steps.append((k, f, wt, prefix, v0, depth))
+    for (fac, depth), starts in sorted(first_hit.items()):
+        first_hit[fac, depth] = dict(zip(starts, absorption_distribution(
+            engine.factor_chain(fac), list(starts), depth, engine.radius)))
+    entries = []
+    for step in steps:
+        if len(step) == 4:
+            entries.append(step)
+            continue
+        k, f, wt, prefix, (fac, z, j), depth = step
+        for (zv, jv), prob in sorted(first_hit[fac, depth][z, j].items()):
+            target = prefix * group.syllable(fac, zv, jv) if any(zv) or jv != 0 else prefix
+            entries.append((k, index[(target.syllables, f)], zero, wt * prob))
+    del steps, first_hit  # the chain's entries then reuse their heap: lower peak RSS
     chain = LatticeChain.build(rank=spec.rank, fiber_count=len(fibers), entries=entries)
     if not chain.is_strictly_submarkov:
         raise AssumptionError(

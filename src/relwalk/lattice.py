@@ -294,27 +294,31 @@ class ChainGreen:
         return self._boxes[half], zt
 
 
-def absorption_distribution(chain: LatticeChain, start_z: Sequence[int],
-                            start_j: int, max_len: int, radius: int, *,
-                            boxes: dict) -> dict[tuple[tuple[int, ...], int], float]:
-    """First-hit distribution on A = {(z,j): |z|_1 + [j != 0] <= max_len}.
+def absorption_distribution(chain: LatticeChain, starts: Sequence[tuple[Sequence[int], int]],
+                            max_len: int, radius: int
+                            ) -> list[dict[tuple[tuple[int, ...], int], float]]:
+    """First-hit distributions on A = {(z,j): |z|_1 + [j != 0] <= max_len}.
 
-    The chain starts at (start_z, start_j) outside A and runs until it
-    first enters A or dies; mass escaping a box of half-width radius (plus
-    the start offset) is treated as dead, consistent with the box Green
-    truncation used elsewhere.  The law is the Green row from the start in
-    a box stopped on A, read at A.  The dict boxes keeps the box of the
-    last call, so consecutive calls that need the same (chain, half-width,
-    max_len) box share one factorization.
+    From each start (z, j) outside A the chain runs until it first enters
+    A or dies; mass escaping a box of half-width radius + max(max_len,
+    max |z_i|) is treated as dead, consistent with the box Green
+    truncation used elsewhere.  A start's law is its Green row in that box
+    stopped on A, read at A.  Starts of one half-width share one box, and
+    the boxes are built in increasing half-width, one alive at a time.
+    Returns the laws in the order of starts.
     """
-    start = tuple(int(c) for c in start_z)
-    if sum(map(abs, start)) + (start_j != 0) <= max_len:
+    starts = [(tuple(int(c) for c in z), j) for z, j in starts]
+    if any(sum(map(abs, z)) + (j != 0) <= max_len for z, j in starts):
         raise ValueError("start state already lies in the absorbing set")
-    half = radius + max([max_len, *map(abs, start)])
-    key = (chain, half, max_len)
-    if key not in boxes:
-        boxes.clear()  # one box alive at a time
-        boxes[key] = BoxGreen(chain, half, stop_depth=max_len)
-    box = boxes[key]
-    row = box.row(start_j, start)
-    return {s: float(row[i]) for s, i in box.stopped.items() if row[i] > 0.0}
+    by_half: dict[int, list[int]] = {}
+    for i, (z, _) in enumerate(starts):
+        by_half.setdefault(radius + max([max_len, *map(abs, z)]), []).append(i)
+    laws: list = [None] * len(starts)
+    for half in sorted(by_half):
+        box = BoxGreen(chain, half, stop_depth=max_len)
+        for i in by_half[half]:
+            z, j = starts[i]
+            row = box.row(j, z)
+            laws[i] = {s: float(row[n]) for s, n in box.stopped.items() if row[n] > 0.0}
+        del box  # one box alive at a time
+    return laws

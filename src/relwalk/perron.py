@@ -331,7 +331,7 @@ def check_assumptions(chain: LatticeChain) -> AssumptionReport:
         msgs.append("no fiber row has total mass strictly below 1")
     irr = chain.is_strongly_irreducible()
     if not irr:
-        msgs.append("displacement support does not reach every fiber pair with full z-lattice span")
+        msgs.append("fiber support pattern is not primitive: no power of it is positive")
     mn = minimize_lambda(chain)
     if mn.value >= 1.0:
         msgs.append(f"lambda minimum {mn.value:.6f} is not below 1")

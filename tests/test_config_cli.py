@@ -316,6 +316,26 @@ def test_markov_synthetic_chain_fails_tolerance_with_diagnostic(tmp_path):
     assert "assumption" in diag["reason"]
 
 
+def test_period_two_chain_fails_lambda_surface_as_not_primitive(tmp_path):
+    """Its steps span Z, but the fiber pattern alternates 0 -> 1 -> 0, so no
+    power of it is positive: that is what the irreducibility check tests."""
+    cfg = {"name": "period_two", "chain": {
+        "rank": 1, "fibers": 2,
+        "entries": [[0, 1, [1], "0.3"], [0, 1, [-1], "0.1"],
+                    [1, 0, [1], "0.2"], [1, 0, [-1], "0.2"]]}}
+    p = tmp_path / "period_two.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "p"
+    assert cli.main(["lambda-surface", "--config", str(p), "--out", str(out)]) == 2
+    with open(out / "lambda_surface_diagnostic.json") as fh:
+        diag = json.load(fh)
+    report = diag["detail"]["chain"]
+    assert diag["reason"] == "assumption checks failed"
+    assert not report["strongly_irreducible"] and report["strictly_submarkov"]
+    assert report["messages"] == [
+        "fiber support pattern is not primitive: no power of it is positive"]
+
+
 def test_output_dir_precedence(tmp_path):
     """--out wins over the config's output_dir, which is used without it."""
     cfg_dir = tmp_path / "cfg"

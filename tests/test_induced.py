@@ -1,5 +1,6 @@
 """First-return chains on parabolic neighborhoods."""
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from relwalk import (ChainGreen, FactorSpec, FiberIndex, FreeProductEngine, FreeProductGroup,
                      StepMeasure, induce_first_return, minimize_lambda,
                      verify_same_green)
+from relwalk import induced, lattice
 from relwalk.config import DEFAULT_STATE_CAP
 from relwalk.induced import _SAME_GREEN_PROBES
 from relwalk.perron import level_set_point
@@ -172,3 +174,29 @@ def test_wide_neighbourhood_chain_complements_to_the_eta0_chain(
         assert wide.fiber_count > count, name
         assert wide_displaced == displaced, name
         assert np.all(np.abs(got - block) <= 1e-13 * np.abs(block)), name
+
+
+def test_induction_solves_each_absorbing_set_once(seeded_z2_engine, monkeypatch):
+    """At eta 4 the 48 exit starts fall in 8 absorbing sets (factor, depth):
+    one first-hit call each, over the same 11 stopped boxes as one call per
+    start, of which no two are ever alive at once."""
+    engine = seeded_z2_engine
+    calls = count_calls(monkeypatch, induced, "absorption_distribution")
+    built, live, most = [], [0], [0]
+    init = lattice.BoxGreen.__init__
+
+    def counted_init(self, chain, half_width, stop_depth=None):
+        init(self, chain, half_width, stop_depth)
+        if stop_depth is not None:
+            factor = next(i for i in range(2) if engine.factor_chain(i) is chain)
+            built.append((factor, half_width, stop_depth))
+            live[0] += 1
+            most[0] = max(most[0], live[0])
+            weakref.finalize(self, lambda: live.__setitem__(0, live[0] - 1))
+
+    monkeypatch.setattr(lattice.BoxGreen, "__init__", counted_init)
+    induce_first_return(engine, factor=0, eta=4, state_cap=DEFAULT_STATE_CAP)
+    assert calls[0] == 8
+    assert built == [(0, 15, 0), (0, 15, 1), (0, 16, 1), (0, 16, 2), (0, 17, 2), (0, 17, 3),
+                     (0, 18, 3), (1, 15, 0), (1, 16, 1), (1, 17, 2), (1, 19, 4)]
+    assert most[0] == 1 and live[0] == 0

@@ -133,7 +133,7 @@ def test_absorption_distribution_matches_first_passage():
     r = 2.0 - math.sqrt(3.0)
     cg = ChainGreen(chain, radius=50)
     for max_len in (0, 1):
-        dist = absorption_distribution(chain, (3,), 0, max_len=max_len, radius=40, boxes={})
+        dist, = absorption_distribution(chain, [((3,), 0)], max_len=max_len, radius=40)
         total = sum(dist.values())
         assert 0.0 < total <= 1.0 + 1e-12
         assert set(dist) == {((max_len,), 0)}
@@ -159,7 +159,7 @@ def test_first_hit_law_decomposes_the_green_function():
                if abs(z1) + abs(z2) + j <= depth]
     assert ((0, 0), 1) in members
     for x in (((3, 1), 0), ((-2, 2), 1), ((0, -3), 1)):
-        h = absorption_distribution(chain, x[0], x[1], max_len=depth, radius=30, boxes={})
+        h, = absorption_distribution(chain, [x], max_len=depth, radius=30)
         assert set(h) <= set(members)
         assert 0.0 < sum(h.values()) < 1.0
         for za, ja in members:
@@ -170,8 +170,25 @@ def test_first_hit_law_decomposes_the_green_function():
 
 
 def test_absorption_start_inside_set_rejected():
-    with pytest.raises(ValueError):
-        absorption_distribution(killed_z(), (0,), 0, max_len=0, radius=10, boxes={})
+    for starts in ([((0,), 0)], [((2,), 0), ((0,), 0)]):
+        with pytest.raises(ValueError):
+            absorption_distribution(killed_z(), starts, max_len=0, radius=10)
+
+
+@pytest.mark.parametrize("chain, starts", [
+    (two_fiber_plane(), [((3, 1), 0), ((-2, 2), 1), ((0, -3), 1), ((5, 0), 0)]),
+    (lazy(killed_z(0.25)), [((3,), 0), ((-6,), 0), ((2,), 0), ((-3,), 0)])])
+def test_one_call_over_several_half_widths_matches_one_start_calls(chain, starts):
+    """The starts need boxes of several half-widths radius + max|z_i|; the
+    laws of one call over all of them are those of one call per start, bit
+    for bit."""
+    assert len({max(map(abs, z)) for z, _ in starts}) >= 2
+    laws = absorption_distribution(chain, starts, max_len=1, radius=12)
+    assert len(laws) == len(starts)
+    for start, law in zip(starts, laws):
+        alone, = absorption_distribution(chain, [start], max_len=1, radius=12)
+        assert law and {s: p.hex() for s, p in law.items()} == {
+            s: p.hex() for s, p in alone.items()}
 
 
 def test_chain_green_translation_consistency():

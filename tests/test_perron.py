@@ -11,10 +11,13 @@ import relwalk.perron as perron_module
 from relwalk import (FreeProductEngine, LatticeChain, check_assumptions,
                      induce_first_return, level_set_point, limit_kernel_ratio,
                      load_config, minimize_lambda)
+from relwalk.config import DEFAULT_STATE_CAP
 from relwalk.errors import ConvergenceError
 from relwalk.perron import direction_grid, lambda_hessian, perron, perron_values
 
 from conftest import count_calls, count_tilts, perron_residual, tilted_matrix
+
+import oracles
 
 
 def killed_z(q: float = 0.2) -> LatticeChain:
@@ -512,3 +515,28 @@ def test_escape_messages_print_plain_floats(tmp_path):
     for m in stayed:
         x, y = map(float, m.split("direction (")[1].rstrip(")").split(", "))
         assert y < 0.0
+
+
+@pytest.mark.parametrize("engine_name", ["z2_engine", "seeded_z2_engine"])
+def test_eta0_chain_and_its_chart_match_the_exact_reference(engine_name, request):
+    """The eta = 0 chain is the Z^2 factor's own chain with loop mass
+    l_1 = mu(e) + r_t, so lambda(u) = l_1 + sum_i (p_i+ e^u_i + p_i- e^-u_i).
+    Against tests/oracles.py, to 1e-13: the loop entry and the four displaced
+    entries mu(+-a), mu(+-b) (relative), and at each of the 64 chart points
+    the exact level equation and the exact normal's direction (absolute)."""
+    engine = request.getfixturevalue(engine_name)
+    chain = induce_first_return(engine, factor=0, eta=0, state_cap=DEFAULT_STATE_CAP)
+    loop = engine.mu.identity_mass + oracles.return_masses(engine.mu)[1]
+    axes = oracles.axis_weights(engine.mu, 0)
+    weights = {dz: w for _, _, dz, w in chain.entries}
+    assert chain.fiber_count == 1 and len(weights) == 5
+    assert weights[(0, 0)] == pytest.approx(loop, rel=1e-13, abs=0.0)
+    for unit, (plus, minus) in zip(((1, 0), (0, 1)), axes):
+        assert weights[unit] == pytest.approx(plus, rel=1e-13, abs=0.0)
+        assert weights[tuple(-c for c in unit)] == pytest.approx(minus, rel=1e-13, abs=0.0)
+    plus, minus = np.array(axes).T
+    for th in direction_grid(2, 64):
+        u = np.array(level_set_point(chain, th).u)
+        assert abs(loop + plus @ np.exp(u) + minus @ np.exp(-u) - 1.0) <= 1e-13
+        normal = plus * np.exp(u) - minus * np.exp(-u)
+        assert np.linalg.norm(normal / np.linalg.norm(normal) - th) <= 1e-13
