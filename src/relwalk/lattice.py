@@ -12,8 +12,8 @@ First-hit laws on a neighborhood of the origin come from the same
 solver, on a box whose states in that neighborhood take no steps.  The
 box matrix is assembled in numpy, one vectorized pass per kernel entry.
 A chain also caches its TiltCore, the untilted kernel split at the
-fibers that displaced entries touch, from which perron.perron_values
-reads lambda(u).
+fibers that displaced entries touch, from which perron.perron and
+perron.perron_values read lambda(u).
 """
 from __future__ import annotations
 
@@ -96,7 +96,8 @@ class LatticeChain:
         every power from the Wielandt bound n^2 - 2n + 2 on positive, so
         the pattern is squared until its exponent reaches the bound.  The
         0/1 pattern is squared in float64, on BLAS: every entry of a
-        product is at most n, so the booleans are exact.
+        product is at most n, so the booleans are exact.  The displacements
+        are not looked at here; cycle_lattice_index checks them.
         """
         n = self.fiber_count
         power = np.zeros((n, n))
@@ -109,6 +110,51 @@ class LatticeChain:
             power = np.minimum(power @ power, 1)
             exponent *= 2
         return bool(power.min() > 0)
+
+    def cycle_lattice_index(self) -> int:
+        """Index in Z^k of the group that closed fiber paths displace by; 0 if infinite.
+
+        A primitive pattern still leaves sites unreached when that group is
+        not all of Z^k (steps +-2 reach only even z), so check_assumptions
+        asks for index 1 as well.  Potentials phi along a spanning tree
+        from fiber 0 make dz + phi(j1) - phi(j2) of each entry the
+        displacement of a closed path, and these generate the group.
+        Integer row reduction (Euclid on each column) brings them to
+        echelon form, whose pivots multiply to the index.  Fibers that no
+        path joins to fiber 0 do not count.
+        """
+        live = [(j1, j2, dz) for j1, j2, dz, w in self.entries if w > 0]
+        links: dict[int, list[tuple[int, tuple[int, ...], int]]] = {}
+        for j1, j2, dz in live:
+            links.setdefault(j1, []).append((j2, dz, 1))
+            links.setdefault(j2, []).append((j1, dz, -1))
+        phi = {0: (0,) * self.rank}
+        stack = [0]
+        while stack:
+            j = stack.pop()
+            for k, dz, sign in links.get(j, ()):
+                if k not in phi:
+                    phi[k] = tuple(p + sign * d for p, d in zip(phi[j], dz))
+                    stack.append(k)
+        cycles = {tuple(d + a - b for d, a, b in zip(dz, phi[j1], phi[j2]))
+                  for j1, j2, dz in live if j1 in phi}
+        pivots: list[list[int] | None] = [None] * self.rank  # row i starts at column i
+        for v in map(list, sorted(cycles)):
+            for i in range(self.rank):
+                if not v[i]:
+                    continue
+                if pivots[i] is None:
+                    pivots[i] = v
+                    break
+                row = pivots[i]
+                while v[i]:  # Euclid on column i, which v leaves at 0
+                    q = row[i] // v[i]
+                    row, v = v, [a - q * b for a, b in zip(row, v)]
+                pivots[i] = row
+        index = 1
+        for i, row in enumerate(pivots):
+            index *= abs(row[i]) if row is not None else 0
+        return index
 
 
 @dataclass(frozen=True)
@@ -123,14 +169,17 @@ class TiltCore:
     M(lambda, u) = A_CC + D(u) + A_CR (lambda - A_RR)^-1 A_RC
     (Meyer, SIAM Review 31, 1989).  A_RR is kept in Schur form Q T Q^*,
     real unless A_RR has complex eigenvalues, so that each resolvent is a
-    triangular solve that stays backward stable on a defective A_RR.
+    triangular solve that stays backward stable on a defective A_RR.  Q
+    lifts the complement's Perron vectors back to the fibers of R.
     """
 
     core: np.ndarray  # C, in fiber order
+    rest: np.ndarray  # R, in fiber order
     moved: np.ndarray  # the displaced entries, or every entry when R is empty
     slots: np.ndarray  # their flat positions j1 * |C| + j2 in the C x C block
     base: np.ndarray  # A_CC
     schur: np.ndarray  # T, |R| x |R| upper triangular
+    basis: np.ndarray  # Q
     leave: np.ndarray  # A_CR Q
     enter: np.ndarray  # Q^* A_RC
     core_out: np.ndarray  # row sums of A_CR
@@ -153,9 +202,9 @@ class TiltCore:
         if np.any(np.diag(schur, -1)):  # a 2 x 2 block: complex eigenvalues
             schur, q = scipy.linalg.rsf2csf(schur, q)
         return TiltCore(
-            core=core, moved=np.flatnonzero(moved),
+            core=core, rest=rest, moved=np.flatnonzero(moved),
             slots=local[j1[moved]] * core.size + local[j2[moved]],
-            base=a[np.ix_(core, core)], schur=schur,
+            base=a[np.ix_(core, core)], schur=schur, basis=q,
             leave=a[np.ix_(core, rest)] @ q, enter=q.conj().T @ a[np.ix_(rest, core)],
             core_out=a[np.ix_(core, rest)].sum(axis=1),
             rest_mass=float(a[rest].sum(axis=1).max(initial=0.0)))

@@ -6,17 +6,20 @@ lambda(u) is smooth, log-convex, and for strictly sub-Markov strongly
 irreducible chains the level set {lambda = 1} is a compact convex
 hypersurface whose outward normals parametrize directions of escape.
 
-perron() computes lambda(u) with both eigenvectors and the gradient from
-one dense eigensolve of F(u), and lambda_hessian takes the Hessian from
-that eigenpair; the Newton solvers for both geometric problems read them.
-perron_values() computes lambda alone, for a batch of tilts, for the
-callers that read only lambda: the lambda-surface grid and the escape
-probes of check_assumptions.  One pass assembles A_CC + D(u) for the
-batch, on the fibers C that displaced entries touch (lattice.TiltCore).
-With the rest R empty that is F(u), and one batched eigvals gives lambda.
-Otherwise lambda = rho(M(lambda, u)) for the stochastic complement M onto
-C, solved by one Newton iteration over all tilts whose steps are two
-triangular solves against the Schur form of A_RR, factored once per chain.
+perron() computes lambda(u) with both eigenvectors and the gradient, and
+lambda_hessian takes the Hessian from that eigenpair; the Newton solvers
+for both geometric problems read them.  perron_values() computes lambda
+alone, for a batch of tilts, for the callers that read only lambda: the
+lambda-surface grid and the escape probes of check_assumptions.  Both
+work on the fibers C that displaced entries touch (lattice.TiltCore).
+With the rest R empty, A_CC + D(u) is F(u): one dense eigensolve gives
+perron()'s pair and one batched eigvals perron_values' roots.  Otherwise
+lambda = rho(M(lambda, u)) for the stochastic complement M onto C, solved
+by Newton steps that are triangular solves against the Schur form of
+A_RR, factored once per chain: one LAPACK solve per resolvent for
+perron()'s one tilt, whose iteration runs on floats, and one back
+substitution over all tilts for perron_values.  perron() lifts M's Perron
+vectors to R with its last Newton step's solve and one transposed solve.
 """
 from __future__ import annotations
 
@@ -26,13 +29,14 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 from .errors import AssumptionError, ConvergenceError
 from .lattice import LatticeChain, TiltCore
 
 _EXP_CAP = 700.0  # exp overflow guard on tilted entries
-_DENSE_EIG_MAX = 64  # read only by the benchmark harness, to label spans by fiber count
-_CORE_ROUNDS, _POLE_GAP = 100, 1e-14  # perron_values: Newton cap, smallest bracket around rho(A_RR)
+_DENSE_EIG_MAX = 64  # no src/ path depends on it; the benchmark harness labels spans by it
+_CORE_ROUNDS, _POLE_GAP = 100, 1e-14  # core Newton: step cap, smallest bracket around rho(A_RR)
 _MIN_GRAD_TOL, _MIN_ROUNDS = 1e-10, 100  # minimize_lambda: last-step gradient, round cap
 _ESCAPE_PROBES = (16.0, 8.0, 4.0, 2.0, 1.0, 0.5)  # check_assumptions: tilts per direction, far first
 _ESCAPE_GRID, _ESCAPE_LEVEL = 64, 2.0  # check_assumptions: direction count, escape level
@@ -87,23 +91,35 @@ def perron(chain: LatticeChain, u) -> PerronData:
 
     For the callers that read the eigenvectors or the gradient: the
     minimizer and the level-set Newton solvers; perron_values gives lambda
-    alone for less.  One eigendecomposition of F(u) gives both
-    eigenvectors: for a primitive nonnegative matrix the Perron root
-    strictly dominates every other eigenvalue in modulus, so the eigenvalue
-    of largest real part is the root and its eigenvectors are real up to
-    rounding; scaling them to unit sum also makes them positive.  The
+    alone for less.  With the rest R of the tilt core empty, one dense
+    eigendecomposition of F(u) gives both eigenvectors: for a primitive
+    nonnegative matrix the Perron root strictly dominates every other
+    eigenvalue in modulus, so the eigenvalue of largest real part is the
+    root and its eigenvectors are real up to rounding.  Otherwise lambda
+    is perron_values' root of the complement M(lambda, u) onto C, and M's
+    Perron vectors r_C, l_C lift to R (_core_pair):
+    r_R = (lambda - A_RR)^-1 A_RC r_C and l_R^T = l_C^T A_CR (lambda - A_RR)^-1.
+    Scaling both vectors to unit sum also makes them positive.  The
     gradient uses the eigenvalue perturbation identity
-    d lambda/d u_i = w^T (dF/du_i) v / (w^T v).
+    d lambda/d u_i = w^T (dF/du_i) v / (w^T v).  Where the root is
+    rho(A_RR), that of a class of R the tilt does not reach, the lift is
+    singular: lambda does not move with u there, the gradient is 0 and the
+    vectors are NaN.
     """
     v = _tilt_vector(chain, u)
     tilted = _tilted_weights(chain, v)
-    F = _fiber_sum(chain, tilted)
-    vals, lvecs, rvecs = scipy.linalg.eig(F, left=True)
-    idx = int(np.argmax(vals.real))
-    lam = float(vals[idx].real)
-    right = rvecs[:, idx].real
+    split = chain.tilt_core
+    if split.schur.size:
+        lam, right, left = _core_pair(split, tilted)
+        if right is None:
+            nan = np.full(chain.fiber_count, np.nan)
+            return PerronData(u=tuple(v), value=lam, right=nan, left=nan,
+                              gradient=(0.0,) * chain.rank)
+    else:
+        vals, lvecs, rvecs = scipy.linalg.eig(_fiber_sum(chain, tilted), left=True)
+        idx = int(np.argmax(vals.real))
+        lam, right, left = float(vals[idx].real), rvecs[:, idx].real, lvecs[:, idx].real
     right = right / right.sum()
-    left = lvecs[:, idx].real
     left = left / left.sum()
     if right[0] > 0:
         right = right / right[0]
@@ -114,6 +130,81 @@ def perron(chain: LatticeChain, u) -> PerronData:
         for ax in range(chain.rank)
     )
     return PerronData(u=tuple(v), value=lam, right=right, left=left, gradient=grad)
+
+
+def _core_pair(split: TiltCore, tilted: np.ndarray
+               ) -> tuple[float, np.ndarray | None, np.ndarray | None]:
+    """lambda with its right and left Perron vectors, for one tilt on the tilt core.
+
+    tilted holds the per-entry weights.  perron_values' bracket, log-Newton
+    steps and stop, on floats: for one tilt, numpy's cost per call on
+    one-element arrays would outweigh the solves.  Each resolvent is one
+    LAPACK triangular solve with lambda I - T, whose off-diagonal part is
+    negated once per call.  A 1 x 1 complement is its own root, with
+    Perron vectors 1; a larger one takes one |C| x |C| eigendecomposition
+    per step.  Newton's last step is at lambda, so its solve and M's
+    vectors give r_R, and one transposed solve gives l_R.  Where
+    lambda = rho(A_RR) the lift is singular, and the vectors are None.
+    """
+    c = split.core.size
+    block = split.base + np.bincount(split.slots, tilted[split.moved], c * c).reshape(c, c)
+    shifted = -split.schur
+    shift = np.einsum("ii->i", shifted)  # a writable view of the diagonal
+    diag = np.diag(split.schur)
+    trtrs = scipy.linalg.lapack.ztrtrs if np.iscomplexobj(shifted) else scipy.linalg.lapack.dtrtrs
+    unit = np.ones(1)
+
+    def solve(lam: float, rhs: np.ndarray, trans: int = 0) -> np.ndarray:
+        shift[:] = lam - diag
+        x, info = trtrs(shifted, rhs, trans=trans)
+        if info:
+            raise np.linalg.LinAlgError("lambda is an eigenvalue of A_RR")
+        return x
+
+    def complement(lam: float, slope: bool = False):
+        """rho(M(lam)), d rho/d lambda if slope is set, (lam - T)^-1 Q* A_RC and M's r, l."""
+        x = solve(lam, split.enter)
+        mat = block + np.real(split.leave @ x)
+        if not np.isfinite(mat).all():
+            raise ConvergenceError("stochastic complement overflows next to rho(A_RR)")
+        dmat = -np.real(split.leave @ solve(lam, x)) if slope else None
+        if c == 1:  # M is its own root, with Perron vectors 1
+            return float(mat[0, 0]), float(dmat[0, 0]) if slope else math.nan, x, unit, unit
+        vals, lvecs, rvecs = scipy.linalg.eig(mat, left=True)
+        idx = int(np.argmax(vals.real))
+        r, l = rvecs[:, idx].real, lvecs[:, idx].real
+        d = float(l @ dmat @ r) / float(l @ r) if slope else math.nan
+        return float(vals[idx].real), d, x, r, l
+
+    upper = max(float((block.sum(axis=1) + split.core_out).max()), split.rest_mass)
+    pole = float(np.max(diag.real))
+    floor = _POLE_GAP * upper
+    gap = max(upper - pole, floor)
+    lam = max(complement(pole + gap)[0], pole + floor)
+    while lam < pole + 0.5 * gap and gap > 2.0 * floor:
+        probe = pole + 0.5 * gap
+        rho = complement(probe)[0]
+        lam = max(lam, min(probe, rho))
+        gap = gap if rho >= probe else 0.5 * gap
+    for _ in range(_CORE_ROUNDS):
+        rho, slope, x, r_core, l_core = complement(lam, slope=True)
+        rho = max(rho, np.finfo(float).tiny)  # rho(M) = 0: the root lies left
+        step = (math.log(lam) - math.log(rho)) / (1.0 / lam - slope / rho)
+        if not math.isfinite(step):
+            raise ConvergenceError("Perron root of the tilt core is not finite")
+        if not lam - step > lam:
+            break
+        lam -= step
+    else:
+        raise ConvergenceError(f"Perron roots did not converge in {_CORE_ROUNDS} Newton steps")
+    if lam <= pole + floor:
+        return pole, None, None
+    right, left = np.empty(c + split.rest.size), np.empty(c + split.rest.size)
+    right[split.core], left[split.core] = r_core, l_core
+    right[split.rest] = np.real(split.basis @ (x @ r_core))
+    left[split.rest] = np.real(split.basis.conj() @ solve(
+        lam, (split.leave.T @ l_core)[:, None], trans=1)[:, 0])
+    return lam, right, left
 
 
 def perron_values(chain: LatticeChain, tilts) -> np.ndarray:
@@ -253,6 +344,8 @@ def minimize_lambda(chain: LatticeChain) -> PerronData:
     data = perron(chain, u)
     for _ in range(_MIN_ROUNDS):
         g = np.asarray(data.gradient)
+        if not g.any():  # also where lambda is the root of a class the tilt does not reach
+            return data
         gnorm = float(np.linalg.norm(g))
         try:
             step = np.linalg.solve(lambda_hessian(chain, data), -g)
@@ -314,6 +407,9 @@ class AssumptionReport:
 def check_assumptions(chain: LatticeChain) -> AssumptionReport:
     """Verify sub-Markov mass, irreducibility, and radial escape of lambda.
 
+    Irreducibility asks for a primitive fiber pattern whose closed paths
+    displace by all of Z^k (LatticeChain.cycle_lattice_index).
+
     Radial escape (lambda reaching _ESCAPE_LEVEL at some probe tilt t d,
     t in _ESCAPE_PROBES, along every grid direction d) certifies that the
     lambda = 1 level set is compact.  Whether some probe escapes does not
@@ -332,6 +428,10 @@ def check_assumptions(chain: LatticeChain) -> AssumptionReport:
     irr = chain.is_strongly_irreducible()
     if not irr:
         msgs.append("fiber support pattern is not primitive: no power of it is positive")
+    elif (index := chain.cycle_lattice_index()) != 1:
+        irr = False
+        msgs.append(f"cycle displacements generate a subgroup of "
+                    f"{f'index {index}' if index else 'infinite index'} in Z^{chain.rank}")
     mn = minimize_lambda(chain)
     if mn.value >= 1.0:
         msgs.append(f"lambda minimum {mn.value:.6f} is not below 1")

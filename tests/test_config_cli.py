@@ -336,6 +336,23 @@ def test_period_two_chain_fails_lambda_surface_as_not_primitive(tmp_path):
         "fiber support pattern is not primitive: no power of it is positive"]
 
 
+def test_even_step_chain_fails_lambda_surface_on_its_cycle_lattice(tmp_path):
+    """One fiber with steps +-2: the pattern is primitive, but the walk
+    reaches only even z, so its closed paths span a subgroup of index 2."""
+    cfg = {"name": "even_steps", "chain": {
+        "rank": 1, "fibers": 1, "entries": [[0, 0, [2], "0.2"], [0, 0, [-2], "0.2"]]}}
+    p = tmp_path / "even_steps.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "e"
+    assert cli.main(["lambda-surface", "--config", str(p), "--out", str(out)]) == 2
+    with open(out / "lambda_surface_diagnostic.json") as fh:
+        diag = json.load(fh)
+    report = diag["detail"]["chain"]
+    assert diag["reason"] == "assumption checks failed"
+    assert not report["strongly_irreducible"] and report["strictly_submarkov"]
+    assert report["messages"] == ["cycle displacements generate a subgroup of index 2 in Z^1"]
+
+
 def test_output_dir_precedence(tmp_path):
     """--out wins over the config's output_dir, which is used without it."""
     cfg_dir = tmp_path / "cfg"

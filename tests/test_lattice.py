@@ -70,6 +70,27 @@ def test_strong_irreducibility_detection():
     assert not ladder.is_strongly_irreducible()
 
 
+def test_cycle_lattice_index(seeded_eta4_chain, z2_chain_eta2, f2a_chain, lat_cfg):
+    def steps(rank, fibers, moves):
+        return LatticeChain.build(rank, fibers, [(j1, j2, dz, 0.1) for j1, j2, dz in moves])
+
+    for c in (killed_z(), seeded_eta4_chain, z2_chain_eta2, f2a_chain, lat_cfg.chain):
+        assert c.cycle_lattice_index() == 1
+    assert steps(1, 1, [(0, 0, (2,)), (0, 0, (-2,))]).cycle_lattice_index() == 2
+    # Through fiber 1 and back the walk moves by -2, 0 or 2.
+    period_two = steps(1, 2, [(0, 1, (1,)), (0, 1, (-1,)), (1, 0, (1,)), (1, 0, (-1,))])
+    assert period_two.cycle_lattice_index() == 2
+    # Every 2 x 2 minor of (6, 0), (0, 4), (2, 2), (-5, -3) is even.
+    plane = [(6, 0), (0, 4), (2, 2), (-5, -3)]
+    assert steps(2, 1, [(0, 0, dz) for dz in plane]).cycle_lattice_index() == 2
+    assert steps(2, 1, [(0, 0, (3, 1)), (0, 0, (1, 2))]).cycle_lattice_index() == 5
+    # Closed paths on one line, or not displaced at all: infinite index.
+    assert steps(2, 1, [(0, 0, (1, 1)), (0, 0, (-2, -2))]).cycle_lattice_index() == 0
+    assert lazy(LatticeChain.build(1, 2, [(0, 1, (0,), 0.4), (1, 0, (0,), 0.4)])
+                ).cycle_lattice_index() == 0
+    assert steps(1, 3, [(0, 1, (1,)), (1, 2, (1,)), (2, 0, (-2,))]).cycle_lattice_index() == 0
+
+
 def _irreducible_int64(chain) -> bool:
     """The squaring check on an int64 pattern, as it ran before float64."""
     n = chain.fiber_count

@@ -409,6 +409,74 @@ def test_core_path_matches_dense_eigenvalues(z2_chain_eta0, z2_chain_eta2, seede
     assert dominated[0] == pytest.approx(0.45, rel=1e-15) and dominated[1] > 1.0
 
 
+def cycle_rest_chain() -> LatticeChain:
+    """Fiber 0 steps in the plane; its rest 1 -> 2 -> 3 -> 1 has complex eigenvalues."""
+    steps = [(0, 0, dz, 0.05) for dz in ((1, 0), (-1, 0), (0, 1), (0, -1))]
+    return LatticeChain.build(2, 4, steps + [
+        (0, 1, (0, 0), 0.2), (1, 2, (0, 0), 0.5), (2, 3, (0, 0), 0.5), (3, 1, (0, 0), 0.5),
+        (3, 0, (0, 0), 0.3)])
+
+
+def dense_pair(chain: LatticeChain, u) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """lambda, right and left vectors scaled as perron() scales them, and the
+    gradient, from one dense eigendecomposition of F(u) built entry by entry."""
+    vals, lvecs, rvecs = scipy.linalg.eig(tilted_matrix(chain, u), left=True)
+    idx = int(np.argmax(vals.real))
+    right, left = rvecs[:, idx].real, lvecs[:, idx].real
+    right, left = right / right[0], left / left.sum()
+    dF = np.zeros((chain.rank, chain.fiber_count, chain.fiber_count))
+    for j1, j2, dz, w in chain.entries:
+        dF[:, j1, j2] += w * math.exp(float(np.dot(u, dz))) * np.array(dz)
+    return float(vals[idx].real), right, left, (left @ dF @ right) / (left @ right)
+
+
+def test_core_pair_is_the_dense_pair_of_f(z2_chain_eta2, seeded_eta4_chain, finite_part_chain):
+    jordan = {k: v for k, v in core_test_chains().items() if k.startswith("jordan")}
+    chains = {"eta2": z2_chain_eta2, "eta4": seeded_eta4_chain,
+              "finite_part": finite_part_chain, **jordan, "cycle_rest": cycle_rest_chain()}
+    assert len(jordan) == 4 and np.iscomplexobj(chains["cycle_rest"].tilt_core.schur)
+    rng = np.random.default_rng(28)
+    tilts = np.vstack([np.zeros((1, 2)), rng.uniform(-1.0, 1.0, size=(3, 2))])
+    for name, chain in chains.items():
+        assert chain.tilt_core.rest.size, name
+        for u in tilts:
+            got = perron(chain, u)
+            lam, right, left, grad = dense_pair(chain, u)
+            assert abs(got.value - lam) <= 1e-13 * lam, name
+            assert abs(perron_values(chain, [u])[0] - got.value) <= 1e-14 * got.value, name
+            assert np.abs(got.right - right).max() <= 1e-12 * np.abs(right).max(), name
+            assert np.abs(got.left - left).max() <= 1e-12 * np.abs(left).max(), name
+            assert np.abs(np.subtract(got.gradient, grad)).max() <= 1e-12, name
+
+
+def test_minimizer_solves_no_eigenproblem_larger_than_the_core(seeded_eta4_chain, monkeypatch):
+    """The eta-4 minimizer reads every eigenpair off its one-fiber core and the
+    Schur form of the rest, which a fresh copy of the chain computes once."""
+    chain = LatticeChain(seeded_eta4_chain.rank, seeded_eta4_chain.fiber_count,
+                         seeded_eta4_chain.entries)
+    sizes = []
+    for module, name in ((scipy.linalg, "eig"), (np.linalg, "eig"), (np.linalg, "eigvals")):
+        def recorded(a, *args, inner=getattr(module, name), **kwargs):
+            sizes.append(np.shape(a)[-1])
+            return inner(a, *args, **kwargs)
+        monkeypatch.setattr(module, name, recorded)
+    schur = count_calls(monkeypatch, scipy.linalg, "schur")
+    minimize_lambda.cache_clear()
+    minimize_lambda(chain)
+    assert max(sizes, default=1) <= chain.tilt_core.core.size == 1
+    assert schur[0] == 1
+
+
+def test_root_of_an_unreached_class_keeps_the_assumption_report():
+    """At u = 0 the dominated chain's root is rho(A_RR) = 0.45, where the lift
+    to R is singular; lambda is flat there, and the minimizer stops at once."""
+    minimize_lambda.cache_clear()
+    rep = check_assumptions(core_test_chains()["dominated"])
+    assert rep.lambda_min == pytest.approx(0.45, rel=1e-15) and rep.u_min == (0.0, 0.0)
+    assert rep.messages == ["fiber support pattern is not primitive: no power of it is positive"]
+    assert not rep.strongly_irreducible and rep.level_set_compact
+
+
 def test_level_points_do_not_depend_on_eta(z2_chain_eta0, z2_chain_eta2):
     """M(1, u) is the first-return kernel to the eta-0 neighbourhood at every eta,
     so the shipped chains at eta 0 and 2 share their level set {lambda = 1}."""
