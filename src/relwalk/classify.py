@@ -178,10 +178,12 @@ def ancona_ratio(taboos: Sequence[TabooContext],
     """Each pair's profile G_A(x, z) / G(x, z), with A the forbidden set of each taboo context.
 
     The denominators G(x, z) are read once for all contexts, in one
-    green_pairs call over the aligned pairs.  Ratios below 1e-12 are
-    reported as exact zeros: at the Green scales handled here they are
-    always the float residue of a cut vertex that disconnects x from z,
-    where the true restricted Green vanishes.
+    green_pairs call over the aligned pairs.  Where a single cut vertex
+    in A separates x from z, TabooContext.value is already exactly 0.
+    Ratios below 1e-12 are reported as exact zeros too: at the Green
+    scales handled here they are the float residue of a cut set that no
+    single vertex forms (two adjacent sites of a line the walk crosses in
+    steps of length 2, say), where the true restricted Green vanishes.
     """
     engine = taboos[0].engine
     greens = engine.green_pairs(engine.syllable_ids([x for x, _ in pairs]),

@@ -28,6 +28,7 @@ geometrically in the radius to the true transient values.
 """
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -280,25 +281,41 @@ def _at(table: np.ndarray, depth: np.ndarray) -> np.ndarray:
 
 
 class TabooContext:
-    """Green's functions killed on a fixed finite set, via a Schur complement.
+    """Green's functions killed on a fixed finite set A.
 
-    For x, y outside the set A the walk killed on A has
+    For x, y outside A the walk killed on A has G_A(x, y) = 0 exactly when
+    a cut vertex strictly inside the geodesic from x to y lies in A, since
+    every path from x to y passes it.  The cut vertices are the junctions
+    of the normal form of x^-1 y (the walk crosses between factor cosets
+    only there) and, inside a syllable of a rank-1 factor with trivial
+    finite part whose steps move at most one site, every site the syllable
+    passes.  In rank 2 or more a detour avoids any one site, so those sites
+    are not cut.  Every other term is the Schur complement
 
         G_A(x, y) = G(x, y) - G(x, A) G(A, A)^{-1} G(A, y),
 
-    the Schur-complement identity relating the inverse of a principal
-    submatrix of (I - Q) to blocks of the full Green matrix.  Endpoints
-    inside A are handled by one-step border sums, matching the convention
-    that only interior path positions are forbidden.  A is given as a list
-    of distinct elements; one context serves every pair (x, y).
+    the identity relating the inverse of a principal submatrix of (I - Q)
+    to blocks of the full Green matrix; G(A, A) and its inverse are built
+    on the first such term.  Endpoints inside A are handled by one-step
+    border sums, matching the convention that only interior path positions
+    are forbidden.  A is given as a list of distinct elements; one context
+    serves every pair (x, y).
     """
 
     def __init__(self, engine: FreeProductEngine, elems: list[GroupElement]):
         self.engine = engine
         self.elems = elems
         self.index = {w: i for i, w in enumerate(elems)}
-        self._ids = engine.syllable_ids(elems)
-        self._minv = np.linalg.inv(engine.green_matrix(self._ids, self._ids))
+        self._normal_forms = {w.syllables for w in elems}
+        far = {g.syllables[0][0] for g in engine.mu.support if g.word_length > 1}
+        self._lines = {i for i, spec in enumerate(engine.group.factors)
+                       if spec.rank == 1 and spec.finite_order == 1 and i not in far}
+
+    @cached_property
+    def _schur(self) -> tuple[np.ndarray, np.ndarray]:
+        """The syllable-id table of A and G(A, A)^-1."""
+        ids = self.engine.syllable_ids(self.elems)
+        return ids, np.linalg.inv(self.engine.green_matrix(ids, ids))
 
     def value(self, pairs: Sequence[tuple[GroupElement, GroupElement]]) -> list[float]:
         """G_A(x, y) for each pair (x, y), read off Green values shared by all pairs.
@@ -306,17 +323,18 @@ class TabooContext:
         A pair with an endpoint in A is the border sum d(x, y) + mu(x^-1 y) +
         sum mu(s) G_A(xs, y t^-1) mu(t) over xs and y t^-1 outside A; a pair
         outside A is the one-term sum 0 + 1 G_A(x, y) 1, which is G_A(x, y)
-        exactly.  Each G_A(l, r) is G(l, r) - G(l, A) G(A, A)^-1 G(A, r): the
-        left endpoints l and right endpoints r of all pairs share one G(L, A)
-        and one G(A, R) block, and one green_pairs call reads G(l, r) for
-        exactly the terms of the sums.
+        exactly.  A term G_A(l, r) whose geodesic has a cut vertex in A adds
+        nothing.  Each other term is G(l, r) - G(l, A) G(A, A)^-1 G(A, r):
+        their left endpoints l and right endpoints r share one G(L, A) and
+        one G(A, R) block, and one green_pairs call reads G(l, r) for
+        exactly those terms.
         """
         eng, index = self.engine, self.index
         steps = list(eng.mu.items())
         back_steps = [(t.inverse(), wt) for t, wt in steps]
         lefts: dict[GroupElement, int] = {}
         rights: dict[GroupElement, int] = {}
-        reads = []  # per pair: the sum's constant and its weighted endpoint indices
+        reads = []  # per pair: the sum's constant and its uncut weighted terms
         for x, y in pairs:
             if x in index or y in index:
                 base = (1.0 if x == y else 0.0) + eng.mu(x.inverse() * y)
@@ -326,23 +344,71 @@ class TabooContext:
                          if yt not in index]
             else:
                 base, outer, inner = 0.0, [(x, 1.0)], [(y, 1.0)]
-            reads.append((base,
-                          [(lefts.setdefault(xs, len(lefts)), ws) for xs, ws in outer],
-                          [(rights.setdefault(yt, len(rights)), wt) for yt, wt in inner]))
-        left_ids, right_ids = eng.syllable_ids(list(lefts)), eng.syllable_ids(list(rights))
-        gx = eng.green_matrix(left_ids, self._ids)
-        # One product per left row keeps every value equal bit for bit to a
-        # lone pair's, whatever the batch.
-        rows = [gx[a] @ self._minv for a in range(len(lefts))]
-        hy = np.ascontiguousarray(eng.green_matrix(self._ids, right_ids).T)
-        terms = [(a, b) for _, outer, inner in reads for a, _ in outer for b, _ in inner]
-        cross = iter(eng.green_pairs(left_ids[[a for a, _ in terms]],
-                                     right_ids[[b for _, b in terms]]).tolist())
+            terms = []
+            for xs, ws in outer:
+                for yt, wt in inner:
+                    if not any(v in self._normal_forms for v in
+                               _cut_vertices(xs.syllables, yt.syllables, self._lines)):
+                        terms.append((lefts.setdefault(xs, len(lefts)), ws,
+                                      rights.setdefault(yt, len(rights)), wt))
+            reads.append((base, terms))
+        if lefts:
+            ids, minv = self._schur
+            left_ids, right_ids = eng.syllable_ids(list(lefts)), eng.syllable_ids(list(rights))
+            gx = eng.green_matrix(left_ids, ids)
+            # One product per left row keeps every value equal bit for bit to a
+            # lone pair's, whatever the batch.
+            rows = [gx[a] @ minv for a in range(len(lefts))]
+            hy = np.ascontiguousarray(eng.green_matrix(ids, right_ids).T)
+            flat = [(a, b) for _, terms in reads for a, _, b, _ in terms]
+            cross = iter(eng.green_pairs(left_ids[[a for a, _ in flat]],
+                                         right_ids[[b for _, b in flat]]).tolist())
         out = []
-        for base, outer, inner in reads:
+        for base, terms in reads:
             total = base
-            for a, ws in outer:
-                for b, wt in inner:
-                    total += ws * (next(cross) - float(rows[a] @ hy[b])) * wt
+            for a, ws, b, wt in terms:
+                total += ws * (next(cross) - float(rows[a] @ hy[b])) * wt
             out.append(total)
         return out
+
+
+def _cut_vertices(left: tuple[Syllable, ...], right: tuple[Syllable, ...],
+                  lines: set[int]):
+    """Normal forms of the cut vertices strictly inside the geodesic from l to r.
+
+    left and right are the normal forms of l and r, and lines the factors
+    whose every site is cut.  With d their common syllable depth and c the
+    common prefix, the geodesic climbs from l through the prefixes of l to
+    the coset of c it shares with r, crosses it, and descends through the
+    prefixes of r.  It passes c itself when l and r leave c through
+    different factors, and crosses the coset inside one syllable when
+    their depth-d syllables share a factor.
+    """
+    d = 0
+    while d < len(left) and d < len(right) and left[d] == right[d]:
+        d += 1
+    stem = left[:d]
+    p = left[d] if d < len(left) else None
+    q = right[d] if d < len(right) else None
+    if p is not None and q is not None and p[0] == q[0]:
+        if p[0] in lines:
+            yield from _line_sites(stem, p[0], p[1][0], q[1][0])
+    else:
+        if p is not None and q is not None:
+            yield stem
+        for s in (p, q):
+            if s is not None and s[0] in lines:
+                yield from _line_sites(stem, s[0], 0, s[1][0])
+    for word in (left, right):
+        for k in range(d + 1, len(word)):
+            yield word[:k]
+            fac, z, _ = word[k]
+            if fac in lines:
+                yield from _line_sites(word[:k], fac, 0, z[0])
+
+
+def _line_sites(stem: tuple[Syllable, ...], fac: int, a: int, b: int):
+    """Normal forms of stem * s^j for j strictly between a and b, s the generator
+    of the rank-1 factor fac."""
+    for j in range(min(a, b) + 1, max(a, b)):
+        yield stem + ((fac, (j,), 0),) if j else stem

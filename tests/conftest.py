@@ -1,6 +1,5 @@
 """Shared fixtures: shipped configs, walk engines, and induced chains."""
 import importlib.util
-import json
 import math
 import os
 import sys
@@ -11,6 +10,7 @@ import pytest
 from relwalk import (FreeProductEngine, induce_first_return, load_config,
                      project_to_coset)
 from relwalk.config import DEFAULT_STATE_CAP
+from relwalk.floyd import word_geodesic
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 SRC_DIR = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
@@ -30,6 +30,28 @@ def cli_env(**extra) -> dict:
 def coset_distance(g, coset) -> int:
     """Word distance from g to the coset, through its closest-point projection."""
     return (project_to_coset(g, coset).inverse() * g).word_length
+
+
+def cut_by(inside, measure, left, right) -> bool:
+    """Whether a vertex of the set inside, strictly inside word_geodesic(left, right),
+    separates left from right for the walk with step law measure.
+
+    The walk crosses between factor cosets only at their common point, so
+    a vertex where the geodesic enters one factor and leaves by another is
+    cut.  So is every vertex the geodesic crosses in a rank-1 factor with
+    trivial finite part whose steps have length 1: the walk cannot jump it.
+    In rank 2 or more a detour goes around a single vertex.
+    """
+    factors = measure.group.factors
+    lines = {i for i, spec in enumerate(factors) if spec.rank == 1 and spec.finite_order == 1}
+    lines -= {g.syllables[0][0] for g in measure.support if g.word_length > 1}
+    path = word_geodesic(left, right)
+    for before, v, after in zip(path, path[1:], path[2:]):
+        if v in inside:
+            entered = (before.inverse() * v).syllables[0][0]
+            if entered != (v.inverse() * after).syllables[0][0] or entered in lines:
+                return True
+    return False
 
 
 def count_calls(monkeypatch, module, name: str) -> list[int]:
@@ -135,18 +157,23 @@ def z2_chain_eta2(z2_engine):
 
 
 @pytest.fixture(scope="session")
-def seeded_z2_engine(tmp_path_factory):
-    """Engine of the benchmark's z2-eta4-surface workload (perfbench seed 1)."""
+def workload_cfgs(tmp_path_factory):
+    """Configs of the benchmark's invocations at perfbench seed 1, by invocation label."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads",
         os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py"))
     # Registered first: its dataclasses look their module up in sys.modules.
     workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    (inv,) = workloads.invocations("z2-eta4-surface", 1)
-    path = tmp_path_factory.mktemp("seeded") / "z2_eta4.json"
-    path.write_text(json.dumps(inv.config))
-    cfg = load_config(str(path))
+    root = str(tmp_path_factory.mktemp("seeded"))
+    return {inv.label: load_config(path) for workload in workloads.WORKLOADS
+            for inv, path in workloads.write_configs(workload, 1, root)}
+
+
+@pytest.fixture(scope="session")
+def seeded_z2_engine(workload_cfgs):
+    """Engine of the benchmark's z2-eta4-surface workload (perfbench seed 1)."""
+    cfg = workload_cfgs["z2_eta4"]
     return FreeProductEngine(cfg.group, cfg.measure, radius=cfg.radius)
 
 

@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 
 from relwalk import (FreeProductEngine, SequenceSpec, TabooContext, ancona_ratio,
-                     ball_elements, martin_convergence, separation_experiment)
+                     ball_elements, load_config, martin_convergence,
+                     separation_experiment)
 from relwalk.classify import classify, sample_ancona_pairs
-from relwalk.cli import _TRANSITIONS
+from relwalk.cli import _ANCONA_RMAX, _TRANSITIONS
 from relwalk.config import DEFAULT_STATE_CAP
 from relwalk.errors import BoundedSequenceError, ParseError
 from relwalk.perron import BoundaryPointU, level_set_point, minimize_lambda
 from relwalk.groups import Coset
 
-from conftest import count_calls, extrapolated_ratio_deviation
+from conftest import config_path, count_calls, cut_by, extrapolated_ratio_deviation
 
 
 def test_template_exponent_parsing(z2_cfg):
@@ -120,22 +121,61 @@ def test_ancona_ratio_conventions_and_tree_values(f2_engine, f2_cfg):
 
 
 def test_ancona_ratio_evaluation_count(z2_cfg, monkeypatch):
-    # The radius-4 taboo block has 609^2 entries; it is assembled in numpy,
-    # not by one scalar green call per entry, on a fresh engine and context.
-    eng = FreeProductEngine(z2_cfg.group, z2_cfg.measure, radius=z2_cfg.radius)
-    pairs = sample_ancona_pairs(z2_cfg.group, z2_cfg.parabolic, z2_cfg.seed, 1,
-                                _TRANSITIONS)
-    inner = FreeProductEngine.green
-    calls = [0]
+    # a^6 -> a^-6 passes e in the Z^2 plane, where no single vertex is cut,
+    # so the radius-4 taboo block of 609^2 entries is built.  It is assembled
+    # in numpy, not by one scalar green call per entry, on a fresh engine
+    # and context.
+    g = z2_cfg.group
+    eng = FreeProductEngine(g, z2_cfg.measure, radius=z2_cfg.radius)
+    ball = list(ball_elements(g, 4, DEFAULT_STATE_CAP))
+    x, z = g.word("a^6"), g.word("a^-6")
+    assert g.identity in ball and not cut_by(set(ball), eng.mu, x, z)
+    shapes = []
+    inner_block = FreeProductEngine.green_matrix
 
-    def counted(self, a, b):
-        calls[0] += 1
-        return inner(self, a, b)
+    def recorded(self, xs, ys):
+        shapes.append((len(xs), len(ys)))
+        return inner_block(self, xs, ys)
 
-    monkeypatch.setattr(FreeProductEngine, "green", counted)
-    ((rho,),) = ancona_ratio([TabooContext(eng, list(ball_elements(z2_cfg.group, 4, DEFAULT_STATE_CAP)))], pairs)
-    assert 0.0 <= rho <= 1.0
+    monkeypatch.setattr(FreeProductEngine, "green_matrix", recorded)
+    calls = count_calls(monkeypatch, FreeProductEngine, "green")
+    ((rho,),) = ancona_ratio([TabooContext(eng, ball)], [(x, z)])
+    assert 0.0 < rho < 1.0
+    assert (609, 609) in shapes
     assert calls[0] < 2000
+
+
+@pytest.mark.parametrize("source, name, first_cut", [
+    ("configs", "z2_free_z", 2), ("workloads", "z2_chart", 2),
+    ("configs", "f2_over_a", 0), ("workloads", "f2_over_a", 0),
+])
+def test_cut_balls_read_exact_zeros_and_no_ratio_needs_the_floor(source, name, first_cut,
+                                                                 request, monkeypatch):
+    """On the ancona stage's pairs around a transition midpoint e, B_R(e) for
+    R >= first_cut holds a cut vertex of every geodesic: a syllable junction
+    in the Z^2 walks, e itself inside an a segment of a line in F2.  Those
+    balls give 0.0 exactly and build no green_matrix block.
+
+    ancona_ratio also reports ratios below 1e-12 as 0, for cut sets that no
+    single vertex forms (rank-1 steps of length 2, say).  On the shipped
+    configs and the benchmark's seeded walks every cut is one vertex, so no
+    raw ratio G_A(x, z)/G(x, z) of any ball B_0..B_4 falls in (0, 1e-12)."""
+    cfg = (load_config(config_path(f"{name}.json")) if source == "configs"
+           else request.getfixturevalue("workload_cfgs")[name])
+    eng = FreeProductEngine(cfg.group, cfg.measure, radius=cfg.radius)
+    pairs = sample_ancona_pairs(cfg.group, cfg.parabolic, cfg.seed,
+                                cfg.tolerances["ancona_samples"], _TRANSITIONS)
+    greens = [eng.green(x, z) for x, z in pairs]
+    raw = []
+    for r in range(_ANCONA_RMAX + 1):
+        taboo = TabooContext(eng, list(ball_elements(cfg.group, r, DEFAULT_STATE_CAP)))
+        blocks = count_calls(monkeypatch, FreeProductEngine, "green_matrix")
+        values = taboo.value(pairs)
+        monkeypatch.undo()
+        if r >= first_cut:
+            assert values == [0.0] * len(pairs) and blocks[0] == 0
+        raw += [v / g for v, g in zip(values, greens)]
+    assert [rho for rho in raw if rho != 0.0 and rho < 1e-12] == []
 
 
 @pytest.mark.parametrize("cfg_name, count", [("f2a_cfg", 400), ("z2_cfg", 200)],

@@ -15,7 +15,7 @@ from relwalk.config import DEFAULT_STATE_CAP
 from relwalk.errors import ConfigError
 from relwalk.perron import minimize_lambda
 
-from conftest import CONFIG_DIR, cli_env, config_path, count_calls
+from conftest import CONFIG_DIR, cli_env, config_path, count_calls, cut_by
 
 
 def run_cli(*argv):
@@ -569,27 +569,34 @@ def test_a_state_cap_inside_run_all_fails_only_its_stages(tmp_path):
     assert "cap of 10 states" in stages["green"]["note"]
 
 
-def _cross_terms(taboo, steps, pairs) -> int:
-    """How many G(l, r) terms the taboo read-out sums over pairs: one for a pair
-    outside the forbidden set, one per pair of steps leaving it otherwise."""
+def _cross_terms(taboo, measure, pairs) -> int:
+    """How many G(l, r) terms the taboo read-out sums over pairs and reads: one
+    for a pair outside the forbidden set, one per pair of steps leaving it
+    otherwise, less the terms a cut vertex in the set makes exact zeros."""
     inside = set(taboo)
+    steps = [s for s, _ in measure.items()]
     total = 0
     for x, z in pairs:
         if x in inside or z in inside:
-            total += (sum(x * s not in inside for s in steps)
-                      * sum(z * s.inverse() not in inside for s in steps))
+            terms = [(x * s, z * t.inverse()) for s in steps for t in steps
+                     if x * s not in inside and z * t.inverse() not in inside]
         else:
-            total += 1
+            terms = [(x, z)]
+        total += sum(not cut_by(inside, measure, l, r) for l, r in terms)
     return total
 
 
-@pytest.mark.parametrize("base", ["f2_over_a", "z2_free_z"])
-def test_ancona_green_blocks_do_not_grow_with_the_sample_count(tmp_path, monkeypatch, base):
-    """Each forbidden ball answers all sampled pairs from a fixed handful of
-    green_matrix blocks: its own, G(L, A) and G(A, R).  One green_pairs read
-    per ball serves its G(l, r) terms and one more every denominator G(x, z),
-    each with one entry per pair it serves; no scalar Green is read."""
-    counts = {}
+@pytest.mark.parametrize("base, read_balls", [("f2_over_a", 0), ("z2_free_z", 2)],
+                         ids=["f2_over_a", "z2_free_z"])
+def test_ancona_green_blocks_do_not_grow_with_the_sample_count(tmp_path, monkeypatch, base,
+                                                               read_balls):
+    """Each forbidden ball with a term no cut vertex zeroes answers all sampled
+    pairs from a fixed handful of green_matrix blocks: its own, G(L, A) and
+    G(A, R); a ball whose every term is cut reads none.  One green_pairs
+    read per such ball serves its G(l, r) terms and one more every
+    denominator G(x, z), each with one entry per term or pair it serves;
+    no scalar Green is read.  read_balls counts the balls with an uncut
+    term: none on the F2 tree, B_0 and B_1 in the Z^2 plane."""
     for samples in (5, 20):
         p = tmp_path / f"{samples}.json"
         p.write_text(json.dumps(_shipped(base, tolerances={"ancona_samples": samples})))
@@ -611,13 +618,12 @@ def test_ancona_green_blocks_do_not_grow_with_the_sample_count(tmp_path, monkeyp
         monkeypatch.undo()
         pairs = sample_ancona_pairs(cfg.group, cfg.parabolic, cfg.seed, samples,
                                     cli._TRANSITIONS)
-        steps = [s for s, _ in cfg.measure.items()]
-        assert sizes == [samples] + [
-            _cross_terms(ball_elements(cfg.group, r, DEFAULT_STATE_CAP), steps, pairs)
-            for r in range(cli._ANCONA_RMAX + 1)]
-        counts[samples] = blocks[0]
+        terms = [_cross_terms(ball_elements(cfg.group, r, DEFAULT_STATE_CAP), cfg.measure, pairs)
+                 for r in range(cli._ANCONA_RMAX + 1)]
+        assert sum(n > 0 for n in terms) == read_balls
+        assert sizes == [samples] + [n for n in terms if n]
+        assert blocks[0] == 3 * read_balls
         assert scalar[0] == 0
-    assert counts[5] == counts[20] == 3 * (cli._ANCONA_RMAX + 1)
 
 
 def test_ancona_alone_writes_what_run_all_writes(tmp_path):

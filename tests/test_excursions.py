@@ -8,7 +8,7 @@ import pytest
 import scipy.special
 
 from relwalk import (ChainGreen, FreeProductEngine, StepMeasure, TabooContext,
-                     ball_elements, excursions)
+                     ancona_ratio, ball_elements, excursions)
 from relwalk.classify import sample_ancona_pairs
 from relwalk.cli import _TRANSITIONS
 from relwalk.config import DEFAULT_STATE_CAP
@@ -16,6 +16,7 @@ from relwalk.errors import ConvergenceError, InvalidMeasureError
 from relwalk.groups import FactorSpec, FreeProductGroup
 
 import oracles
+from conftest import cut_by
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +28,24 @@ def z2_asymmetric_engine(z2_cfg):
     weights = [(n, Fraction(w, sum(raw))) for n, w in zip(names, raw)]
     mu = StepMeasure.from_weights(z2_cfg.group, weights).lazy()
     return FreeProductEngine(z2_cfg.group, mu, radius=z2_cfg.radius)
+
+
+# The taboo tests need boxes whose truncation error is below rounding: the
+# Schur identity holds only for Green values of one walk.
+@pytest.fixture(scope="module")
+def finite_factor_engine():
+    g, mu, _ = _finite_factor_walk()
+    return FreeProductEngine(g, mu, radius=30)
+
+
+@pytest.fixture(scope="module")
+def long_step_engine():
+    """Z * Z with steps a^+-1, a^+-2 and b^+-1: an a step can jump one site of its line."""
+    lines = [FactorSpec(rank=1, table=((0,),), lattice_names=(name,), finite_names=())
+             for name in ("a", "b")]
+    g = FreeProductGroup(lines)
+    mu = StepMeasure.from_weights(g, [(w, "1/6") for w in ("a", "a^-1", "a^2", "a^-2", "b", "b^-1")])
+    return FreeProductEngine(g, mu, radius=40)
 
 
 def _scalar_block(engine, xs, ys):
@@ -393,3 +412,54 @@ def test_batched_taboo_values_equal_lone_pairs_bit_for_bit(cfg_name, seed, count
         batched = taboo.value(pairs)
         alone = [v for pair in pairs for v in taboo.value([pair])]
         assert [v.hex() for v in batched] == [v.hex() for v in alone]
+
+
+@pytest.mark.parametrize("engine_name", ["z2_engine", "z2_asymmetric_engine", "f2_engine",
+                                         "finite_factor_engine", "long_step_engine"])
+def test_cut_rule_agrees_with_the_schur_formula(engine_name, request):
+    """Over seeded pairs outside B_R(e), R = 0..3, the terms value() zeroes are
+    those a vertex of the ball cuts on the word geodesic, and there the Schur
+    formula G(l, r) - G(l, A) G(A, A)^-1 G(A, r), computed in the test, is
+    rounding residue: at most 1e-12 G(l, r).  Every other term agrees with
+    the formula to 1e-14 relative.  A line with a finite part, or with steps
+    of length 2, has no cut site."""
+    eng = request.getfixturevalue(engine_name)
+    g = eng.group
+    points = ball_elements(g, 4, DEFAULT_STATE_CAP)
+    rng = np.random.default_rng(3)
+    zeroed = kept = 0
+    for r in range(4):
+        ball = list(ball_elements(g, r, DEFAULT_STATE_CAP))
+        inside = set(ball)
+        outside = [p for p in points if p not in inside]
+        pairs = [(outside[i], outside[j]) for i, j in rng.integers(0, len(outside), (80, 2))]
+        lefts, rights = [l for l, _ in pairs], [q for _, q in pairs]
+        direct = eng.green_pairs(eng.syllable_ids(lefts), eng.syllable_ids(rights))
+        inverse = np.linalg.inv(eng.green_matrix(ball, ball))
+        to_ball = eng.green_matrix(lefts, ball)
+        from_ball = np.ascontiguousarray(eng.green_matrix(ball, rights).T)
+        formula = [d - to_ball[k] @ inverse @ from_ball[k] for k, d in enumerate(direct)]
+        values = TabooContext(eng, ball).value(pairs)
+        for (l, q), v, f, d in zip(pairs, values, formula, direct):
+            if cut_by(inside, eng.mu, l, q):
+                zeroed += 1
+                assert v == 0.0 and abs(f) <= 1e-12 * d
+            else:
+                kept += 1
+                assert abs(v - f) <= 1e-14 * abs(f)
+    assert zeroed > 0 and kept > 0
+
+
+def test_two_site_cut_sets_are_left_to_the_ancona_floor(long_step_engine):
+    """An a^+-2 step jumps any one site of an a line, so no single site there is
+    cut; two adjacent sites are, and their G_A is rounding residue that only
+    ancona_ratio's 1e-12 floor reports as 0."""
+    eng = long_step_engine
+    g = eng.group
+    x, y = g.word("a^3"), g.word("a^-3")
+    (jumped,) = TabooContext(eng, [g.identity]).value([(x, y)])
+    assert jumped > 0.1 * eng.green(x, y)
+    pair = TabooContext(eng, [g.identity, g.word("a")])
+    (blocked,) = pair.value([(x, y)])
+    assert abs(blocked) < 1e-12 * eng.green(x, y)
+    assert ancona_ratio([pair], [(x, y)]) == [(0.0,)]
