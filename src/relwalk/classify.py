@@ -55,23 +55,18 @@ class SequenceSpec:
     """Parametric word family n -> g_n from templates with linear exponents.
 
     A single template like 'a^n*b^n' is evaluated for each n; with several
-    templates and mode 'alternate' the template is chosen by n modulo the
-    template count (odd/even families).
+    templates the template is chosen by n modulo the template count
+    (odd/even families).
     """
 
     name: str
     templates: tuple[str, ...]
     start: int
     stop: int
-    mode: str
 
     def __post_init__(self):
         if not self.templates:
             raise ParseError("sequence needs at least one template")
-        if self.mode not in ("single", "alternate"):
-            raise ParseError(f"unknown sequence mode {self.mode!r}")
-        if self.mode == "single" and len(self.templates) != 1:
-            raise ParseError("mode 'single' takes exactly one template")
         if self.stop < self.start:
             raise ParseError("empty evaluation range")
 
@@ -82,10 +77,8 @@ class SequenceSpec:
                 for atom, exp in group.tokens(template)]
 
     def element(self, group: FreeProductGroup, n: int) -> GroupElement:
-        template = self.templates[n % len(self.templates)] \
-            if self.mode == "alternate" else self.templates[0]
         out = group.identity
-        for atom, (a, b) in self.terms(group, template):
+        for atom, (a, b) in self.terms(group, self.templates[n % len(self.templates)]):
             k = a * n + b
             if k:
                 out = out * atom ** k

@@ -158,12 +158,17 @@ def _parse_sequences(items, group: FreeProductGroup | None) -> tuple[SequenceSpe
                  f"sequence {i}: templates must be a nonempty list")
         start, stop = obj.get("start", 1), obj.get("stop", 12)
         _require(_is_int(start) and _is_int(stop), f"sequence {i}: start and stop must be integers")
+        # The template count alone sets how terms pick templates; "mode" may only restate it.
+        mode = str(obj.get("mode", "single" if len(templates) == 1 else "alternate"))
+        if mode not in ("single", "alternate"):
+            raise ParseError(f"unknown sequence mode {mode!r}")
+        if mode == "single" and len(templates) != 1:
+            raise ParseError("mode 'single' takes exactly one template")
         spec = SequenceSpec(
             name=str(obj.get("name", f"seq{i}")),
             templates=tuple(str(t) for t in templates),
             start=start,
-            stop=stop,
-            mode=str(obj.get("mode", "alternate" if len(templates) > 1 else "single")))
+            stop=stop)
         if group is not None:
             for template in spec.templates:
                 spec.terms(group, template)

@@ -169,17 +169,15 @@ class TiltCore:
     M(lambda, u) = A_CC + D(u) + A_CR (lambda - A_RR)^-1 A_RC
     (Meyer, SIAM Review 31, 1989).  A_RR is kept in Schur form Q T Q^*,
     real unless A_RR has complex eigenvalues, so that each resolvent is a
-    triangular solve that stays backward stable on a defective A_RR.  Q
-    lifts the complement's Perron vectors back to the fibers of R.
+    triangular solve that stays backward stable on a defective A_RR.  Only
+    T is kept, with Q folded into the couplings A_CR Q and Q^* A_RC.
     """
 
     core: np.ndarray  # C, in fiber order
-    rest: np.ndarray  # R, in fiber order
     moved: np.ndarray  # the displaced entries, or every entry when R is empty
     slots: np.ndarray  # their flat positions j1 * |C| + j2 in the C x C block
     base: np.ndarray  # A_CC
     schur: np.ndarray  # T, |R| x |R| upper triangular
-    basis: np.ndarray  # Q
     leave: np.ndarray  # A_CR Q
     enter: np.ndarray  # Q^* A_RC
     core_out: np.ndarray  # row sums of A_CR
@@ -202,9 +200,9 @@ class TiltCore:
         if np.any(np.diag(schur, -1)):  # a 2 x 2 block: complex eigenvalues
             schur, q = scipy.linalg.rsf2csf(schur, q)
         return TiltCore(
-            core=core, rest=rest, moved=np.flatnonzero(moved),
+            core=core, moved=np.flatnonzero(moved),
             slots=local[j1[moved]] * core.size + local[j2[moved]],
-            base=a[np.ix_(core, core)], schur=schur, basis=q,
+            base=a[np.ix_(core, core)], schur=schur,
             leave=a[np.ix_(core, rest)] @ q, enter=q.conj().T @ a[np.ix_(rest, core)],
             core_out=a[np.ix_(core, rest)].sum(axis=1),
             rest_mass=float(a[rest].sum(axis=1).max(initial=0.0)))

@@ -6,20 +6,18 @@ lambda(u) is smooth, log-convex, and for strictly sub-Markov strongly
 irreducible chains the level set {lambda = 1} is a compact convex
 hypersurface whose outward normals parametrize directions of escape.
 
-perron() computes lambda(u) with both eigenvectors and the gradient, and
-lambda_hessian takes the Hessian from that eigenpair; the Newton solvers
-for both geometric problems read them.  perron_values() computes lambda
-alone, for a batch of tilts, for the callers that read only lambda: the
-lambda-surface grid and the escape probes of check_assumptions.  Both
-work on the fibers C that displaced entries touch (lattice.TiltCore).
-With the rest R empty, A_CC + D(u) is F(u): one dense eigensolve gives
-perron()'s pair and one batched eigvals perron_values' roots.  Otherwise
-lambda = rho(M(lambda, u)) for the stochastic complement M onto C, solved
-by Newton steps that are triangular solves against the Schur form of
-A_RR, factored once per chain: one LAPACK solve per resolvent for
-perron()'s one tilt, whose iteration runs on floats, and one back
-substitution over all tilts for perron_values.  perron() lifts M's Perron
-vectors to R with its last Newton step's solve and one transposed solve.
+Everything here works on the fibers C that displaced entries touch
+(lattice.TiltCore): apart from the Schur form of A_RR, no matrix is larger
+than |C| x |C|.  With the rest R empty, A_CC + D(u) is F(u).  Otherwise lambda = rho(M(lambda, u)) for the stochastic
+complement M onto C, solved by Newton steps that are triangular solves
+against the Schur form of A_RR, factored once per chain.  perron() gives
+lambda and its gradient for one tilt, with one LAPACK solve per resolvent
+and an iteration on floats; lambda_hessian the Hessian at that tilt, by
+implicit differentiation of lambda = rho(M(lambda, u)); the Newton solvers
+for both geometric problems read them.  perron_values() gives lambda alone
+for a batch of tilts, by one back substitution over all tilts, for the
+callers that read only lambda: the lambda-surface grid and the escape
+probes of check_assumptions.
 """
 from __future__ import annotations
 
@@ -43,6 +41,7 @@ _ESCAPE_GRID, _ESCAPE_LEVEL = 64, 2.0  # check_assumptions: direction count, esc
 _LEVEL_STOP_LAMBDA, _LEVEL_STOP_ANGLE = 1e-14, 1e-13  # level_set_point: Newton stop
 _LEVEL_ROUNDS, _LEVEL_MIN_STRIDE = 8, 1e-6  # level_set_point: Newton cap, smallest normal stride
 _LEVEL_LAMBDA_TOL, _LEVEL_ANGLE_TOL = 1e-10, 1e-8  # level_set_point: |lambda-1|, |normal-theta|
+_UNIT = np.ones(1)  # the Perron vectors of every 1 x 1 matrix; read, never written
 
 
 def _tilt_vector(chain: LatticeChain, u) -> np.ndarray:
@@ -63,121 +62,127 @@ def _exponents(chain: LatticeChain, tilts: np.ndarray) -> np.ndarray:
     return a
 
 
-def _tilted_weights(chain: LatticeChain, v: np.ndarray) -> np.ndarray:
-    """Per-entry tilted weights p((0,j1)->(z,j2)) exp(v.z)."""
-    return chain.entry_arrays[2] * np.exp(_exponents(chain, v[None])[0])
-
-
-def _fiber_sum(chain: LatticeChain, weights: np.ndarray) -> np.ndarray:
-    """N x N matrix summing per-entry weights onto their fiber pairs."""
-    n = chain.fiber_count
-    flat = chain.entry_arrays[0]
-    return np.bincount(flat, weights=weights, minlength=n * n).reshape(n, n)
-
-
-@dataclass
-class PerronData:
-    """Perron root of F(u) with positive eigenvectors and gradient."""
-
-    u: tuple[float, ...]
-    value: float
-    right: np.ndarray
-    left: np.ndarray
-    gradient: tuple[float, ...]
-
-
-def perron(chain: LatticeChain, u) -> PerronData:
-    """Perron root, eigenvectors, and grad lambda at tilt u.
-
-    For the callers that read the eigenvectors or the gradient: the
-    minimizer and the level-set Newton solvers; perron_values gives lambda
-    alone for less.  With the rest R of the tilt core empty, one dense
-    eigendecomposition of F(u) gives both eigenvectors: for a primitive
-    nonnegative matrix the Perron root strictly dominates every other
-    eigenvalue in modulus, so the eigenvalue of largest real part is the
-    root and its eigenvectors are real up to rounding.  Otherwise lambda
-    is perron_values' root of the complement M(lambda, u) onto C, and M's
-    Perron vectors r_C, l_C lift to R (_core_pair):
-    r_R = (lambda - A_RR)^-1 A_RC r_C and l_R^T = l_C^T A_CR (lambda - A_RR)^-1.
-    Scaling both vectors to unit sum also makes them positive.  The
-    gradient uses the eigenvalue perturbation identity
-    d lambda/d u_i = w^T (dF/du_i) v / (w^T v).  Where the root is
-    rho(A_RR), that of a class of R the tilt does not reach, the lift is
-    singular: lambda does not move with u there, the gradient is 0 and the
-    vectors are NaN.
-    """
-    v = _tilt_vector(chain, u)
-    tilted = _tilted_weights(chain, v)
+def _core_terms(chain: LatticeChain, v: np.ndarray
+                ) -> tuple[TiltCore, np.ndarray, np.ndarray, np.ndarray]:
+    """The tilt core, A_CC + D(v), and the moved entries' tilted weights and displacements."""
     split = chain.tilt_core
-    if split.schur.size:
-        lam, right, left = _core_pair(split, tilted)
-        if right is None:
-            nan = np.full(chain.fiber_count, np.nan)
-            return PerronData(u=tuple(v), value=lam, right=nan, left=nan,
-                              gradient=(0.0,) * chain.rank)
-    else:
-        vals, lvecs, rvecs = scipy.linalg.eig(_fiber_sum(chain, tilted), left=True)
-        idx = int(np.argmax(vals.real))
-        lam, right, left = float(vals[idx].real), rvecs[:, idx].real, lvecs[:, idx].real
-    right = right / right.sum()
-    left = left / left.sum()
+    dz = chain.entry_arrays[1][split.moved]
+    tilted = chain.entry_arrays[2][split.moved] * np.exp(_exponents(chain, v[None])[0, split.moved])
+    return split, split.base + _core_sum(split, tilted), tilted, dz
+
+
+def _core_sum(split: TiltCore, weights: np.ndarray) -> np.ndarray:
+    """|C| x |C| matrix summing the moved entries' weights onto their slots."""
+    c = split.core.size
+    return np.bincount(split.slots, weights, c * c).reshape(c, c)
+
+
+def _perron_pair(mat: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Perron root of a nonnegative matrix with its right and left vectors.
+
+    For a primitive nonnegative matrix the Perron root strictly dominates
+    every other eigenvalue in modulus, so the eigenvalue of largest real
+    part is the root and its eigenvectors are real up to rounding.  Both
+    vectors are scaled to unit sum, which makes them positive, and then the
+    right one to r_0 = 1 where r_0 > 0.  A 1 x 1 matrix is its own root,
+    with vectors 1.
+    """
+    if len(mat) == 1:
+        return float(mat[0, 0]), _UNIT, _UNIT
+    vals, lvecs, rvecs = scipy.linalg.eig(mat, left=True)
+    idx = int(np.argmax(vals.real))
+    right, left = rvecs[:, idx].real, lvecs[:, idx].real
+    right, left = right / right.sum(), left / left.sum()
     if right[0] > 0:
         right = right / right[0]
-    denom = float(left @ right)
-    dz = chain.entry_arrays[1]
-    grad = tuple(
-        float(left @ (_fiber_sum(chain, tilted * dz[:, ax]) @ right)) / denom
-        for ax in range(chain.rank)
-    )
-    return PerronData(u=tuple(v), value=lam, right=right, left=left, gradient=grad)
+    return float(vals[idx].real), right, left
 
 
-def _core_pair(split: TiltCore, tilted: np.ndarray
-               ) -> tuple[float, np.ndarray | None, np.ndarray | None]:
-    """lambda with its right and left Perron vectors, for one tilt on the tilt core.
+def _resolvent(split: TiltCore):
+    """solve(lam, rhs) = (lam - T)^-1 rhs, one LAPACK triangular solve against the Schur form.
 
-    tilted holds the per-entry weights.  perron_values' bracket, log-Newton
-    steps and stop, on floats: for one tilt, numpy's cost per call on
-    one-element arrays would outweigh the solves.  Each resolvent is one
-    LAPACK triangular solve with lambda I - T, whose off-diagonal part is
-    negated once per call.  A 1 x 1 complement is its own root, with
-    Perron vectors 1; a larger one takes one |C| x |C| eigendecomposition
-    per step.  Newton's last step is at lambda, so its solve and M's
-    vectors give r_R, and one transposed solve gives l_R.  Where
-    lambda = rho(A_RR) the lift is singular, and the vectors are None.
+    The off-diagonal part of lam - T is negated once; a solve writes only
+    its diagonal, through a view.
     """
-    c = split.core.size
-    block = split.base + np.bincount(split.slots, tilted[split.moved], c * c).reshape(c, c)
     shifted = -split.schur
     shift = np.einsum("ii->i", shifted)  # a writable view of the diagonal
     diag = np.diag(split.schur)
     trtrs = scipy.linalg.lapack.ztrtrs if np.iscomplexobj(shifted) else scipy.linalg.lapack.dtrtrs
-    unit = np.ones(1)
 
-    def solve(lam: float, rhs: np.ndarray, trans: int = 0) -> np.ndarray:
+    def solve(lam: float, rhs: np.ndarray) -> np.ndarray:
         shift[:] = lam - diag
-        x, info = trtrs(shifted, rhs, trans=trans)
+        x, info = trtrs(shifted, rhs)
         if info:
             raise np.linalg.LinAlgError("lambda is an eigenvalue of A_RR")
         return x
+    return solve
+
+
+@dataclass
+class PerronData:
+    """Perron root of F(u) and its gradient."""
+
+    u: tuple[float, ...]
+    value: float
+    gradient: tuple[float, ...]
+
+
+def perron(chain: LatticeChain, u) -> PerronData:
+    """Perron root and grad lambda at tilt u.
+
+    For the callers that read the gradient: the minimizer and the
+    level-set Newton solvers; perron_values gives lambda alone for less.
+    With the rest R of the tilt core empty, M = F(u) and one dense
+    eigendecomposition gives lambda with its Perron vectors l, r.
+    Otherwise lambda is perron_values' root of the complement
+    M(lambda, u) onto C (_core_root), which also gives M's vectors and the
+    slope rho_lambda = d rho(M)/d lambda at lambda.  Differentiating
+    rho(M(lambda(u), u)) = lambda(u) gives
+    grad lambda = rho_u / (1 - rho_lambda), with
+    rho_u,i = l^T D_i r / (l^T r) and D_i = dM/du_i, which lives on C.
+    Where the root is rho(A_RR), that of a class of R the tilt does not
+    reach, lambda does not move with u and the gradient is 0.
+    """
+    v = _tilt_vector(chain, u)
+    split, block, tilted, dz = _core_terms(chain, v)
+    if split.schur.size:
+        lam, slope, right, left = _core_root(split, block)
+        if right is None:
+            return PerronData(u=tuple(v), value=lam, gradient=(0.0,) * chain.rank)
+    else:
+        (lam, right, left), slope = _perron_pair(block), 0.0
+    denom = float(left @ right) * (1.0 - slope)
+    grad = tuple(float(left @ (_core_sum(split, tilted * dz[:, ax]) @ right)) / denom
+                 for ax in range(chain.rank))
+    return PerronData(u=tuple(v), value=lam, gradient=grad)
+
+
+def _core_root(split: TiltCore, block: np.ndarray
+               ) -> tuple[float, float, np.ndarray | None, np.ndarray | None]:
+    """lambda for one tilt on the tilt core, with rho_lambda and M's Perron vectors r, l at lambda.
+
+    block holds A_CC + D(u).  perron_values' bracket, log-Newton steps
+    and stop, on floats: for one tilt, numpy's cost per call on
+    one-element arrays would outweigh the solves.  Newton's last
+    evaluation is at lambda itself, so it gives the slope and vectors.
+    Where lambda = rho(A_RR) there are none, and r, l are None.
+    """
+    solve = _resolvent(split)
 
     def complement(lam: float, slope: bool = False):
-        """rho(M(lam)), d rho/d lambda if slope is set, (lam - T)^-1 Q* A_RC and M's r, l."""
+        """rho(M(lam)), d rho/d lambda if slope is set, and M's r, l."""
         x = solve(lam, split.enter)
         mat = block + np.real(split.leave @ x)
         if not np.isfinite(mat).all():
             raise ConvergenceError("stochastic complement overflows next to rho(A_RR)")
-        dmat = -np.real(split.leave @ solve(lam, x)) if slope else None
-        if c == 1:  # M is its own root, with Perron vectors 1
-            return float(mat[0, 0]), float(dmat[0, 0]) if slope else math.nan, x, unit, unit
-        vals, lvecs, rvecs = scipy.linalg.eig(mat, left=True)
-        idx = int(np.argmax(vals.real))
-        r, l = rvecs[:, idx].real, lvecs[:, idx].real
-        d = float(l @ dmat @ r) / float(l @ r) if slope else math.nan
-        return float(vals[idx].real), d, x, r, l
+        rho, r, l = _perron_pair(mat)
+        if not slope:
+            return rho, math.nan, r, l
+        dmat = -np.real(split.leave @ solve(lam, x))
+        return rho, float(l @ dmat @ r) / float(l @ r), r, l
 
     upper = max(float((block.sum(axis=1) + split.core_out).max()), split.rest_mass)
-    pole = float(np.max(diag.real))
+    pole = float(np.max(np.diag(split.schur).real))
     floor = _POLE_GAP * upper
     gap = max(upper - pole, floor)
     lam = max(complement(pole + gap)[0], pole + floor)
@@ -187,7 +192,7 @@ def _core_pair(split: TiltCore, tilted: np.ndarray
         lam = max(lam, min(probe, rho))
         gap = gap if rho >= probe else 0.5 * gap
     for _ in range(_CORE_ROUNDS):
-        rho, slope, x, r_core, l_core = complement(lam, slope=True)
+        rho, slope, r, l = complement(lam, slope=True)
         rho = max(rho, np.finfo(float).tiny)  # rho(M) = 0: the root lies left
         step = (math.log(lam) - math.log(rho)) / (1.0 / lam - slope / rho)
         if not math.isfinite(step):
@@ -198,13 +203,8 @@ def _core_pair(split: TiltCore, tilted: np.ndarray
     else:
         raise ConvergenceError(f"Perron roots did not converge in {_CORE_ROUNDS} Newton steps")
     if lam <= pole + floor:
-        return pole, None, None
-    right, left = np.empty(c + split.rest.size), np.empty(c + split.rest.size)
-    right[split.core], left[split.core] = r_core, l_core
-    right[split.rest] = np.real(split.basis @ (x @ r_core))
-    left[split.rest] = np.real(split.basis.conj() @ solve(
-        lam, (split.leave.T @ l_core)[:, None], trans=1)[:, 0])
-    return lam, right, left
+        return pole, math.nan, None, None
+    return lam, slope, r, l
 
 
 def perron_values(chain: LatticeChain, tilts) -> np.ndarray:
@@ -308,26 +308,45 @@ def _shifted_solve(schur: np.ndarray, shift: np.ndarray, rhs: np.ndarray) -> np.
 
 
 def lambda_hessian(chain: LatticeChain, data: PerronData) -> np.ndarray:
-    """Hessian of lambda at data.u from its Perron pair, with no second eigensolve.
+    """Hessian of lambda at data.u, on the tilt core.
 
-    Second-order perturbation of a simple eigenvalue:
-    H_ij = l^T (F_ij + F_i S F_j + F_j S F_i) r / (l^T r), where F_i and
-    F_ij are the derivatives of F(u), P = r l^T / (l^T r) the Perron
-    projector and S = (lambda I - F + P)^-1 - P the reduced resolvent.
+    M and its Perron vectors are rebuilt at lambda = data.value: three
+    triangular solves and, for |C| > 1, one |C| x |C| eigensolve.
+    lambda(u) solves rho(M(p)) = lambda in p = (u, lambda).  Its second
+    derivative along p(u) = (u, lambda(u)), with J = dp/du = [I; grad
+    lambda^T], is H = J^T Hess(rho) J / (1 - rho_lambda).  Hess(rho) is
+    the second-order perturbation of a simple eigenvalue:
+    Hess_ab = l^T (M_ab + M_a S M_b + M_b S M_a) r / (l^T r), where P =
+    r l^T / (l^T r) is M's Perron projector and S = (rho I - M + P)^-1 - P
+    the reduced resolvent.  The derivatives in u are those of D(u); in
+    lambda, M_lambda = -A_CR (lambda - A_RR)^-2 A_RC and
+    M_lambdalambda = 2 A_CR (lambda - A_RR)^-3 A_RC, triangular solves
+    against the Schur form; M_u,lambda = 0.  With R empty, M = F(u) and
+    H is Hess(rho) in u.
     """
-    tilted = _tilted_weights(chain, np.asarray(data.u))
-    flat, dz, _ = chain.entry_arrays
-    left, right = data.left, data.right
+    split, mat, tilted, dz = _core_terms(chain, np.asarray(data.u))
+    k, c = chain.rank, split.core.size
+    firsts = [_core_sum(split, tilted * dz[:, ax]) for ax in range(k)] + [np.zeros((c, c))]
+    curve = np.zeros((c, c))
+    if split.schur.size:
+        solve = _resolvent(split)
+        x = solve(data.value, split.enter)
+        y = solve(data.value, x)
+        mat = mat + np.real(split.leave @ x)
+        firsts[k] = -np.real(split.leave @ y)
+        curve = 2.0 * np.real(split.leave @ solve(data.value, y))
+    rho, right, left = _perron_pair(mat)
     denom = float(left @ right)
     proj = np.outer(right, left) / denom
-    F_i = [_fiber_sum(chain, tilted * dz[:, ax]) for ax in range(chain.rank)]
-    F_r = np.column_stack([f @ right for f in F_i])
-    shifted = data.value * np.eye(chain.fiber_count) - _fiber_sum(chain, tilted) + proj
-    S_F_r = np.linalg.solve(shifted, F_r) - proj @ F_r
-    cross = np.array([left @ f for f in F_i]) @ S_F_r
-    pair_weights = tilted * np.outer(left, right).ravel()[flat]
-    direct = dz.T @ (dz * pair_weights[:, None])
-    return (direct + cross + cross.T) / denom
+    l_m = np.array([left @ f for f in firsts])
+    m_r = np.column_stack([f @ right for f in firsts])
+    cross = l_m @ (np.linalg.solve(rho * np.eye(c) - mat + proj, m_r) - proj @ m_r)
+    direct = np.zeros((k + 1, k + 1))
+    direct[:k, :k] = dz.T @ (dz * (tilted * np.outer(left, right).ravel()[split.slots])[:, None])
+    direct[k, k] = float(left @ curve @ right)
+    grad = l_m @ right / denom  # rho_u, then rho_lambda
+    jac = np.vstack([np.eye(k), grad[:k] / (1.0 - grad[k])])
+    return jac.T @ ((direct + cross + cross.T) / denom) @ jac / (1.0 - grad[k])
 
 
 @lru_cache(maxsize=16)

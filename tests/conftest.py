@@ -89,9 +89,9 @@ def tilted_matrix(chain, u) -> np.ndarray:
 
 
 def perron_residual(chain, data) -> float:
-    """max |F r - lambda r| of a perron() result, r its right vector at unit sum."""
-    r = data.right / data.right.sum()
-    return float(np.max(np.abs(tilted_matrix(chain, data.u) @ r - data.value * r)))
+    """|lambda - rho(F(u))| of a perron() result, rho the largest real part of
+    the eigenvalues of F(u) built entry by entry."""
+    return abs(data.value - float(max(np.linalg.eigvals(tilted_matrix(chain, data.u)).real)))
 
 
 def extrapolated_ratio_deviation(rep):

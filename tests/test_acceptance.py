@@ -180,10 +180,9 @@ def test_a08_relative_green_decay(z2_cfg, z2_engine, f2_engine, f2_cfg):
 
 def test_a09_classification_suite(z2_cfg):
     g = z2_cfg.group
-    diag = SequenceSpec(name="diag", templates=("a^n*b^n",), start=1, stop=12, mode="single")
-    ray = SequenceSpec(name="ray", templates=("a*t",), start=1, stop=12, mode="single")
-    swap = SequenceSpec(name="swap", templates=("a^n", "b^n"), start=1, stop=12,
-                        mode="alternate")
+    diag = SequenceSpec(name="diag", templates=("a^n*b^n",), start=1, stop=12)
+    ray = SequenceSpec(name="ray", templates=("a*t",), start=1, stop=12)
+    swap = SequenceSpec(name="swap", templates=("a^n", "b^n"), start=1, stop=12)
     res_diag = classify(g, diag.elements(g), [0])
     s = 1.0 / math.sqrt(2.0)
     diag_ok = (res_diag.tag == "Parabolic" and res_diag.coset == Coset.of(g.identity, 0)

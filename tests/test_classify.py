@@ -20,35 +20,32 @@ from conftest import config_path, count_calls, cut_by, extrapolated_ratio_deviat
 
 def test_template_exponent_parsing(z2_cfg):
     g = z2_cfg.group
-    spec = SequenceSpec(name="diag", templates=("a^n*b^n",), start=1, stop=4, mode="single")
+    spec = SequenceSpec(name="diag", templates=("a^n*b^n",), start=1, stop=4)
     assert spec.element(g, 3) == g.word("a^3*b^3")
-    affine = SequenceSpec(name="odd", templates=("a^2n+1",), start=0, stop=3, mode="single")
+    affine = SequenceSpec(name="odd", templates=("a^2n+1",), start=0, stop=3)
     assert affine.element(g, 2) == g.word("a^5")
-    const = SequenceSpec(name="mix", templates=("t*a^n",), start=1, stop=4, mode="single")
+    const = SequenceSpec(name="mix", templates=("t*a^n",), start=1, stop=4)
     assert const.element(g, 1) == g.word("t*a")
     with pytest.raises(ParseError):
-        SequenceSpec(name="bad", templates=("a^n^2",), start=1, stop=3, mode="single").element(g, 1)
-    word = SequenceSpec(name="word", templates=("(a*t)^n*b",), start=1, stop=3, mode="single")
+        SequenceSpec(name="bad", templates=("a^n^2",), start=1, stop=3).element(g, 1)
+    word = SequenceSpec(name="word", templates=("(a*t)^n*b",), start=1, stop=3)
     assert word.element(g, 2) == g.word("a*t*a*t*b")
     with pytest.raises(ParseError) as nested:
-        SequenceSpec(name="nested", templates=("((a*t)^2*b)^n",), start=1, stop=3, mode="single").element(g, 1)
+        SequenceSpec(name="nested", templates=("((a*t)^2*b)^n",), start=1, stop=3).element(g, 1)
     assert "'((a*t)^2*b)^n'" in str(nested.value) and "nest" in str(nested.value)
 
 
 def test_alternate_mode_cycles_templates(z2_cfg):
     g = z2_cfg.group
-    spec = SequenceSpec(name="alt", templates=("a^n", "b^n"), start=1, stop=6,
-                        mode="alternate")
+    spec = SequenceSpec(name="alt", templates=("a^n", "b^n"), start=1, stop=6)
     els = spec.elements(g)
     assert els[0] == g.word("b^1")
     assert els[1] == g.word("a^2")
-    with pytest.raises(ParseError):
-        SequenceSpec(name="two", templates=("a^n", "b^n"), start=1, stop=3, mode="single")
 
 
 def test_diagonal_sequence_is_parabolic_with_unit_diagonal_direction(z2_cfg):
     g = z2_cfg.group
-    spec = SequenceSpec(name="diag", templates=("a^n*b^n",), start=1, stop=10, mode="single")
+    spec = SequenceSpec(name="diag", templates=("a^n*b^n",), start=1, stop=10)
     res = classify(g, spec.elements(g), parabolic=[0])
     assert res.tag == "Parabolic"
     assert res.coset is not None and res.coset.factor == 0
@@ -58,7 +55,7 @@ def test_diagonal_sequence_is_parabolic_with_unit_diagonal_direction(z2_cfg):
 
 def test_mixed_syllable_sequence_is_conical(z2_cfg):
     g = z2_cfg.group
-    spec = SequenceSpec(name="at", templates=("a*t",), start=1, stop=10, mode="single")
+    spec = SequenceSpec(name="at", templates=("a*t",), start=1, stop=10)
     seq = [g.word("a*t") ** n for n in range(1, 11)]
     res = classify(g, seq, parabolic=[0])
     assert res.tag == "Conical"
@@ -66,8 +63,7 @@ def test_mixed_syllable_sequence_is_conical(z2_cfg):
 
 def test_axis_swapping_sequence_stays_unresolved(z2_cfg):
     g = z2_cfg.group
-    spec = SequenceSpec(name="swap", templates=("a^n", "b^n"), start=1, stop=12,
-                        mode="alternate")
+    spec = SequenceSpec(name="swap", templates=("a^n", "b^n"), start=1, stop=12)
     res = classify(g, spec.elements(g), parabolic=[0])
     assert res.tag == "Unresolved"
 
@@ -81,7 +77,7 @@ def test_second_factor_ray_is_conical_relative_to_first(z2_cfg):
 
 def test_translated_sequence_lands_in_translated_coset(z2_cfg):
     g = z2_cfg.group
-    spec = SequenceSpec(name="tdiag", templates=("t*a^n*b^n",), start=1, stop=10, mode="single")
+    spec = SequenceSpec(name="tdiag", templates=("t*a^n*b^n",), start=1, stop=10)
     res = classify(g, spec.elements(g), parabolic=[0])
     assert res.tag == "Parabolic"
     assert res.coset == Coset.of(g.word("t"), 0)
@@ -93,7 +89,7 @@ def test_representative_invariance_for_the_diagonal(z2_cfg):
     # Translating by a^-1 moves the identity coset's chart by a's lattice part,
     # as choosing a for its representative would.
     g = z2_cfg.group
-    spec = SequenceSpec(name="diag", templates=("a^n*b^n",), start=1, stop=14, mode="single")
+    spec = SequenceSpec(name="diag", templates=("a^n*b^n",), start=1, stop=14)
     base = classify(g, spec.elements(g), [0])
     shifted = classify(g, [g.word("a^-1") * x for x in spec.elements(g)], [0])
     assert shifted.tag == base.tag == "Parabolic"

@@ -247,6 +247,27 @@ def test_sequences_classify_cannot_evaluate_fail_in_config(tmp_path, sequence, m
         assert r.stdout == "" and not out.exists()
 
 
+@pytest.mark.parametrize("mode, message", [
+    ("single", "mode 'single' takes exactly one template"),
+    ("shuffle", "unknown sequence mode 'shuffle'")])
+def test_sequence_mode_must_match_its_templates(tmp_path, mode, message):
+    """The template count decides how terms pick templates; a "mode" key may
+    restate it, and one that contradicts it, or names no mode, is a config error."""
+    with open(config_path("z2_free_z.json")) as fh:
+        cfg = json.load(fh)
+    cfg["sequences"] = [{"name": "two", "templates": ["a^n", "b^n"], "mode": mode}]
+    p = tmp_path / "seq.json"
+    p.write_text(json.dumps(cfg))
+    with pytest.raises(ConfigError, match=f"bad sequence: {message}"):
+        load_config(str(p))
+    r = run_cli("classify", "--config", str(p), "--out", str(tmp_path / "out"))
+    assert r.returncode == 1
+    assert r.stderr.startswith("error:") and message in r.stderr and "Traceback" not in r.stderr
+    cfg["sequences"][0]["mode"] = "alternate"
+    p.write_text(json.dumps(cfg))
+    assert load_config(str(p)).sequences[0].templates == ("a^n", "b^n")
+
+
 def test_induce_on_long_lattice_steps_exits_cleanly(tmp_path):
     steps = ["a", "a^-1", "a^2", "a^-2", "a^3", "a^-3", "t", "t^-1"]
     cfg = {"name": "long_steps",

@@ -314,21 +314,18 @@ def test_limit_kernel_ratio_formula():
 
 
 def test_tilted_matrix_entries_are_weighted_exponentials(z2_chain_eta2):
-    # perron(c, u) is the Perron pair of F(u)[j1, j2] = sum_z p((0,j1)->(z,j2)) e^(u.z),
-    # built here entry by entry.
+    # perron(c, u) is the Perron root of F(u)[j1, j2] = sum_z p((0,j1)->(z,j2)) e^(u.z),
+    # built here entry by entry.  Here lambda(u)^2 = 0.06 e^u, so d lambda/du = lambda / 2.
     c = LatticeChain.build(1, 2, [(0, 1, (2,), 0.3), (1, 0, (-1,), 0.2)])
     data = perron(c, (0.5,))
     assert data.value == pytest.approx(math.sqrt(0.3 * math.exp(1.0) * 0.2 * math.exp(-0.5)))
-    assert data.right[1] / data.right[0] == pytest.approx(0.2 * math.exp(-0.5) / data.value)
+    assert data.gradient[0] == pytest.approx(0.5 * data.value, rel=1e-14)
     u = np.array([0.3, -0.2])
     ref = np.zeros((z2_chain_eta2.fiber_count,) * 2)
     for j1, j2, dz, w in z2_chain_eta2.entries:
         ref[j1, j2] += w * math.exp(float(u @ dz))
     data = perron(z2_chain_eta2, u)
     assert data.value == pytest.approx(max(np.linalg.eigvals(ref).real), rel=1e-13)
-    assert np.allclose(ref @ data.right, data.value * data.right, rtol=1e-12, atol=1e-15)
-    assert np.allclose(data.left @ ref, data.value * data.left, rtol=1e-12, atol=1e-15)
-
 
 
 def dense_perron_root(chain: LatticeChain, u) -> float:
@@ -417,36 +414,69 @@ def cycle_rest_chain() -> LatticeChain:
         (3, 0, (0, 0), 0.3)])
 
 
-def dense_pair(chain: LatticeChain, u) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """lambda, right and left vectors scaled as perron() scales them, and the
-    gradient, from one dense eigendecomposition of F(u) built entry by entry."""
-    vals, lvecs, rvecs = scipy.linalg.eig(tilted_matrix(chain, u), left=True)
-    idx = int(np.argmax(vals.real))
-    right, left = rvecs[:, idx].real, lvecs[:, idx].real
-    right, left = right / right[0], left / left.sum()
-    dF = np.zeros((chain.rank, chain.fiber_count, chain.fiber_count))
+def dense_derivatives(chain: LatticeChain, u) -> tuple[float, np.ndarray, np.ndarray]:
+    """lambda, its gradient and its Hessian from one dense eigendecomposition of
+    F(u) and the N x N second-order perturbation of its Perron root, with F and
+    its derivatives built entry by entry."""
+    F = tilted_matrix(chain, u)
+    n, k = chain.fiber_count, chain.rank
+    dF, d2F = np.zeros((k, n, n)), np.zeros((k, k, n, n))
     for j1, j2, dz, w in chain.entries:
-        dF[:, j1, j2] += w * math.exp(float(np.dot(u, dz))) * np.array(dz)
-    return float(vals[idx].real), right, left, (left @ dF @ right) / (left @ right)
+        weight, d = w * math.exp(float(np.dot(u, dz))), np.array(dz, dtype=float)
+        dF[:, j1, j2] += weight * d
+        d2F[:, :, j1, j2] += weight * np.outer(d, d)
+    vals, lvecs, rvecs = scipy.linalg.eig(F, left=True)
+    idx = int(np.argmax(vals.real))
+    lam, right, left = float(vals[idx].real), rvecs[:, idx].real, lvecs[:, idx].real
+    denom = left @ right
+    proj = np.outer(right, left) / denom
+    F_r = np.column_stack([f @ right for f in dF])
+    cross = (left @ dF) @ (np.linalg.solve(lam * np.eye(n) - F + proj, F_r) - proj @ F_r)
+    hess = (np.einsum("i,abij,j->ab", left, d2F, right) + cross + cross.T) / denom
+    return lam, (left @ dF @ right) / denom, hess
 
 
-def test_core_pair_is_the_dense_pair_of_f(z2_chain_eta2, seeded_eta4_chain, finite_part_chain):
+def core_pair_test_chains(z2_chain_eta2, seeded_eta4_chain, finite_part_chain) -> dict:
+    """Chains with a rest R: z2 at eta 2 and 4, a two-fiber core, the four
+    Jordan chains and a rest with complex Schur form, by name."""
     jordan = {k: v for k, v in core_test_chains().items() if k.startswith("jordan")}
     chains = {"eta2": z2_chain_eta2, "eta4": seeded_eta4_chain,
               "finite_part": finite_part_chain, **jordan, "cycle_rest": cycle_rest_chain()}
     assert len(jordan) == 4 and np.iscomplexobj(chains["cycle_rest"].tilt_core.schur)
+    assert all(chain.tilt_core.schur.size for chain in chains.values())
+    return chains
+
+
+def test_core_pair_is_the_dense_pair_of_f(z2_chain_eta2, seeded_eta4_chain, finite_part_chain):
     rng = np.random.default_rng(28)
     tilts = np.vstack([np.zeros((1, 2)), rng.uniform(-1.0, 1.0, size=(3, 2))])
+    chains = core_pair_test_chains(z2_chain_eta2, seeded_eta4_chain, finite_part_chain)
     for name, chain in chains.items():
-        assert chain.tilt_core.rest.size, name
         for u in tilts:
             got = perron(chain, u)
-            lam, right, left, grad = dense_pair(chain, u)
+            lam, grad, _ = dense_derivatives(chain, u)
             assert abs(got.value - lam) <= 1e-13 * lam, name
             assert abs(perron_values(chain, [u])[0] - got.value) <= 1e-14 * got.value, name
-            assert np.abs(got.right - right).max() <= 1e-12 * np.abs(right).max(), name
-            assert np.abs(got.left - left).max() <= 1e-12 * np.abs(left).max(), name
             assert np.abs(np.subtract(got.gradient, grad)).max() <= 1e-12, name
+
+
+def test_gradient_and_hessian_are_the_dense_perturbation_of_f(z2_chain_eta2, seeded_eta4_chain,
+                                                               finite_part_chain):
+    """perron's gradient and lambda_hessian, read off the tilt core by implicit
+    differentiation, against the dense N x N perturbation formulas, to 1e-12 of
+    the larger of lambda and the reference gradient's largest entry (gradient)
+    and of the reference Hessian's largest entry."""
+    rng = np.random.default_rng(30)
+    tilts = np.vstack([np.zeros((1, 2)), rng.uniform(-1.0, 1.0, size=(3, 2))])
+    chains = core_pair_test_chains(z2_chain_eta2, seeded_eta4_chain, finite_part_chain)
+    for name, chain in chains.items():
+        for u in tilts:
+            data = perron(chain, u)
+            lam, grad, hess = dense_derivatives(chain, u)
+            scale = max(lam, np.abs(grad).max())
+            assert np.abs(np.subtract(data.gradient, grad)).max() <= 1e-12 * scale, name
+            got = lambda_hessian(chain, data)
+            assert np.abs(got - hess).max() <= 1e-12 * np.abs(hess).max(), name
 
 
 def test_minimizer_solves_no_eigenproblem_larger_than_the_core(seeded_eta4_chain, monkeypatch):
@@ -488,31 +518,27 @@ def test_level_points_do_not_depend_on_eta(z2_chain_eta0, z2_chain_eta2):
 
 def test_lambda_surface_factors_the_rest_once_and_never_builds_f(z2_chain_eta2, tmp_path,
                                                                  monkeypatch):
+    """lambda-surface and boundary-map factor A_RR once, and no eigenproblem or
+    linear solve of theirs is larger than the tilt core or the (rank + 1)-row
+    bordered Newton system: nothing is N x N."""
     # A fresh copy of the eta-2 chain, so its split is not cached yet.
     ctx = cli.RunContext(load_config(write_chain_config(tmp_path / "eta2.json", z2_chain_eta2, 11)),
                          str(tmp_path / "out"))
-    inner_min, inner_sum = perron_module.minimize_lambda, perron_module._fiber_sum
-    minimizing, stray = [False], []
-
-    def minimize(chain):
-        minimizing[0] = True
-        try:
-            return inner_min(chain)
-        finally:
-            minimizing[0] = False
-
-    def fiber_sum(chain, weights):
-        if not minimizing[0]:
-            stray.append(chain.fiber_count)
-        return inner_sum(chain, weights)
-
-    monkeypatch.setattr(perron_module, "minimize_lambda", minimize)
-    monkeypatch.setattr(perron_module, "_fiber_sum", fiber_sum)
+    rows = []
+    for module, name in ((scipy.linalg, "eig"), (scipy.linalg, "solve"), (np.linalg, "eig"),
+                         (np.linalg, "eigvals"), (np.linalg, "solve")):
+        def recorded(a, *args, inner=getattr(module, name), **kwargs):
+            rows.append(np.shape(a)[-2])
+            return inner(a, *args, **kwargs)
+        monkeypatch.setattr(module, name, recorded)
     schur = count_calls(monkeypatch, scipy.linalg, "schur")
     values = count_tilts(monkeypatch, cli, "perron_values")
     assert cli.stage_lambda_surface(ctx)["status"] == "ok"
     assert values[0] == 121
-    assert stray == [] and schur[0] == 1
+    assert cli.stage_boundary_map(ctx)["status"] == "ok"
+    core = ctx.cfg.chain.tilt_core.core.size
+    assert rows and max(rows) <= max(core, z2_chain_eta2.rank + 1) == 3
+    assert schur[0] == 1
 
 
 def test_newton_cap_is_a_numerical_failure(z2_chain_eta2, tmp_path, monkeypatch):
@@ -547,9 +573,10 @@ def test_rest_free_values_are_the_eigenvalues_of_f_bit_for_bit(z2_chain_eta0, la
     for chain in chains:
         tilts = np.vstack([np.zeros((1, chain.rank)),
                            rng.uniform(-2.0, 2.0, size=(24, chain.rank))])
-        _, dz, w = chain.entry_arrays
-        ref = [max(np.linalg.eigvals(perron_module._fiber_sum(chain, w * np.exp(dz @ u))).real)
-               for u in tilts]
+        flat, dz, w = chain.entry_arrays
+        n = chain.fiber_count
+        ref = [max(np.linalg.eigvals(np.bincount(flat, w * np.exp(dz @ u), n * n)
+                                     .reshape(n, n)).real) for u in tilts]
         assert perron_values(chain, tilts).tolist() == ref
 
 
