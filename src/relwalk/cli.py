@@ -29,7 +29,7 @@ from .lattice import ChainGreen, LatticeChain
 from .perron import check_assumptions, direction_grid, level_set_point, perron_values
 from .reports import fmt, svg_heatmap, svg_line_plot, write_csv, write_json
 
-_SAME_GREEN_TOL = 1e-6  # induce: induced-chain Green against the walk Green
+_SAME_GREEN_TOL = 1e-6  # induce: kappa-scaled first-step residual of the walk Green
 _TRANSITIONS = TransitionParams(epsilon=1, window=4)  # floyd and ancona
 _FLOYD_RADIUS = 6  # floyd: longer path points get a blank floyd.csv cell
 _ANCONA_RMAX, _ANCONA_MONOTONE_SLACK = 4, 1e-9  # ancona: forbidden radii 0..RMAX

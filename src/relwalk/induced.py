@@ -12,15 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .balls import ball_elements
 from .errors import AssumptionError
 from .excursions import FreeProductEngine
 from .groups import FreeProductGroup, GroupElement
-from .lattice import ChainGreen, LatticeChain, absorption_distribution
-
-# Lattice points (padded with zeros or cut to the chain rank) at which
-# verify_same_green compares the two Green's functions in every fiber.
-_SAME_GREEN_PROBES = ((0,), (1,), (2, 1), (-1, 2), (3, 3))
+from .lattice import LatticeChain, absorption_distribution
 
 
 @dataclass(frozen=True)
@@ -133,19 +131,20 @@ def induce_first_return(engine: FreeProductEngine, factor: int, eta: int,
 
 def verify_same_green(chain: LatticeChain, engine: FreeProductEngine,
                       fibers: FiberIndex) -> float:
-    """Max |G_chain - G_walk| over probe states; the two must agree.
+    """kappa max_j |rho_j|, rho_j the residual of G(., e) = delta_e + P G(., e) in fiber j's row.
 
-    The induced chain observes the walk at its visits to the neighborhood,
-    so its Green's function at any pair of neighborhood states equals the
-    walk's Green's function at the corresponding group elements.  The walk
-    side is one row, green_matrix([e], states), over every probe state.
+    kappa = max_i [(I - F(0))^-1 1]_i, the expected visit count of P (the walk watched on the
+    neighborhood), scales rho, read at z = 0 only, to the scale (not a bound) of G_chain - G_walk.
     """
-    rank = chain.rank
-    states = [((z + (0,) * rank)[:rank], k)
-              for z in _SAME_GREEN_PROBES for k in range(len(fibers))]
-    refs = engine.green_matrix([engine.group.identity],
-                               [fibers.state(zt, k) for zt, k in states])[0].tolist()
-    cg = ChainGreen(chain, radius=engine.radius)
-    return max((abs(cg.green(0, zt, k) - ref) for (zt, k), ref in zip(states, refs)),
-               default=0.0)
-
+    n, (flat, _, w) = chain.fiber_count, chain.entry_arrays
+    states = [fibers.state((0,) * chain.rank, j) for j in range(n)]
+    states += [fibers.state(dz, j2) for _, j2, dz, _ in chain.entries]
+    col = engine.green_matrix(states, [engine.group.identity])[:, 0]
+    rho = col[:n] - np.eye(n)[0] - np.bincount(flat // n, w * col[n:], n)
+    try:
+        visits = np.linalg.solve(np.eye(n) - np.bincount(flat, w, n * n).reshape(n, n), np.ones(n))
+    except np.linalg.LinAlgError:
+        visits = np.zeros(n)
+    if not np.all(visits >= 1.0):  # I - F(0) is singular, or is so up to rounding
+        raise AssumptionError("I - F(0) is singular: a closed fiber class keeps all its mass")
+    return float(visits.max() * np.abs(rho).max())

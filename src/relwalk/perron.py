@@ -52,13 +52,13 @@ def _tilt_vector(chain: LatticeChain, u) -> np.ndarray:
 
 
 def _exponents(chain: LatticeChain, tilts: np.ndarray) -> np.ndarray:
-    """Exponents u.z, tilts by entries; OverflowError names the first overflowing tilt."""
-    a = tilts @ chain.entry_arrays[1].T
+    """Exponents u.z, tilts by moved entries; OverflowError names the first overflowing tilt."""
+    a = tilts @ chain.entry_arrays[1][chain.tilt_core.moved].T
     over = np.argwhere(a > _EXP_CAP)
     if over.size:
         t, e = over[0]
-        raise OverflowError(
-            f"tilt {tuple(tilts[t].tolist())} overflows on displacement {chain.entries[e][2]}")
+        raise OverflowError(f"tilt {tuple(tilts[t].tolist())} overflows on displacement "
+                            f"{chain.entries[chain.tilt_core.moved[e]][2]}")
     return a
 
 
@@ -67,7 +67,7 @@ def _core_terms(chain: LatticeChain, v: np.ndarray
     """The tilt core, A_CC + D(v), and the moved entries' tilted weights and displacements."""
     split = chain.tilt_core
     dz = chain.entry_arrays[1][split.moved]
-    tilted = chain.entry_arrays[2][split.moved] * np.exp(_exponents(chain, v[None])[0, split.moved])
+    tilted = chain.entry_arrays[2][split.moved] * np.exp(_exponents(chain, v[None])[0])
     return split, split.base + _core_sum(split, tilted), tilted, dz
 
 
@@ -229,7 +229,7 @@ def perron_values(chain: LatticeChain, tilts) -> np.ndarray:
     split = chain.tilt_core
     m, c = len(u), split.core.size
     cells = (np.arange(m)[:, None] * (c * c) + split.slots).ravel()
-    weights = chain.entry_arrays[2][split.moved] * np.exp(_exponents(chain, u)[:, split.moved])
+    weights = chain.entry_arrays[2][split.moved] * np.exp(_exponents(chain, u))
     tilted = split.base + np.bincount(cells, weights.ravel(), m * c * c).reshape(m, c, c)
     if not split.schur.size:
         return np.linalg.eigvals(tilted).real.max(axis=1)

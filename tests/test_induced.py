@@ -6,38 +6,31 @@ import numpy as np
 import pytest
 
 from relwalk import (ChainGreen, FactorSpec, FiberIndex, FreeProductEngine, FreeProductGroup,
-                     StepMeasure, induce_first_return, minimize_lambda,
+                     LatticeChain, StepMeasure, induce_first_return, minimize_lambda,
                      verify_same_green)
 from relwalk import induced, lattice
 from relwalk.config import DEFAULT_STATE_CAP
-from relwalk.induced import _SAME_GREEN_PROBES
+from relwalk.errors import AssumptionError
 from relwalk.perron import level_set_point
 
 from conftest import count_calls
 
+# Lattice points (padded with zeros or cut to the chain rank) at which
+# box_same_green compares the two Green's functions in every fiber.
+BOX_PROBES = ((0,), (1,), (2, 1), (-1, 2), (3, 3))
 
-def _scalar_same_green(chain, engine, fibers) -> float:
-    """The per-state scalar loop that verify_same_green's block row replaced."""
+
+def box_same_green(chain, engine, fibers) -> float:
+    """Max |G_chain - G_walk| over the probe states, G_chain from a full-radius
+    box of the induced chain: the check that verify_same_green's residual replaced."""
     cg = ChainGreen(chain, radius=engine.radius)
     worst = 0.0
-    for z in _SAME_GREEN_PROBES:
+    for z in BOX_PROBES:
         zt = (tuple(z) + (0,) * chain.rank)[:chain.rank]
         for k in range(len(fibers)):
             ref = engine.green(engine.group.identity, fibers.state(zt, k))
             worst = max(worst, abs(cg.green(0, zt, k) - ref))
     return worst
-
-
-def assert_same_green_equals_the_scalar_loop(monkeypatch, chain, group, mu, radius, fibers):
-    """On two fresh engines, the block row and the scalar loop give the same
-    float, and the block row reads no scalar Green."""
-    block_engine = FreeProductEngine(group, mu, radius=radius)
-    scalar = count_calls(monkeypatch, FreeProductEngine, "green")
-    got = verify_same_green(chain, block_engine, fibers)
-    assert scalar[0] == 0
-    monkeypatch.undo()
-    ref = _scalar_same_green(chain, FreeProductEngine(group, mu, radius=radius), fibers)
-    assert got.hex() == ref.hex()
 
 
 def test_fiber_enumeration_small_neighborhoods(f2_cfg, z2_cfg):
@@ -87,15 +80,42 @@ def test_rank_two_induced_chain_green_matches_the_walk(z2_chain_eta2, z2_engine,
     assert dev < 1e-9
 
 
-@pytest.mark.parametrize("cfg_name, chain_name, eta", [
-    ("f2a_cfg", "f2a_chain", 0), ("z2_cfg", "z2_chain_eta0", 0), ("z2_cfg", "z2_chain_eta2", 2),
+@pytest.mark.parametrize("engine_name, chain_name, eta", [
+    ("f2_engine", "f2a_chain", 0), ("z2_engine", "z2_chain_eta0", 0),
+    ("z2_engine", "z2_chain_eta2", 2),
 ], ids=["f2_over_a-eta0", "z2-eta0", "z2-eta2"])
-def test_same_green_row_equals_the_scalar_loop(cfg_name, chain_name, eta, request, monkeypatch):
-    cfg = request.getfixturevalue(cfg_name)
+def test_residual_catches_every_perturbed_entry_the_box_check_catches(engine_name, chain_name,
+                                                                       eta, request):
+    """Each kernel entry in turn scaled by 1 +- 1e-6: the residual figure is at
+    least half the box check's Green deviation on every one (0.52-27x)."""
+    engine = request.getfixturevalue(engine_name)
     chain = request.getfixturevalue(chain_name)
-    fibers = FiberIndex.build(cfg.group, factor=0, eta=eta, state_cap=DEFAULT_STATE_CAP)
-    assert_same_green_equals_the_scalar_loop(monkeypatch, chain, cfg.group, cfg.measure,
-                                             cfg.radius, fibers)
+    fibers = FiberIndex.build(engine.group, factor=0, eta=eta, state_cap=DEFAULT_STATE_CAP)
+    for i, (j1, j2, dz, w) in enumerate(chain.entries):
+        for scale in (1 + 1e-6, 1 - 1e-6):
+            entries = list(chain.entries)
+            entries[i] = (j1, j2, dz, w * scale)
+            perturbed = LatticeChain(chain.rank, chain.fiber_count, tuple(entries))
+            got = verify_same_green(perturbed, engine, fibers)
+            assert got >= 0.5 * box_same_green(perturbed, engine, fibers), (i, scale)
+
+
+def test_same_green_builds_no_box(z2_cfg, z2_chain_eta2, monkeypatch):
+    engine = FreeProductEngine(z2_cfg.group, z2_cfg.measure, radius=z2_cfg.radius)
+    fibers = FiberIndex.build(z2_cfg.group, factor=0, eta=2, state_cap=DEFAULT_STATE_CAP)
+    boxes = count_calls(monkeypatch, lattice, "BoxGreen")
+    assert verify_same_green(z2_chain_eta2, engine, fibers) < 1e-13
+    assert boxes[0] == 0
+
+
+def test_closed_stochastic_fiber_class_is_an_assumption_failure(f2_cfg, f2_engine):
+    # Fibers 1 and 2 pass all their mass between themselves: I - F(0) is singular.
+    fibers = FiberIndex.build(f2_cfg.group, factor=0, eta=1, state_cap=DEFAULT_STATE_CAP)
+    chain = LatticeChain.build(1, 3, [(0, 0, (1,), 0.25), (0, 1, (0,), 0.25),
+                                      (1, 1, (1,), 0.5), (1, 2, (0,), 0.5),
+                                      (2, 1, (-1,), 0.25), (2, 2, (0,), 0.75)])
+    with pytest.raises(AssumptionError, match="singular"):
+        verify_same_green(chain, f2_engine, fibers)
 
 
 def test_neighborhood_width_does_not_move_the_boundary_point(z2_chain_eta0, z2_chain_eta2):
@@ -123,7 +143,7 @@ def test_induced_chain_is_symmetric_under_z_negation(z2_chain_eta0):
 
 
 @pytest.mark.parametrize("eta", [0, 1, 2])
-def test_excursions_through_a_finite_factor(eta, monkeypatch):
+def test_excursions_through_a_finite_factor(eta):
     # Z^2 * Z/3: excursions leave the parabolic Z^2 through the rank-0 factor.
     group = FreeProductGroup([
         FactorSpec(2, ((0,),), ("a", "b"), ()),
@@ -134,7 +154,7 @@ def test_excursions_through_a_finite_factor(eta, monkeypatch):
     fibers = FiberIndex.build(group, factor=0, eta=eta, state_cap=DEFAULT_STATE_CAP)
     assert chain.fiber_count == len(fibers)
     assert verify_same_green(chain, engine, fibers) < 1e-6
-    assert_same_green_equals_the_scalar_loop(monkeypatch, chain, group, mu, 6, fibers)
+    assert box_same_green(chain, engine, fibers) < 1e-6
 
 
 def complement_onto_first_fibers(chain, count: int):

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from relwalk import LatticeChain
-from relwalk.errors import ConfigError
+from relwalk.errors import ConfigError, ConvergenceError
 from relwalk import lattice
 from relwalk.lattice import BoxGreen, ChainGreen, absorption_distribution
 
@@ -315,3 +315,35 @@ def test_far_boxes_share_one_factorization_per_half_width(monkeypatch, z2_engine
         state = np.ravel_multi_index((z[0] + h, z[1] + h), (side, side)) * chain.fiber_count
         assert value == float(boxes[h].row(0)[state])
     assert len(far) == 15
+
+
+def simple_plane() -> LatticeChain:
+    """The 2-D simple walk of mass 0.99."""
+    steps = ((1, 0), (-1, 0), (0, 1), (0, -1))
+    return LatticeChain.build(2, 1, [(0, 0, dz, 0.99 / 4) for dz in steps])
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 2: a far target is read off the origin box, only "
+                   "half-width - max|z_i| deep (0.011850, where radius-deep ends give 0.035661)")
+def test_far_target_is_read_at_least_radius_deep():
+    """Truncation only underestimates, so a read of (9, 7) with both ends radius
+    deep is at least the row from -(4, 3) read at (5, 4) in a box of half-width
+    4 + 5, and at most the value in a box of half-width 96 (0.0511049)."""
+    chain = simple_plane()
+    got = ChainGreen(chain, 4).green(0, (9, 7), 0)
+    shallow, deep = BoxGreen(chain, 9), BoxGreen(chain, 96)
+    low = float(shallow.row(0, (-4, -3))[shallow._state_id((5, 4), 0)])
+    high = float(deep.row(0)[deep._state_id((9, 7), 0)])
+    assert low * (1 - 1e-12) <= got <= high
+
+
+@pytest.mark.xfail(strict=True, raises=ConvergenceError,
+                   reason="ROADMAP item 2: the first read with a centre fixes its "
+                   "box's half-width, so (9, 7) after (8, 7) lies outside the box")
+def test_far_target_does_not_depend_on_read_order():
+    chain = simple_plane()
+    first = ChainGreen(chain, 4).green(0, (9, 7), 0)
+    cg = ChainGreen(chain, 4)
+    cg.green(0, (8, 7), 0)
+    assert cg.green(0, (9, 7), 0) == first
