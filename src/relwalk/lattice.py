@@ -170,7 +170,9 @@ class TiltCore:
     (Meyer, SIAM Review 31, 1989).  A_RR is kept in Schur form Q T Q^*,
     real unless A_RR has complex eigenvalues, so that each resolvent is a
     triangular solve that stays backward stable on a defective A_RR.  Only
-    T is kept, with Q folded into the couplings A_CR Q and Q^* A_RC.
+    T is kept, with Q folded into the couplings A_CR Q and Q^* A_RC, and
+    beside it -T in the column order LAPACK reads: each resolvent solve
+    writes lambda - diag(T) onto that copy's diagonal, so no solve copies T.
     """
 
     core: np.ndarray  # C, in fiber order
@@ -178,6 +180,7 @@ class TiltCore:
     slots: np.ndarray  # their flat positions j1 * |C| + j2 in the C x C block
     base: np.ndarray  # A_CC
     schur: np.ndarray  # T, |R| x |R| upper triangular
+    shifted: np.ndarray  # -T in Fortran order, its diagonal rewritten by each solve
     leave: np.ndarray  # A_CR Q
     enter: np.ndarray  # Q^* A_RC
     core_out: np.ndarray  # row sums of A_CR
@@ -202,7 +205,7 @@ class TiltCore:
         return TiltCore(
             core=core, moved=np.flatnonzero(moved),
             slots=local[j1[moved]] * core.size + local[j2[moved]],
-            base=a[np.ix_(core, core)], schur=schur,
+            base=a[np.ix_(core, core)], schur=schur, shifted=np.asfortranarray(-schur),
             leave=a[np.ix_(core, rest)] @ q, enter=q.conj().T @ a[np.ix_(rest, core)],
             core_out=a[np.ix_(core, rest)].sum(axis=1),
             rest_mass=float(a[rest].sum(axis=1).max(initial=0.0)))

@@ -101,10 +101,10 @@ def _perron_pair(mat: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
 def _resolvent(split: TiltCore):
     """solve(lam, rhs) = (lam - T)^-1 rhs, one LAPACK triangular solve against the Schur form.
 
-    The off-diagonal part of lam - T is negated once; a solve writes only
-    its diagonal, through a view.
+    A solve writes only the diagonal of the chain's negated copy of T,
+    through a view, and LAPACK reads that copy in place.
     """
-    shifted = -split.schur
+    shifted = split.shifted
     shift = np.einsum("ii->i", shifted)  # a writable view of the diagonal
     diag = np.diag(split.schur)
     trtrs = scipy.linalg.lapack.ztrtrs if np.iscomplexobj(shifted) else scipy.linalg.lapack.dtrtrs

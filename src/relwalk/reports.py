@@ -24,7 +24,17 @@ _ML, _MR, _MT, _MB = 70, 20, 40, 50
 
 
 def fmt(value) -> str:
-    """Canonical cell text: floats at 12 significant digits, vectors space-joined."""
+    """Canonical cell text: floats at 12 significant digits, vectors space-joined.
+
+    The common cell types (float, numpy.float64, str, int) are looked up
+    by exact type first, for speed; every other type, bool and numpy
+    integers included, goes through the isinstance chain.
+    """
+    kind = type(value)
+    if kind is float or kind is np.float64:
+        return "%.12g" % value
+    if kind is str or kind is int:
+        return str(value)
     if isinstance(value, float):
         return "%.12g" % value
     if isinstance(value, (tuple, list, np.ndarray)):

@@ -1,11 +1,13 @@
 """Config loading and command-line behavior, including exit codes."""
 import csv
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import relwalk.cli as cli
@@ -14,6 +16,7 @@ from relwalk.classify import sample_ancona_pairs
 from relwalk.config import DEFAULT_STATE_CAP
 from relwalk.errors import ConfigError
 from relwalk.perron import minimize_lambda
+from relwalk.reports import fmt
 
 from conftest import CONFIG_DIR, cli_env, config_path, count_calls, cut_by
 
@@ -656,6 +659,24 @@ def test_ancona_alone_writes_what_run_all_writes(tmp_path):
     for name in ("ancona.csv", "ancona.json"):
         assert (tmp_path / "ancona" / name).read_bytes() == \
             (tmp_path / "all" / name).read_bytes()
+
+
+def test_fmt_renders_every_cell_type():
+    """The exact-type lookups and the isinstance chain behind them render
+    floats at 12 significant digits and join vectors with spaces."""
+    cases = [(0.1 + 0.2, "0.3"), (np.float64(1 / 3), "0.333333333333"), (np.float32(0.5), "0.5"),
+             ("x y", "x y"), (7, "7"), (True, "True"), (np.int64(-3), "-3"),
+             ((1.0, 2), "1 2"), ([0.25, "a"], "0.25 a"), (np.array([1e-20, 2.0]), "1e-20 2")]
+    assert [fmt(value) for value, _ in cases] == [text for _, text in cases]
+
+
+def test_main_freezes_the_import_heap(tmp_path):
+    """cli.main moves the objects alive at its entry to the collector's
+    permanent generation, so no collection walks the import heap again."""
+    gc.unfreeze()
+    assert cli.main(["green", "--config", config_path("lattice_1d.json"),
+                     "--out", str(tmp_path / "o")]) == 0
+    assert gc.get_freeze_count() > 0
 
 
 def test_coincident_level_points_fail_boundary_map_as_non_injective(tmp_path, monkeypatch):
