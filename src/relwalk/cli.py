@@ -136,13 +136,15 @@ def stage_green(ctx: RunContext) -> dict:
     eff_radius = min(table_radius, cfg.radius)
     ball = ball_elements(group, eff_radius, cfg.state_cap)
     table = engine.green_matrix([e], ball)[0].tolist()
-    rows = [(group.format(x), x.word_length, g) for x, g in zip(ball, table)]
     sphere = [x for x in ball if x.word_length == eff_radius]
     inner = ball_elements(group, 2, cfg.state_cap)
     kernel = (engine.green_matrix(inner, sphere) / engine.green_matrix([e], sphere)).T.tolist()
-    inner_names = [group.format(x) for x in inner]
-    krows = [(y, x, k) for y, column in zip(map(group.format, sphere), kernel)
-             for x, k in zip(inner_names, column)]
+    # Balls list their elements layer by layer, so the smaller of the two is
+    # a prefix of the larger and the sphere is the last layer of the ball.
+    names = list(map(group.format, max(ball, inner, key=len)))
+    rows = [(name, x.word_length, g) for name, x, g in zip(names, ball, table)]
+    krows = [(y, x, k) for y, column in zip(names[len(ball) - len(sphere):len(ball)], kernel)
+             for x, k in zip(names[:len(inner)], column)]
     files = [write_csv(ctx.path("green.csv"), ["x", "word_length", "green"], rows),
              write_csv(ctx.path("martin.csv"), ["y", "x", "martin_kernel"], krows),
              write_json(ctx.path("green.json"), {
@@ -251,7 +253,8 @@ def stage_lambda_surface(ctx: RunContext) -> dict:
         tilts = [(a,) + rest for rest in later for a in axes[0]]
         grid = perron_values(chain, tilts).reshape(len(later), len(axes[0])).tolist()
         for rest, row in zip(later, grid):
-            rows.extend((label, a, rest, v) for a, v in zip(axes[0], row))
+            u_rest = fmt(rest)  # rendered once for the whole grid row
+            rows.extend((label, a, u_rest, v) for a, v in zip(axes[0], row))
         if chain.rank == 1:
             files.append(svg_line_plot(
                 ctx.path(f"lambda_{label}.svg"),
@@ -503,7 +506,7 @@ def _run_stage(ctx: RunContext, name: str) -> tuple[int, dict]:
         status, payload = "tolerance-failure", exc.payload
     except (AssumptionError, ConvergenceError, OverflowError) as exc:
         status, payload = "numerical-failure", {"reason": str(exc), "stage": name}
-    except StateCapError as exc:
+    except (StateCapError, OSError) as exc:
         return 1, {"status": "resource-failure", "note": str(exc), "files": []}
     path = write_json(ctx.path(f"{name.replace('-', '_')}_diagnostic.json"), payload)
     return 2, {"status": status, "note": payload["reason"], "files": [os.path.basename(path)]}
@@ -568,7 +571,8 @@ def main(argv=None) -> int:
         elif code:
             print(f"{args.command}: diagnostic written", file=sys.stderr)
         return code
-    except (ConfigError, ParseError, InvalidMeasureError) as exc:
+    except (ConfigError, ParseError, InvalidMeasureError, OSError) as exc:
+        # OSError: the output directory cannot be made or written to.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RelwalkError as exc:

@@ -3,16 +3,18 @@
 Numbers are rendered with 12 significant digits and a '.' decimal
 separator, rows and keys are emitted in a fixed order, and nothing
 depends on the clock or the process, so re-running a computation on the
-same inputs reproduces every CSV, JSON and SVG byte for byte.  fmt is
-the one rendering of a number, or a vector of numbers, in an artefact
-cell.  The writers expect the output directory to exist; cli.RunContext
-creates it.
+same inputs reproduces every CSV, JSON and SVG byte for byte.  The
+writers render a table column by column and a heatmap grid in one numpy
+pass; fmt is the one rendering of a mixed or vector cell, and the
+column renderers give the same text.  The writers expect the output
+directory to exist; cli.RunContext creates it.
 """
 from __future__ import annotations
 
-import csv
+import itertools
 import json
 import math
+import re
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -21,6 +23,14 @@ _PALETTE = ("#1b6ca8", "#c23b22", "#2e8540", "#8a4f9e", "#b8860b", "#3d3d3d")
 # Page sizes (width, height) in px, and the margins around every plot area.
 _LINE_PAGE, _HEAT_PAGE = (720, 480), (640, 600)
 _ML, _MR, _MT, _MB = 70, 20, 40, 50
+# Five-stop blue-to-red heatmap colours and the values of t on [0, 1] they sit at.
+_HEAT_T = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+_HEAT_RGB = np.array([(33, 70, 156), (86, 156, 214), (235, 235, 220),
+                      (222, 128, 73), (166, 38, 38)], dtype=float)
+# Rows a CSV writer formats and writes at a time: the text of one chunk is
+# what it holds in memory beyond the rows themselves.
+_CSV_CHUNK = 512
+_CSV_SPECIAL = re.compile('[,"\r\n]')
 
 
 def fmt(value) -> str:
@@ -42,12 +52,45 @@ def fmt(value) -> str:
     return str(value)
 
 
+def _csv_field(text: str) -> str:
+    """A field as csv.writer quotes it (QUOTE_MINIMAL): quoted, inner quotes doubled,
+    when it holds a comma, a double quote, CR or LF."""
+    if _CSV_SPECIAL.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_column(cells: Sequence) -> Sequence[str]:
+    """The CSV fields of one column: floats through "%.12g" as fmt renders them,
+    strings as they are, any other cell through fmt."""
+    kinds = set(map(type, cells))
+    if kinds <= {float, np.float64}:
+        return list(map("%.12g".__mod__, cells))
+    texts = cells if kinds == {str} else list(map(fmt, cells))
+    if _CSV_SPECIAL.search("".join(texts)):
+        return list(map(_csv_field, texts))
+    return texts
+
+
+def _csv_lines(rows: Sequence[Sequence]) -> str:
+    """The CSV text of equally long rows, each line ended by CR LF."""
+    columns = [_csv_column(cells) for cells in zip(*rows, strict=True)]
+    if len(columns) == 1:
+        # csv.writer quotes a lone empty field, so the row is not a blank line.
+        columns = [[text or '""' for text in columns[0]]]
+    return "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
+
+
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """Header and rows as csv.writer writes them, every cell rendered as fmt renders it.
+
+    The rows must all have the same length (ValueError otherwise).
+    """
+    rows = iter(rows)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(header))
-        for row in rows:
-            writer.writerow([fmt(c) for c in row])
+        fh.write(_csv_lines([header]))
+        while chunk := list(itertools.islice(rows, _CSV_CHUNK)):
+            fh.write(_csv_lines(chunk))
     return path
 
 
@@ -161,18 +204,19 @@ def svg_line_plot(path: str, series: Sequence[tuple[str, Sequence[float], Sequen
     return _svg_page(path, _LINE_PAGE, title, xlabel, ylabel, parts, over)
 
 
-def _heat_color(t: float) -> str:
-    """Five-stop blue-to-red map on [0, 1]."""
-    stops = ((0.00, (33, 70, 156)), (0.25, (86, 156, 214)),
-             (0.50, (235, 235, 220)), (0.75, (222, 128, 73)),
-             (1.00, (166, 38, 38)))
-    t = min(1.0, max(0.0, t))
-    for (t0, c0), (t1, c1) in zip(stops, stops[1:]):
-        if t <= t1:
-            w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-            r, g, b = (round(a + w * (b_ - a)) for a, b_ in zip(c0, c1))
-            return f"#{r:02x}{g:02x}{b:02x}"
-    return "#a62626"
+def _heat_colors(t: np.ndarray) -> list[str]:
+    """'#rrggbb' of each t on the five-stop map, t clamped to [0, 1].
+
+    The clamp is np.where, not np.clip, so a NaN reads 0 as it does under
+    the builtins min(1, max(0, t)); np.rint rounds half to even as round does.
+    """
+    t = np.where(t > 0.0, t, 0.0)
+    t = np.where(t < 1.0, t, 1.0)
+    k = np.searchsorted(_HEAT_T[1:], t)  # the first stop at or above t ends t's segment
+    w = (t - _HEAT_T[k]) / (_HEAT_T[k + 1] - _HEAT_T[k])
+    lo = _HEAT_RGB[k]
+    rgb = np.rint(lo + w[:, None] * (_HEAT_RGB[k + 1] - lo)).astype(np.int64)
+    return list(map("#%06x".__mod__, (rgb @ np.array([1 << 16, 1 << 8, 1])).tolist()))
 
 
 def svg_heatmap(path: str, xs: Sequence[float], ys: Sequence[float],
@@ -181,26 +225,24 @@ def svg_heatmap(path: str, xs: Sequence[float], ys: Sequence[float],
     """Grid heatmap of values[iy][ix]; cells near the level are outlined."""
     ml, mt, pw, ph = _plot_area(_HEAT_PAGE)
     nx, ny = len(xs), len(ys)
-    flat = [v for row in values for v in row]
+    grid = np.array(values, dtype=float)
+    flat = grid.ravel().tolist()
     vlo, vhi = min(flat), max(flat)
     if vhi == vlo:
         vhi = vlo + 1.0
     cw, ch = pw / nx, ph / ny
     span = 0.5 * (vhi - vlo) / max(nx, ny)
-    parts, outlines = [], []
-    for iy in range(ny):
-        for ix in range(nx):
-            v = values[iy][ix]
-            x0 = ml + ix * cw
-            y0 = mt + (ny - 1 - iy) * ch
-            parts.append(f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{cw + 0.5:.2f}" '
-                         f'height="{ch + 0.5:.2f}" '
-                         f'fill="{_heat_color((v - vlo) / (vhi - vlo))}"/>')
-            if abs(v - level) <= span:
-                outlines.append(f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{cw:.2f}" '
-                                f'height="{ch:.2f}" fill="none" stroke="black" '
-                                'stroke-width="1.2"/>')
-    parts += outlines
+    # Cell corners: one x per column and one y per row, rows drawn bottom up.
+    x0s = [f"{ml + ix * cw:.2f}" for ix in range(nx)]
+    y0s = [f"{mt + (ny - 1 - iy) * ch:.2f}" for iy in range(ny)]
+    size = f'width="{cw + 0.5:.2f}" height="{ch + 0.5:.2f}"'
+    fills = _heat_colors(((grid - vlo) / (vhi - vlo)).ravel())
+    parts = [f'<rect x="{x0}" y="{y0}" {size} fill="{fill}"/>'
+             for (y0, x0), fill in zip(itertools.product(y0s, x0s), fills)]
+    near = np.flatnonzero(np.abs(grid - level) <= span).tolist()
+    parts += [f'<rect x="{x0s[i % nx]}" y="{y0s[i // nx]}" width="{cw:.2f}" '
+              f'height="{ch:.2f}" fill="none" stroke="black" stroke-width="1.2"/>'
+              for i in near]
     for i in range(0, nx, max(1, nx // 5)):
         xx = ml + (i + 0.5) * cw
         parts.append(f'<text x="{xx:.2f}" y="{mt + ph + 18}" text-anchor="middle" '

@@ -679,6 +679,35 @@ def test_main_freezes_the_import_heap(tmp_path):
     assert gc.get_freeze_count() > 0
 
 
+@pytest.mark.parametrize("command", ["green", "all"])
+@pytest.mark.parametrize("below", [(), ("sub",)], ids=["file", "under_file"])
+def test_an_unusable_output_directory_exits_one(tmp_path, capsys, command, below):
+    """--out naming a regular file, or a path under one, is a resource
+    failure: exit 1 and an error line, not a traceback."""
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken.joinpath(*below)
+    assert cli.main([command, "--config", config_path("lattice_1d.json"),
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(taken) in err
+    assert "Traceback" not in err
+
+
+def test_a_stage_that_cannot_write_its_files_fails_as_a_resource(tmp_path):
+    """A writer's OSError fails its stage with code 1; `all` runs the other
+    stages and still writes run.json."""
+    out = tmp_path / "out"
+    (out / "green.csv").mkdir(parents=True)
+    assert cli.main(["all", "--config", config_path("lattice_1d.json"),
+                     "--out", str(out)]) == 1
+    with open(out / "run.json") as fh:
+        stages = json.load(fh)["stages"]
+    assert stages["green"]["status"] == "resource-failure"
+    assert "green.csv" in stages["green"]["note"]
+    assert {v["status"] for k, v in stages.items() if k != "green"} <= {"ok", "skipped"}
+
+
 def test_coincident_level_points_fail_boundary_map_as_non_injective(tmp_path, monkeypatch):
     """Every direction mapped to one level point: boundary-map exits 2 and
     names the coincidence, with the smallest gap and its floor."""
