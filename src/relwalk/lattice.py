@@ -2,15 +2,16 @@
 
 A LatticeChain stores a finitely supported kernel p_{j1,j2}(0, z); the
 Z^k-invariance is structural because only the displacement z is kept.
-Green's functions are computed by direct sparse factorization on a box
-[-h, h]^k with absorption outside, which is exactly the walk killed at
-the first exit from the box.  Truncation therefore only ever
-underestimates, and the error decays geometrically in the distance from
-the query points to the boundary.  A box around any other centre has the
+Green's functions are computed by a banded LU factorization (LAPACK
+dgbtrf and dgbtrs) on a box [-h, h]^k with absorption outside, which is
+exactly the walk killed at the first exit from the box.  Truncation
+therefore only ever underestimates, and the error decays geometrically
+in the distance from the query points to the boundary.  A box around any other centre has the
 same matrix, so one factorization per half-width serves every centre.
 First-hit laws on a neighborhood of the origin come from the same
 solver, on a box whose states in that neighborhood take no steps.  The
-box matrix is assembled in numpy, one vectorized pass per kernel entry.
+box matrix is assembled in numpy straight into band storage, one
+vectorized pass per kernel entry.
 A chain also caches its TiltCore, the untilted kernel split at the
 fibers that displaced entries touch, from which perron.perron and
 perron.perron_values read lambda(u).
@@ -23,8 +24,7 @@ from typing import Sequence
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .errors import AssumptionError, ConfigError, ConvergenceError
 
@@ -225,6 +225,20 @@ class BoxGreen:
     from a source outside that set, read at a stopped state, is the
     probability that the walk first enters the set there; states it
     cannot enter first stay structurally zero.
+
+    States are numbered site by site (first coordinate slowest), fibers
+    innermost, so a kernel entry (j1, j2, dz) moves a state index by the
+    same offset off = (dz . strides) N + j2 - j1 wherever it applies.  The
+    factored matrix is A^T = (I - Q)^T, in LAPACK band storage: its
+    subdiagonal count kl is the largest offset of an entry that stays in
+    the box, its superdiagonal count ku the largest negated one (both
+    `side` for unit steps in rank 2 with one fiber).  A row of Q sums to at
+    most 1, so A^T is column diagonally dominant: partial pivoting swaps
+    no rows and the growth factor is at most 2.  The factors take
+    (2 kl + ku + 1) x (number of states) doubles, the kl extra rows holding
+    the fill that pivoting may make; in rank k that is about 3 side^(2k-1)
+    N^2 doubles, which the rank gate of config.MAX_LATTICE_RANK = 2 keeps
+    small.
     """
 
     def __init__(self, chain: LatticeChain, half_width: int, stop_depth: int | None = None):
@@ -246,26 +260,29 @@ class BoxGreen:
             for sid in np.flatnonzero(~moves).tolist():
                 self.stopped[(tuple(grid[sid // n].tolist()), sid % n)] = sid
         # One pass per kernel entry: every moving source state whose target
-        # stays in the box.  A shift by dz moves a site index by dz . strides.
+        # stays in the box.  A shift by dz moves a site index by dz . strides,
+        # and a state index by off = (dz . strides) n + j2 - j1.
         flat, dz, w = chain.entry_arrays
         strides = side ** np.arange(k - 1, -1, -1)
-        rows, cols, vals = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0)]
+        passes = []
         for f, shift, weight in zip(flat.tolist(), dz.astype(np.intp), w.tolist()):
             j1, j2 = divmod(f, n)
             sites = np.flatnonzero(moves[:, j1] & (np.abs(grid + shift) <= h).all(axis=1))
-            rows.append(sites * n + j1)
-            cols.append((sites + int(shift @ strides)) * n + j2)
-            vals.append(np.full(sites.size, weight))
-        q = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(num_states, num_states))
-        a = sp.identity(num_states, format="csr") - q
-        try:
-            self._lu = spla.splu(a.T.tocsc())
-        except RuntimeError as exc:
-            if "singular" not in str(exc):
-                raise
+            if sites.size:
+                passes.append((sites * n + j1, int(shift @ strides) * n + j2 - j1, weight))
+        # A^T = (I - Q)^T holds -Q[s, s + off] at row s + off, column s: a
+        # positive off lies below the diagonal.  kl and ku are the largest
+        # offsets below and above it.
+        self._kl = kl = max([0, *(off for _, off, _ in passes)])
+        self._ku = ku = max([0, *(-off for _, off, _ in passes)])
+        band = np.zeros((2 * kl + ku + 1, num_states), order="F")
+        band[kl + ku] = 1.0
+        for sources, off, weight in passes:
+            band[kl + ku + off, sources] -= weight
+        self._lu, self._piv, info = lapack.dgbtrf(band, kl, ku, overwrite_ab=True)
+        if info > 0:
             raise AssumptionError(f"singular box: I - Q on the {num_states} states within {h} "
-                                  f"of {(0,) * k}; some states never lose mass") from None
+                                  f"of {(0,) * k}; some states never lose mass")
         self._rows: dict[tuple[tuple[int, ...], int], np.ndarray] = {}
 
     def _state_id(self, z: tuple[int, ...], j: int) -> int:
@@ -284,7 +301,7 @@ class BoxGreen:
         if key not in self._rows:
             e = np.zeros(self._num_sites * self.chain.fiber_count)
             e[self._state_id(*key)] = 1.0
-            self._rows[key] = self._lu.solve(e)
+            self._rows[key] = self._solve(e, 0)
         return self._rows[key]
 
     def column(self, j_target: int, z_target: Sequence[int]) -> np.ndarray:
@@ -292,7 +309,13 @@ class BoxGreen:
         solve on the same LU."""
         e = np.zeros(self._num_sites * self.chain.fiber_count)
         e[self._state_id(tuple(z_target), j_target)] = 1.0
-        return self._lu.solve(e, trans="T")
+        return self._solve(e, 1)
+
+    def _solve(self, e: np.ndarray, trans: int) -> np.ndarray:
+        """A^-T e (trans 0, a row) or A^-1 e (trans 1, a column) on the band LU."""
+        x, _ = lapack.dgbtrs(self._lu, self._kl, self._ku, e, self._piv, trans=trans,
+                             overwrite_b=True)
+        return x
 
 
 class ChainGreen:

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from relwalk import LatticeChain
+from relwalk import LatticeChain, induce_first_return
+from relwalk.config import DEFAULT_STATE_CAP
 from relwalk.errors import ConfigError, ConvergenceError
-from relwalk import lattice
+from relwalk import induced, lattice
 from relwalk.lattice import BoxGreen, ChainGreen, absorption_distribution
 
 
@@ -259,6 +261,35 @@ def reference_box(chain, half_width, stop_depth):
     return (sp.identity(num_states, format="csr") - q).T.tocsc(), stopped
 
 
+def record_band_factorizations(monkeypatch) -> list:
+    """Wrap lattice.lapack.dgbtrf; each call appends (a copy of the band, kl, ku)."""
+    factored = []
+    dgbtrf = lattice.lapack.dgbtrf
+
+    def recorded(ab, kl, ku, **kwargs):
+        factored.append((ab.copy(order="A"), kl, ku))
+        return dgbtrf(ab, kl, ku, **kwargs)
+
+    monkeypatch.setattr(lattice.lapack, "dgbtrf", recorded)
+    return factored
+
+
+def band_to_dense(ab, kl, ku) -> np.ndarray:
+    """The matrix whose LAPACK band storage (kl rows of fill on top) is ab."""
+    n = ab.shape[1]
+    dense = np.zeros((n, n))
+    for i in range(n):
+        for j in range(max(0, i - kl), min(n, i + ku + 1)):
+            dense[i, j] = ab[kl + ku + i - j, j]
+    return dense
+
+
+def long_steps_one_way() -> LatticeChain:
+    """Rank-2 chain stepping (2, 0) one way and (-1, 0) back: kl = 2 side, ku = side."""
+    return LatticeChain.build(2, 1, [(0, 0, (2, 0), 0.2), (0, 0, (-1, 0), 0.3),
+                                     (0, 0, (0, 1), 0.2), (0, 0, (0, -1), 0.2)])
+
+
 @pytest.mark.parametrize("chain, half_width, source, stop_depth", [
     (LatticeChain.build(0, 3, [(0, 1, (), 0.5), (1, 2, (), 0.25), (2, 0, (), 0.2)]), 3, None, None),
     (LatticeChain.build(0, 2, [(0, 1, (), 0.5), (1, 0, (), 0.25)]), 0, None, 0),
@@ -268,27 +299,36 @@ def reference_box(chain, half_width, stop_depth):
     (two_fiber_plane(), 4, None, None),
     (two_fiber_plane(), 5, (-2, 3), 1),
     (two_fiber_plane(), 3, (1, 0), 0),
+    (long_steps_one_way(), 4, (1, -1), None),
 ])
 def test_box_assembly_matches_the_state_by_state_loop(monkeypatch, chain, half_width, source,
                                                      stop_depth):
-    """The factored matrix and the stop set match the loop, and the row from
-    (source, 0) (default: the origin) solves the loop's system."""
-    factored = []
-    splu = lattice.spla.splu
-    monkeypatch.setattr(lattice.spla, "splu", lambda a: factored.append(a) or splu(a))
+    """The factored band matrix and the stop set match the loop, and the row
+    from (source, 0) (default: the origin) and the column into it solve the
+    loop's system and its transpose."""
+    factored = record_band_factorizations(monkeypatch)
     box = BoxGreen(chain, half_width, stop_depth=stop_depth)
     ref, stopped = reference_box(chain, half_width, stop_depth)
-    (got,) = factored
-    assert got.format == "csc" and got.shape == ref.shape
-    assert np.array_equal(got.indptr, ref.indptr)
-    assert np.array_equal(got.indices, ref.indices)
-    assert np.array_equal(got.data, ref.data)
+    ((band, kl, ku),) = factored
+    assert band.flags.f_contiguous and band.shape == (2 * kl + ku + 1, ref.shape[0])
+    assert not band[:kl].any()  # the fill rows start empty
+    dense = ref.toarray()
+    assert np.array_equal(band_to_dense(band, kl, ku), dense)
+    coo = ref.tocoo()
+    offsets = coo.row - coo.col
+    assert (kl, ku) == (max(offsets.max(), 0), max(-offsets.min(), 0))
+    assert np.array_equal(box._piv, np.arange(ref.shape[0]))  # diagonal dominance: no swaps
     assert list(box.stopped.items()) == list(stopped.items())
     assert ref.nnz > ref.shape[0]  # some step stays in the box
+    if chain == long_steps_one_way():
+        assert (kl, ku) == (2 * (2 * half_width + 1), 2 * half_width + 1)
     sites = list(itertools.product(range(-half_width, half_width + 1), repeat=chain.rank))
     e = np.zeros(ref.shape[0])
     e[sites.index(source or (0,) * chain.rank) * chain.fiber_count] = 1.0
-    assert np.array_equal(box.row(0, source), splu(ref).solve(e))
+    for got, want in [(box.row(0, source), np.linalg.solve(dense, e)),
+                      (box.column(0, source or (0,) * chain.rank),
+                       np.linalg.solve(dense.T, e))]:
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 def test_far_boxes_share_one_factorization_per_half_width(monkeypatch, z2_engine):
@@ -297,9 +337,7 @@ def test_far_boxes_share_one_factorization_per_half_width(monkeypatch, z2_engine
     half-width that the target's centre z//2 first took."""
     chain, radius = z2_engine.factor_chain(0), z2_engine.radius
     targets = [z for n in range(1, 13) for z in ((n, n), (n, 0), (0, n))]
-    factored = []
-    splu = lattice.spla.splu
-    monkeypatch.setattr(lattice.spla, "splu", lambda a: factored.append(a) or splu(a))
+    factored = record_band_factorizations(monkeypatch)
     cg = ChainGreen(chain, radius)
     values = [cg.green(0, z, 0) for z in targets]
     monkeypatch.undo()
@@ -315,6 +353,36 @@ def test_far_boxes_share_one_factorization_per_half_width(monkeypatch, z2_engine
         state = np.ravel_multi_index((z[0] + h, z[1] + h), (side, side)) * chain.fiber_count
         assert value == float(boxes[h].row(0)[state])
     assert len(far) == 15
+
+
+@pytest.mark.parametrize("walk, eta", [("seeded_z2_engine", 2), ("seeded_z2_engine", 4),
+                                       ("f2_engine", 0)])
+def test_first_hit_laws_match_a_sparse_lu_reference(request, monkeypatch, walk, eta):
+    """Every first-hit law the induction reads, against the loop's matrix
+    factored by SuperLU: the same support (row[n] > 0.0), weights to 1e-13."""
+    calls = []
+
+    def recorded(chain, starts, max_len, radius):
+        laws = absorption_distribution(chain, starts, max_len, radius)
+        calls.append((chain, starts, max_len, radius, laws))
+        return laws
+
+    monkeypatch.setattr(induced, "absorption_distribution", recorded)
+    induce_first_return(request.getfixturevalue(walk), factor=0, eta=eta,
+                        state_cap=DEFAULT_STATE_CAP)
+    assert calls
+    for chain, starts, max_len, radius, laws in calls:
+        for (z, j), law in zip(starts, laws):
+            half = radius + max([max_len, *map(abs, z)])
+            ref, stopped = reference_box(chain, half, max_len)
+            e = np.zeros(ref.shape[0])
+            e[np.ravel_multi_index(tuple(c + half for c in z), (2 * half + 1,) * chain.rank)
+              * chain.fiber_count + j] = 1.0
+            row = spla.splu(ref).solve(e)
+            want = {s: float(row[n]) for s, n in stopped.items() if row[n] > 0.0}
+            assert law.keys() == want.keys()
+            np.testing.assert_allclose([law[s] for s in want], list(want.values()),
+                                       rtol=1e-13, atol=0.0)
 
 
 def simple_plane() -> LatticeChain:

@@ -33,6 +33,16 @@ def test_submodule_names_resolve_to_their_modules():
     assert shadowed == []
 
 
+def test_cli_import_leaves_scipy_sparse_out():
+    """The box solver is LAPACK band LU, so no process pays for scipy.sparse's import."""
+    r = subprocess.run(
+        [sys.executable, "-c", "import sys, relwalk.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"],
+        capture_output=True, text=True, env=cli_env(), timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
 def test_tracer_wraps_every_layer_name(tmp_path):
     """perfbench/child.py looks up each traced function by name; a rename breaks it.
 
