@@ -82,12 +82,16 @@ class RunContext:
                                       self.cfg.parabolic),
                      BoundedSequenceError)
 
+    def factor_chains(self) -> list[list[tuple[str, LatticeChain]]]:
+        """All lattice chains this config describes, with stable labels, one list per factor."""
+        if self.cfg.is_synthetic:
+            return [[("chain", self.cfg.chain)]]
+        return [[(f"f{fac}_eta{eta}", self.chain(fac, eta)) for eta in self.cfg.eta_list]
+                for fac in self.cfg.parabolic]
+
     def chains(self) -> list[tuple[str, LatticeChain]]:
         """All lattice chains this config describes, with stable labels."""
-        if self.cfg.is_synthetic:
-            return [("chain", self.cfg.chain)]
-        return [(f"f{fac}_eta{eta}", self.chain(fac, eta))
-                for fac in self.cfg.parabolic for eta in self.cfg.eta_list]
+        return [pair for factor in self.factor_chains() for pair in factor]
 
 
 def _once(store: dict, key, build, errors):
@@ -281,31 +285,38 @@ def stage_lambda_surface(ctx: RunContext) -> dict:
 
 
 def stage_boundary_map(ctx: RunContext) -> dict:
-    """Direction-to-tilt table on the unit level set, with injectivity check."""
+    """Direction-to-tilt table on the unit level set, with injectivity check.
+
+    Every eta chain of a parabolic factor has the level set of its first
+    one, so the first chain's point at each direction seeds the later ones.
+    """
     rows = []
     report = {}
     files = []
-    for label, chain in ctx.chains():
-        points = []
-        for th in direction_grid(chain.rank, ctx.cfg.theta_grid):
-            bp = level_set_point(chain, th)
-            points.append(bp)
-            rows.append((label, th, bp.u, bp.lambda_residual, bp.angular_error))
-        gaps = [float(np.linalg.norm(np.array(p.u) - np.array(q.u)))
-                for i, p in enumerate(points) for q in points[i + 1:]]
-        entry = {
-            "count": len(points),
-            "max_angular_error": max(p.angular_error for p in points),
-            "max_lambda_residual": max(abs(p.lambda_residual) for p in points),
-            "min_pairwise_u_gap": min(gaps) if gaps else None,
-            "injective": bool(min(gaps) > _U_GAP_FLOOR) if gaps else True}
-        report[label] = entry
-        if chain.rank == 2 and len(points) >= 3:
-            xs = [p.u[0] for p in points] + [points[0].u[0]]
-            ys = [p.u[1] for p in points] + [points[0].u[1]]
-            files.append(svg_line_plot(
-                ctx.path(f"boundary_{label}.svg"), [("level set", xs, ys)],
-                f"Unit level set, {label}", "u1", "u2"))
+    for factor in ctx.factor_chains():
+        first = None  # the factor's first chart, unseeded
+        for label, chain in factor:
+            grid = direction_grid(chain.rank, ctx.cfg.theta_grid)
+            seeds = [None] * len(grid) if first is None else [p.u for p in first]
+            points = [level_set_point(chain, th, seed=seed) for th, seed in zip(grid, seeds)]
+            first = points if first is None else first
+            rows.extend((label, th, bp.u, bp.lambda_residual, bp.angular_error)
+                        for th, bp in zip(grid, points))
+            gaps = [float(np.linalg.norm(np.array(p.u) - np.array(q.u)))
+                    for i, p in enumerate(points) for q in points[i + 1:]]
+            entry = {
+                "count": len(points),
+                "max_angular_error": max(p.angular_error for p in points),
+                "max_lambda_residual": max(abs(p.lambda_residual) for p in points),
+                "min_pairwise_u_gap": min(gaps) if gaps else None,
+                "injective": bool(min(gaps) > _U_GAP_FLOOR) if gaps else True}
+            report[label] = entry
+            if chain.rank == 2 and len(points) >= 3:
+                xs = [p.u[0] for p in points] + [points[0].u[0]]
+                ys = [p.u[1] for p in points] + [points[0].u[1]]
+                files.append(svg_line_plot(
+                    ctx.path(f"boundary_{label}.svg"), [("level set", xs, ys)],
+                    f"Unit level set, {label}", "u1", "u2"))
     files.append(write_csv(ctx.path("boundary_map.csv"),
                            ["chain", "theta", "u", "lambda_residual", "angular_error"],
                            rows))

@@ -8,16 +8,19 @@ hypersurface whose outward normals parametrize directions of escape.
 
 Everything here works on the fibers C that displaced entries touch
 (lattice.TiltCore): apart from the Schur form of A_RR, no matrix is larger
-than |C| x |C|.  With the rest R empty, A_CC + D(u) is F(u).  Otherwise lambda = rho(M(lambda, u)) for the stochastic
-complement M onto C, solved by Newton steps that are triangular solves
-against the Schur form of A_RR, factored once per chain.  perron() gives
+than |C| x |C|.  With the rest R empty, A_CC + D(u) is F(u).  Otherwise
+lambda = rho(M(lambda, u)) for the stochastic complement M onto C, solved
+by Newton steps that are triangular solves against the Schur form of A_RR,
+factored once per chain.  A 1 x 1 M, as on every shipped chain, is its own
+root with Perron vectors 1, read without an eigensolver.  perron() gives
 lambda and its gradient for one tilt, with one LAPACK solve per resolvent
 and an iteration on floats; lambda_hessian the Hessian at that tilt, by
 implicit differentiation of lambda = rho(M(lambda, u)); the Newton solvers
-for both geometric problems read them.  perron_values() gives lambda alone
-for a batch of tilts, by one back substitution over all tilts, for the
-callers that read only lambda: the lambda-surface grid and the escape
-probes of check_assumptions.
+for both geometric problems read them.  level_set_point() starts from a
+seed where one is known, such as the point of a chain with the same level
+set.  perron_values() gives lambda alone for a batch of tilts, by one back
+substitution over all tilts, for the callers that read only lambda: the
+lambda-surface grid and the escape probes of check_assumptions.
 """
 from __future__ import annotations
 
@@ -212,7 +215,8 @@ def perron_values(chain: LatticeChain, tilts) -> np.ndarray:
 
     The same OverflowError as perron(), for the first overflowing tilt.
     With R empty the assembled stack is F(u), bit for bit as perron() sums
-    it, and each root is the largest real part of its eigenvalues.
+    it, and each root is the largest real part of its eigenvalues (the
+    entry itself for |C| = 1, as LAPACK returns it).
     Otherwise it is the root right of rho(A_RR) of
     phi(lambda) = log lambda - log rho(M(lambda, u)) (see TiltCore).  The
     entries of M are log-convex in lambda, so rho(M) is too (Kingman), and
@@ -232,7 +236,7 @@ def perron_values(chain: LatticeChain, tilts) -> np.ndarray:
     weights = chain.entry_arrays[2][split.moved] * np.exp(_exponents(chain, u))
     tilted = split.base + np.bincount(cells, weights.ravel(), m * c * c).reshape(m, c, c)
     if not split.schur.size:
-        return np.linalg.eigvals(tilted).real.max(axis=1)
+        return tilted[:, 0, 0] if c == 1 else np.linalg.eigvals(tilted).real.max(axis=1)
     upper = np.maximum((tilted.sum(axis=2) + split.core_out).max(axis=1), split.rest_mass)
     pole = float(np.max(np.diag(split.schur).real))
     floor = _POLE_GAP * upper
@@ -286,15 +290,20 @@ def _complement_root(split: TiltCore, lam: np.ndarray, tilted: np.ndarray,
     mats = tilted + per_tilt(x)
     if not np.isfinite(mats).all():
         raise ConvergenceError("stochastic complement overflows next to rho(A_RR)")
-    vals, right = np.linalg.eig(mats)
-    top = np.argmax(vals.real, axis=1)
-    rho = vals.real[np.arange(m), top]
+    if c == 1:  # each M is its own root, with Perron vectors l = r = 1
+        rho = mats[:, 0, 0]
+    else:
+        vals, right = np.linalg.eig(mats)
+        top = np.argmax(vals.real, axis=1)
+        rho = vals.real[np.arange(m), top]
     if not slope:
         return rho, None
+    dmats = -per_tilt(_shifted_solve(split.schur, shift, x))
+    if c == 1:
+        return rho, dmats[:, 0, 0]
     lvals, left = np.linalg.eig(mats.transpose(0, 2, 1))
     r = right[np.arange(m), :, top].real
     l = left[np.arange(m), :, np.argmax(lvals.real, axis=1)].real
-    dmats = -per_tilt(_shifted_solve(split.schur, shift, x))
     return rho, np.einsum("ti,tij,tj->t", l, dmats, r) / np.einsum("ti,ti->t", l, r)
 
 
@@ -523,15 +532,17 @@ def _bordered_newton(chain: LatticeChain, u: np.ndarray, data: PerronData, s: fl
     iterates then move by evaluation noise, which on nearly reducible or
     sharply curved level sets lies above the Newton stop.
     """
-    last = math.inf
+    last, k = math.inf, len(th)
     for _ in range(_LEVEL_ROUNDS):
         g = np.asarray(data.gradient)
         lam_res = abs(data.value - 1.0)
         ang = float(np.linalg.norm(g / np.linalg.norm(g) - th))
         if lam_res < _LEVEL_STOP_LAMBDA and ang < _LEVEL_STOP_ANGLE:
             return u, data, s
+        jac = np.zeros((k + 1, k + 1))
+        jac[:k, k], jac[k, :k] = -th, g
         try:
-            jac = np.block([[lambda_hessian(chain, data), -th[:, None]], [g, 0.0]])
+            jac[:k, :k] = lambda_hessian(chain, data)
             step = np.linalg.solve(jac, np.append(s * th - g, 1.0 - data.value))
         except np.linalg.LinAlgError:
             return None
@@ -549,15 +560,18 @@ def _bordered_newton(chain: LatticeChain, u: np.ndarray, data: PerronData, s: fl
     return None
 
 
-def level_set_point(chain: LatticeChain, theta) -> BoundaryPointU:
+def level_set_point(chain: LatticeChain, theta, seed=None) -> BoundaryPointU:
     """Solve lambda(u) = 1 with grad lambda parallel to theta.
 
-    One path at every rank: cross the level along theta from the
-    lambda minimizer, then run bordered Newton from the crossing, whose
-    normal lies within a quarter turn of theta (in rank 1 it is theta).
-    Where Newton fails, the requested normal moves from the crossing's
-    normal to theta in strides that halve on failure, each point seeding
-    the next.
+    A seed u, such as the point of another chain with the same level set,
+    starts bordered Newton at u itself; where it already meets the Newton
+    stop, the solve costs one perron().  Without a seed, or where Newton
+    from it fails, one path at every rank: cross the level along theta
+    from the lambda minimizer, then run bordered Newton from the crossing,
+    whose normal lies within a quarter turn of theta (in rank 1 it is
+    theta).  Where Newton fails, the requested normal moves from the
+    crossing's normal to theta in strides that halve on failure, each
+    point seeding the next.
     """
     th = np.asarray(theta, dtype=float).reshape(-1)
     if th.size != chain.rank:
@@ -570,17 +584,25 @@ def level_set_point(chain: LatticeChain, theta) -> BoundaryPointU:
     if mn.value >= 1.0:
         raise AssumptionError(
             f"lambda minimum {mn.value:.6f} is not below 1; no level set to parametrize")
-    u, data = _ray_cross(chain, np.asarray(mn.u), th)
-    s = float(np.linalg.norm(data.gradient))
-    start = np.asarray(data.gradient) / s
-    reached, stride = 0.0, 1.0
-    while reached < 1.0 and stride >= _LEVEL_MIN_STRIDE:
-        tau = min(reached + stride, 1.0)
-        target = (1.0 - tau) * start + tau * th
-        found = _bordered_newton(chain, u, data, s, target / np.linalg.norm(target))
-        if found is not None:
-            (u, data, s), reached = found, tau
-        stride *= 0.5 if found is None else 2.0
+    found = None
+    if seed is not None:
+        u = _tilt_vector(chain, seed)
+        data = perron(chain, u)
+        found = _bordered_newton(chain, u, data, float(np.linalg.norm(data.gradient)), th)
+    if found is not None:
+        u, data, _ = found
+    else:
+        u, data = _ray_cross(chain, np.asarray(mn.u), th)
+        s = float(np.linalg.norm(data.gradient))
+        start = np.asarray(data.gradient) / s
+        reached, stride = 0.0, 1.0
+        while reached < 1.0 and stride >= _LEVEL_MIN_STRIDE:
+            tau = min(reached + stride, 1.0)
+            target = (1.0 - tau) * start + tau * th
+            found = _bordered_newton(chain, u, data, s, target / np.linalg.norm(target))
+            if found is not None:
+                (u, data, s), reached = found, tau
+            stride *= 0.5 if found is None else 2.0
     g = np.asarray(data.gradient)
     lam_res = abs(data.value - 1.0)
     ang = float(np.linalg.norm(g / np.linalg.norm(g) - th))

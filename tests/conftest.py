@@ -157,6 +157,11 @@ def z2_chain_eta2(z2_engine):
 
 
 @pytest.fixture(scope="session")
+def z2_chain_eta4(z2_engine):
+    return induce_first_return(z2_engine, factor=0, eta=4, state_cap=DEFAULT_STATE_CAP)
+
+
+@pytest.fixture(scope="session")
 def workload_cfgs(tmp_path_factory):
     """Configs of the benchmark's invocations at perfbench seed 1, by invocation label."""
     spec = importlib.util.spec_from_file_location(

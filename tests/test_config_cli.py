@@ -712,7 +712,7 @@ def test_coincident_level_points_fail_boundary_map_as_non_injective(tmp_path, mo
     """Every direction mapped to one level point: boundary-map exits 2 and
     names the coincidence, with the smallest gap and its floor."""
     real = cli.level_set_point
-    monkeypatch.setattr(cli, "level_set_point", lambda chain, _theta: real(chain, (1.0,)))
+    monkeypatch.setattr(cli, "level_set_point", lambda chain, _theta, seed: real(chain, (1.0,)))
     out = tmp_path / "b"
     assert cli.main(["boundary-map", "--config", config_path("lattice_1d.json"),
                      "--out", str(out)]) == 2

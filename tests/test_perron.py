@@ -15,7 +15,7 @@ from relwalk.config import DEFAULT_STATE_CAP
 from relwalk.errors import ConvergenceError
 from relwalk.perron import direction_grid, lambda_hessian, perron, perron_values
 
-from conftest import count_calls, count_tilts, perron_residual, tilted_matrix
+from conftest import config_path, count_calls, count_tilts, perron_residual, tilted_matrix
 
 import oracles
 
@@ -516,6 +516,44 @@ def test_level_points_do_not_depend_on_eta(z2_chain_eta0, z2_chain_eta2):
     assert np.abs(np.subtract(*points)).max() < 1e-12
 
 
+def test_seeded_level_points_are_the_unseeded_ones(z2_chain_eta0, z2_chain_eta2, z2_chain_eta4):
+    """The eta-0 chart seeds the eta-2 and eta-4 charts of the shipped walk: their
+    points meet the Newton stop at the seed and are the unseeded solves."""
+    grid = direction_grid(2, 16)
+    seeds = [level_set_point(z2_chain_eta0, th).u for th in grid]
+    for chain in (z2_chain_eta2, z2_chain_eta4):
+        for th, seed in zip(grid, seeds):
+            seeded = level_set_point(chain, th, seed=seed)
+            assert np.abs(np.subtract(seeded.u, level_set_point(chain, th).u)).max() < 1e-12
+            assert seeded.lambda_residual < perron_module._LEVEL_STOP_LAMBDA
+            assert seeded.angular_error < perron_module._LEVEL_STOP_ANGLE
+
+
+def test_boundary_map_crosses_rays_on_the_first_eta_only(tmp_path, monkeypatch):
+    """boundary-map solves the eta-0 chart from ray crossings and seeds every
+    eta-2 point with the eta-0 point at its direction."""
+    ctx = cli.RunContext(load_config(config_path("z2_free_z.json")), str(tmp_path / "out"))
+    crossed = []
+    real = perron_module._ray_cross
+    monkeypatch.setattr(perron_module, "_ray_cross",
+                        lambda chain, *args: crossed.append(chain) or real(chain, *args))
+    assert cli.stage_boundary_map(ctx)["status"] == "ok"
+    assert len(crossed) == ctx.cfg.theta_grid
+    assert all(chain is ctx.chain(0, 0) for chain in crossed)
+
+
+def test_a_poor_seed_falls_back_to_the_unseeded_solve(z2_chain_eta0, monkeypatch):
+    """Seeded by the shipped walk's chart, the sharp-cornered chain's Newton
+    fails on these directions; the ray crossing then gives the unseeded point."""
+    chain = sharp_cornered_chain()
+    crossings = count_calls(monkeypatch, perron_module, "_ray_cross")
+    for th in direction_grid(2, 8)[3:]:
+        unseeded, seed = level_set_point(chain, th), level_set_point(z2_chain_eta0, th).u
+        crossings[0] = 0
+        assert level_set_point(chain, th, seed=seed) == unseeded
+        assert crossings[0] == 1
+
+
 def test_lambda_surface_factors_the_rest_once_and_never_builds_f(z2_chain_eta2, tmp_path,
                                                                  monkeypatch):
     """lambda-surface and boundary-map factor A_RR once, and no eigenproblem or
@@ -580,13 +618,65 @@ def test_rest_free_values_are_the_eigenvalues_of_f_bit_for_bit(z2_chain_eta0, la
         assert perron_values(chain, tilts).tolist() == ref
 
 
+def eig_complement_root(split, lam, tilted, slope=False):
+    """perron._complement_root through batched eigensolves, the route of cores with |C| > 1."""
+    m, c = tilted.shape[:2]
+    shift = np.repeat(lam, c)
+    x = perron_module._shifted_solve(split.schur, shift, np.tile(split.enter, (1, m)))
+
+    def per_tilt(cols):
+        return np.real(split.leave @ cols).reshape(c, m, c).transpose(1, 0, 2)
+
+    mats, t = tilted + per_tilt(x), np.arange(m)
+    dmats = -per_tilt(perron_module._shifted_solve(split.schur, shift, x))
+    vals, right = np.linalg.eig(mats)
+    lvals, left = np.linalg.eig(mats.transpose(0, 2, 1))
+    top = np.argmax(vals.real, axis=1)
+    r, l = right[t, :, top].real, left[t, :, np.argmax(lvals.real, axis=1)].real
+    rho_lambda = np.einsum("ti,tij,tj->t", l, dmats, r) / np.einsum("ti,ti->t", l, r)
+    return vals.real[t, top], rho_lambda if slope else None
+
+
+def test_one_fiber_cores_read_the_eigensolver_root_bit_for_bit(z2_chain_eta0, z2_chain_eta2,
+                                                               z2_chain_eta4, monkeypatch):
+    """On the 1 x 1 tilt cores of the shipped walk, rho(M) is M's entry with l = r = 1:
+    the values equal those of the eigensolver route on the same stacks exactly."""
+    rng = np.random.default_rng(35)
+    tilts = np.vstack([np.zeros((1, 2)), rng.uniform(-2.0, 2.0, size=(40, 2))])
+
+    def stacks(chain):  # A_CC + D(u) per tilt, assembled as perron_values does
+        split = chain.tilt_core
+        exponents = perron_module._exponents(chain, tilts)
+        weights = chain.entry_arrays[2][split.moved] * np.exp(exponents)
+        return split.base + np.bincount(np.repeat(np.arange(len(tilts)), split.slots.size),
+                                        weights.ravel(), len(tilts)).reshape(-1, 1, 1)
+
+    assert not z2_chain_eta0.tilt_core.schur.size
+    assert (perron_values(z2_chain_eta0, tilts).tolist()
+            == np.linalg.eigvals(stacks(z2_chain_eta0)).real.max(axis=1).tolist())
+    for chain in (z2_chain_eta2, z2_chain_eta4):
+        split = chain.tilt_core
+        assert split.core.size == 1 and split.schur.size
+        values = perron_values(chain, tilts)
+        for lam in (values, values + 0.1):
+            got = perron_module._complement_root(split, lam, stacks(chain), slope=True)
+            ref = eig_complement_root(split, lam, stacks(chain), slope=True)
+            assert [a.tolist() for a in got] == [a.tolist() for a in ref]
+        with monkeypatch.context() as patched:
+            patched.setattr(perron_module, "_complement_root", eig_complement_root)
+            assert values.tolist() == perron_values(chain, tilts).tolist()
+
+
 def test_rest_free_grid_makes_one_product_and_one_eigensolve(z2_chain_eta0, monkeypatch):
-    products = count_calls(monkeypatch, perron_module, "_exponents")
-    eigensolves = count_calls(monkeypatch, np.linalg, "eigvals")
+    # A 1 x 1 core is its own root and makes no eigensolve at all.
+    plane = next(c for c in rest_free_plane_chains(12) if c.tilt_core.core.size > 1)
     axis = np.linspace(-2.5, 2.5, 41)
-    values = perron_values(z2_chain_eta0, [(a, b) for b in axis for a in axis])
-    assert values.shape == (1681,)
-    assert products[0] == 1 and eigensolves[0] == 1
+    for chain, solves in ((plane, 1), (z2_chain_eta0, 0)):
+        products = count_calls(monkeypatch, perron_module, "_exponents")
+        eigensolves = count_calls(monkeypatch, np.linalg, "eigvals")
+        values = perron_values(chain, [(a, b) for b in axis for a in axis])
+        assert values.shape == (1681,)
+        assert products[0] == 1 and eigensolves[0] == solves
 
 
 def test_nearer_escape_probes_catch_a_heavy_chain():
