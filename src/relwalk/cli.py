@@ -544,12 +544,12 @@ def main(argv=None) -> int:
     """Run one subcommand and return its exit code.
 
     The heap is frozen first: the tens of thousands of objects that
-    importing numpy and scipy leaves behind move to the collector's
-    permanent generation, so no collection during the stages, and none at
-    interpreter exit, walks them again.  Objects the stages build are
-    collected as before.  An in-process caller's existing objects are
-    frozen too: the collector skips them until exit (gc.unfreeze() puts
-    them back).
+    importing numpy and scipy's compiled LAPACK module leaves behind move
+    to the collector's permanent generation, so no collection during the
+    stages, and none at interpreter exit, walks them again.  Objects the
+    stages build are collected as before.  An in-process caller's existing
+    objects are frozen too: the collector skips them until exit
+    (gc.unfreeze() puts them back).
     """
     gc.freeze()
     parser = argparse.ArgumentParser(

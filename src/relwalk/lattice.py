@@ -18,15 +18,61 @@ perron.perron_values read lambda(u).
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import lapack
+import scipy
 
 from .errors import AssumptionError, ConfigError, ConvergenceError
+
+
+def _load_flapack():
+    """scipy.linalg._flapack, scipy's compiled LAPACK wrappers, loaded from its file.
+
+    scipy.linalg.lapack re-exports these routines as they are, but importing
+    the scipy.linalg package also imports its vendored array_api_compat,
+    which loads every numpy submodule (f2py, testing, ma, random, ...):
+    about 0.15 s and 300 modules a process.  The module goes into
+    sys.modules under its own name, so scipy.linalg, imported before or
+    after, shares it.
+    """
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        spec = importlib.machinery.PathFinder.find_spec(
+            name, [os.path.join(os.path.dirname(scipy.__file__), "linalg")])
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+lapack = _load_flapack()  # dgbtrf, dgbtrs, dgees, zgees here; dtrtrs, ztrtrs, dgeev in perron
+
+
+def _no_sort(*_):
+    """gees' eigenvalue-selection callback, which it calls only when sorting."""
+
+
+def _schur(a: np.ndarray, gees) -> tuple[np.ndarray, np.ndarray]:
+    """Schur form T and vectors Q of a, as scipy.linalg.schur(a) gives them.
+
+    gees is lapack.dgees (the real form) or lapack.zgees (the complex
+    one), called with scipy's workspace query and no sorting.
+    """
+    a = np.asarray_chkfinite(a)
+    lwork = int(gees(_no_sort, a, lwork=-1)[-2][0].real)
+    result = gees(_no_sort, a, lwork=lwork)
+    info = result[-1]
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gees")
+    if info > 0:
+        raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
+    return result[0], result[-3]
 
 
 @dataclass(frozen=True)
@@ -199,9 +245,10 @@ class TiltCore:
         local = np.zeros(n, dtype=np.intp)
         local[core] = np.arange(core.size)
         a = np.bincount(flat[~moved], weights=w[~moved], minlength=n * n).reshape(n, n)
-        schur, q = scipy.linalg.schur(a[np.ix_(rest, rest)]) if rest.size else (a[:0, :0],) * 2
+        a_rr = a[np.ix_(rest, rest)]
+        schur, q = _schur(a_rr, lapack.dgees) if rest.size else (a_rr, a_rr)
         if np.any(np.diag(schur, -1)):  # a 2 x 2 block: complex eigenvalues
-            schur, q = scipy.linalg.rsf2csf(schur, q)
+            schur, q = _schur(a_rr.astype(complex), lapack.zgees)
         return TiltCore(
             core=core, moved=np.flatnonzero(moved),
             slots=local[j1[moved]] * core.size + local[j2[moved]],

@@ -29,11 +29,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
-import scipy.linalg.lapack
 
 from .errors import AssumptionError, ConvergenceError
-from .lattice import LatticeChain, TiltCore
+from .lattice import LatticeChain, TiltCore, lapack
 
 _EXP_CAP = 700.0  # exp overflow guard on tilted entries
 _DENSE_EIG_MAX = 64  # no src/ path depends on it; the benchmark harness labels spans by it
@@ -88,17 +86,26 @@ def _perron_pair(mat: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     part is the root and its eigenvectors are real up to rounding.  Both
     vectors are scaled to unit sum, which makes them positive, and then the
     right one to r_0 = 1 where r_0 > 0.  A 1 x 1 matrix is its own root,
-    with vectors 1.
+    with vectors 1.  Otherwise LAPACK dgeev, on scipy.linalg.eig's
+    workspace, gives both sets of vectors: for the first eigenvalue of
+    largest real part, column idx of each is the real part of the vector
+    that eig returns.
     """
     if len(mat) == 1:
         return float(mat[0, 0]), _UNIT, _UNIT
-    vals, lvecs, rvecs = scipy.linalg.eig(mat, left=True)
-    idx = int(np.argmax(vals.real))
-    right, left = rvecs[:, idx].real, lvecs[:, idx].real
+    wr, _, lvecs, rvecs, info = lapack.dgeev(
+        np.asarray_chkfinite(mat), lwork=int(lapack.dgeev_lwork(len(mat))[0]))
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of internal eig algorithm (geev)")
+    if info > 0:
+        raise np.linalg.LinAlgError("eig algorithm (geev) did not converge (only eigenvalues "
+                                    f"with order >= {info} have converged)")
+    idx = int(np.argmax(wr))
+    right, left = rvecs[:, idx], lvecs[:, idx]
     right, left = right / right.sum(), left / left.sum()
     if right[0] > 0:
         right = right / right[0]
-    return float(vals[idx].real), right, left
+    return float(wr[idx]), right, left
 
 
 def _resolvent(split: TiltCore):
@@ -110,7 +117,7 @@ def _resolvent(split: TiltCore):
     shifted = split.shifted
     shift = np.einsum("ii->i", shifted)  # a writable view of the diagonal
     diag = np.diag(split.schur)
-    trtrs = scipy.linalg.lapack.ztrtrs if np.iscomplexobj(shifted) else scipy.linalg.lapack.dtrtrs
+    trtrs = lapack.ztrtrs if np.iscomplexobj(shifted) else lapack.dtrtrs
 
     def solve(lam: float, rhs: np.ndarray) -> np.ndarray:
         shift[:] = lam - diag

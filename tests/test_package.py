@@ -33,14 +33,32 @@ def test_submodule_names_resolve_to_their_modules():
     assert shadowed == []
 
 
-def test_cli_import_leaves_scipy_sparse_out():
-    """The box solver is LAPACK band LU, so no process pays for scipy.sparse's import."""
-    r = subprocess.run(
-        [sys.executable, "-c", "import sys, relwalk.cli; "
-         "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"],
-        capture_output=True, text=True, env=cli_env(), timeout=120)
-    assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "[]"
+def test_cli_import_leaves_scipy_sparse_out(tmp_path):
+    """The box solver is LAPACK band LU, so no process pays for scipy.sparse's import.
+
+    Nor for scipy.linalg's: every LAPACK routine comes from its compiled
+    module scipy.linalg._flapack alone, through a fresh import and through
+    a full run of the z2 walk (band LU, Schur form, triangular solves).  A
+    scipy.linalg imported after relwalk, or before it, shares that module.
+    """
+    loaded = "sorted(m for m in sys.modules if m.startswith(('scipy.sparse', 'scipy.linalg')))"
+    shared = "import scipy.linalg, relwalk.lattice; " \
+        "seen.append(relwalk.lattice.lapack is scipy.linalg.lapack._flapack)"
+    run = ["all", "--config", config_path("z2_free_z.json"), "--out", str(tmp_path / "out")]
+    scripts = [
+        f"import json, sys, relwalk.cli; seen = [{loaded}]; "
+        f"seen.append(relwalk.cli.main({run!r})); seen.append({loaded}); {shared}; "
+        "print(json.dumps(seen))",
+        f"import json; seen = []; {shared}; import relwalk.cli; {shared}; print(json.dumps(seen))",
+    ]
+    seen = []
+    for script in scripts:
+        r = subprocess.run([sys.executable, "-c", script],
+                           capture_output=True, text=True, env=cli_env(), timeout=120)
+        assert r.returncode == 0, r.stderr
+        seen.append(json.loads(r.stdout.strip().splitlines()[-1]))
+    flapack = ["scipy.linalg._flapack"]
+    assert seen == [[flapack, 0, flapack, True], [True, True]]
 
 
 def test_tracer_wraps_every_layer_name(tmp_path):

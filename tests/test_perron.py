@@ -8,6 +8,7 @@ import scipy.linalg
 
 import relwalk.cli as cli
 import relwalk.perron as perron_module
+from relwalk import lattice
 from relwalk import (FreeProductEngine, LatticeChain, check_assumptions,
                      induce_first_return, level_set_point, limit_kernel_ratio,
                      load_config, minimize_lambda)
@@ -414,6 +415,28 @@ def cycle_rest_chain() -> LatticeChain:
         (3, 0, (0, 0), 0.3)])
 
 
+def test_lapack_calls_are_scipy_linalgs_bit_for_bit():
+    """The Schur forms and eigenpairs relwalk reads straight off LAPACK are
+    scipy.linalg.schur's and scipy.linalg.eig's, bit for bit: on positive
+    matrices, a 3-cycle and a matrix whose leading eigenvalues are a complex pair."""
+    rng = np.random.default_rng(36)
+    mats = [rng.uniform(size=(n, n)) for n in (2, 3, 5, 13)]
+    mats += [0.5 * np.roll(np.eye(3), 1, axis=1), np.array([[0.1, -1.0], [1.0, 0.1]])]
+    for a in mats:
+        for got, ref in ((lattice._schur(a, lattice.lapack.dgees), scipy.linalg.schur(a)),
+                         (lattice._schur(a.astype(complex), lattice.lapack.zgees),
+                          scipy.linalg.schur(a, output="complex"))):
+            assert all(np.array_equal(x, y) for x, y in zip(got, ref))
+        vals, lvecs, rvecs = scipy.linalg.eig(a, left=True)
+        idx = int(np.argmax(vals.real))
+        right, left = rvecs[:, idx].real, lvecs[:, idx].real
+        right, left = right / right.sum(), left / left.sum()
+        right = right / right[0] if right[0] > 0 else right
+        lam, got_right, got_left = perron_module._perron_pair(a)
+        assert lam == vals[idx].real
+        assert np.array_equal(got_right, right) and np.array_equal(got_left, left)
+
+
 def dense_derivatives(chain: LatticeChain, u) -> tuple[float, np.ndarray, np.ndarray]:
     """lambda, its gradient and its Hessian from one dense eigendecomposition of
     F(u) and the N x N second-order perturbation of its Perron root, with F and
@@ -485,12 +508,13 @@ def test_minimizer_solves_no_eigenproblem_larger_than_the_core(seeded_eta4_chain
     chain = LatticeChain(seeded_eta4_chain.rank, seeded_eta4_chain.fiber_count,
                          seeded_eta4_chain.entries)
     sizes = []
-    for module, name in ((scipy.linalg, "eig"), (np.linalg, "eig"), (np.linalg, "eigvals")):
+    for module, name in ((perron_module, "_perron_pair"), (np.linalg, "eig"),
+                         (np.linalg, "eigvals")):
         def recorded(a, *args, inner=getattr(module, name), **kwargs):
             sizes.append(np.shape(a)[-1])
             return inner(a, *args, **kwargs)
         monkeypatch.setattr(module, name, recorded)
-    schur = count_calls(monkeypatch, scipy.linalg, "schur")
+    schur = count_calls(monkeypatch, lattice, "_schur")
     minimize_lambda.cache_clear()
     minimize_lambda(chain)
     assert max(sizes, default=1) <= chain.tilt_core.core.size == 1
@@ -563,13 +587,13 @@ def test_lambda_surface_factors_the_rest_once_and_never_builds_f(z2_chain_eta2, 
     ctx = cli.RunContext(load_config(write_chain_config(tmp_path / "eta2.json", z2_chain_eta2, 11)),
                          str(tmp_path / "out"))
     rows = []
-    for module, name in ((scipy.linalg, "eig"), (scipy.linalg, "solve"), (np.linalg, "eig"),
+    for module, name in ((perron_module, "_perron_pair"), (np.linalg, "eig"),
                          (np.linalg, "eigvals"), (np.linalg, "solve")):
         def recorded(a, *args, inner=getattr(module, name), **kwargs):
             rows.append(np.shape(a)[-2])
             return inner(a, *args, **kwargs)
         monkeypatch.setattr(module, name, recorded)
-    schur = count_calls(monkeypatch, scipy.linalg, "schur")
+    schur = count_calls(monkeypatch, lattice, "_schur")
     values = count_tilts(monkeypatch, cli, "perron_values")
     assert cli.stage_lambda_surface(ctx)["status"] == "ok"
     assert values[0] == 121
