@@ -188,6 +188,93 @@ def ancona_ratio(taboos: Sequence[TabooContext],
     return list(zip(*profiles))
 
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+class _Pcg64:
+    """numpy's np.random.default_rng(seed).integers(lo, hi), draw for draw, in pure Python.
+
+    The stream is PCG64 (XSL-RR 128/64, O'Neill 2014) seeded through
+    numpy's SeedSequence (seed >= 0, as configs require), with numpy's
+    bounded draws for a range that fits in 32 bits, as the sampler's all
+    do: Lemire rejection on the range, from buffered 32-bit halves of the
+    64-bit outputs.  Keeping it here fixes the stream in relwalk's own
+    code, whatever numpy's Generator policy lets change, and keeps
+    numpy.random out of the process.
+    """
+
+    _MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit multiplier
+
+    def __init__(self, seed: int):
+        s_hi, s_lo, i_hi, i_lo = _seed_sequence_state(seed)
+        self._inc = (i_hi << 64 | i_lo) << 1 & _M128 | 1
+        self._state = 0
+        self._next64()
+        self._state = self._state + (s_hi << 64 | s_lo) & _M128
+        self._next64()
+        self._half: int | None = None  # the unused high half of the last 64-bit output
+
+    def _next64(self) -> int:
+        self._state = s = (self._state * self._MULT + self._inc) & _M128
+        x, rot = (s >> 64 ^ s) & _M64, s >> 122
+        return (x >> rot | x << (64 - rot)) & _M64
+
+    def _next32(self) -> int:
+        if self._half is not None:
+            out, self._half = self._half, None
+            return out
+        x = self._next64()
+        self._half = x >> 32
+        return x & _M32
+
+    def integers(self, lo: int, hi: int) -> int:
+        """One draw from [lo, hi), lo < hi."""
+        rng = hi - 1 - lo
+        if rng == 0:
+            return lo
+        excl = rng + 1
+        m = self._next32() * excl
+        if m & _M32 < excl:
+            threshold = (_M32 - rng) % excl
+            while m & _M32 < threshold:
+                m = self._next32() * excl
+        return lo + (m >> 32)
+
+
+def _seed_sequence_state(seed: int) -> list[int]:
+    """numpy's SeedSequence(seed).generate_state(4, uint64): the seed's 32-bit
+    words hashed into a pool of four, mixed, and hashed out again."""
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * 0x931E8875 & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    out, const = [], 0x8B51F9DD
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * 0x58F38DED & _M32
+        value = value * const & _M32
+        out.append(value ^ value >> 16)
+    return [out[k] | out[k + 1] << 32 for k in range(0, 8, 2)]
+
+
 def sample_ancona_pairs(group: FreeProductGroup, parabolic: Sequence[int], seed: int,
                         count: int, transitions: TransitionParams
                         ) -> list[tuple[GroupElement, GroupElement]]:
@@ -198,9 +285,10 @@ def sample_ancona_pairs(group: FreeProductGroup, parabolic: Sequence[int], seed:
     crosses e inside a lattice segment one step away from junctions on
     both sides.  The midpoint is then a transition point, yet detours
     around it inside the lattice plane survive whenever the parabolic
-    factor has rank at least two.
+    factor has rank at least two.  The draws are those of
+    np.random.default_rng(seed).integers, made by _Pcg64.
     """
-    rng = np.random.default_rng(seed)
+    rng = _Pcg64(seed)
     para = tuple(parabolic)
     jfac = next(i for i in range(len(group.factors)) if i not in para)
     jspec = group.factors[jfac]
@@ -208,25 +296,25 @@ def sample_ancona_pairs(group: FreeProductGroup, parabolic: Sequence[int], seed:
     attempts = 0
     while len(pairs) < count and attempts < 40 * count:
         attempts += 1
-        stub_fac = para[int(rng.integers(0, len(para)))]
+        stub_fac = para[rng.integers(0, len(para))]
         stub_spec = group.factors[stub_fac]
-        axis = int(rng.integers(0, stub_spec.rank))
+        axis = rng.integers(0, stub_spec.rank)
         sign = 1 if rng.integers(0, 2) else -1
-        depth = int(rng.integers(1, 3))
+        depth = rng.integers(1, 3)
         stub_z = tuple(sign * depth if d == axis else 0
                        for d in range(stub_spec.rank))
         stub = group.syllable(stub_fac, stub_z, 0)
 
         def junction_block():
-            jexp = int(rng.integers(1, 3)) * (1 if rng.integers(0, 2) else -1)
+            jexp = rng.integers(1, 3) * (1 if rng.integers(0, 2) else -1)
             if jspec.rank:
                 return group.syllable(jfac, (jexp,) + (0,) * (jspec.rank - 1), 0)
-            return group.syllable(jfac, (), 1 + int(rng.integers(0, len(jspec.table) - 1)))
+            return group.syllable(jfac, (), 1 + rng.integers(0, len(jspec.table) - 1))
 
         def tail():
-            fac = para[int(rng.integers(0, len(para)))]
+            fac = para[rng.integers(0, len(para))]
             spec = group.factors[fac]
-            z = tuple(int(rng.integers(-2, 3)) for _ in range(spec.rank))
+            z = tuple(rng.integers(-2, 3) for _ in range(spec.rank))
             if not any(z):
                 z = (1,) + z[1:]
             return group.syllable(fac, z, 0), sum(abs(c) for c in z)

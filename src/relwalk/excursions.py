@@ -207,7 +207,7 @@ class FreeProductEngine:
         out = np.ones(len(self._id_syllable))
         syllables = self._id_inverse if inverse else self._id_syllable
         read = use.any(axis=tuple(i for i, n in enumerate(ids.shape) if n == 1), keepdims=True)
-        for sid in np.unique(ids[read]):
+        for sid in np.flatnonzero(np.bincount(ids[read], minlength=len(out))):
             out[sid] = self.forward_passage(*syllables[sid])
         return out
 

@@ -8,6 +8,8 @@ exactly the walk killed at the first exit from the box.  Truncation
 therefore only ever underestimates, and the error decays geometrically
 in the distance from the query points to the boundary.  A box around any other centre has the
 same matrix, so one factorization per half-width serves every centre.
+The LAPACK routines come from scipy's compiled module alone, which
+_load_flapack loads without importing the scipy or scipy.linalg package.
 First-hit laws on a neighborhood of the origin come from the same
 solver, on a box whose states in that neighborhood take no steps.  The
 box matrix is assembled in numpy straight into band storage, one
@@ -27,7 +29,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-import scipy
 
 from .errors import AssumptionError, ConfigError, ConvergenceError
 
@@ -38,14 +39,19 @@ def _load_flapack():
     scipy.linalg.lapack re-exports these routines as they are, but importing
     the scipy.linalg package also imports its vendored array_api_compat,
     which loads every numpy submodule (f2py, testing, ma, random, ...):
-    about 0.15 s and 300 modules a process.  The module goes into
+    about 0.15 s and 300 modules a process.  Nor is the scipy package
+    imported: find_spec reads scipy's directory without running
+    scipy/__init__ (about 10 ms).  This relies on the extension finding
+    its OpenBLAS by itself, as the manylinux wheel's does through its
+    RPATH $ORIGIN/../../scipy.libs; Windows wheels set their DLL search
+    path in scipy/__init__ instead, and are not tested.  The module goes into
     sys.modules under its own name, so scipy.linalg, imported before or
     after, shares it.
     """
     name = "scipy.linalg._flapack"
     if name not in sys.modules:
-        spec = importlib.machinery.PathFinder.find_spec(
-            name, [os.path.join(os.path.dirname(scipy.__file__), "linalg")])
+        scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        spec = importlib.machinery.PathFinder.find_spec(name, [os.path.join(scipy_dir, "linalg")])
         sys.modules[name] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(sys.modules[name])
     return sys.modules[name]
@@ -238,10 +244,10 @@ class TiltCore:
         flat, dz, w = chain.entry_arrays
         moved = dz.any(axis=1)
         j1, j2 = np.divmod(flat, n)
-        core = np.unique(np.concatenate([j1[moved], j2[moved]]))
-        if core.size in (0, n):
-            core, moved = np.arange(n), np.ones_like(moved)
-        rest = np.setdiff1d(np.arange(n), core)
+        in_core = np.bincount(np.concatenate([j1[moved], j2[moved]]), minlength=n) > 0
+        if in_core.all() or not in_core.any():
+            in_core[:], moved = True, np.ones_like(moved)
+        core, rest = np.flatnonzero(in_core), np.flatnonzero(~in_core)
         local = np.zeros(n, dtype=np.intp)
         local[core] = np.arange(core.size)
         a = np.bincount(flat[~moved], weights=w[~moved], minlength=n * n).reshape(n, n)

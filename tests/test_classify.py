@@ -8,7 +8,7 @@ import pytest
 from relwalk import (FreeProductEngine, SequenceSpec, TabooContext, ancona_ratio,
                      ball_elements, load_config, martin_convergence,
                      separation_experiment)
-from relwalk.classify import classify, sample_ancona_pairs
+from relwalk.classify import _Pcg64, classify, sample_ancona_pairs
 from relwalk.cli import _ANCONA_RMAX, _TRANSITIONS
 from relwalk.config import DEFAULT_STATE_CAP
 from relwalk.errors import BoundedSequenceError, ParseError
@@ -205,6 +205,40 @@ def test_ancona_denominators_equal_scalar_green_bit_for_bit(cfg_name, count, req
     monkeypatch.undo()
     assert blocks[0] == 0 and [r.shape for r in reads] == [(count,)]
     assert [g.hex() for g in reads[0].tolist()] == [g.hex() for g in greens]
+
+
+def test_ancona_generator_matches_numpy_default_rng_draw_for_draw():
+    """_Pcg64(seed).integers(lo, hi) is np.random.default_rng(seed).integers(lo, hi),
+    the reference, over seeds of one to five 32-bit words and ranges of width
+    1 to 6 from negative and positive lo.  A width-1 draw returns lo and
+    consumes nothing, so the draw after it still matches.  So do ranges just
+    above 3 * 2**30, which reject about a quarter of their draws."""
+    for seed in [*range(200), 2**32, 2**64 - 1, 2**64, 2**128 + 12345]:
+        ours, ref = _Pcg64(seed), np.random.default_rng(seed)
+        for k in range(60):
+            lo, width = k % 7 - 3, 1 + 5 * k % 6  # each width-1 draw is followed by a wider one
+            assert (ours.integers(lo, lo + width)
+                    == int(ref.integers(lo, lo + width))), (seed, k, lo, width)
+        for k in range(20):
+            assert ours.integers(-k, 3 << 30) == int(ref.integers(-k, 3 << 30)), (seed, k)
+
+
+@pytest.mark.parametrize("source, name", [
+    ("configs", "z2_free_z"), ("configs", "f2_over_a"), ("workloads", "z2_chart")])
+def test_ancona_pairs_are_those_of_numpys_generator(source, name, request, monkeypatch):
+    """sample_ancona_pairs returns exactly the pairs it returned when it drew
+    from np.random.default_rng(seed), on the shipped configs and the seeded z2 walk."""
+    cfg = (load_config(config_path(f"{name}.json")) if source == "configs"
+           else request.getfixturevalue("workload_cfgs")[name])
+    args = (cfg.group, cfg.parabolic, cfg.seed, cfg.tolerances["ancona_samples"], _TRANSITIONS)
+    ours = sample_ancona_pairs(*args)
+
+    def numpy_generator(seed):
+        rng = np.random.default_rng(seed)
+        return SimpleNamespace(integers=lambda lo, hi: int(rng.integers(lo, hi)))
+
+    monkeypatch.setattr("relwalk.classify._Pcg64", numpy_generator)
+    assert ours == sample_ancona_pairs(*args)
 
 
 def test_martin_convergence_along_a_free_factor_ray(f2_engine, f2_cfg):

@@ -33,24 +33,29 @@ def test_submodule_names_resolve_to_their_modules():
     assert shadowed == []
 
 
-def test_cli_import_leaves_scipy_sparse_out(tmp_path):
-    """The box solver is LAPACK band LU, so no process pays for scipy.sparse's import.
+def test_cli_run_loads_no_scipy_package_numpy_ma_or_random(tmp_path):
+    """A run loads, of scipy, numpy.ma and numpy.random, only scipy.linalg._flapack.
 
-    Nor for scipy.linalg's: every LAPACK routine comes from its compiled
-    module scipy.linalg._flapack alone, through a fresh import and through
-    a full run of the z2 walk (band LU, Schur form, triangular solves).  A
-    scipy.linalg imported after relwalk, or before it, shares that module.
+    Every LAPACK routine comes from that compiled module, loaded from its
+    file without the scipy or scipy.linalg package (nor scipy.sparse: the
+    box solver is LAPACK band LU).  No numpy call of the stages imports
+    numpy.ma, and the ancona sampler draws without numpy.random.  Checked
+    after `relwalk all` on the z2 walk (band LU, Schur form, triangular
+    solves) and on f2_over_a (ancona samples).  A scipy.linalg imported
+    after relwalk, or before it, shares the module.
     """
-    loaded = "sorted(m for m in sys.modules if m.startswith(('scipy.sparse', 'scipy.linalg')))"
+    loaded = ("sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+              "or m.split('.')[:2] in (['numpy', 'ma'], ['numpy', 'random']))")
     shared = "import scipy.linalg, relwalk.lattice; " \
         "seen.append(relwalk.lattice.lapack is scipy.linalg.lapack._flapack)"
-    run = ["all", "--config", config_path("z2_free_z.json"), "--out", str(tmp_path / "out")]
-    scripts = [
-        f"import json, sys, relwalk.cli; seen = [{loaded}]; "
-        f"seen.append(relwalk.cli.main({run!r})); seen.append({loaded}); {shared}; "
-        "print(json.dumps(seen))",
-        f"import json; seen = []; {shared}; import relwalk.cli; {shared}; print(json.dumps(seen))",
-    ]
+    scripts = []
+    for name in ("z2_free_z", "f2_over_a"):
+        run = ["all", "--config", config_path(f"{name}.json"), "--out", str(tmp_path / name)]
+        scripts.append(f"import json, sys, relwalk.cli; seen = [{loaded}]; "
+                       f"seen.append(relwalk.cli.main({run!r})); seen.append({loaded}); {shared}; "
+                       "print(json.dumps(seen))")
+    scripts.append(f"import json; seen = []; {shared}; import relwalk.cli; {shared}; "
+                   "print(json.dumps(seen))")
     seen = []
     for script in scripts:
         r = subprocess.run([sys.executable, "-c", script],
@@ -58,7 +63,7 @@ def test_cli_import_leaves_scipy_sparse_out(tmp_path):
         assert r.returncode == 0, r.stderr
         seen.append(json.loads(r.stdout.strip().splitlines()[-1]))
     flapack = ["scipy.linalg._flapack"]
-    assert seen == [[flapack, 0, flapack, True], [True, True]]
+    assert seen == [[flapack, 0, flapack, True]] * 2 + [[True, True]]
 
 
 def test_tracer_wraps_every_layer_name(tmp_path):
