@@ -16,7 +16,7 @@ from .groups import (Coset, FreeProductGroup, GroupElement, coset_lattice_part,
 from .floyd import (TransitionParams, coned_off_distance, gromov_product_coned,
                     transition_points, word_geodesic)
 from .lattice import LatticeChain
-from .perron import BoundaryPointU, level_set_point, limit_kernel_ratio
+from .perron import BoundaryPointU, level_set_path, level_set_point, limit_kernel_ratio
 
 CONICAL = "Conical"
 PARABOLIC = "Parabolic"
@@ -424,7 +424,9 @@ def separation_experiment(chain: LatticeChain) -> SeparationReport:
     Along lattice points z_n = n z_1, n in _SEPARATION_NS, realizing the
     supporting ray of theta1 = _SEPARATION_THETAS[rank][1], the limit
     kernels K_theta(z_n) = e^(u(theta).z_n) grow uniformly for theta in a
-    grid around theta1 while K_theta0(z_n) decays to 0.
+    grid around theta1 while K_theta0(z_n) decays to 0.  The grid's points
+    are solved outward from its middle direction, theta1, whose point seeds
+    the first solve; each point then seeds the next one out.
     """
     t0, t1 = (np.asarray(t) / np.linalg.norm(t) for t in _SEPARATION_THETAS[chain.rank])
     ns = list(_SEPARATION_NS)
@@ -436,7 +438,10 @@ def separation_experiment(chain: LatticeChain) -> SeparationReport:
         base_angle = math.atan2(t1[1], t1[0])
         grid = [(math.cos(base_angle + d), math.sin(base_angle + d))
                 for d in np.linspace(-_GRID_WIDTH, _GRID_WIDTH, _GRID_COUNT)]
-        grid_points = [level_set_point(chain, th) for th in grid]
+        mid = _GRID_COUNT // 2
+        right = level_set_path(chain, grid[mid:], seed=b1.u)
+        left = level_set_path(chain, grid[mid - 1::-1], seed=right[0].u)
+        grid_points = left[::-1] + right
     # Each theta1 of the table is a multiple of a primitive lattice vector.
     primitive = np.round(t1 / float(np.max(np.abs(t1))))
     zero = (0,) * chain.rank

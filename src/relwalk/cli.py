@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import gc
 import itertools
+import math
 import os
 import sys
 
@@ -27,7 +28,8 @@ from .excursions import FreeProductEngine, TabooContext
 from .floyd import TransitionParams, floyd_distance, transition_points, word_geodesic
 from .induced import FiberIndex, induce_first_return, verify_same_green
 from .lattice import ChainGreen, LatticeChain
-from .perron import check_assumptions, direction_grid, level_set_point, perron_values
+from .perron import (check_assumptions, direction_grid, level_set_path, level_set_point,
+                     perron_values)
 from .reports import fmt, svg_heatmap, svg_line_plot, write_csv, write_json
 
 _SAME_GREEN_TOL = 1e-6  # induce: kappa-scaled first-step residual of the walk Green
@@ -128,7 +130,7 @@ def stage_green(ctx: RunContext) -> dict:
             for j1 in range(chain.fiber_count):
                 for j2 in range(chain.fiber_count):
                     rows.append((z, j1, j2, cg.green(j1, z, j2)))
-        files = [write_csv(ctx.path("green.csv"), ["z", "j_from", "j_to", "green"], rows),
+        files = [write_csv(ctx.path("green.csv"), ["z", "j_from", "j_to", "green"], zip(*rows)),
                  write_json(ctx.path("green.json"), {
                      "green_00": cg.green(0, zero, 0),
                      "row_masses": chain.row_masses(),
@@ -139,18 +141,18 @@ def stage_green(ctx: RunContext) -> dict:
     e = group.identity
     eff_radius = min(table_radius, cfg.radius)
     ball = ball_elements(group, eff_radius, cfg.state_cap)
-    table = engine.green_matrix([e], ball)[0].tolist()
+    table = engine.green_matrix([e], ball)[0]
     sphere = [x for x in ball if x.word_length == eff_radius]
     inner = ball_elements(group, 2, cfg.state_cap)
-    kernel = (engine.green_matrix(inner, sphere) / engine.green_matrix([e], sphere)).T.tolist()
+    kernel = (engine.green_matrix(inner, sphere) / engine.green_matrix([e], sphere)).T
     # Balls list their elements layer by layer, so the smaller of the two is
     # a prefix of the larger and the sphere is the last layer of the ball.
     names = list(map(group.format, max(ball, inner, key=len)))
-    rows = [(name, x.word_length, g) for name, x, g in zip(names, ball, table)]
-    krows = [(y, x, k) for y, column in zip(names[len(ball) - len(sphere):len(ball)], kernel)
-             for x, k in zip(names[:len(inner)], column)]
-    files = [write_csv(ctx.path("green.csv"), ["x", "word_length", "green"], rows),
-             write_csv(ctx.path("martin.csv"), ["y", "x", "martin_kernel"], krows),
+    ys, xs = names[len(ball) - len(sphere):len(ball)], names[:len(inner)]
+    files = [write_csv(ctx.path("green.csv"), ["x", "word_length", "green"],
+                       [names[:len(ball)], [x.word_length for x in ball], table]),
+             write_csv(ctx.path("martin.csv"), ["y", "x", "martin_kernel"],
+                       [[y for y in ys for _ in xs], xs * len(ys), kernel.ravel()]),
              write_json(ctx.path("green.json"), {
                  "green_ee": engine.green_identity_value,
                  "factor_return_mass": list(engine.return_mass),
@@ -189,7 +191,7 @@ def stage_floyd(ctx: RunContext) -> dict:
             "transition_indices": sorted(transitions)}
     files = [write_csv(ctx.path("floyd.csv"),
                        ["sequence", "i", "word", "level", "transition", "floyd_from_e"],
-                       rows),
+                       zip(*rows)),
              write_json(ctx.path("floyd.json"), {
                  "floyd_ratio": cfg.floyd_ratio,
                  "epsilon": _TRANSITIONS.epsilon,
@@ -222,7 +224,7 @@ def stage_induce(ctx: RunContext) -> dict:
                 # exponential moment converges.
                 "moment_reach": "bounded-support"}
     files = [write_csv(ctx.path("induce.csv"),
-                       ["factor", "eta", "j_from", "j_to", "dz", "weight"], rows),
+                       ["factor", "eta", "j_from", "j_to", "dz", "weight"], zip(*rows)),
              write_json(ctx.path("induce.json"), report)]
     worst = max(v["same_green_dev"] for v in report.values())
     if worst >= _SAME_GREEN_TOL:
@@ -275,7 +277,7 @@ def stage_lambda_surface(ctx: RunContext) -> dict:
                 f"Perron value, {label}", "u1", "u2", level=1.0))
         report[label] = entry
     files.append(write_csv(ctx.path("lambda_surface.csv"),
-                           ["chain", "u1", "u2", "lambda"], rows))
+                           ["chain", "u1", "u2", "lambda"], zip(*rows)))
     files.append(write_json(ctx.path("lambda_surface.json"), report))
     bad = {k: v for k, v in report.items() if not v["ok"]}
     if bad:
@@ -289,27 +291,32 @@ def stage_boundary_map(ctx: RunContext) -> dict:
 
     Every eta chain of a parabolic factor has the level set of its first
     one, so the first chain's point at each direction seeds the later ones.
+    On the first chain of a rank-2 factor each direction's point seeds the
+    next direction's; the two directions of a rank-1 chart are opposite,
+    and each is solved unseeded.
     """
     rows = []
     report = {}
     files = []
     for factor in ctx.factor_chains():
-        first = None  # the factor's first chart, unseeded
+        first = None  # the factor's first chart
         for label, chain in factor:
             grid = direction_grid(chain.rank, ctx.cfg.theta_grid)
-            seeds = [None] * len(grid) if first is None else [p.u for p in first]
-            points = [level_set_point(chain, th, seed=seed) for th, seed in zip(grid, seeds)]
-            first = points if first is None else first
+            if first is None and chain.rank == 2:
+                points = first = level_set_path(chain, grid)
+            else:
+                seeds = [None] * len(grid) if first is None else [p.u for p in first]
+                points = [level_set_point(chain, th, seed=seed) for th, seed in zip(grid, seeds)]
+                first = points if first is None else first
             rows.extend((label, th, bp.u, bp.lambda_residual, bp.angular_error)
                         for th, bp in zip(grid, points))
-            gaps = [float(np.linalg.norm(np.array(p.u) - np.array(q.u)))
-                    for i, p in enumerate(points) for q in points[i + 1:]]
+            gap = _min_pairwise_gap(np.array([p.u for p in points]))
             entry = {
                 "count": len(points),
                 "max_angular_error": max(p.angular_error for p in points),
                 "max_lambda_residual": max(abs(p.lambda_residual) for p in points),
-                "min_pairwise_u_gap": min(gaps) if gaps else None,
-                "injective": bool(min(gaps) > _U_GAP_FLOOR) if gaps else True}
+                "min_pairwise_u_gap": gap,
+                "injective": gap is None or gap > _U_GAP_FLOOR}
             report[label] = entry
             if chain.rank == 2 and len(points) >= 3:
                 xs = [p.u[0] for p in points] + [points[0].u[0]]
@@ -319,7 +326,7 @@ def stage_boundary_map(ctx: RunContext) -> dict:
                     f"Unit level set, {label}", "u1", "u2"))
     files.append(write_csv(ctx.path("boundary_map.csv"),
                            ["chain", "theta", "u", "lambda_residual", "angular_error"],
-                           rows))
+                           zip(*rows)))
     files.append(write_json(ctx.path("boundary_map.json"), report))
     not_injective = [k for k, v in report.items() if not v["injective"]]
     if not_injective:
@@ -330,6 +337,15 @@ def stage_boundary_map(ctx: RunContext) -> dict:
             "non_injective": not_injective,
             "detail": report})
     return _ok(files, max_angular_error=max(v["max_angular_error"] for v in report.values()))
+
+
+def _min_pairwise_gap(u: np.ndarray) -> float | None:
+    """Smallest Euclidean distance between two rows of u, or None for fewer than two rows."""
+    if len(u) < 2:
+        return None
+    diff = u[:, None] - u[None]
+    square = (diff * diff).sum(axis=2)
+    return math.sqrt(square[np.triu_indices(len(u), 1)].min())
 
 
 def stage_classify(ctx: RunContext) -> dict:
@@ -361,7 +377,7 @@ def stage_classify(ctx: RunContext) -> dict:
             "coned_gromov_products": cls.coned_gromov_products,
             "projection_norms": cls.projection_norms}
     files = [write_csv(ctx.path("classify.csv"),
-                       ["sequence", "tag", "coset", "direction", "detail"], rows),
+                       ["sequence", "tag", "coset", "direction", "detail"], zip(*rows)),
              write_json(ctx.path("classify.json"), report)]
     return _ok(files)
 
@@ -394,7 +410,7 @@ def stage_ancona(ctx: RunContext) -> dict:
         "no_strict_drop_samples": bad_drop,
         "zero_at_radius_0": sum(1 for p in profiles if p[0] == 0.0)}
     files = [write_csv(ctx.path("ancona.csv"),
-                       ["sample", "x", "z", "radius", "rho"], rows),
+                       ["sample", "x", "z", "radius", "rho"], zip(*rows)),
              write_json(ctx.path("ancona.json"), report),
              svg_line_plot(ctx.path("ancona.svg"),
                            [("mean rho_R", list(range(_ANCONA_RMAX + 1)), mean)],
@@ -448,7 +464,7 @@ def stage_martin_seq(ctx: RunContext) -> dict:
             entry["note"] = "no limit check: eta_list is empty"
         report[seq.name] = entry
     files = [write_csv(ctx.path("martin_seq.csv"),
-                       ["sequence", "n", "x", "martin_kernel"], rows),
+                       ["sequence", "n", "x", "martin_kernel"], zip(*rows)),
              write_json(ctx.path("martin_seq.json"), report)]
     return _ok(files)
 
@@ -459,7 +475,7 @@ def stage_separate(ctx: RunContext) -> dict:
     rep = separation_experiment(chain)
     rows = [(label, n, d, g) for n, d, g in zip(rep.ns, rep.decay, rep.grid_min)]
     files = [write_csv(ctx.path("separate.csv"),
-                       ["chain", "n", "kernel_theta0", "grid_min_kernel"], rows),
+                       ["chain", "n", "kernel_theta0", "grid_min_kernel"], zip(*rows)),
              write_json(ctx.path("separate.json"), {
                  "chain": label,
                  "theta0": list(rep.theta0), "theta1": list(rep.theta1),

@@ -229,6 +229,8 @@ class TiltCore:
 
     core: np.ndarray  # C, in fiber order
     moved: np.ndarray  # the displaced entries, or every entry when R is empty
+    dz: np.ndarray  # their displacements
+    weights: np.ndarray  # their weights
     slots: np.ndarray  # their flat positions j1 * |C| + j2 in the C x C block
     base: np.ndarray  # A_CC
     schur: np.ndarray  # T, |R| x |R| upper triangular
@@ -256,7 +258,7 @@ class TiltCore:
         if np.any(np.diag(schur, -1)):  # a 2 x 2 block: complex eigenvalues
             schur, q = _schur(a_rr.astype(complex), lapack.zgees)
         return TiltCore(
-            core=core, moved=np.flatnonzero(moved),
+            core=core, moved=np.flatnonzero(moved), dz=dz[moved], weights=w[moved],
             slots=local[j1[moved]] * core.size + local[j2[moved]],
             base=a[np.ix_(core, core)], schur=schur, shifted=np.asfortranarray(-schur),
             leave=a[np.ix_(core, rest)] @ q, enter=q.conj().T @ a[np.ix_(rest, core)],

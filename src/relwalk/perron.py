@@ -12,15 +12,18 @@ than |C| x |C|.  With the rest R empty, A_CC + D(u) is F(u).  Otherwise
 lambda = rho(M(lambda, u)) for the stochastic complement M onto C, solved
 by Newton steps that are triangular solves against the Schur form of A_RR,
 factored once per chain.  A 1 x 1 M, as on every shipped chain, is its own
-root with Perron vectors 1, read without an eigensolver.  perron() gives
-lambda and its gradient for one tilt, with one LAPACK solve per resolvent
-and an iteration on floats; lambda_hessian the Hessian at that tilt, by
-implicit differentiation of lambda = rho(M(lambda, u)); the Newton solvers
-for both geometric problems read them.  level_set_point() starts from a
-seed where one is known, such as the point of a chain with the same level
-set.  perron_values() gives lambda alone for a batch of tilts, by one back
-substitution over all tilts, for the callers that read only lambda: the
-lambda-surface grid and the escape probes of check_assumptions.
+root with Perron vectors 1, read without an eigensolver, and its
+derivatives are read off their one entry.  perron() gives lambda and its
+gradient for one tilt, with one LAPACK solve per resolvent and an
+iteration on floats; lambda_hessian the Hessian at that tilt, by implicit
+differentiation of lambda = rho(M(lambda, u)); the Newton solvers for both
+geometric problems read them.  level_set_point() starts from a seed where
+one is known, such as the point of a chain with the same level set, and
+level_set_path() solves a run of directions by continuation, each point
+seeding the next.  perron_values() gives lambda alone for a batch of
+tilts, by one back substitution over all tilts, for the callers that read
+only lambda: the lambda-surface grid and the escape probes of
+check_assumptions.
 """
 from __future__ import annotations
 
@@ -54,22 +57,21 @@ def _tilt_vector(chain: LatticeChain, u) -> np.ndarray:
 
 def _exponents(chain: LatticeChain, tilts: np.ndarray) -> np.ndarray:
     """Exponents u.z, tilts by moved entries; OverflowError names the first overflowing tilt."""
-    a = tilts @ chain.entry_arrays[1][chain.tilt_core.moved].T
-    over = np.argwhere(a > _EXP_CAP)
-    if over.size:
-        t, e = over[0]
-        raise OverflowError(f"tilt {tuple(tilts[t].tolist())} overflows on displacement "
-                            f"{chain.entries[chain.tilt_core.moved[e]][2]}")
+    a = tilts @ chain.tilt_core.dz.T
+    if not a.max(initial=-math.inf) <= _EXP_CAP:  # a NaN maximum also searches
+        over = np.argwhere(a > _EXP_CAP)
+        if over.size:
+            t, e = over[0]
+            raise OverflowError(f"tilt {tuple(tilts[t].tolist())} overflows on displacement "
+                                f"{chain.entries[chain.tilt_core.moved[e]][2]}")
     return a
 
 
-def _core_terms(chain: LatticeChain, v: np.ndarray
-                ) -> tuple[TiltCore, np.ndarray, np.ndarray, np.ndarray]:
-    """The tilt core, A_CC + D(v), and the moved entries' tilted weights and displacements."""
+def _core_terms(chain: LatticeChain, v: np.ndarray) -> tuple[TiltCore, np.ndarray, np.ndarray]:
+    """The tilt core, A_CC + D(v), and the moved entries' tilted weights."""
     split = chain.tilt_core
-    dz = chain.entry_arrays[1][split.moved]
-    tilted = chain.entry_arrays[2][split.moved] * np.exp(_exponents(chain, v[None])[0])
-    return split, split.base + _core_sum(split, tilted), tilted, dz
+    tilted = split.weights * np.exp(_exponents(chain, v[None])[0])
+    return split, split.base + _core_sum(split, tilted), tilted
 
 
 def _core_sum(split: TiltCore, weights: np.ndarray) -> np.ndarray:
@@ -154,16 +156,19 @@ def perron(chain: LatticeChain, u) -> PerronData:
     reach, lambda does not move with u and the gradient is 0.
     """
     v = _tilt_vector(chain, u)
-    split, block, tilted, dz = _core_terms(chain, v)
+    split, block, tilted = _core_terms(chain, v)
     if split.schur.size:
         lam, slope, right, left = _core_root(split, block)
         if right is None:
             return PerronData(u=tuple(v), value=lam, gradient=(0.0,) * chain.rank)
     else:
         (lam, right, left), slope = _perron_pair(block), 0.0
-    denom = float(left @ right) * (1.0 - slope)
-    grad = tuple(float(left @ (_core_sum(split, tilted * dz[:, ax]) @ right)) / denom
-                 for ax in range(chain.rank))
+    firsts = [_core_sum(split, tilted * split.dz[:, ax]) for ax in range(chain.rank)]
+    if right is _UNIT:  # l = r = 1: rho_u,i is D_i's one entry
+        grad = tuple(float(d[0, 0]) / (1.0 - slope) for d in firsts)
+    else:
+        denom = float(left @ right) * (1.0 - slope)
+        grad = tuple(float(left @ (d @ right)) / denom for d in firsts)
     return PerronData(u=tuple(v), value=lam, gradient=grad)
 
 
@@ -189,6 +194,8 @@ def _core_root(split: TiltCore, block: np.ndarray
         if not slope:
             return rho, math.nan, r, l
         dmat = -np.real(split.leave @ solve(lam, x))
+        if r is _UNIT:  # l = r = 1: d rho/d lambda is dM/d lambda's one entry
+            return rho, float(dmat[0, 0]), r, l
         return rho, float(l @ dmat @ r) / float(l @ r), r, l
 
     upper = max(float((block.sum(axis=1) + split.core_out).max()), split.rest_mass)
@@ -240,7 +247,7 @@ def perron_values(chain: LatticeChain, tilts) -> np.ndarray:
     split = chain.tilt_core
     m, c = len(u), split.core.size
     cells = (np.arange(m)[:, None] * (c * c) + split.slots).ravel()
-    weights = chain.entry_arrays[2][split.moved] * np.exp(_exponents(chain, u))
+    weights = split.weights * np.exp(_exponents(chain, u))
     tilted = split.base + np.bincount(cells, weights.ravel(), m * c * c).reshape(m, c, c)
     if not split.schur.size:
         return tilted[:, 0, 0] if c == 1 else np.linalg.eigvals(tilted).real.max(axis=1)
@@ -327,7 +334,9 @@ def lambda_hessian(chain: LatticeChain, data: PerronData) -> np.ndarray:
     """Hessian of lambda at data.u, on the tilt core.
 
     M and its Perron vectors are rebuilt at lambda = data.value: three
-    triangular solves and, for |C| > 1, one |C| x |C| eigensolve.
+    triangular solves and, for |C| > 1, one |C| x |C| eigensolve.  For
+    |C| = 1, l = r = P = 1 and the reduced resolvent S below is 0, so the
+    cross term is not formed and no linear system is solved.
     lambda(u) solves rho(M(p)) = lambda in p = (u, lambda).  Its second
     derivative along p(u) = (u, lambda(u)), with J = dp/du = [I; grad
     lambda^T], is H = J^T Hess(rho) J / (1 - rho_lambda).  Hess(rho) is
@@ -340,8 +349,8 @@ def lambda_hessian(chain: LatticeChain, data: PerronData) -> np.ndarray:
     against the Schur form; M_u,lambda = 0.  With R empty, M = F(u) and
     H is Hess(rho) in u.
     """
-    split, mat, tilted, dz = _core_terms(chain, np.asarray(data.u))
-    k, c = chain.rank, split.core.size
+    split, mat, tilted = _core_terms(chain, np.asarray(data.u))
+    k, c, dz = chain.rank, split.core.size, split.dz
     firsts = [_core_sum(split, tilted * dz[:, ax]) for ax in range(k)] + [np.zeros((c, c))]
     curve = np.zeros((c, c))
     if split.schur.size:
@@ -351,18 +360,24 @@ def lambda_hessian(chain: LatticeChain, data: PerronData) -> np.ndarray:
         mat = mat + np.real(split.leave @ x)
         firsts[k] = -np.real(split.leave @ y)
         curve = 2.0 * np.real(split.leave @ solve(data.value, y))
-    rho, right, left = _perron_pair(mat)
-    denom = float(left @ right)
-    proj = np.outer(right, left) / denom
-    l_m = np.array([left @ f for f in firsts])
-    m_r = np.column_stack([f @ right for f in firsts])
-    cross = l_m @ (np.linalg.solve(rho * np.eye(c) - mat + proj, m_r) - proj @ m_r)
-    direct = np.zeros((k + 1, k + 1))
-    direct[:k, :k] = dz.T @ (dz * (tilted * np.outer(left, right).ravel()[split.slots])[:, None])
-    direct[k, k] = float(left @ curve @ right)
-    grad = l_m @ right / denom  # rho_u, then rho_lambda
+    hess = np.zeros((k + 1, k + 1))
+    if c == 1:  # S = (rho - M + P)^-1 - P = 1 - 1 = 0: no cross term
+        grad = np.array([f[0, 0] for f in firsts])  # rho_u, then rho_lambda
+        hess[:k, :k] = dz.T @ (dz * tilted[:, None])
+        hess[k, k] = curve[0, 0]
+    else:
+        rho, right, left = _perron_pair(mat)
+        denom = float(left @ right)
+        proj = np.outer(right, left) / denom
+        l_m = np.array([left @ f for f in firsts])
+        m_r = np.column_stack([f @ right for f in firsts])
+        cross = l_m @ (np.linalg.solve(rho * np.eye(c) - mat + proj, m_r) - proj @ m_r)
+        hess[:k, :k] = dz.T @ (dz * (tilted * np.outer(left, right).ravel()[split.slots])[:, None])
+        hess[k, k] = float(left @ curve @ right)
+        grad = l_m @ right / denom
+        hess = (hess + cross + cross.T) / denom
     jac = np.vstack([np.eye(k), grad[:k] / (1.0 - grad[k])])
-    return jac.T @ ((direct + cross + cross.T) / denom) @ jac / (1.0 - grad[k])
+    return jac.T @ hess @ jac / (1.0 - grad[k])
 
 
 @lru_cache(maxsize=16)
@@ -618,6 +633,21 @@ def level_set_point(chain: LatticeChain, theta, seed=None) -> BoundaryPointU:
             f"level-set solve stalled: |lambda-1|={lam_res:.3e}, angle defect={ang:.3e}")
     return BoundaryPointU(u=tuple(u), lambda_residual=lam_res,
                           angular_error=ang, gradient=data.gradient)
+
+
+def level_set_path(chain: LatticeChain, thetas, seed=None) -> list[BoundaryPointU]:
+    """level_set_point at each direction of thetas in turn, each point seeding the next.
+
+    seed, if given, seeds the first.  Nearby directions have nearby
+    points, so a seeded solve is a few bordered Newton steps and no ray
+    crossing; where Newton from a seed fails, level_set_point falls back
+    to the unseeded solve.
+    """
+    points = []
+    for th in thetas:
+        points.append(level_set_point(chain, th, seed=seed))
+        seed = points[-1].u
+    return points
 
 
 def limit_kernel_ratio(u, z, z_other) -> float:

@@ -3,18 +3,18 @@
 Numbers are rendered with 12 significant digits and a '.' decimal
 separator, rows and keys are emitted in a fixed order, and nothing
 depends on the clock or the process, so re-running a computation on the
-same inputs reproduces every CSV, JSON and SVG byte for byte.  The
-writers render a table column by column and a heatmap grid in one numpy
-pass; fmt is the one rendering of a mixed or vector cell, and the
-column renderers give the same text.  The writers expect the output
-directory to exist; cli.RunContext creates it.
+same inputs reproduces every CSV, JSON and SVG byte for byte.  write_csv
+takes a table as its columns and renders each chunk of rows with one
+"%"-template, and svg_heatmap renders its grid in one numpy pass; fmt is
+the one rendering of a mixed or vector cell, and the column renderers
+give the same text.  The writers expect the output directory to exist;
+cli.RunContext creates it.
 """
 from __future__ import annotations
 
 import itertools
 import json
 import math
-import re
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -28,9 +28,9 @@ _HEAT_T = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
 _HEAT_RGB = np.array([(33, 70, 156), (86, 156, 214), (235, 235, 220),
                       (222, 128, 73), (166, 38, 38)], dtype=float)
 # Rows a CSV writer formats and writes at a time: the text of one chunk is
-# what it holds in memory beyond the rows themselves.
+# what it holds in memory beyond the columns themselves.
 _CSV_CHUNK = 512
-_CSV_SPECIAL = re.compile('[,"\r\n]')
+_CSV_SPECIAL = ',"\r\n'  # csv.writer (QUOTE_MINIMAL) quotes a field holding any of these
 
 
 def fmt(value) -> str:
@@ -52,45 +52,67 @@ def fmt(value) -> str:
     return str(value)
 
 
+def _needs_quotes(text: str) -> bool:
+    """Whether text holds a comma, a double quote, CR or LF (one substring scan each)."""
+    return any(char in text for char in _CSV_SPECIAL)
+
+
 def _csv_field(text: str) -> str:
-    """A field as csv.writer quotes it (QUOTE_MINIMAL): quoted, inner quotes doubled,
-    when it holds a comma, a double quote, CR or LF."""
-    if _CSV_SPECIAL.search(text):
+    """A field as csv.writer quotes it: quoted, inner quotes doubled, where _needs_quotes."""
+    if _needs_quotes(text):
         return '"' + text.replace('"', '""') + '"'
     return text
 
 
-def _csv_column(cells: Sequence) -> Sequence[str]:
-    """The CSV fields of one column: floats through "%.12g" as fmt renders them,
-    strings as they are, any other cell through fmt."""
+def _csv_column(cells: Sequence) -> tuple[str, Sequence]:
+    """One column's slot in a row template and the values that fill it.
+
+    Floats fill a "%.12g" slot as fmt renders them; any other column
+    fills a "%s" slot with its CSV fields: strings as they are, any other
+    cell through fmt, quoted where csv.writer would quote it.
+    """
+    if isinstance(cells, np.ndarray) and cells.dtype == np.float64:
+        return "%.12g", cells.tolist()
     kinds = set(map(type, cells))
     if kinds <= {float, np.float64}:
-        return list(map("%.12g".__mod__, cells))
+        return "%.12g", cells
     texts = cells if kinds == {str} else list(map(fmt, cells))
-    if _CSV_SPECIAL.search("".join(texts)):
-        return list(map(_csv_field, texts))
-    return texts
+    if _needs_quotes("".join(texts)):
+        return "%s", list(map(_csv_field, texts))
+    return "%s", texts
 
 
-def _csv_lines(rows: Sequence[Sequence]) -> str:
-    """The CSV text of equally long rows, each line ended by CR LF."""
-    columns = [_csv_column(cells) for cells in zip(*rows, strict=True)]
-    if len(columns) == 1:
-        # csv.writer quotes a lone empty field, so the row is not a blank line.
-        columns = [[text or '""' for text in columns[0]]]
-    return "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
+def _csv_lines(columns: Sequence[Sequence]) -> str:
+    """The CSV text of equally long columns, each line ended by CR LF.
 
-
-def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """Header and rows as csv.writer writes them, every cell rendered as fmt renders it.
-
-    The rows must all have the same length (ValueError otherwise).
+    One "%"-template per row, repeated for every row, renders all of them
+    from the columns' values interleaved row by row.
     """
-    rows = iter(rows)
+    slots, values = zip(*map(_csv_column, columns))
+    if slots == ("%s",):
+        # csv.writer quotes a lone empty field, so the row is not a blank line.
+        values = ([text or '""' for text in values[0]],)
+    rows, width = len(values[0]), len(values)
+    cells = [None] * (rows * width)  # the values row by row
+    for i, column in enumerate(values):
+        cells[i::width] = column
+    return (",".join(slots) + "\r\n") * rows % tuple(cells)
+
+
+def write_csv(path: str, header: Sequence[str], columns: Iterable[Sequence]) -> str:
+    """Header and columns as csv.writer writes the rows, every cell rendered as fmt renders it.
+
+    The columns must all have the same length (ValueError otherwise); no
+    columns at all is a table with no rows.
+    """
+    columns = list(columns)
+    if len({len(column) for column in columns}) > 1:
+        raise ValueError(f"columns have different lengths: {[len(c) for c in columns]}")
+    rows = len(columns[0]) if columns else 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(_csv_lines([header]))
-        while chunk := list(itertools.islice(rows, _CSV_CHUNK)):
-            fh.write(_csv_lines(chunk))
+        fh.write(_csv_lines([[name] for name in header]))
+        for start in range(0, rows, _CSV_CHUNK):
+            fh.write(_csv_lines([column[start:start + _CSV_CHUNK] for column in columns]))
     return path
 
 

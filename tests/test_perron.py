@@ -11,7 +11,7 @@ import relwalk.perron as perron_module
 from relwalk import lattice
 from relwalk import (FreeProductEngine, LatticeChain, check_assumptions,
                      induce_first_return, level_set_point, limit_kernel_ratio,
-                     load_config, minimize_lambda)
+                     load_config, minimize_lambda, separation_experiment)
 from relwalk.config import DEFAULT_STATE_CAP
 from relwalk.errors import ConvergenceError
 from relwalk.perron import direction_grid, lambda_hessian, perron, perron_values
@@ -554,16 +554,125 @@ def test_seeded_level_points_are_the_unseeded_ones(z2_chain_eta0, z2_chain_eta2,
 
 
 def test_boundary_map_crosses_rays_on_the_first_eta_only(tmp_path, monkeypatch):
-    """boundary-map solves the eta-0 chart from ray crossings and seeds every
-    eta-2 point with the eta-0 point at its direction."""
+    """boundary-map solves the eta-0 chart by continuation, with one ray crossing
+    at its first direction and each later point seeded by its neighbour's, and
+    seeds every eta-2 point with the eta-0 point at its direction."""
     ctx = cli.RunContext(load_config(config_path("z2_free_z.json")), str(tmp_path / "out"))
     crossed = []
     real = perron_module._ray_cross
     monkeypatch.setattr(perron_module, "_ray_cross",
                         lambda chain, *args: crossed.append(chain) or real(chain, *args))
     assert cli.stage_boundary_map(ctx)["status"] == "ok"
-    assert len(crossed) == ctx.cfg.theta_grid
+    assert len(crossed) == 1
     assert all(chain is ctx.chain(0, 0) for chain in crossed)
+
+
+@pytest.mark.parametrize("engine_name", ["z2_engine", "seeded_z2_engine"])
+def test_continued_points_are_the_unseeded_ones(engine_name, request, monkeypatch):
+    """Every seeded point of the continued eta-0 chart (64 directions) and of the
+    separation grid is the unseeded solve at its direction, to 1e-12 in u, and
+    meets the Newton stop."""
+    chain = induce_first_return(request.getfixturevalue(engine_name), factor=0, eta=0,
+                                state_cap=DEFAULT_STATE_CAP)
+    seeded = []
+    real = perron_module.level_set_point
+
+    def recorded(chain, theta, seed=None):
+        point = real(chain, theta, seed=seed)
+        if seed is not None:
+            seeded.append((theta, point))
+        return point
+
+    monkeypatch.setattr(perron_module, "level_set_point", recorded)
+    perron_module.level_set_path(chain, direction_grid(2, 64))
+    assert len(seeded) == 63
+    assert separation_experiment(chain).certified
+    assert len(seeded) == 63 + 9
+    for theta, point in seeded:
+        assert np.abs(np.subtract(point.u, real(chain, theta).u)).max() < 1e-12
+        assert point.lambda_residual < 1e-14 and point.angular_error < 1e-13
+
+
+def full_hessian(chain: LatticeChain, data) -> np.ndarray:
+    """lambda_hessian's formula for any core, the cross term with the reduced
+    resolvent S = (rho - M + P)^-1 - P included."""
+    split, mat, tilted = perron_module._core_terms(chain, np.asarray(data.u))
+    k, c, dz = chain.rank, split.core.size, split.dz
+    firsts = [perron_module._core_sum(split, tilted * dz[:, ax]) for ax in range(k)]
+    firsts.append(np.zeros((c, c)))
+    curve = np.zeros((c, c))
+    if split.schur.size:
+        solve = perron_module._resolvent(split)
+        x = solve(data.value, split.enter)
+        y = solve(data.value, x)
+        mat = mat + np.real(split.leave @ x)
+        firsts[k] = -np.real(split.leave @ y)
+        curve = 2.0 * np.real(split.leave @ solve(data.value, y))
+    rho, right, left = perron_module._perron_pair(mat)
+    denom = float(left @ right)
+    proj = np.outer(right, left) / denom
+    l_m = np.array([left @ f for f in firsts])
+    m_r = np.column_stack([f @ right for f in firsts])
+    cross = l_m @ (np.linalg.solve(rho * np.eye(c) - mat + proj, m_r) - proj @ m_r)
+    direct = np.zeros((k + 1, k + 1))
+    direct[:k, :k] = dz.T @ (dz * (tilted * np.outer(left, right).ravel()[split.slots])[:, None])
+    direct[k, k] = float(left @ curve @ right)
+    grad = l_m @ right / denom
+    jac = np.vstack([np.eye(k), grad[:k] / (1.0 - grad[k])])
+    return jac.T @ ((direct + cross + cross.T) / denom) @ jac / (1.0 - grad[k])
+
+
+def test_one_fiber_hessian_is_the_full_formula_bit_for_bit(z2_chain_eta0, z2_chain_eta2,
+                                                           z2_chain_eta4, monkeypatch):
+    """On a 1 x 1 core l = r = P = 1, so S = 0: lambda_hessian drops the cross
+    term, makes no linear solve, and equals the full formula exactly."""
+    rng = np.random.default_rng(38)
+    tilts = np.vstack([np.zeros((1, 2)), rng.uniform(-1.0, 1.0, size=(6, 2))])
+    for chain in (z2_chain_eta0, z2_chain_eta2, z2_chain_eta4):
+        assert chain.tilt_core.core.size == 1
+        for u in tilts:
+            data = perron(chain, u)
+            ref = full_hessian(chain, data)
+            with monkeypatch.context() as patched:
+                solves = count_calls(patched, np.linalg, "solve")
+                got = lambda_hessian(chain, data)
+            assert solves[0] == 0
+            assert got.tobytes() == ref.tobytes()
+
+
+def test_gradient_is_the_perron_vector_formula_bit_for_bit(z2_chain_eta0, z2_chain_eta2,
+                                                           z2_chain_eta4, finite_part_chain):
+    """perron's gradient is l^T D_i r / (l^T r) / (1 - rho_lambda) exactly, also
+    where a 1 x 1 core reads D_i's one entry."""
+    rng = np.random.default_rng(39)
+    tilts = np.vstack([np.zeros((1, 2)), rng.uniform(-1.0, 1.0, size=(6, 2))])
+    for chain in (z2_chain_eta0, z2_chain_eta2, z2_chain_eta4, finite_part_chain):
+        split = chain.tilt_core
+        for u in tilts:
+            _, block, tilted = perron_module._core_terms(chain, u)
+            if split.schur.size:
+                lam, slope, right, left = perron_module._core_root(split, block)
+            else:
+                (lam, right, left), slope = perron_module._perron_pair(block), 0.0
+            denom = float(left @ right) * (1.0 - slope)
+            ref = tuple(float(left @ perron_module._core_sum(split, tilted * split.dz[:, ax])
+                              @ right) / denom for ax in range(chain.rank))
+            got = perron(chain, u)
+            assert got.value == lam and got.gradient == ref
+
+
+def test_a_rank_one_chart_is_solved_unseeded(tmp_path, monkeypatch):
+    """The two directions of a rank-1 chart are opposite: neither seeds the other."""
+    ctx = cli.RunContext(load_config(config_path("lattice_1d.json")), str(tmp_path / "out"))
+    seeds = []
+    for module in (cli, perron_module):
+        def recorded(chain, theta, seed=None, real=module.level_set_point):
+            seeds.append(seed)
+            return real(chain, theta, seed=seed)
+        monkeypatch.setattr(module, "level_set_point", recorded)
+    assert ctx.cfg.chain.rank == 1
+    assert cli.stage_boundary_map(ctx)["status"] == "ok"
+    assert seeds == [None, None]
 
 
 def test_a_poor_seed_falls_back_to_the_unseeded_solve(z2_chain_eta0, monkeypatch):

@@ -1,12 +1,15 @@
 """The column-wise writers against per-cell references: the stdlib csv writer
-and the per-cell heatmap loop."""
+over the rows of write_csv's columns, and the per-cell heatmap loop."""
 import csv
 
 import numpy as np
 import pytest
 
-from relwalk import reports
+import relwalk.cli as cli
+from relwalk import FreeProductEngine, load_config, reports
 from relwalk.reports import fmt, svg_heatmap, write_csv
+
+from conftest import config_path
 
 
 def _stdlib_csv(path, header, rows):
@@ -39,33 +42,77 @@ _MIXED_ROWS = [
     (["sequence", "i", "word", "floyd_from_e"],
      [("s", i, f"a^{i}", 0.5 ** i if i % 3 else "") for i in range(40)]),
     (["only"], [("",), ("x",), (1.5,), ("",), ('"',)]),
+    (["only"], [("",), ("",)]),
     (["only"], [(0.5,), (np.float64(2.0),), (1e-7,)]),
     (["y", "x", "martin_kernel"], []),
     (['head,er', 'quo"te', ""], [("", "", ""), ("a", "", 1.0)]),
-], ids=["mixed", "floyd", "one_column_text", "one_column_float", "no_rows", "header"])
+], ids=["mixed", "floyd", "one_column_text", "one_column_empty", "one_column_float", "no_rows",
+        "header"])
 def test_write_csv_matches_the_stdlib_writer(tmp_path, header, rows):
-    write_csv(str(tmp_path / "new.csv"), header, rows)
+    write_csv(str(tmp_path / "new.csv"), header, zip(*rows))
     _stdlib_csv(str(tmp_path / "old.csv"), header, rows)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
+@pytest.mark.parametrize("count", [0, 1, reports._CSV_CHUNK, reports._CSV_CHUNK + 1])
+def test_write_csv_takes_columns_of_any_length(tmp_path, count):
+    """Columns as the cli passes them, against the stdlib writer on their rows:
+    a list of names with quoted fields, a float64 array with NaN and infinities,
+    a list of np.float64 and a mixed list, at row counts around one chunk."""
+    rng = np.random.default_rng(count)
+    names = [("a,b" if i % 5 == 0 else 'q"' if i % 7 == 0 else f"y{i % 61}")
+             for i in range(count)]
+    kernel = rng.standard_normal(count)
+    kernel[::11], kernel[3::13], kernel[5::17] = np.nan, np.inf, -np.inf
+    f64 = [np.float64(v) for v in rng.standard_normal(count)]
+    mixed = [i if i % 3 else ("" if i % 2 else 0.25 * i) for i in range(count)]
+    columns = [names, kernel, f64, mixed]
+    header = ["y", "k", "f64", "m"]
+    write_csv(str(tmp_path / "new.csv"), header, columns)
+    _stdlib_csv(str(tmp_path / "old.csv"), header, list(zip(*columns)))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 def test_write_csv_matches_the_stdlib_writer_across_chunks(tmp_path):
-    """A table longer than one chunk, given as a generator, with a column whose
-    type and quoting change from one chunk to the next."""
+    """A table longer than one chunk, with a column whose type and quoting change
+    from one chunk to the next."""
     n = 2 * reports._CSV_CHUNK + 17
     rng = np.random.default_rng(5)
     values = rng.standard_normal(n).tolist()
     mixed = [values[i] if i < reports._CSV_CHUNK else ("a,b" if i % 7 == 0 else i)
              for i in range(n)]
     rows = [(f"y{i % 61}", values[i], mixed[i]) for i in range(n)]
-    write_csv(str(tmp_path / "new.csv"), ["y", "k", "m"], (row for row in rows))
+    write_csv(str(tmp_path / "new.csv"), ["y", "k", "m"], zip(*rows))
     _stdlib_csv(str(tmp_path / "old.csv"), ["y", "k", "m"], rows)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_write_csv_rejects_ragged_rows(tmp_path):
+    """Columns of different lengths would make rows of different lengths."""
     with pytest.raises(ValueError):
-        write_csv(str(tmp_path / "t.csv"), ["a", "b"], [(1.0, 2.0), (3.0,)])
+        write_csv(str(tmp_path / "t.csv"), ["a", "b"], [[1.0, 3.0], [2.0]])
+
+
+def test_martin_table_from_columns_is_the_row_built_table(tmp_path, monkeypatch):
+    """green's martin.csv on z2_free_z, written from its name columns and the
+    raveled kernel, against the same kernel written row by row (y, x, K_y(x))."""
+    ctx = cli.RunContext(load_config(config_path("z2_free_z.json")), str(tmp_path / "out"))
+    blocks = []
+
+    def recorded(self, xs, ys, inner=FreeProductEngine.green_matrix):
+        blocks.append((list(xs), list(ys), inner(self, xs, ys)))
+        return blocks[-1][2]
+
+    monkeypatch.setattr(FreeProductEngine, "green_matrix", recorded)
+    assert cli.stage_green(ctx)["status"] == "ok"
+    (inner, sphere, to_sphere), (_, _, from_e) = blocks[1:]
+    kernel = (to_sphere / from_e).T.tolist()
+    fmt_name = ctx.cfg.group.format
+    rows = [(fmt_name(y), fmt_name(x), k) for y, column in zip(sphere, kernel)
+            for x, k in zip(inner, column)]
+    assert len(rows) == len(sphere) * len(inner) > reports._CSV_CHUNK
+    _stdlib_csv(str(tmp_path / "rows.csv"), ["y", "x", "martin_kernel"], rows)
+    assert (tmp_path / "out" / "martin.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def _heat_color(t):
